@@ -177,9 +177,9 @@ def _compiled_terms(h: PauliHamiltonian) -> tuple[tuple[float, int, int, complex
 
 
 def _parity_sign(idx: np.ndarray, mask: int) -> np.ndarray:
-    """(-1)^{popcount(idx & mask)} as an int8 array."""
-    counts = np.bitwise_count(idx & mask)
-    return (1 - 2 * (counts & 1)).astype(np.int8)
+    """(-1)^{popcount(idx & mask)} as an int8 array of +1 / -1."""
+    odd = (np.bitwise_count(idx & mask) & 1).astype(np.int8)
+    return np.int8(1) - np.int8(2) * odd
 
 
 def apply_to_vector(h: PauliHamiltonian, v) -> np.ndarray:
@@ -249,7 +249,7 @@ def ground_energy(h: PauliHamiltonian) -> tuple[float, StateVector]:
     if n <= 9:
         e0, v0 = _dense()
     else:
-        from scipy.sparse.linalg import LinearOperator, eigsh
+        from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
         op = LinearOperator(
             (dim, dim), matvec=lambda x: apply_to_vector(h, x), dtype=np.complex128
@@ -259,7 +259,7 @@ def ground_energy(h: PauliHamiltonian) -> tuple[float, StateVector]:
         try:
             vals, vecs = eigsh(op, k=1, which="SA", v0=start, maxiter=10000)
             e0, v0 = float(vals[0]), vecs[:, 0]
-        except Exception:
+        except (ArpackNoConvergence, ArpackError):
             e0, v0 = _dense()
         if np.linalg.norm(apply_to_vector(h, v0) - e0 * v0) > 1e-8:
             e0, v0 = _dense()

@@ -11,6 +11,7 @@ import pytest
 
 from vdd.hamiltonian import (
     ModelSpec,
+    _parity_sign,
     PauliHamiltonian,
     PauliString,
     apply_string,
@@ -144,6 +145,38 @@ def test_iterative_and_dense_eigensolvers_agree():
     e_iter, _ = ground_energy(h)
     evals = np.linalg.eigvalsh(dense_matrix(h))
     assert e_iter == pytest.approx(float(evals[0]), abs=1e-8)
+
+
+def test_parity_sign_is_explicit_plus_minus_one():
+    idx = np.arange(8, dtype=np.int64)
+    for mask in range(8):
+        sign = _parity_sign(idx, mask)
+        assert sign.dtype == np.int8
+        expected = [(-1) ** bin(i & mask).count("1") for i in range(8)]
+        assert sign.tolist() == expected
+
+
+def test_arpack_non_convergence_falls_back_to_dense(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    h = build_model(ModelSpec("tfim", 10, g=1.7))
+    e0, _ = ground_energy(h)
+    assert e0 == pytest.approx(float(np.linalg.eigvalsh(dense_matrix(h))[0]), abs=1e-8)
+
+
+def test_other_eigensolver_errors_propagate(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken solver")
+
+    monkeypatch.setattr(spla, "eigsh", broken)
+    with pytest.raises(RuntimeError, match="broken solver"):
+        ground_energy(build_model(ModelSpec("tfim", 10, g=1.7)))
 
 
 def test_ground_energy_capacity_cap():
