@@ -170,6 +170,14 @@ def parse_init_scheme(text: str, seed: int = 0) -> InitScheme:
     raise ValueError(f'unknown init scheme {text!r}, expected "uniform", "balanced" or "basis:<bits>"')
 
 
+def _uniform_params(num_nodes: int, seed: int) -> np.ndarray:
+    """The "uniform" scheme's (r, omega, phi) rows in ascending node id, shape
+    (num_nodes, 3): one PCG64 stream, r ~ U[0,1) then omega, phi ~ U[0, 2*pi)."""
+    draws = np.random.default_rng(seed).random((num_nodes, 3))
+    draws[:, 1:] *= 2.0 * math.pi
+    return draws
+
+
 def init_params(g: VddGraph, scheme: InitScheme) -> VddGraph:
     """Return a copy of ``g`` with freshly initialized parameters.
 
@@ -178,11 +186,8 @@ def init_params(g: VddGraph, scheme: InitScheme) -> VddGraph:
     """
     new_nodes: dict[int, Node] = {}
     if scheme.kind == "uniform":
-        rng = np.random.default_rng(scheme.seed)
-        for nid in sorted(g.nodes):
-            r = float(rng.uniform(0.0, 1.0))
-            omega = float(rng.uniform(0.0, 2.0 * math.pi))
-            phi = float(rng.uniform(0.0, 2.0 * math.pi))
+        draws = _uniform_params(len(g.nodes), scheme.seed)
+        for nid, (r, omega, phi) in zip(sorted(g.nodes), draws.tolist()):
             new_nodes[nid] = replace(g.nodes[nid], params=ParamTriple(r, omega, phi))
     elif scheme.kind == "balanced":
         for nid, node in g.nodes.items():

@@ -1,5 +1,9 @@
 """Exact engine: dense state vectors, energies, and analytic gradients.
 
+A graph is compiled once into a topology (`_LevelTables`); its parameters
+travel separately as θ of shape (N, 3), one row per node in ascending id
+order.  `VddGraph` is the input/output form; the hot path takes θ.
+
 The state vector is filled by level-wise forward propagation: every
 bit-string prefix of length l-1 sits at exactly one level-l node, so the
 2^n amplitudes are built in n vectorized sweeps (O(n 2^n) total) instead
@@ -8,19 +12,19 @@ of 2^n independent path walks.
 Gradients use d<H>/dθ_j = 2 Re <∂_j ψ|H|ψ>, valid because the diagram is
 normalized for every parameter value.  ∂_j ψ is ψ with node j's edge
 factor on the path replaced by its θ_j-derivative, so one forward pass
-(prefix amplitudes) plus one backward pass (suffix sums against H|ψ>)
-yields every parameter's gradient at the cost of a few state-vector
-sweeps.
+(prefix amplitudes), one H|ψ> and one backward pass (suffix sums against
+H|ψ>) yield the energy and every parameter's gradient together
+(`energy_and_grad`).
 
-Two parameter modes:
+Two parameter modes (charts for θ's magnitude slot, see `_chart`):
 
-* "raw"  — derivatives w.r.t. the stored (r, omega, phi).  The right-edge
-           magnitude sqrt(1-r^2) makes d/dr singular at r = 1; the factor
-           is clamped and a SingularGradientWarning names the affected
-           parameters when r sits exactly on {0, 1}.
-* "trig" — magnitude reparameterized as r = cos(u) with u unconstrained
-           (left |cos u|-edge, right sin(u)-edge), so the magnitude
-           derivative -sin(u), cos(u) is bounded.  Used for training.
+* "raw"  — θ row (r, omega, phi).  The right-edge magnitude sqrt(1-r^2)
+           makes d/dr singular at r = 1; the factor is clamped and a
+           SingularGradientWarning names the affected parameters when r
+           sits exactly on {0, 1}.
+* "trig" — θ row (u, omega, phi) with r = cos u, u signed and unfolded,
+           so the magnitude derivative is bounded and an optimizer can keep
+           u as its state through r in {0, 1}.  Used for training.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import Node, VddGraph, edge_amplitudes, validate
+from .graph import ParamTriple, VddGraph, validate
 from .state import CapacityError, StateVector
 
 __all__ = [
@@ -118,72 +122,130 @@ def parameter_labels(g: VddGraph) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# level tables and the forward sweep
+# compiled topology, the chart, and the forward sweep
 
 
 class _LevelTables:
-    """Per-level arrays: edge amplitudes and child positions of each node.
+    """Compiled topology of a validated graph: its structure, not its parameters.
 
-    Position = index of a node within the sorted id list of its level, so
-    prefix -> node lookups are integer arrays instead of dict probes.
+    Nodes are numbered by row = index in ascending id order, the row order
+    of θ and of GradientVector.  child0/child1 hold each node's child rows
+    (-1 past the last level); root is the row of the level-1 node.  Built
+    once per graph shape and reused for every θ.
     """
 
     def __init__(self, g: VddGraph):
         issues = validate(g)
         if issues:
             raise ValueError("invalid graph: " + "; ".join(issues))
-        n = g.num_qubits
-        by_level: list[list[Node]] = [[] for _ in range(n + 1)]
-        for node_id in g.sorted_ids():
-            node = g.nodes[node_id]
-            by_level[node.level].append(node)
-        pos = {node.id: k for nodes in by_level for k, node in enumerate(nodes)}
-        self.num_qubits = n
-        self.ids = [np.array([node.id for node in nodes], dtype=np.int64) for nodes in by_level]
-        self.left = []
-        self.right = []
-        self.child0 = []
-        self.child1 = []
-        for level in range(n + 1):
-            nodes = by_level[level]
-            left = np.empty(len(nodes), dtype=np.complex128)
-            right = np.empty(len(nodes), dtype=np.complex128)
-            c0 = np.empty(len(nodes), dtype=np.int64)
-            c1 = np.empty(len(nodes), dtype=np.int64)
-            for k, node in enumerate(nodes):
-                left[k], right[k] = edge_amplitudes(node.params)
-                c0[k] = pos.get(node.child0, -1)
-                c1[k] = pos.get(node.child1, -1)
-            self.left.append(left)
-            self.right.append(right)
-            self.child0.append(c0)
-            self.child1.append(c1)
-        self.root_pos = pos[g.root_child]
+        self.num_qubits = g.num_qubits
+        self.global_phase = g.global_phase
+        self.node_ids = tuple(g.sorted_ids())
+        row = {node_id: k for k, node_id in enumerate(self.node_ids)}
+        self.child0 = np.array([row.get(g.nodes[i].child0, -1) for i in self.node_ids])
+        self.child1 = np.array([row.get(g.nodes[i].child1, -1) for i in self.node_ids])
+        self.root = row[g.root_child]
+
+    def path_rows(self, bits: np.ndarray) -> np.ndarray:
+        """(count, n) rows of the nodes that each bit string's path visits."""
+        rows = np.empty(bits.shape, dtype=np.int64)
+        rows[:, 0] = self.root
+        for level in range(1, bits.shape[1]):
+            prev = rows[:, level - 1]
+            rows[:, level] = np.where(bits[:, level - 1] == 0, self.child0[prev], self.child1[prev])
+        return rows
 
 
-def _forward(g: VddGraph, tables: _LevelTables):
-    """Prefix amplitudes F[l] (length 2^l) and node positions P[l] per level.
+def _chart(theta: np.ndarray, mode: str):
+    """(left, right, dleft, dright): every node's edge factors and their
+    derivatives with respect to its magnitude slot θ[:, 0].
 
-    P[l][p] is the position (within level l+1) of the node reached by the
-    length-l prefix p; F[l][p] is the product of the first l edge factors
-    times the global phase.
+    Rows of θ are (r, omega, phi) in "raw" mode and (u, omega, phi) in
+    "trig" mode, u signed and unfolded.  Both modes evaluate the magnitudes
+    as (cos u, sin u), raw with u = arccos r, so a graph yields the same
+    edge factors whichever mode its gradient is asked in:
+
+        left = cos u e^{i omega},  right = sin u e^{i phi}
+        raw:  d/dr = (e^{i omega}, -r / sqrt(1 - r^2) e^{i phi}), r clamped below 1
+        trig: d/du = (-sin u e^{i omega}, cos u e^{i phi})
     """
-    n = g.num_qubits
-    amps = [np.array([np.exp(1j * g.global_phase)], dtype=np.complex128)]
-    positions = [np.array([tables.root_pos], dtype=np.int64)]
+    mag = theta[:, 0]
+    u = mag if mode == "trig" else np.arccos(mag)
+    cos_u, sin_u = np.cos(u), np.sin(u)
+    eiw = np.exp(1j * theta[:, 1])
+    eip = np.exp(1j * theta[:, 2])
+    if mode == "trig":
+        dleft, dright = -sin_u, cos_u
+    else:
+        rc = np.clip(mag, _CLAMP, 1.0 - _CLAMP)
+        dleft, dright = 1.0, -rc / np.sqrt(1.0 - rc * rc)
+    return cos_u * eiw, sin_u * eip, dleft * eiw, dright * eip
+
+
+def _flatten(g: VddGraph, mode: str) -> np.ndarray:
+    """θ of a graph, shape (N, 3) in ascending node id: (r | arccos r, omega, phi)."""
+    theta = np.array(
+        [(p.r, p.omega, p.phi) for p in (g.nodes[node_id].params for node_id in g.sorted_ids())],
+        dtype=np.float64,
+    )
+    if mode == "trig":
+        theta[:, 0] = np.arccos(theta[:, 0])
+    return theta
+
+
+def _materialize(g: VddGraph, theta: np.ndarray, mode: str) -> VddGraph:
+    """A copy of ``g`` carrying θ (flat, or shape (N, 3)); inverse of _flatten.
+
+    trig: r = |cos u|, and a negative cos u (sin u) shifts omega (phi) by
+    pi, so the edge factors cos(u) e^{i omega}, sin(u) e^{i phi} are kept.
+    """
+    theta = np.array(np.reshape(theta, (-1, 3)), dtype=np.float64)
+    if mode == "trig":
+        c, s = np.cos(theta[:, 0]), np.sin(theta[:, 0])
+        theta[:, 0] = np.abs(c)
+        theta[:, 1] += np.where(c < 0, math.pi, 0.0)
+        theta[:, 2] += np.where(s < 0, math.pi, 0.0)
+    nodes = {
+        node_id: replace(g.nodes[node_id], params=ParamTriple(*map(float, row)))
+        for node_id, row in zip(g.sorted_ids(), theta)
+    }
+    return replace(g, nodes=nodes)
+
+
+def _forward(topo: _LevelTables, left: np.ndarray, right: np.ndarray):
+    """Prefix amplitudes F[l] (length 2^l) and node rows P[l] per level.
+
+    P[l][p] is the row of the level-(l+1) node reached by the length-l
+    prefix p; F[l][p] is the product of the first l edge factors times the
+    global phase, so F[n] is the state vector.
+    """
+    n = topo.num_qubits
+    amps = [np.array([np.exp(1j * topo.global_phase)], dtype=np.complex128)]
+    rows = [np.array([topo.root], dtype=np.int64)]
     for level in range(1, n + 1):
-        cur_pos = positions[-1]
-        cur_amp = amps[-1]
+        cur, cur_amp = rows[-1], amps[-1]
         new_amp = np.empty(2 * cur_amp.shape[0], dtype=np.complex128)
-        new_amp[0::2] = cur_amp * tables.left[level][cur_pos]
-        new_amp[1::2] = cur_amp * tables.right[level][cur_pos]
+        new_amp[0::2] = cur_amp * left[cur]
+        new_amp[1::2] = cur_amp * right[cur]
         amps.append(new_amp)
         if level < n:
-            new_pos = np.empty(2 * cur_pos.shape[0], dtype=np.int64)
-            new_pos[0::2] = tables.child0[level][cur_pos]
-            new_pos[1::2] = tables.child1[level][cur_pos]
-            positions.append(new_pos)
-    return amps, positions
+            new_rows = np.empty(2 * cur.shape[0], dtype=np.int64)
+            new_rows[0::2] = topo.child0[cur]
+            new_rows[1::2] = topo.child1[cur]
+            rows.append(new_rows)
+    return amps, rows
+
+
+def _check_graph_and_operator(g: VddGraph, h) -> None:
+    if h.num_qubits != g.num_qubits:
+        raise ValueError(
+            f"operator acts on {h.num_qubits} qubits but the graph has {g.num_qubits}"
+        )
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in PARAM_MODES:
+        raise ValueError(f"unknown parameter mode {mode!r}, expected one of {PARAM_MODES}")
 
 
 def to_state_vector(g: VddGraph) -> StateVector:
@@ -192,8 +254,9 @@ def to_state_vector(g: VddGraph) -> StateVector:
         raise CapacityError(
             f"state vectors are capped at n = {STATEVECTOR_CAP}, got n = {g.num_qubits}"
         )
-    tables = _LevelTables(g)
-    amps, _ = _forward(g, tables)
+    topo = _LevelTables(g)
+    left, right, _, _ = _chart(_flatten(g, "raw"), "raw")
+    amps, _ = _forward(topo, left, right)
     return StateVector(num_qubits=g.num_qubits, amps=amps[-1])
 
 
@@ -201,35 +264,17 @@ def exact_energy(g: VddGraph, h) -> float:
     """<psi|H|psi> from the dense state vector."""
     from .hamiltonian import expectation
 
-    if h.num_qubits != g.num_qubits:
-        raise ValueError(
-            f"operator acts on {h.num_qubits} qubits but the graph has {g.num_qubits}"
-        )
+    _check_graph_and_operator(g, h)
     return expectation(h, to_state_vector(g))
 
 
 # ---------------------------------------------------------------------------
-# analytic gradient
+# fused energy and analytic gradient
 
 
-def _magnitude_derivatives(params, mode: str):
-    """Derivative of (left, right) edge factors w.r.t. the magnitude slot.
-
-    raw:  d/dr  (r e^{iw}, sqrt(1-r^2) e^{ip}) — clamped near r = 1.
-    trig: d/du at r = cos u, u in [0, pi/2]    — (-sin u e^{iw}, cos u e^{ip}).
-    """
-    r = params.r
-    eiw = np.exp(1j * params.omega)
-    eip = np.exp(1j * params.phi)
-    if mode == "raw":
-        rc = min(max(r, _CLAMP), 1.0 - _CLAMP)
-        return eiw, -(rc / math.sqrt(1.0 - rc * rc)) * eip
-    sin_u = math.sqrt(max(0.0, 1.0 - r * r))
-    return -sin_u * eiw, r * eip
-
-
-def exact_gradient(g: VddGraph, h, mode: str = "raw") -> GradientVector:
-    """d<H>/dθ for every parameter via one forward and one backward sweep.
+def energy_and_grad(topo: _LevelTables, h, theta: np.ndarray, mode: str):
+    """(<H>, d<H>/dθ of shape (N, 3)) from one forward sweep, one H|psi> and
+    one backward sweep.
 
     Forward gives the prefix amplitude F[p] in front of each node; backward
     propagates suffix sums B against H|psi>, so that the derivative of
@@ -237,63 +282,49 @@ def exact_gradient(g: VddGraph, h, mode: str = "raw") -> GradientVector:
     sum_{p at j} conj(F[p]) * B[child prefixes].  Entries are
     2 Re <∂_j psi|H|psi>.
     """
-    from .hamiltonian import apply_to_vector
-
-    if mode not in PARAM_MODES:
-        raise ValueError(f"unknown parameter mode {mode!r}, expected one of {PARAM_MODES}")
-    if h.num_qubits != g.num_qubits:
-        raise ValueError(
-            f"operator acts on {h.num_qubits} qubits but the graph has {g.num_qubits}"
-        )
-    n = g.num_qubits
-    tables = _LevelTables(g)
-    amps, positions = _forward(g, tables)
+    from .hamiltonian import _energy_of, apply_to_vector
 
     if mode == "raw":
-        singular = [
-            f"r{node_id}"
-            for node_id in g.sorted_ids()
-            if g.nodes[node_id].params.r in (0.0, 1.0)
-        ]
-        if singular:
+        singular = np.flatnonzero((theta[:, 0] == 0.0) | (theta[:, 0] == 1.0))
+        if singular.size:
             warnings.warn(
                 "raw-mode magnitude gradient is singular at r in {0, 1} for: "
-                + ", ".join(singular),
+                + ", ".join(f"r{topo.node_ids[k]}" for k in singular),
                 SingularGradientWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-
+    left, right, dleft, dright = _chart(theta, mode)
+    amps, prefix_rows = _forward(topo, left, right)
     hv = apply_to_vector(h, amps[-1])
+    energy = _energy_of(amps[-1], hv)
 
-    node_ids = g.sorted_ids()
-    slot = {node_id: k for k, node_id in enumerate(node_ids)}
-    g0 = np.zeros(len(node_ids), dtype=np.complex128)  # conj(F) * B at the 0-child
-    g1 = np.zeros(len(node_ids), dtype=np.complex128)
-
+    g0 = np.zeros(theta.shape[0], dtype=np.complex128)  # conj(F) * B at the 0-child
+    g1 = np.zeros(theta.shape[0], dtype=np.complex128)
     back = hv
-    for level in range(n, 0, -1):
-        cur_pos = positions[level - 1]
+    for level in range(topo.num_qubits, 0, -1):
+        rows = prefix_rows[level - 1]
         prefix = np.conj(amps[level - 1])
         b0 = back[0::2]
         b1 = back[1::2]
-        level_slots = np.array([slot[i] for i in tables.ids[level]], dtype=np.int64)
-        np.add.at(g0, level_slots[cur_pos], prefix * b0)
-        np.add.at(g1, level_slots[cur_pos], prefix * b1)
-        back = np.conj(tables.left[level][cur_pos]) * b0 + np.conj(
-            tables.right[level][cur_pos]
-        ) * b1
+        np.add.at(g0, rows, prefix * b0)
+        np.add.at(g1, rows, prefix * b1)
+        if level > 1:
+            back = np.conj(left[rows]) * b0 + np.conj(right[rows]) * b1
 
-    entries = np.empty(3 * len(node_ids), dtype=np.float64)
-    for k, node_id in enumerate(node_ids):
-        node = g.nodes[node_id]
-        left, right = edge_amplitudes(node.params)
-        dleft, dright = _magnitude_derivatives(node.params, mode)
-        entries[3 * k] = 2.0 * (np.conj(dleft) * g0[k] + np.conj(dright) * g1[k]).real
-        entries[3 * k + 1] = 2.0 * (np.conj(1j * left) * g0[k]).real
-        entries[3 * k + 2] = 2.0 * (np.conj(1j * right) * g1[k]).real
+    grad = np.empty(theta.shape, dtype=np.float64)
+    grad[:, 0] = 2.0 * (np.conj(dleft) * g0 + np.conj(dright) * g1).real
+    grad[:, 1] = 2.0 * (np.conj(1j * left) * g0).real
+    grad[:, 2] = 2.0 * (np.conj(1j * right) * g1).real
+    return energy, grad
 
-    labels = parameter_labels(g)
-    return GradientVector(entries=entries, labels=labels, node_ids=tuple(node_ids))
+
+def exact_gradient(g: VddGraph, h, mode: str = "raw") -> GradientVector:
+    """d<H>/dθ for every parameter of a graph (see energy_and_grad)."""
+    _check_mode(mode)
+    _check_graph_and_operator(g, h)
+    topo = _LevelTables(g)
+    _, grad = energy_and_grad(topo, h, _flatten(g, mode), mode)
+    return GradientVector(entries=grad.ravel(), labels=parameter_labels(g), node_ids=topo.node_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +346,7 @@ def finite_difference(g: VddGraph, h, step: float = 1e-6, mode: str = "raw") -> 
     """
     if not (1e-8 <= step <= 1e-3):
         raise ValueError(f"step must lie in [1e-8, 1e-3], got {step!r}")
-    if mode not in PARAM_MODES:
-        raise ValueError(f"unknown parameter mode {mode!r}, expected one of {PARAM_MODES}")
+    _check_mode(mode)
 
     node_ids = g.sorted_ids()
     entries = np.empty(3 * len(node_ids), dtype=np.float64)

@@ -15,12 +15,13 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ansatz import InitScheme, build_ansatz, init_params
-from .exact import GradientVector, exact_energy, exact_gradient
+from .ansatz import _uniform_params, build_ansatz
+from .exact import PARAM_MODES, GradientVector, _LevelTables, _materialize, energy_and_grad
+from .exact import exact_energy
 from .graph import VddGraph
 from .hamiltonian import MODELS, ModelSpec, build_model, ground_energy
 from .optimize import AdamConfig, ConfigError, TrainConfig, TrainTrace, train
@@ -80,6 +81,10 @@ class VarianceScanConfig:
             raise ConfigError(f"num_seeds must be >= 2, got {self.num_seeds}")
         if not self.tracked_params:
             raise ConfigError("tracked_params must be nonempty")
+        if self.param_mode not in PARAM_MODES:
+            raise ConfigError(
+                f"unknown param_mode {self.param_mode!r}, expected one of {PARAM_MODES}"
+            )
 
     def model_spec(self, n: int) -> ModelSpec:
         return ModelSpec(
@@ -157,32 +162,30 @@ def variance_scan(cfg: VarianceScanConfig) -> VarianceScanResult:
     notices: list[str] = []
     per_label: dict[str, list[tuple[int, float]]] = {p: [] for p in cfg.tracked_params}
     for n in cfg.n_values:
-        base_graph = build_ansatz(cfg.ansatz, n)
+        topo = _LevelTables(build_ansatz(cfg.ansatz, n))
         h = build_model(cfg.model_spec(n))
         probe = GradientVector(
-            entries=np.zeros(3 * len(base_graph.nodes)),
-            labels=(),
-            node_ids=tuple(base_graph.sorted_ids()),
+            entries=np.zeros(3 * len(topo.node_ids)), labels=(), node_ids=topo.node_ids
         )
-        live: list[str] = []
+        live: dict[str, int] = {}  # tracked label -> flat gradient index
         for label in cfg.tracked_params:
             try:
-                probe.index_of(label)
+                live[label] = probe.index_of(label)
             except KeyError:
                 note = f"label {label!r} absent at n={n}; row skipped"
                 notices.append(note)
                 warnings.warn(note, stacklevel=2)
-            else:
-                live.append(label)
         if not live:
             continue
         samples = {label: np.empty(cfg.num_seeds) for label in live}
         for idx in range(cfg.num_seeds):
-            seed = derive_seed(cfg.base_seed, n, idx)
-            g = init_params(base_graph, InitScheme("uniform", seed=seed))
-            gv = exact_gradient(g, h, mode=cfg.param_mode)
-            for label in live:
-                samples[label][idx] = gv.entry(label)
+            # the draws of init_params(..., InitScheme("uniform", seed)), without the graph
+            theta = _uniform_params(len(topo.node_ids), derive_seed(cfg.base_seed, n, idx))
+            if cfg.param_mode == "trig":
+                theta[:, 0] = np.arccos(theta[:, 0])
+            _, grad = energy_and_grad(topo, h, theta, cfg.param_mode)
+            for label, index in live.items():
+                samples[label][idx] = grad.flat[index]
         for label in live:
             var = float(np.var(samples[label]))  # population variance over the draws
             rows.append(
@@ -311,30 +314,20 @@ def best_dimer(spec: ModelSpec, starts: int = 6, seed: int = 0) -> tuple[float, 
     """
     from scipy.optimize import minimize
 
-    from .optimize import _flatten, _materialize
-
     h = build_model(spec)
     base = build_ansatz("accordion", spec.n)
+    topo = _LevelTables(base)
+
+    def objective(x):
+        energy, grad = energy_and_grad(topo, h, x.reshape(-1, 3), "trig")
+        return energy, grad.ravel()
 
     best_energy = math.inf
     best_graph = None
     for k in range(starts):
-        g0 = init_params(base, InitScheme("uniform", seed=derive_seed(seed, spec.n, k)))
-        x0 = _flatten(g0, "trig")
-
-        def objective(x):
-            graph = _materialize(base, x, "trig")
-            grads = exact_gradient(graph, h, mode="trig").entries.copy()
-            # the engine differentiates w.r.t. the refolded u' = arccos(r)
-            # in [0, pi/2]; outside that fold du'/du = sign(sin u)sign(cos u),
-            # so map the u-entries back into the optimizer's chart
-            u = x[0::3]
-            fold = np.sign(np.sin(u)) * np.sign(np.cos(u))
-            fold[fold == 0.0] = 1.0
-            grads[0::3] *= fold
-            return exact_energy(graph, h), grads
-
-        res = minimize(objective, x0, jac=True, method="L-BFGS-B",
+        x0 = _uniform_params(len(topo.node_ids), derive_seed(seed, spec.n, k))
+        x0[:, 0] = np.arccos(x0[:, 0])
+        res = minimize(objective, x0.ravel(), jac=True, method="L-BFGS-B",
                        options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12})
         if res.fun < best_energy:
             best_energy = float(res.fun)

@@ -178,8 +178,8 @@ def _compiled_terms(h: PauliHamiltonian) -> tuple[tuple[float, int, int, complex
 
 def _parity_sign(idx: np.ndarray, mask: int) -> np.ndarray:
     """(-1)^{popcount(idx & mask)} as an int8 array of +1 / -1."""
-    odd = (np.bitwise_count(idx & mask) & 1).astype(np.int8)
-    return np.int8(1) - np.int8(2) * odd
+    odd = (np.bitwise_count(idx & mask) & 1).view(np.int8)  # 0 / 1, signed
+    return 1 - 2 * odd
 
 
 def apply_to_vector(h: PauliHamiltonian, v) -> np.ndarray:
@@ -204,10 +204,15 @@ def expectation(h: PauliHamiltonian, v) -> float:
         raise ValueError(
             f"state has {amps.shape[0]} amplitudes, expected {2**h.num_qubits}"
         )
-    norm2 = float(np.sum(np.abs(amps) ** 2))
+    return _energy_of(amps, apply_to_vector(h, amps))
+
+
+def _energy_of(amps: np.ndarray, hv: np.ndarray) -> float:
+    """<v|H|v> from v and H|v>; v must be normalized, a non-real residue is rejected."""
+    norm2 = float(np.vdot(amps, amps).real)
     if abs(norm2 - 1.0) > 1e-10:
         raise ValueError(f"state not normalized: sum |amp|^2 = {norm2!r}")
-    val = complex(np.vdot(amps, apply_to_vector(h, amps)))
+    val = complex(np.vdot(amps, hv))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"expectation has a non-real residue: {val!r}")
     return val.real

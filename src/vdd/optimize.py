@@ -12,15 +12,17 @@ Losses:
                  the dataset's fixed entropy).
 
 Gradients come from the exact engine or from sampled batches ("vmc").
-Parameter updates run in a flat vector ordered like GradientVector
-entries.  In "trig" mode the magnitude slot holds u with r = cos u,
-re-derived from the graph each epoch (u in [0, pi/2]); after a step the
-graph is materialized with r = |cos u| and a pi phase shift on whichever
-edge's factor went negative.  In "raw" mode r is updated directly and
-projected into [delta, 1-delta] to keep later gradients finite.
+`train` compiles the diagram once and keeps θ, a flat vector ordered like
+GradientVector entries, as its optimizer state for the whole run.  In
+"trig" mode the magnitude slot holds u with r = cos u, signed and
+unfolded, so Adam's moments always live in the chart it steps in; the
+graph is materialized once, at the end, with r = |cos u| and a pi phase
+shift on whichever edge's factor is negative.  In "raw" mode r is updated
+directly and projected into [delta, 1-delta] after each step to keep
+later gradients finite.
 
 Dataset losses depend on parameters only through the path probabilities
-r^2 and 1 - r^2, so their gradients are polynomial in r (no divisions)
+|edge|^2, so their gradients are products of those factors (no divisions)
 and every phase entry is exactly zero.
 """
 
@@ -28,19 +30,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ansatz import ANSATZ_KINDS, InitScheme, build_ansatz, init_params
-from .exact import (
-    PARAM_MODES,
-    GradientVector,
-    exact_energy,
-    exact_gradient,
-    parameter_labels,
-)
-from .graph import ParamTriple, VddGraph
+from .exact import PARAM_MODES, GradientVector, _chart, _check_mode, _flatten, _LevelTables
+from .exact import _materialize, energy_and_grad, parameter_labels
+from .graph import VddGraph
 from .hamiltonian import ModelSpec, build_model, ground_energy
 from .state import CapacityError
 
@@ -157,45 +154,6 @@ def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# flat parameter vector <-> graph
-
-
-def _flatten(g: VddGraph, mode: str) -> np.ndarray:
-    """(r|u, omega, phi) per node; trig mode stores u = arccos(r)."""
-    out = np.empty(3 * len(g.nodes))
-    for k, node_id in enumerate(g.sorted_ids()):
-        p = g.nodes[node_id].params
-        out[3 * k] = math.acos(min(1.0, max(0.0, p.r))) if mode == "trig" else p.r
-        out[3 * k + 1] = p.omega
-        out[3 * k + 2] = p.phi
-    return out
-
-
-def _materialize(g: VddGraph, theta: np.ndarray, mode: str) -> VddGraph:
-    """Write a flat parameter vector back into a valid graph.
-
-    trig: r = |cos u|; a negative cos u shifts omega by pi, a negative
-    sin u shifts phi by pi, so the edge factors cos(u) e^{i omega} and
-    sin(u) e^{i phi} are reproduced exactly.  raw: r projected into
-    [delta, 1-delta].
-    """
-    nodes = {}
-    for k, node_id in enumerate(g.sorted_ids()):
-        mag, omega, phi = theta[3 * k], theta[3 * k + 1], theta[3 * k + 2]
-        if mode == "trig":
-            c, s = math.cos(mag), math.sin(mag)
-            r = abs(c)
-            if c < 0:
-                omega += math.pi
-            if s < 0:
-                phi += math.pi
-        else:
-            r = min(1.0 - _DELTA, max(_DELTA, mag))
-        nodes[node_id] = replace(g.nodes[node_id], params=ParamTriple(r, omega, phi))
-    return replace(g, nodes=nodes)
-
-
-# ---------------------------------------------------------------------------
 # dataset losses
 
 
@@ -227,80 +185,71 @@ class LabeledDataset:
         return len(self.items[0][0])
 
 
-def _born_prob_and_grad(g: VddGraph, bits, mode: str) -> tuple[float, np.ndarray]:
-    """p(b) = |psi(b)|^2 and dp/dtheta (flat, phase entries exactly 0).
+def _dataset_arrays(data: LabeledDataset, want_labels: bool):
+    """(bits (M, n) uint8, labels (M,) float or None) of a dataset."""
+    bits = np.array([item for item, _ in data.items], dtype=np.uint8)
+    if not want_labels:
+        return bits, None
+    for item, label in data.items:
+        if label is None:
+            raise ValueError(f"BCE needs a 0/1 label for every item, none on {item}")
+    return bits, np.array([label for _, label in data.items], dtype=np.float64)
 
-    p factorizes over the path into r^2 / (1-r^2) terms, so each node's
-    magnitude derivative is prefix * d(factor) * suffix — polynomial in r,
-    finite at the box boundary.
+
+def _dataset_loss(topo: _LevelTables, theta: np.ndarray, mode: str, bits, labels):
+    """Mean BCE (labels given) or cross-entropy (labels None) and its gradient (N, 3).
+
+    p(b) = prod of q = |edge|^2 along b's path, so each node's magnitude
+    derivative is prefix * dq * suffix with dq = 2 Re(conj(edge) d edge):
+    no division by an edge weight, finite at the box boundary.  Phase
+    entries are exactly zero.
     """
-    node_ids = g.sorted_ids()
-    slot = {node_id: k for k, node_id in enumerate(node_ids)}
-    factors = []
-    derivs = []
-    slots = []
-    current = g.root_child
-    for bit in bits:
-        node = g.nodes[current]
-        r = node.params.r
-        if bit == 0:
-            q, d_raw = r * r, 2.0 * r
-            current = node.child0
-        else:
-            q, d_raw = 1.0 - r * r, -2.0 * r
-            current = node.child1
-        if mode == "trig":
-            # chain rule through r = cos u: dq/du = dq/dr * (-sin u)
-            d = -d_raw * math.sqrt(max(0.0, 1.0 - r * r))
-        else:
-            d = d_raw
-        factors.append(q)
-        derivs.append(d)
-        slots.append(slot[node.id])
-    n = len(factors)
-    prefix = np.concatenate(([1.0], np.cumprod(factors)[:-1]))
-    suffix = np.concatenate((np.cumprod(factors[::-1])[-2::-1], [1.0]))
-    grad = np.zeros(3 * len(node_ids))
-    for i in range(n):
-        grad[3 * slots[i]] += prefix[i] * derivs[i] * suffix[i]
-    return float(np.prod(factors)), grad
+    left, right, dleft, dright = _chart(theta, mode)
+    count, n = bits.shape
+    rows = topo.path_rows(bits)
+    zero = bits == 0
+    edge = np.where(zero, left[rows], right[rows])
+    q = np.abs(edge) ** 2
+    dq = 2.0 * (np.conj(edge) * np.where(zero, dleft[rows], dright[rows])).real
+    prefix = np.ones((count, n))
+    prefix[:, 1:] = np.cumprod(q[:, :-1], axis=1)
+    suffix = np.ones((count, n))
+    suffix[:, :-1] = np.cumprod(q[:, :0:-1], axis=1)[:, ::-1]
+    ph = np.clip(prefix[:, -1] * q[:, -1], _EPS_PROB, 1.0 - _EPS_PROB)
+    if labels is None:
+        loss = -np.mean(np.log(ph))
+        weight = -1.0 / ph
+    else:
+        loss = -np.mean(labels * np.log(ph) + (1 - labels) * np.log(1.0 - ph))
+        weight = -(labels / ph - (1 - labels) / (1.0 - ph))
+    magnitude = np.zeros(theta.shape[0])
+    np.add.at(magnitude, rows, weight[:, None] * prefix * dq * suffix)
+    grad = np.zeros(theta.shape)
+    grad[:, 0] = magnitude / count
+    return float(loss), grad
 
 
-def _dataset_loss(g: VddGraph, data: LabeledDataset, mode: str, want_labels: bool):
-    if mode not in PARAM_MODES:
-        raise ValueError(f"unknown parameter mode {mode!r}, expected one of {PARAM_MODES}")
+def _graph_dataset_loss(g: VddGraph, data: LabeledDataset, mode: str, want_labels: bool):
+    _check_mode(mode)
     if data.num_qubits != g.num_qubits:
         raise ValueError(
             f"dataset bit strings have {data.num_qubits} bits but the graph has {g.num_qubits}"
         )
-    count = len(data.items)
-    total = 0.0
-    grad = np.zeros(3 * len(g.nodes))
-    for bits, label in data.items:
-        if want_labels and label is None:
-            raise ValueError(f"BCE needs a 0/1 label for every item, none on {bits}")
-        p, dp = _born_prob_and_grad(g, bits, mode)
-        ph = min(max(p, _EPS_PROB), 1.0 - _EPS_PROB)
-        if want_labels:
-            total -= label * math.log(ph) + (1 - label) * math.log(1.0 - ph)
-            grad -= (label / ph - (1 - label) / (1.0 - ph)) * dp
-        else:
-            total -= math.log(ph)
-            grad -= dp / ph
-    gv = GradientVector(
-        entries=grad / count, labels=parameter_labels(g), node_ids=tuple(g.sorted_ids())
+    topo = _LevelTables(g)
+    loss, grad = _dataset_loss(topo, _flatten(g, mode), mode, *_dataset_arrays(data, want_labels))
+    return loss, GradientVector(
+        entries=grad.ravel(), labels=parameter_labels(g), node_ids=topo.node_ids
     )
-    return total / count, gv
 
 
 def bce_loss(g: VddGraph, data: LabeledDataset, mode: str = "raw"):
     """Binary cross-entropy of Born probabilities vs labels, with gradient."""
-    return _dataset_loss(g, data, mode, want_labels=True)
+    return _graph_dataset_loss(g, data, mode, want_labels=True)
 
 
 def kl_loss(g: VddGraph, data: LabeledDataset, mode: str = "raw"):
     """Cross-entropy -(1/N) sum log p(b_i), with gradient."""
-    return _dataset_loss(g, data, mode, want_labels=False)
+    return _graph_dataset_loss(g, data, mode, want_labels=False)
 
 
 # ---------------------------------------------------------------------------
@@ -416,64 +365,67 @@ def train(config: TrainConfig) -> TrainTrace:
     """Run the configured descent and return the per-epoch trace.
 
     Initializes uniformly at `seed` (unless an explicit init scheme is
-    given), then per epoch: evaluate loss + gradient, step, materialize.
+    given) and compiles the diagram once; then per epoch: evaluate loss +
+    gradient at θ, step θ.  The trained graph is materialized at the end.
     """
-    from .vmc import sample_batch, vmc_gradient
+    from .vmc import _draw_batch, _gradient_entries
 
     n = config.num_qubits
     scheme = config.init if config.init is not None else InitScheme("uniform", seed=config.seed)
     g = init_params(build_ansatz(config.ansatz, n), scheme)
+    topo = _LevelTables(g)
     labels = parameter_labels(g)
     mode = config.param_mode
+    theta = _flatten(g, mode).ravel()
 
     h = e0 = None
     energy_driven = config.loss in ("energy_gap", "energy")
     if energy_driven:
         h = build_model(config.model)
         e0 = _resolve_e0(config, h)
+    else:
+        bits, targets = _dataset_arrays(config.dataset, want_labels=config.loss == "bce")
 
     sample_rng = np.random.default_rng([config.seed, 1]) if config.gradient_source == "vmc" else None
 
     opt = config.optimizer
-    adam_state = AdamState.zeros(3 * len(g.nodes)) if isinstance(opt, AdamConfig) else None
+    adam_state = AdamState.zeros(theta.size) if isinstance(opt, AdamConfig) else None
 
     records: list[TraceRecord] = []
     for epoch in range(1, config.epochs + 1):
+        rows = theta.reshape(-1, 3)
         if energy_driven:
             if config.gradient_source == "exact":
-                energy = exact_energy(g, h)
-                gv = exact_gradient(g, h, mode=mode)
+                energy, grad = energy_and_grad(topo, h, rows, mode)
             else:
-                batch = sample_batch(
-                    g, h, config.batch_size, rng=sample_rng, mode=mode
-                )
-                energy = batch.energy_mean
-                gv = vmc_gradient(batch)
+                _, local, oj = _draw_batch(topo, h, rows, mode, config.batch_size, sample_rng)
+                energy = float(np.mean(local.real))
+                grad = _gradient_entries(local, oj)
             loss_val = energy - e0 if config.loss == "energy_gap" else energy
             rel = abs((energy - e0) / e0) if e0 not in (None, 0.0) else None
         else:
-            loss_fn = bce_loss if config.loss == "bce" else kl_loss
-            loss_val, gv = loss_fn(g, config.dataset, mode=mode)
+            loss_val, grad = _dataset_loss(topo, rows, mode, bits, targets)
             energy, rel = math.nan, None
+        grad = grad.ravel()
 
-        _check_finite(gv.entries, labels=labels, epoch=epoch)
+        _check_finite(grad, labels=labels, epoch=epoch)
         records.append(
             TraceRecord(
                 epoch=epoch,
                 loss=float(loss_val),
                 energy=float(energy),
                 relative_error=None if rel is None else float(rel),
-                grad_norm=gv.norm,
+                grad_norm=float(np.linalg.norm(grad)),
             )
         )
 
-        theta = _flatten(g, mode)
         if isinstance(opt, AdamConfig):
             theta, adam_state = adam_step(
-                theta, gv.entries, adam_state, opt.lr, opt.beta1, opt.beta2, opt.eps
+                theta, grad, adam_state, opt.lr, opt.beta1, opt.beta2, opt.eps
             )
         else:
-            theta = sgd_step(theta, gv.entries, opt.lr)
-        g = _materialize(g, theta, mode)
+            theta = sgd_step(theta, grad, opt.lr)
+        if mode == "raw":
+            theta[0::3] = np.clip(theta[0::3], _DELTA, 1.0 - _DELTA)
 
-    return TrainTrace(records=records, graph=g)
+    return TrainTrace(records=records, graph=_materialize(g, theta, mode))

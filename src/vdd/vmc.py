@@ -13,12 +13,17 @@ Per-sample quantities:
                   n nodes on b's path:
                       left edge:  O_r = 1/r,            O_omega = i
                       right edge: O_r = -r/(1 - r^2),   O_phi   = i
-                  ("trig" mode rescales the magnitude row by dr/du = -sin u,
-                  giving -tan u on left edges and cot u on right edges)
+                  ("trig" mode differentiates w.r.t. the signed, unfolded u
+                  of r = cos u, giving -tan u on left edges and cot u on
+                  right edges)
 
 and the stochastic gradient 2 Re E[conj(O_j) (A~ - E[A~])] with in-batch
-centering.  Batch helpers are vectorized; the per-bit-string operations are
-the reference implementations they are tested against.
+centering.  The batch kernels run on the compiled topology and the edge
+factors of a parameter array θ (see vdd.exact), so training draws batches
+without rebuilding a graph; `sample` and `sample_batch` take a `VddGraph`
+and compile it per call.  The per-bit-string operations walk the graph
+itself and are the reference implementations the kernels are tested
+against.
 """
 
 from __future__ import annotations
@@ -28,9 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import GradientVector, _LevelTables, parameter_labels
-from .graph import VddGraph, amplitude, edge_amplitudes
-from .hamiltonian import PauliHamiltonian, _compiled_terms
+from .exact import GradientVector, _chart, _check_graph_and_operator, _check_mode, _flatten
+from .exact import _LevelTables, parameter_labels
+from .graph import VddGraph, amplitude
+from .hamiltonian import PauliHamiltonian, _compiled_terms, _parity_sign
 
 __all__ = [
     "VmcBatch",
@@ -85,39 +91,44 @@ def _energy_stats(local_values: np.ndarray) -> tuple[float, float]:
     return mean, float(np.std(re, ddof=1) / math.sqrt(re.shape[0]))
 
 
+def _sample(topo: _LevelTables, left: np.ndarray, count: int, rng) -> np.ndarray:
+    """Level-major Born draws: one uniform per (sample, level), level by level."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    n = topo.num_qubits
+    p_zero = np.abs(left) ** 2
+    bits = np.empty((count, n), dtype=np.uint8)
+    pos = np.full(count, topo.root, dtype=np.int64)
+    for level in range(n):
+        b = (rng.random(count) >= p_zero[pos]).astype(np.uint8)
+        bits[:, level] = b
+        if level < n - 1:
+            pos = np.where(b == 0, topo.child0[pos], topo.child1[pos])
+    return bits
+
+
 def sample(g: VddGraph, count: int, seed: int = 0, rng=None) -> np.ndarray:
     """(count, n) array of i.i.d. Born-distribution bit strings.
 
     Level-major: one uniform draw per (sample, level), consumed level by
     level, so results are reproducible for a given seed.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    tables = _LevelTables(g)
-    n = g.num_qubits
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    bits = np.empty((count, n), dtype=np.uint8)
-    pos = np.full(count, tables.root_pos, dtype=np.int64)
-    for level in range(1, n + 1):
-        p_zero = np.abs(tables.left[level][pos]) ** 2
-        b = (rng.random(count) >= p_zero).astype(np.uint8)
-        bits[:, level - 1] = b
-        if level < n:
-            pos = np.where(b == 0, tables.child0[level][pos], tables.child1[level][pos])
-    return bits
+    topo = _LevelTables(g)
+    left = _chart(_flatten(g, "raw"), "raw")[0]
+    return _sample(topo, left, count, np.random.default_rng(seed) if rng is None else rng)
 
 
-def _batch_amplitudes(tables: _LevelTables, bits: np.ndarray, global_phase: float) -> np.ndarray:
+def _batch_amplitudes(topo: _LevelTables, bits: np.ndarray, edges) -> np.ndarray:
     """psi(b) for every row of a (batch, n) bit array via a shared path walk."""
-    count = bits.shape[0]
-    amp = np.full(count, np.exp(1j * global_phase), dtype=np.complex128)
-    pos = np.full(count, tables.root_pos, dtype=np.int64)
-    for level in range(1, tables.num_qubits + 1):
-        b = bits[:, level - 1]
-        amp = amp * np.where(b == 0, tables.left[level][pos], tables.right[level][pos])
-        if level < tables.num_qubits:
-            pos = np.where(b == 0, tables.child0[level][pos], tables.child1[level][pos])
+    left, right = edges[:2]
+    count, n = bits.shape
+    amp = np.full(count, np.exp(1j * topo.global_phase), dtype=np.complex128)
+    pos = np.full(count, topo.root, dtype=np.int64)
+    for level in range(n):
+        zero = bits[:, level] == 0
+        amp = amp * np.where(zero, left[pos], right[pos])
+        if level < n - 1:
+            pos = np.where(zero, topo.child0[pos], topo.child1[pos])
     return amp
 
 
@@ -133,21 +144,19 @@ def _unpack_indices(idx: np.ndarray, n: int) -> np.ndarray:
 
 
 def _batch_local_values(
-    g: VddGraph, tables: _LevelTables, h: PauliHamiltonian, bits: np.ndarray
+    topo: _LevelTables, h: PauliHamiltonian, bits: np.ndarray, edges
 ) -> np.ndarray:
-    psi = _batch_amplitudes(tables, bits, g.global_phase)
+    psi = _batch_amplitudes(topo, bits, edges)
     if np.any(psi == 0):
         raise ValueError("local estimator undefined where psi(b) = 0")
     idx = _pack_indices(bits)
-    n = g.num_qubits
     out = np.zeros(bits.shape[0], dtype=np.complex128)
     for coeff, flip, zy, ipow in _compiled_terms(h):
-        sign = 1 - 2 * (np.bitwise_count(idx & zy) & 1).astype(np.int64)
         if flip:
-            psi_flip = _batch_amplitudes(tables, _unpack_indices(idx ^ flip, n), g.global_phase)
+            psi_flip = _batch_amplitudes(topo, _unpack_indices(idx ^ flip, bits.shape[1]), edges)
         else:
             psi_flip = psi
-        out += (coeff * np.conj(ipow)) * sign * psi_flip / psi
+        out += (coeff * np.conj(ipow)) * _parity_sign(idx, zy) * psi_flip / psi
     return out
 
 
@@ -184,10 +193,7 @@ def _magnitude_log_deriv(r: float, bit: int, mode: str) -> float:
 
 def log_derivatives(g: VddGraph, b, mode: str = "raw") -> np.ndarray:
     """O_j(b) = d log psi(b)/d theta_j as a flat complex array (3 per node)."""
-    from .exact import PARAM_MODES
-
-    if mode not in PARAM_MODES:
-        raise ValueError(f"unknown parameter mode {mode!r}, expected one of {PARAM_MODES}")
+    _check_mode(mode)
     bits = tuple(int(x) for x in b)
     if len(bits) != g.num_qubits or any(x not in (0, 1) for x in bits):
         raise ValueError(f"need {g.num_qubits} bits of 0/1, got {b!r}")
@@ -208,35 +214,29 @@ def log_derivatives(g: VddGraph, b, mode: str = "raw") -> np.ndarray:
     return out
 
 
-def _batch_log_derivs(g: VddGraph, tables: _LevelTables, bits: np.ndarray, mode: str) -> np.ndarray:
-    count, n = bits.shape
-    node_ids = g.sorted_ids()
-    slot = {node_id: k for k, node_id in enumerate(node_ids)}
-    out = np.zeros((count, 3 * len(node_ids)), dtype=np.complex128)
-    rows = np.arange(count)
-    pos = np.full(count, tables.root_pos, dtype=np.int64)
-    for level in range(1, n + 1):
-        level_slots = np.array([slot[i] for i in tables.ids[level]], dtype=np.int64)
-        r = np.abs(tables.left[level])  # |left| = r per node at this level
-        k = level_slots[pos]
-        b = bits[:, level - 1]
-        r_here = r[pos]
-        left_taken = b == 0
-        # sampled paths never take zero-amplitude edges, so divisions are safe
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if mode == "trig":
-                sin_u = np.sqrt(np.maximum(0.0, 1.0 - r_here**2))
-                mag = np.where(left_taken, -sin_u / r_here, r_here / sin_u)
-            else:
-                mag = np.where(left_taken, 1.0 / r_here, -r_here / (1.0 - r_here**2))
-        out[rows, 3 * k] = mag
-        out[rows[left_taken], 3 * k[left_taken] + 1] = 1j
-        out[rows[~left_taken], 3 * k[~left_taken] + 2] = 1j
-        if level < n:
-            pos = np.where(left_taken, tables.child0[level][pos], tables.child1[level][pos])
+def _batch_log_derivs(topo: _LevelTables, bits: np.ndarray, edges) -> np.ndarray:
+    left, right, dleft, dright = edges
+    # magnitude log-derivative of each node's edges: raw 1/r, -r/(1-r^2);
+    # trig -tan u, cot u.  Sampled paths never take a zero-amplitude edge.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mag0 = (dleft / left).real
+        mag1 = (dright / right).real
+    rows = topo.path_rows(bits)
+    zero = bits == 0
+    samples, cols = np.arange(bits.shape[0])[:, None], 3 * rows
+    out = np.zeros((bits.shape[0], 3 * left.shape[0]), dtype=np.complex128)
+    out[samples, cols] = np.where(zero, mag0[rows], mag1[rows])
+    out[samples, cols + np.where(zero, 1, 2)] = 1j  # the omega or the phi entry
     if not np.all(np.isfinite(out)):
         raise ValueError("log-derivatives hit a zero-amplitude edge")
     return out
+
+
+def _draw_batch(topo: _LevelTables, h: PauliHamiltonian, theta: np.ndarray, mode: str, count, rng):
+    """Samples, local values and log-derivatives at θ (see sample_batch)."""
+    edges = _chart(theta, mode)
+    bits = _sample(topo, edges[0], count, rng)
+    return bits, _batch_local_values(topo, h, bits, edges), _batch_log_derivs(topo, bits, edges)
 
 
 def sample_batch(
@@ -248,14 +248,11 @@ def sample_batch(
     mode: str = "raw",
 ) -> VmcBatch:
     """Draw a batch and evaluate local values, log-derivatives and stats."""
-    if h.num_qubits != g.num_qubits:
-        raise ValueError(
-            f"operator acts on {h.num_qubits} qubits but the graph has {g.num_qubits}"
-        )
-    tables = _LevelTables(g)
-    bits = sample(g, count, seed=seed, rng=rng)
-    local = _batch_local_values(g, tables, h, bits)
-    oj = _batch_log_derivs(g, tables, bits, mode)
+    _check_mode(mode)
+    _check_graph_and_operator(g, h)
+    topo = _LevelTables(g)
+    rng = np.random.default_rng(seed) if rng is None else rng
+    bits, local, oj = _draw_batch(topo, h, _flatten(g, mode), mode, count, rng)
     mean, stderr = _energy_stats(local)
     return VmcBatch(
         samples=bits,
@@ -264,7 +261,7 @@ def sample_batch(
         energy_mean=mean,
         energy_stderr=stderr,
         labels=parameter_labels(g),
-        node_ids=tuple(g.sorted_ids()),
+        node_ids=topo.node_ids,
         mode=mode,
     )
 
@@ -280,9 +277,13 @@ def vmc_gradient(batch: VmcBatch) -> GradientVector:
     """2 Re mean(conj(O_j) (A~ - batch mean A~)) per parameter."""
     if batch.batch_size < 2:
         raise ValueError(f"gradient needs at least 2 samples, got {batch.batch_size}")
-    centered = batch.local_values - np.mean(batch.local_values)
-    entries = 2.0 * np.real(np.conj(batch.log_derivs).T @ centered) / batch.batch_size
+    entries = _gradient_entries(batch.local_values, batch.log_derivs)
     return GradientVector(entries=entries, labels=batch.labels, node_ids=batch.node_ids)
+
+
+def _gradient_entries(local_values: np.ndarray, log_derivs: np.ndarray) -> np.ndarray:
+    centered = local_values - np.mean(local_values)
+    return 2.0 * np.real(np.conj(log_derivs).T @ centered) / local_values.shape[0]
 
 
 def vmc_gradient_stderr(batch: VmcBatch) -> np.ndarray:

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vdd.exact import exact_gradient, finite_difference, to_state_vector
-from vdd.graph import TERMINAL, Node, ParamTriple, VddGraph, amplitude, deserialize, serialize, validate
+from vdd.graph import TERMINAL, Node, ParamTriple, VddGraph, amplitude, deserialize, serialize
+from vdd.graph import validate
 from vdd.hamiltonian import PauliHamiltonian, PauliString
 from vdd.state import bits_of_index
 from vdd.vmc import local_estimator, log_derivatives, sample_batch
