@@ -146,15 +146,6 @@ class _LevelTables:
         self.child1 = np.array([row.get(g.nodes[i].child1, -1) for i in self.node_ids])
         self.root = row[g.root_child]
 
-    def path_rows(self, bits: np.ndarray) -> np.ndarray:
-        """(count, n) rows of the nodes that each bit string's path visits."""
-        rows = np.empty(bits.shape, dtype=np.int64)
-        rows[:, 0] = self.root
-        for level in range(1, bits.shape[1]):
-            prev = rows[:, level - 1]
-            rows[:, level] = np.where(bits[:, level - 1] == 0, self.child0[prev], self.child1[prev])
-        return rows
-
 
 def _chart(theta: np.ndarray, mode: str):
     """(left, right, dleft, dright): every node's edge factors and their

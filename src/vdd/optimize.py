@@ -206,7 +206,11 @@ def _dataset_loss(topo: _LevelTables, theta: np.ndarray, mode: str, bits, labels
     """
     left, right, dleft, dright = _chart(theta, mode)
     count, n = bits.shape
-    rows = topo.path_rows(bits)
+    rows = np.empty((count, n), dtype=np.int64)  # node row at each level of each path
+    rows[:, 0] = topo.root
+    for level in range(1, n):
+        prev = rows[:, level - 1]
+        rows[:, level] = np.where(bits[:, level - 1] == 0, topo.child0[prev], topo.child1[prev])
     zero = bits == 0
     edge = np.where(zero, left[rows], right[rows])
     q = np.abs(edge) ** 2
@@ -393,18 +397,20 @@ def train(config: TrainConfig) -> TrainTrace:
 
     records: list[TraceRecord] = []
     for epoch in range(1, config.epochs + 1):
-        rows = theta.reshape(-1, 3)
+        node_params = theta.reshape(-1, 3)  # a view: one (r | u, omega, phi) row per node
         if energy_driven:
             if config.gradient_source == "exact":
-                energy, grad = energy_and_grad(topo, h, rows, mode)
+                energy, grad = energy_and_grad(topo, h, node_params, mode)
             else:
-                _, local, oj = _draw_batch(topo, h, rows, mode, config.batch_size, sample_rng)
+                _, local, oj = _draw_batch(
+                    topo, h, node_params, mode, config.batch_size, sample_rng
+                )
                 energy = float(np.mean(local.real))
                 grad = _gradient_entries(local, oj)
             loss_val = energy - e0 if config.loss == "energy_gap" else energy
             rel = abs((energy - e0) / e0) if e0 not in (None, 0.0) else None
         else:
-            loss_val, grad = _dataset_loss(topo, rows, mode, bits, targets)
+            loss_val, grad = _dataset_loss(topo, node_params, mode, bits, targets)
             energy, rel = math.nan, None
         grad = grad.ravel()
 

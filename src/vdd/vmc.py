@@ -221,12 +221,16 @@ def _batch_log_derivs(topo: _LevelTables, bits: np.ndarray, edges) -> np.ndarray
     with np.errstate(divide="ignore", invalid="ignore"):
         mag0 = (dleft / left).real
         mag1 = (dright / right).real
-    rows = topo.path_rows(bits)
-    zero = bits == 0
-    samples, cols = np.arange(bits.shape[0])[:, None], 3 * rows
-    out = np.zeros((bits.shape[0], 3 * left.shape[0]), dtype=np.complex128)
-    out[samples, cols] = np.where(zero, mag0[rows], mag1[rows])
-    out[samples, cols + np.where(zero, 1, 2)] = 1j  # the omega or the phi entry
+    count, n = bits.shape
+    samples = np.arange(count)
+    out = np.zeros((count, 3 * left.shape[0]), dtype=np.complex128)
+    pos = np.full(count, topo.root, dtype=np.int64)
+    for level in range(n):
+        zero = bits[:, level] == 0
+        out[samples, 3 * pos] = np.where(zero, mag0[pos], mag1[pos])
+        out[samples, 3 * pos + np.where(zero, 1, 2)] = 1j  # the omega or the phi entry
+        if level < n - 1:
+            pos = np.where(zero, topo.child0[pos], topo.child1[pos])
     if not np.all(np.isfinite(out)):
         raise ValueError("log-derivatives hit a zero-amplitude edge")
     return out

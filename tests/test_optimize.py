@@ -356,3 +356,17 @@ def test_trig_training_is_adam_on_the_chart_energy():
             grads[i] = (energy(theta + probe) - energy(theta - probe)) / (2 * step)
         theta, state = adam_step(theta, grads, state, lr=lr)
     np.testing.assert_allclose([rec.energy for rec in trace.records], energies, atol=1e-6)
+
+
+def test_trained_graph_carries_the_final_parameters():
+    # The graph is written once, after the last step; it must hold the state
+    # the next epoch would have evaluated, also for nodes whose u left
+    # [0, pi/2] (two do in this run), where a pi phase shift stands in for
+    # the sign of cos u or sin u.
+    spec = ModelSpec("tfim", 4, g=1.0)
+    cfg = TrainConfig(ansatz="accordion", model=spec, optimizer=AdamConfig(lr=0.05),
+                      epochs=60, seed=0, loss="energy")
+    one_more = train(dataclasses.replace(cfg, epochs=61))
+    assert exact_energy(train(cfg).graph, build_model(spec)) == pytest.approx(
+        one_more.final.energy, abs=1e-12
+    )
