@@ -100,15 +100,17 @@ class SgdConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators; step counts applied updates."""
+    """First/second moment accumulators, the running maximum of the second
+    moment (v_max), and the number of applied updates (step)."""
 
     step: int
     m: np.ndarray
     v: np.ndarray
+    v_max: np.ndarray
 
     @classmethod
     def zeros(cls, size: int) -> "AdamState":
-        return cls(step=0, m=np.zeros(size), v=np.zeros(size))
+        return cls(step=0, m=np.zeros(size), v=np.zeros(size), v_max=np.zeros(size))
 
 
 def _check_finite(grads: np.ndarray, labels=None, epoch=None) -> None:
@@ -128,7 +130,10 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; pure (inputs are not mutated)."""
+    """One bias-corrected Adam update in the AMSGrad form (Reddi, Kale & Kumar,
+    ICLR 2018): the step divides by the running maximum of v, so it stays
+    bounded at a minimum, where plain Adam's decaying v lets the iterate burst
+    away.  Pure: inputs are not mutated."""
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape:
@@ -137,10 +142,11 @@ def adam_step(
     t = state.step + 1
     m = beta1 * state.m + (1 - beta1) * grads
     v = beta2 * state.v + (1 - beta2) * grads**2
+    v_max = np.maximum(state.v_max, v)
     m_hat = m / (1 - beta1**t)
-    v_hat = v / (1 - beta2**t)
+    v_hat = v_max / (1 - beta2**t)
     new_params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return new_params, AdamState(step=t, m=m, v=v)
+    return new_params, AdamState(step=t, m=m, v=v, v_max=v_max)
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
@@ -188,12 +194,11 @@ class LabeledDataset:
 def _dataset_arrays(data: LabeledDataset, want_labels: bool):
     """(bits (M, n) uint8, labels (M,) float or None) of a dataset."""
     bits = np.array([item for item, _ in data.items], dtype=np.uint8)
-    if not want_labels:
-        return bits, None
-    for item, label in data.items:
-        if label is None:
-            raise ValueError(f"BCE needs a 0/1 label for every item, none on {item}")
-    return bits, np.array([label for _, label in data.items], dtype=np.float64)
+    labels = [label for _, label in data.items]
+    if want_labels and None in labels:
+        missing = data.items[labels.index(None)][0]
+        raise ValueError(f"BCE needs a 0/1 label for every item, none on {missing}")
+    return bits, np.array(labels, dtype=np.float64) if want_labels else None
 
 
 def _dataset_loss(topo: _LevelTables, theta: np.ndarray, mode: str, bits, labels):

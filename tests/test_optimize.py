@@ -63,6 +63,20 @@ def test_adam_rejects_non_finite_gradient():
                   0.01, 0.9, 0.999, 1e-8)
 
 
+def test_adam_stays_at_a_minimum():
+    # Plain Adam reaches |x| ~ 1e-43 here by step 2000; then its second
+    # moment decays until lr / sqrt(v) destabilizes the stiff direction and
+    # |x| bursts back to ~1e-2.  Stepping on the running maximum of v does not.
+    curvature = np.array([1.0, 3.0])
+    x, state = np.array([1.0, -0.5]), AdamState.zeros(2)
+    worst = 0.0
+    for step in range(12000):
+        x, state = adam_step(x, curvature * x, state, lr=0.01)
+        if step >= 4000:
+            worst = max(worst, float(np.abs(x).max()))
+    assert worst < 1e-12
+
+
 def test_sgd_step_literal_update():
     out = sgd_step(np.array([0.5]), np.array([0.7]), lr=0.1)
     assert out[0] == pytest.approx(0.43, abs=1e-15)
