@@ -1,12 +1,20 @@
 """Pauli-string Hamiltonians on n qubits with matrix-free basis action.
 
 A Hamiltonian is a real-weighted sum of Pauli strings.  Each string maps
-a basis state to exactly one basis state with a phase in {1, -1, i, -i},
-so H|v> costs O(#terms * 2^n) without ever materializing the matrix:
+a basis state to exactly one basis state with a phase in {1, -1, i, -i}:
 
     Z keeps the bit,  phase (-1)^b
     X flips the bit,  phase 1
     Y flips the bit,  phase i*(-1)^b     (Y|0> = i|1>, Y|1> = -i|0>)
+
+so a string is a flip mask plus the phase coeff * i^{#Y} * (-1)^{popcount(b & zy)},
+zy being the mask of its Z and Y qubits.  This module is the only place that
+knows this convention.  A Hamiltonian is compiled once per object, on first
+use: its terms are grouped by flip mask (Heisenberg's XX and YY on a bond
+share one), and for state vectors the flip-0 group becomes one diagonal
+while every other group becomes an axis flip of the reshaped vector times a
+small coefficient table.  H|v> then costs O(#flip masks * 2^n) without
+index arrays or the matrix.
 
 Qubit 1 is the most significant bit of the state-vector index throughout.
 """
@@ -69,6 +77,16 @@ class PauliHamiltonian:
                 raise ValueError(
                     f"term {t.ops!r} has length {len(t.ops)}, expected {self.num_qubits}"
                 )
+
+    # compiled forms, built on first use and kept on the (frozen) instance
+
+    @functools.cached_property
+    def _groups(self):
+        return _flip_groups(self)
+
+    @functools.cached_property
+    def _action(self):
+        return _vector_action(self)
 
 
 @dataclass(frozen=True)
@@ -155,11 +173,15 @@ def apply_string(s: PauliString, b) -> tuple[tuple[int, ...], complex]:
     return tuple(out), phase
 
 
-@functools.lru_cache(maxsize=256)
-def _compiled_terms(h: PauliHamiltonian) -> tuple[tuple[float, int, int, complex], ...]:
-    """Per term: (coeff, flip mask, Z/Y mask, i^{#Y}) over index bits (qubit 1 = MSB)."""
+def _flip_groups(h: PauliHamiltonian) -> tuple[tuple[int, tuple[tuple[complex, int], ...]], ...]:
+    """Terms grouped by flip mask, in order of first appearance.
+
+    Each group is (flip, ((coeff * i^{#Y}, zy mask), ...)) over index bits
+    (qubit 1 = MSB); a term sends |b> to
+    coeff * i^{#Y} * (-1)^{popcount(b & zy)} |b ^ flip>.
+    """
     n = h.num_qubits
-    out = []
+    groups: dict[int, list[tuple[complex, int]]] = {}
     for t in h.terms:
         flip = 0
         zy = 0
@@ -172,8 +194,8 @@ def _compiled_terms(h: PauliHamiltonian) -> tuple[tuple[float, int, int, complex
                 zy |= 1 << bitpos
             if op == "Y":
                 ny += 1
-        out.append((t.coeff, flip, zy, 1j**(ny % 4)))
-    return tuple(out)
+        groups.setdefault(flip, []).append((t.coeff * 1j ** (ny % 4), zy))
+    return tuple((flip, tuple(terms)) for flip, terms in groups.items())
 
 
 def _parity_sign(idx: np.ndarray, mask: int) -> np.ndarray:
@@ -182,28 +204,94 @@ def _parity_sign(idx: np.ndarray, mask: int) -> np.ndarray:
     return 1 - 2 * odd
 
 
-def apply_to_vector(h: PauliHamiltonian, v) -> np.ndarray:
-    """H @ v, matrix-free: one permutation + phase per Pauli string."""
-    amps = as_amplitudes(v)
+def _group_elements(terms, idx: np.ndarray) -> np.ndarray:
+    """<b ^ flip|H_flip|b> for every index b in idx, H_flip being one group's terms."""
+    out = np.zeros(idx.shape, dtype=np.complex128)
+    for weight, zy in terms:
+        out += weight * _parity_sign(idx, zy)
+    return out
+
+
+def _real_if_real(a: np.ndarray) -> np.ndarray:
+    return a.real.copy() if not np.any(a.imag) else a
+
+
+def _vector_action(h: PauliHamiltonian):
+    """(diagonal, ((shape, reversal, coefficient table), ...)) for H|v>.
+
+    The flip-0 group is summed into one vector of 2^n diagonal elements
+    (0.0 when there is none).  Any other group with flip mask f acts as
+    out[b] += E(b ^ f) v[b ^ f], E being its matrix elements.  With v
+    reshaped so that every qubit of the group's support (its flipped, Z and
+    Y qubits) is an axis of length 2, v[b ^ f] is the view of v with the
+    flipped axes reversed (the reversal's slices), and E(b ^ f) depends on
+    the support bits only: a 2^|support| table that broadcasts over the
+    other axes.
+    """
     n = h.num_qubits
-    if amps.shape[0] != 2**n:
-        raise ValueError(f"vector length {amps.shape[0]} does not match n = {n}")
-    idx = np.arange(2**n, dtype=np.int64)
-    out = np.zeros_like(amps)
-    for coeff, flip, zy, ipow in _compiled_terms(h):
-        val = (coeff * ipow) * (_parity_sign(idx, zy) * amps)
-        # idx ^ flip is a bijection, so fancy-index accumulation is collision-free
-        out[idx ^ flip] += val
+    diag = 0.0
+    flips = []
+    for flip, terms in h._groups:
+        if flip == 0:
+            diag = _real_if_real(_group_elements(terms, np.arange(2**n, dtype=np.int64)))
+            continue
+        support = flip
+        for _, zy in terms:
+            support |= zy
+        shape, table_shape, reversal, bits = [], [], [], []
+        for q in range(1, n + 1):
+            bit = 1 << (n - q)
+            if support & bit:
+                reversal.append(slice(None, None, -1) if flip & bit else slice(None))
+                shape.append(2)
+                table_shape.append(2)
+                bits.append(bit)
+            elif table_shape and table_shape[-1] == 1:
+                shape[-1] *= 2  # merge runs of qubits outside the support
+            else:
+                reversal.append(slice(None))
+                shape.append(2)
+                table_shape.append(1)
+        # index of each support assignment, the first support qubit most significant
+        local = np.arange(2 ** len(bits), dtype=np.int64)
+        idx = np.zeros_like(local)
+        for k, bit in enumerate(bits):
+            idx |= ((local >> (len(bits) - 1 - k)) & 1) * bit
+        table = _group_elements(terms, idx ^ flip).reshape(table_shape)
+        flips.append((tuple(shape), tuple(reversal), _real_if_real(table)))
+    return diag, tuple(flips)
+
+
+def _state_amplitudes(h: PauliHamiltonian, v) -> np.ndarray:
+    amps = as_amplitudes(v)
+    if amps.shape != (2**h.num_qubits,):
+        raise ValueError(
+            f"expected a state vector of shape ({2**h.num_qubits},) for "
+            f"n = {h.num_qubits}, got shape {amps.shape}"
+        )
+    return amps
+
+
+def apply_to_vector(h: PauliHamiltonian, v) -> np.ndarray:
+    """H @ v, matrix-free, for a vector v of shape (2^n,).
+
+    Runs the compiled action: the diagonal times v, plus per flip mask a
+    coefficient table times v with the flipped axes reversed, so the cost
+    is O(#flip masks * 2^n) and no index array is built.
+    """
+    amps = _state_amplitudes(h, v)
+    diag, flips = h._action
+    out = diag * amps
+    term = np.empty_like(out)  # one buffer for all groups: fresh 2^n temporaries page-fault
+    for shape, reversal, table in flips:
+        np.multiply(table, amps.reshape(shape)[reversal], out=term.reshape(shape))
+        out += term
     return out
 
 
 def expectation(h: PauliHamiltonian, v) -> float:
     """<v|H|v> for a normalized state; the imaginary residue is checked and dropped."""
-    amps = as_amplitudes(v)
-    if amps.shape[0] != 2**h.num_qubits:
-        raise ValueError(
-            f"state has {amps.shape[0]} amplitudes, expected {2**h.num_qubits}"
-        )
+    amps = _state_amplitudes(h, v)
     return _energy_of(amps, apply_to_vector(h, amps))
 
 
@@ -226,8 +314,8 @@ def dense_matrix(h: PauliHamiltonian) -> np.ndarray:
     dim = 2**n
     idx = np.arange(dim, dtype=np.int64)
     m = np.zeros((dim, dim), dtype=np.complex128)
-    for coeff, flip, zy, ipow in _compiled_terms(h):
-        m[idx ^ flip, idx] += (coeff * ipow) * _parity_sign(idx, zy)
+    for flip, terms in h._groups:
+        m[idx ^ flip, idx] = _group_elements(terms, idx)
     return m
 
 

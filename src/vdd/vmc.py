@@ -6,9 +6,10 @@ no Markov chain, no burn-in.
 
 Per-sample quantities:
 
-* local value     A~(b) = sum_s coeff * conj(phase_s(b)) * psi(b xor flip_s) / psi(b)
-                  (one connected configuration per Pauli string; the
-                  conjugate is <b|s|b'> for the Hermitian string s)
+* local value     A~(b) = sum_f <b|H_f|b xor f> * psi(b xor f) / psi(b)
+                  over the Hamiltonian's flip masks f, H_f being the sum
+                  of its terms with flip mask f (one connected
+                  configuration per flip mask)
 * log-derivative  O_j(b) = d log psi(b) / d theta_j, nonzero only for the
                   n nodes on b's path:
                       left edge:  O_r = 1/r,            O_omega = i
@@ -36,7 +37,7 @@ import numpy as np
 from .exact import GradientVector, _chart, _check_graph_and_operator, _check_mode, _flatten
 from .exact import _LevelTables, parameter_labels
 from .graph import VddGraph, amplitude
-from .hamiltonian import PauliHamiltonian, _compiled_terms, _parity_sign
+from .hamiltonian import PauliHamiltonian, _group_elements
 
 __all__ = [
     "VmcBatch",
@@ -151,12 +152,13 @@ def _batch_local_values(
         raise ValueError("local estimator undefined where psi(b) = 0")
     idx = _pack_indices(bits)
     out = np.zeros(bits.shape[0], dtype=np.complex128)
-    for coeff, flip, zy, ipow in _compiled_terms(h):
+    for flip, terms in h._groups:
         if flip:
             psi_flip = _batch_amplitudes(topo, _unpack_indices(idx ^ flip, bits.shape[1]), edges)
         else:
             psi_flip = psi
-        out += (coeff * np.conj(ipow)) * _parity_sign(idx, zy) * psi_flip / psi
+        # <b|H_flip|b ^ flip> = conj(<b ^ flip|H_flip|b>), H being Hermitian
+        out += np.conj(_group_elements(terms, idx)) * psi_flip / psi
     return out
 
 

@@ -5,6 +5,7 @@ explicitly tensored operators.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,71 @@ def test_apply_to_vector_matches_dense():
         h = build_model(spec)
         v = rng.normal(size=2**spec.n) + 1j * rng.normal(size=2**spec.n)
         np.testing.assert_allclose(apply_to_vector(h, v), dense_matrix(h) @ v, atol=1e-12)
+
+
+def _tensor_matrix(h):
+    """Sum of coeff * explicit Kronecker products: independent of the compiled action."""
+    m = 0
+    for s in h.terms:
+        term = np.ones((1, 1), dtype=complex)
+        for op in s.ops:
+            term = np.kron(term, _PAULI[op])
+        m = m + s.coeff * term
+    return m
+
+
+@pytest.mark.parametrize(
+    "spec,masks",
+    [
+        # bonds (1, 2) and (2, 1) fold into one flip mask: XX, YY, XX, YY
+        (ModelSpec("heisenberg", 2, jx=0.6, jy=-1.3, jz=0.8, boundary="periodic"), 2),
+        # the wrap bond Z4 Z1 joins the diagonal; each X_i is its own mask
+        (ModelSpec("tfim", 4, g=0.7, boundary="periodic"), 5),
+    ],
+    ids=["heisenberg2-periodic", "tfim4-periodic"],
+)
+def test_compiled_action_named_cases(spec, masks):
+    h = build_model(spec)
+    assert len(h._groups) == masks
+    rng = np.random.default_rng(11)
+    v = rng.normal(size=2**spec.n) + 1j * rng.normal(size=2**spec.n)
+    ref = _tensor_matrix(h)
+    np.testing.assert_allclose(apply_to_vector(h, v), ref @ v, atol=1e-12)
+    np.testing.assert_allclose(dense_matrix(h), ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (8, 1)])
+def test_apply_and_expectation_reject_non_vector_input(shape):
+    h = build_model(ModelSpec("tfim", 3, g=0.5))
+    amps = np.zeros(shape, dtype=complex)
+    amps[0] = 1.0
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        apply_to_vector(h, amps)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        expectation(h, amps)
+
+
+def test_hamiltonian_compiles_once(monkeypatch):
+    import vdd.hamiltonian as ham
+    from vdd.ansatz import InitScheme, build_ansatz, init_params
+    from vdd.exact import _LevelTables, _chart, _flatten
+    from vdd.vmc import _batch_local_values
+
+    calls = {"_flip_groups": 0, "_vector_action": 0}
+    for name in calls:
+        def counted(h, _name=name, _original=getattr(ham, name)):
+            calls[_name] += 1
+            return _original(h)
+
+        monkeypatch.setattr(ham, name, counted)
+    h = build_model(ModelSpec("heisenberg", 4))
+    g = init_params(build_ansatz("accordion", 4), InitScheme("uniform", seed=0))
+    v = np.full(16, 0.25, dtype=complex)
+    apply_to_vector(h, v)
+    apply_to_vector(h, v)
+    bits = np.array([[0, 1, 0, 1], [1, 0, 1, 0]], dtype=np.uint8)
+    _batch_local_values(_LevelTables(g), h, bits, _chart(_flatten(g, "raw"), "raw"))
+    assert calls == {"_flip_groups": 1, "_vector_action": 1}
 
 
 def test_dense_matrix_is_hermitian():

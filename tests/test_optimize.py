@@ -255,7 +255,7 @@ def test_trig_and_raw_modes_agree_when_both_converge():
     # parameterize one landscape.
     spec1 = ModelSpec("tfim", 4, g=1.0)
     trace = train(TrainConfig(model=spec1, epochs=6000, seed=2, param_mode="trig"))
-    assert trace.final.grad_norm < 1e-6
+    assert max(rec.grad_norm for rec in trace.records[-500:]) < 1e-6  # and stays there
     raw_gv = exact_gradient(trace.graph, build_model(spec1), mode="raw")
     assert raw_gv.norm < 1e-5
 

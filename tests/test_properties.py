@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from vdd.exact import exact_gradient, finite_difference, to_state_vector
 from vdd.graph import TERMINAL, Node, ParamTriple, VddGraph, amplitude, deserialize, serialize
 from vdd.graph import validate
-from vdd.hamiltonian import PauliHamiltonian, PauliString
-from vdd.state import bits_of_index
+from vdd.hamiltonian import PauliHamiltonian, PauliString, apply_string, apply_to_vector
+from vdd.state import bits_of_index, index_of_bits
 from vdd.vmc import local_estimator, log_derivatives, sample_batch
 
 SETTINGS = settings(derandomize=True, max_examples=25, deadline=None)
@@ -57,14 +57,40 @@ def leveled_dags(draw, max_qubits=5, max_width=3):
     return g
 
 
+COEFF = st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3)
+SWAP_XY = str.maketrans("XY", "YX")
+
+
 @st.composite
 def dags_with_hamiltonians(draw):
     g = draw(leveled_dags())
     n = g.num_qubits
     ops = st.text("IXYZ", min_size=n, max_size=n)
-    coeff = st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3)
-    terms = draw(st.lists(st.builds(PauliString, coeff, ops), min_size=1, max_size=4))
+    terms = draw(st.lists(st.builds(PauliString, COEFF, ops), min_size=1, max_size=4))
+    # the X<->Y partner of a drawn term shares its flip mask: a multi-term group
+    terms.append(PauliString(draw(COEFF), terms[0].ops.translate(SWAP_XY)))
     return g, PauliHamiltonian(num_qubits=n, terms=tuple(terms))
+
+
+@st.composite
+def hamiltonians(draw, max_qubits=6):
+    """Random terms plus the cases the compiled action treats apart."""
+    n = draw(st.integers(1, max_qubits))
+
+    def ops(alphabet):
+        return draw(st.text(alphabet, min_size=n, max_size=n))
+
+    drawn = [ops("IXYZ") for _ in range(draw(st.integers(1, 4)))]
+    strings = [
+        "I" * n,  # identity only
+        ops("IZ"),  # Z only: diagonal
+        ops("YYYI"),  # Y heavy
+        *drawn,
+        *(s.translate(SWAP_XY) for s in drawn),  # repeated flip masks
+    ]
+    if n >= 3:
+        strings.append("X" + "I" * (n - 2) + "Y")  # support at both ends only
+    return PauliHamiltonian(n, tuple(PauliString(draw(COEFF), s) for s in strings))
 
 
 @SETTINGS
@@ -83,6 +109,20 @@ def test_gradient_matches_finite_difference(case, mode):
     got = exact_gradient(g, h, mode=mode).entries
     ref = finite_difference(g, h, step=1e-6, mode=mode).entries
     np.testing.assert_allclose(got, ref, rtol=1e-6, atol=1e-7)
+
+
+@SETTINGS
+@given(hamiltonians(), st.integers(0, 2**32 - 1))
+def test_compiled_action_matches_per_string_oracle(h, seed):
+    n = h.num_qubits
+    oracle = np.zeros((2**n, 2**n), dtype=np.complex128)
+    for col in range(2**n):
+        for term in h.terms:
+            out, phase = apply_string(term, bits_of_index(col, n))
+            oracle[index_of_bits(out), col] += term.coeff * phase
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    np.testing.assert_allclose(apply_to_vector(h, v), oracle @ v, rtol=0, atol=1e-12)
 
 
 @SETTINGS
