@@ -14,7 +14,9 @@ use: its terms are grouped by flip mask (Heisenberg's XX and YY on a bond
 share one), and for state vectors the flip-0 group becomes one diagonal
 while every other group becomes an axis flip of the reshaped vector times a
 small coefficient table.  H|v> then costs O(#flip masks * 2^n) without
-index arrays or the matrix.
+index arrays or the matrix.  For sampled bit strings the same groups are
+kept as bit-array columns, so matrix elements of any n are read from the
+bits themselves.
 
 Qubit 1 is the most significant bit of the state-vector index throughout.
 """
@@ -87,6 +89,10 @@ class PauliHamiltonian:
     @functools.cached_property
     def _action(self):
         return _vector_action(self)
+
+    @functools.cached_property
+    def _bit_groups(self):
+        return _column_groups(self)
 
 
 @dataclass(frozen=True)
@@ -209,6 +215,35 @@ def _group_elements(terms, idx: np.ndarray) -> np.ndarray:
     out = np.zeros(idx.shape, dtype=np.complex128)
     for weight, zy in terms:
         out += weight * _parity_sign(idx, zy)
+    return out
+
+
+def _columns(mask: int, n: int) -> np.ndarray:
+    """Bit-array columns (qubit 1 = column 0) of the qubits set in an index mask."""
+    return np.array([q for q in range(n) if mask >> (n - 1 - q) & 1], dtype=np.intp)
+
+
+def _column_groups(h: PauliHamiltonian):
+    """The flip groups over (batch, n) bit arrays instead of integer indices.
+
+    Each group is (flipped columns, ((coeff * i^{#Y}, zy columns), ...)),
+    columns ascending, so no bit string is packed into an integer and any n
+    works.
+    """
+    n = h.num_qubits
+    return tuple(
+        (_columns(flip, n), tuple((weight, _columns(zy, n)) for weight, zy in terms))
+        for flip, terms in h._groups
+    )
+
+
+def _bit_elements(terms, bits: np.ndarray) -> np.ndarray:
+    """<b ^ flip|H_flip|b> for every row b of a (batch, n) 0/1 array,
+    terms being one group of `_column_groups`."""
+    out = np.zeros(bits.shape[0], dtype=np.complex128)
+    for weight, zy in terms:
+        odd = np.bitwise_xor.reduce(bits[:, zy], axis=1)  # 0 for an empty zy
+        out += np.where(odd, -weight, weight)
     return out
 
 

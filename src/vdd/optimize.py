@@ -321,11 +321,15 @@ class TrainConfig:
 
 @dataclass
 class TraceRecord:
+    """One epoch; energy_stderr is the sampled batch's standard error of the
+    energy under the VMC gradient source and None otherwise."""
+
     epoch: int
     loss: float
     energy: float
     relative_error: float | None
     grad_norm: float
+    energy_stderr: float | None = None
 
 
 @dataclass
@@ -343,7 +347,9 @@ class TrainTrace:
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["epoch", "loss", "energy", "relative_error", "grad_norm"])
+            writer.writerow(
+                ["epoch", "loss", "energy", "relative_error", "grad_norm", "energy_stderr"]
+            )
             for rec in self.records:
                 writer.writerow(
                     [
@@ -352,6 +358,7 @@ class TrainTrace:
                         "" if math.isnan(rec.energy) else repr(rec.energy),
                         "" if rec.relative_error is None else repr(rec.relative_error),
                         repr(rec.grad_norm),
+                        "" if rec.energy_stderr is None else repr(rec.energy_stderr),
                     ]
                 )
 
@@ -377,7 +384,7 @@ def train(config: TrainConfig) -> TrainTrace:
     given) and compiles the diagram once; then per epoch: evaluate loss +
     gradient at θ, step θ.  The trained graph is materialized at the end.
     """
-    from .vmc import _draw_batch, _gradient_entries
+    from .vmc import _draw_batch, _energy_stats, _gradient_entries
 
     n = config.num_qubits
     scheme = config.init if config.init is not None else InitScheme("uniform", seed=config.seed)
@@ -403,6 +410,7 @@ def train(config: TrainConfig) -> TrainTrace:
     records: list[TraceRecord] = []
     for epoch in range(1, config.epochs + 1):
         node_params = theta.reshape(-1, 3)  # a view: one (r | u, omega, phi) row per node
+        stderr = None
         if energy_driven:
             if config.gradient_source == "exact":
                 energy, grad = energy_and_grad(topo, h, node_params, mode)
@@ -410,7 +418,7 @@ def train(config: TrainConfig) -> TrainTrace:
                 _, local, oj = _draw_batch(
                     topo, h, node_params, mode, config.batch_size, sample_rng
                 )
-                energy = float(np.mean(local.real))
+                energy, stderr = _energy_stats(local)
                 grad = _gradient_entries(local, oj)
             loss_val = energy - e0 if config.loss == "energy_gap" else energy
             rel = abs((energy - e0) / e0) if e0 not in (None, 0.0) else None
@@ -427,6 +435,7 @@ def train(config: TrainConfig) -> TrainTrace:
                 energy=float(energy),
                 relative_error=None if rel is None else float(rel),
                 grad_norm=float(np.linalg.norm(grad)),
+                energy_stderr=stderr,
             )
         )
 

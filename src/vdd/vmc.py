@@ -9,7 +9,15 @@ Per-sample quantities:
 * local value     A~(b) = sum_f <b|H_f|b xor f> * psi(b xor f) / psi(b)
                   over the Hamiltonian's flip masks f, H_f being the sum
                   of its terms with flip mask f (one connected
-                  configuration per flip mask)
+                  configuration per flip mask).  The ratio is a product of
+                  edge ratios over the diverging segment only: from f's
+                  first flipped level until b xor f's path is back on b's
+                  node, read off the node rows the sampler recorded.  So a
+                  flip group costs the levels its paths diverge over, not
+                  n: from its first flipped level to at most one level
+                  past its last on the accordion and product layouts, to
+                  the last level on the universal one.  No bit string is
+                  packed into an integer, so any n works.
 * log-derivative  O_j(b) = d log psi(b) / d theta_j, nonzero only for the
                   n nodes on b's path:
                       left edge:  O_r = 1/r,            O_omega = i
@@ -37,7 +45,7 @@ import numpy as np
 from .exact import GradientVector, _chart, _check_graph_and_operator, _check_mode, _flatten
 from .exact import _LevelTables, parameter_labels
 from .graph import VddGraph, amplitude
-from .hamiltonian import PauliHamiltonian, _group_elements
+from .hamiltonian import PauliHamiltonian, _bit_elements
 
 __all__ = [
     "VmcBatch",
@@ -92,20 +100,28 @@ def _energy_stats(local_values: np.ndarray) -> tuple[float, float]:
     return mean, float(np.std(re, ddof=1) / math.sqrt(re.shape[0]))
 
 
-def _sample(topo: _LevelTables, left: np.ndarray, count: int, rng) -> np.ndarray:
-    """Level-major Born draws: one uniform per (sample, level), level by level."""
+def _sample(
+    topo: _LevelTables, left: np.ndarray, count: int, rng
+) -> tuple[np.ndarray, np.ndarray]:
+    """Level-major Born draws: one uniform per (sample, level), level by level.
+
+    Returns the (count, n) bits and the (count, n) node rows their paths
+    visit, level 1 first; the batch kernels read the paths from the rows.
+    """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     n = topo.num_qubits
     p_zero = np.abs(left) ** 2
     bits = np.empty((count, n), dtype=np.uint8)
+    rows = np.empty((count, n), dtype=np.int64)
     pos = np.full(count, topo.root, dtype=np.int64)
     for level in range(n):
+        rows[:, level] = pos
         b = (rng.random(count) >= p_zero[pos]).astype(np.uint8)
         bits[:, level] = b
         if level < n - 1:
             pos = np.where(b == 0, topo.child0[pos], topo.child1[pos])
-    return bits
+    return bits, rows
 
 
 def sample(g: VddGraph, count: int, seed: int = 0, rng=None) -> np.ndarray:
@@ -116,49 +132,52 @@ def sample(g: VddGraph, count: int, seed: int = 0, rng=None) -> np.ndarray:
     """
     topo = _LevelTables(g)
     left = _chart(_flatten(g, "raw"), "raw")[0]
-    return _sample(topo, left, count, np.random.default_rng(seed) if rng is None else rng)
-
-
-def _batch_amplitudes(topo: _LevelTables, bits: np.ndarray, edges) -> np.ndarray:
-    """psi(b) for every row of a (batch, n) bit array via a shared path walk."""
-    left, right = edges[:2]
-    count, n = bits.shape
-    amp = np.full(count, np.exp(1j * topo.global_phase), dtype=np.complex128)
-    pos = np.full(count, topo.root, dtype=np.int64)
-    for level in range(n):
-        zero = bits[:, level] == 0
-        amp = amp * np.where(zero, left[pos], right[pos])
-        if level < n - 1:
-            pos = np.where(zero, topo.child0[pos], topo.child1[pos])
-    return amp
-
-
-def _pack_indices(bits: np.ndarray) -> np.ndarray:
-    n = bits.shape[1]
-    weights = (1 << np.arange(n - 1, -1, -1)).astype(np.int64)
-    return bits.astype(np.int64) @ weights
-
-
-def _unpack_indices(idx: np.ndarray, n: int) -> np.ndarray:
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+    return _sample(topo, left, count, np.random.default_rng(seed) if rng is None else rng)[0]
 
 
 def _batch_local_values(
-    topo: _LevelTables, h: PauliHamiltonian, bits: np.ndarray, edges
+    topo: _LevelTables, h: PauliHamiltonian, bits: np.ndarray, rows: np.ndarray, edges
 ) -> np.ndarray:
-    psi = _batch_amplitudes(topo, bits, edges)
-    if np.any(psi == 0):
+    """A~(b) for every sampled row, from the node rows its path visits.
+
+    psi(b ^ f) / psi(b) is a product of edge ratios over the levels where
+    the two paths differ: they share every node above f's first flipped
+    level, and once b ^ f's path is back on b's node after f's last one,
+    the remaining edges are b's own.  Each flip group walks from its first
+    flipped level until every sample's flipped path has rejoined, or to the
+    last level.
+    """
+    left, right = edges[:2]
+    count, n = bits.shape
+    # level-major copies, and flat tables indexed by edge = 2 * node row + bit
+    bits_t, rows_t = bits.T.copy(), rows.T.copy()
+    factor = np.stack((left, right), axis=1).ravel()
+    child = np.stack((topo.child0, topo.child1), axis=1).ravel()
+    path = factor[2 * rows_t + bits_t]  # (n, count) edge factors of b
+    if not np.all(path):
         raise ValueError("local estimator undefined where psi(b) = 0")
-    idx = _pack_indices(bits)
-    out = np.zeros(bits.shape[0], dtype=np.complex128)
-    for flip, terms in h._groups:
-        if flip:
-            psi_flip = _batch_amplitudes(topo, _unpack_indices(idx ^ flip, bits.shape[1]), edges)
-        else:
-            psi_flip = psi
+    out = np.zeros(count, dtype=np.complex128)
+    for flip, terms in h._bit_groups:
         # <b|H_flip|b ^ flip> = conj(<b ^ flip|H_flip|b>), H being Hermitian
-        out += np.conj(_group_elements(terms, idx)) * psi_flip / psi
+        elements = np.conj(_bit_elements(terms, bits))
+        if flip.size == 0:
+            out += elements
+            continue
+        flipped = np.zeros(n, dtype=np.uint8)
+        flipped[flip] = 1
+        pos = rows_t[flip[0]]
+        num = np.ones(count, dtype=np.complex128)
+        den = np.ones(count, dtype=np.complex128)
+        for level in range(flip[0], n):
+            edge = 2 * pos + (bits_t[level] ^ flipped[level])
+            num *= factor[edge]
+            den *= path[level]
+            if level == n - 1:
+                break
+            pos = child[edge]
+            if level >= flip[-1] and np.array_equal(pos, rows_t[level + 1]):
+                break
+        out += elements * (num / den)
     return out
 
 
@@ -216,7 +235,7 @@ def log_derivatives(g: VddGraph, b, mode: str = "raw") -> np.ndarray:
     return out
 
 
-def _batch_log_derivs(topo: _LevelTables, bits: np.ndarray, edges) -> np.ndarray:
+def _batch_log_derivs(bits: np.ndarray, rows: np.ndarray, edges) -> np.ndarray:
     left, right, dleft, dright = edges
     # magnitude log-derivative of each node's edges: raw 1/r, -r/(1-r^2);
     # trig -tan u, cot u.  Sampled paths never take a zero-amplitude edge.
@@ -226,23 +245,23 @@ def _batch_log_derivs(topo: _LevelTables, bits: np.ndarray, edges) -> np.ndarray
     count, n = bits.shape
     samples = np.arange(count)
     out = np.zeros((count, 3 * left.shape[0]), dtype=np.complex128)
-    pos = np.full(count, topo.root, dtype=np.int64)
     for level in range(n):
+        pos = rows[:, level]
         zero = bits[:, level] == 0
-        out[samples, 3 * pos] = np.where(zero, mag0[pos], mag1[pos])
+        mag = np.where(zero, mag0[pos], mag1[pos])
+        if not np.all(np.isfinite(mag)):
+            raise ValueError("log-derivatives hit a zero-amplitude edge")
+        out[samples, 3 * pos] = mag
         out[samples, 3 * pos + np.where(zero, 1, 2)] = 1j  # the omega or the phi entry
-        if level < n - 1:
-            pos = np.where(zero, topo.child0[pos], topo.child1[pos])
-    if not np.all(np.isfinite(out)):
-        raise ValueError("log-derivatives hit a zero-amplitude edge")
     return out
 
 
 def _draw_batch(topo: _LevelTables, h: PauliHamiltonian, theta: np.ndarray, mode: str, count, rng):
     """Samples, local values and log-derivatives at θ (see sample_batch)."""
     edges = _chart(theta, mode)
-    bits = _sample(topo, edges[0], count, rng)
-    return bits, _batch_local_values(topo, h, bits, edges), _batch_log_derivs(topo, bits, edges)
+    bits, rows = _sample(topo, edges[0], count, rng)
+    local = _batch_local_values(topo, h, bits, rows, edges)
+    return bits, local, _batch_log_derivs(bits, rows, edges)
 
 
 def sample_batch(

@@ -141,9 +141,9 @@ def test_hamiltonian_compiles_once(monkeypatch):
     import vdd.hamiltonian as ham
     from vdd.ansatz import InitScheme, build_ansatz, init_params
     from vdd.exact import _LevelTables, _chart, _flatten
-    from vdd.vmc import _batch_local_values
+    from vdd.vmc import _batch_local_values, _sample
 
-    calls = {"_flip_groups": 0, "_vector_action": 0}
+    calls = {"_flip_groups": 0, "_vector_action": 0, "_column_groups": 0}
     for name in calls:
         def counted(h, _name=name, _original=getattr(ham, name)):
             calls[_name] += 1
@@ -155,9 +155,12 @@ def test_hamiltonian_compiles_once(monkeypatch):
     v = np.full(16, 0.25, dtype=complex)
     apply_to_vector(h, v)
     apply_to_vector(h, v)
-    bits = np.array([[0, 1, 0, 1], [1, 0, 1, 0]], dtype=np.uint8)
-    _batch_local_values(_LevelTables(g), h, bits, _chart(_flatten(g, "raw"), "raw"))
-    assert calls == {"_flip_groups": 1, "_vector_action": 1}
+    topo = _LevelTables(g)
+    edges = _chart(_flatten(g, "raw"), "raw")
+    bits, rows = _sample(topo, edges[0], 2, np.random.default_rng(0))
+    _batch_local_values(topo, h, bits, rows, edges)
+    _batch_local_values(topo, h, bits, rows, edges)
+    assert calls == {"_flip_groups": 1, "_vector_action": 1, "_column_groups": 1}
 
 
 def test_dense_matrix_is_hermitian():

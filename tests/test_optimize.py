@@ -304,6 +304,7 @@ def test_dataset_training_concentrates_probability():
     total = sum(abs(amplitude(trace.graph, b)) ** 2 for b, _ in items)
     assert total >= 0.99
     assert math.isnan(trace.final.energy)  # no Hamiltonian in dataset mode
+    assert trace.final.energy_stderr is None
 
 
 def test_trace_csv_round_trip(tmp_path):
@@ -312,11 +313,27 @@ def test_trace_csv_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "epoch,loss,energy,relative_error,grad_norm"
+    assert lines[0] == "epoch,loss,energy,relative_error,grad_norm,energy_stderr"
     assert len(lines) == 13
     cells = lines[1].split(",")
     assert cells[0] == "1"
     assert float(cells[1]) == pytest.approx(trace.records[0].loss)
+    assert cells[5] == "" and trace.records[0].energy_stderr is None  # exact energies
+
+
+def test_vmc_epochs_record_the_batch_standard_error(tmp_path):
+    spec = ModelSpec("heisenberg", 4)
+    trace = train(TrainConfig(model=spec, epochs=3, seed=5, gradient_source="vmc",
+                              batch_size=256))
+    # the first epoch's batch, drawn again from the training run's sample stream
+    first = sample_batch(random_graph("accordion", 4, 5), build_model(spec), 256,
+                         rng=np.random.default_rng([5, 1]), mode="trig")
+    assert trace.records[0].energy == first.energy_mean
+    assert trace.records[0].energy_stderr == first.energy_stderr > 0
+    assert all(rec.energy_stderr > 0 for rec in trace.records)
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    assert float(path.read_text().splitlines()[1].split(",")[5]) == first.energy_stderr
 
 
 # ---------------------------------------------------------------------------

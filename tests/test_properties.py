@@ -5,6 +5,7 @@ every edge goes down one level, and nodes no path reaches are dropped.
 Node ids are shuffled so that sorted-id order differs from level order.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,12 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vdd.ansatz import ANSATZ_KINDS, InitScheme, build_ansatz, init_params
+from vdd.exact import _LevelTables, _chart, _flatten
 from vdd.exact import exact_gradient, finite_difference, to_state_vector
 from vdd.graph import TERMINAL, Node, ParamTriple, VddGraph, amplitude, deserialize, serialize
 from vdd.graph import validate
-from vdd.hamiltonian import PauliHamiltonian, PauliString, apply_string, apply_to_vector
+from vdd.hamiltonian import ModelSpec, PauliHamiltonian, PauliString, apply_string
+from vdd.hamiltonian import apply_to_vector, build_model
 from vdd.state import bits_of_index, index_of_bits
-from vdd.vmc import local_estimator, log_derivatives, sample_batch
+from vdd.vmc import _sample, local_estimator, log_derivatives, sample_batch
 
 SETTINGS = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -62,8 +66,8 @@ SWAP_XY = str.maketrans("XY", "YX")
 
 
 @st.composite
-def dags_with_hamiltonians(draw):
-    g = draw(leveled_dags())
+def dags_with_hamiltonians(draw, max_qubits=5):
+    g = draw(leveled_dags(max_qubits=max_qubits))
     n = g.num_qubits
     ops = st.text("IXYZ", min_size=n, max_size=n)
     terms = draw(st.lists(st.builds(PauliString, COEFF, ops), min_size=1, max_size=4))
@@ -132,15 +136,56 @@ def test_serialize_round_trips(g):
 
 
 @SETTINGS
-@given(dags_with_hamiltonians(), st.sampled_from(["raw", "trig"]))
+@given(dags_with_hamiltonians(max_qubits=8), st.sampled_from(["raw", "trig"]))
 def test_batch_kernels_match_per_string_references(case, mode):
+    # wide levels let one sample's flipped path rejoin at once and another's
+    # run to the last level
     g, h = case
     batch = sample_batch(g, h, 16, seed=3, mode=mode)
     for row in range(batch.batch_size):
         bits = tuple(int(b) for b in batch.samples[row])
         assert batch.local_values[row] == pytest.approx(
-            local_estimator(g, h, bits), rel=1e-10, abs=1e-10
+            local_estimator(g, h, bits), rel=1e-12, abs=1e-12
         )
         np.testing.assert_allclose(
-            batch.log_derivs[row], log_derivatives(g, bits, mode=mode), rtol=1e-10, atol=1e-10
+            batch.log_derivs[row], log_derivatives(g, bits, mode=mode), rtol=1e-12, atol=1e-12
         )
+
+
+@SETTINGS
+@given(
+    st.sampled_from(ANSATZ_KINDS),
+    st.integers(2, 8),
+    st.sampled_from([ModelSpec("heisenberg", 2, boundary="periodic"),
+                     ModelSpec("tfim", 2, g=0.7, boundary="periodic"),
+                     ModelSpec("heisenberg", 2, jx=0.5, jy=-1.5, jz=0.3)]),
+    st.integers(0, 2**16),
+    st.sampled_from(["raw", "trig"]),
+)
+def test_segment_ratios_on_the_builders(kind, n, spec, seed, mode):
+    # periodic chains carry the wrap bond (n, 1), whose flip spans every level
+    g = init_params(build_ansatz(kind, n), InitScheme("uniform", seed=seed))
+    h = build_model(dataclasses.replace(spec, n=n))
+    batch = sample_batch(g, h, 24, seed=5, mode=mode)
+    for row in range(batch.batch_size):
+        bits = tuple(int(b) for b in batch.samples[row])
+        assert batch.local_values[row] == pytest.approx(
+            local_estimator(g, h, bits), rel=1e-12, abs=1e-12
+        )
+
+
+@SETTINGS
+@given(leveled_dags(max_qubits=8), st.integers(1, 64), st.integers(0, 2**16))
+def test_sampler_rows_are_the_paths_of_its_bits(g, count, seed):
+    topo = _LevelTables(g)
+    bits, rows = _sample(topo, _chart(_flatten(g, "raw"), "raw")[0], count,
+                         np.random.default_rng(seed))
+    assert rows.shape == bits.shape == (count, g.num_qubits) and rows.dtype == np.int64
+    row_of = {node_id: k for k, node_id in enumerate(g.sorted_ids())}
+    for sample_bits, sample_rows in zip(bits, rows):
+        current = g.root_child
+        for level, bit in enumerate(sample_bits):
+            assert sample_rows[level] == row_of[current]
+            node = g.nodes[current]
+            current = node.child1 if bit else node.child0
+        assert current == TERMINAL

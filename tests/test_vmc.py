@@ -64,6 +64,27 @@ def test_sampling_is_seeded():
     assert not np.array_equal(a, c)
 
 
+def test_sample_is_pinned_for_a_seed():
+    # the level-major draw order: a change to it changes every seeded run
+    g = random_graph("accordion", 6, 0)
+    expected = np.array(
+        [
+            [0, 1, 0, 0, 0, 1],
+            [1, 1, 0, 0, 1, 0],
+            [1, 1, 0, 0, 1, 0],
+            [0, 1, 0, 1, 1, 1],
+            [0, 1, 1, 1, 1, 1],
+            [1, 0, 0, 0, 1, 1],
+            [0, 1, 0, 0, 1, 0],
+            [0, 1, 0, 0, 1, 0],
+        ],
+        dtype=np.uint8,
+    )
+    got = sample(g, 8, seed=11)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, expected)
+
+
 def test_balanced_graph_uniform_chi_square():
     g = build_accordion(4)  # balanced by construction
     rows = sample(g, 10**5, seed=7)
@@ -124,6 +145,23 @@ def test_local_estimator_rejects_zero_amplitude():
     h = build_model(ModelSpec("tfim", 2, g=1.0))
     with pytest.raises(ValueError):
         local_estimator(g, h, (1, 1))
+
+
+def test_batch_local_values_reject_zero_amplitude():
+    from vdd.exact import _LevelTables, _chart, _flatten
+    from vdd.vmc import _batch_local_values
+
+    g = init_params(build_product(2), InitScheme("basis", bits=(0, 0)))
+    h = build_model(ModelSpec("tfim", 2, g=1.0))
+    topo = _LevelTables(g)
+    bits = np.array([[0, 0], [1, 1]], dtype=np.uint8)
+    rows = np.array([[topo.root, topo.child0[topo.root]]] * 2)
+    edges = _chart(_flatten(g, "raw"), "raw")
+    assert _batch_local_values(topo, h, bits[:1], rows[:1], edges)[0] == pytest.approx(
+        local_estimator(g, h, (0, 0))
+    )
+    with pytest.raises(ValueError, match="psi"):
+        _batch_local_values(topo, h, bits, rows, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +260,19 @@ def test_batch_matches_per_sample_calls():
         assert batch.local_values[k] == pytest.approx(local_estimator(g, h, bits), abs=1e-12)
         np.testing.assert_allclose(
             batch.log_derivs[k], log_derivatives(g, bits), atol=1e-12
+        )
+
+
+@pytest.mark.parametrize("n", [64, 100])
+def test_local_values_past_63_qubits(n):
+    # bit strings this long do not fit a 64-bit index
+    g = random_graph("accordion", n, 2)
+    h = build_model(ModelSpec("heisenberg", n, boundary="periodic"))
+    batch = sample_batch(g, h, 6, seed=1)
+    for k in range(batch.batch_size):
+        bits = tuple(int(b) for b in batch.samples[k])
+        assert batch.local_values[k] == pytest.approx(
+            local_estimator(g, h, bits), rel=1e-12, abs=1e-12
         )
 
 
