@@ -224,11 +224,11 @@ def _columns(mask: int, n: int) -> np.ndarray:
 
 
 def _column_groups(h: PauliHamiltonian):
-    """The flip groups over (batch, n) bit arrays instead of integer indices.
+    """The flip groups over bit arrays instead of integer indices.
 
-    Each group is (flipped columns, ((coeff * i^{#Y}, zy columns), ...)),
-    columns ascending, so no bit string is packed into an integer and any n
-    works.
+    Each group is (flipped qubits, ((coeff * i^{#Y}, zy qubits), ...)), as
+    ascending 0-based positions in a bit string, so no bit string is packed
+    into an integer and any n works.
     """
     n = h.num_qubits
     return tuple(
@@ -237,12 +237,25 @@ def _column_groups(h: PauliHamiltonian):
     )
 
 
-def _bit_elements(terms, bits: np.ndarray) -> np.ndarray:
-    """<b ^ flip|H_flip|b> for every row b of a (batch, n) 0/1 array,
-    terms being one group of `_column_groups`."""
-    out = np.zeros(bits.shape[0], dtype=np.complex128)
+def _bit_elements(terms, bits_t: np.ndarray) -> np.ndarray:
+    """<b ^ flip|H_flip|b> for every column b of an (n, batch) 0/1 array,
+    terms being one group of `_column_groups`.
+
+    Each term's parity is its Z/Y rows XOR-ed into one buffer.  The result
+    is float64 when every weight in the group is real, complex otherwise.
+    """
+    real = not any(weight.imag for weight, _ in terms)
+    out = np.zeros(bits_t.shape[1], dtype=np.float64 if real else np.complex128)
+    odd = np.empty(bits_t.shape[1], dtype=np.uint8)
     for weight, zy in terms:
-        odd = np.bitwise_xor.reduce(bits[:, zy], axis=1)  # 0 for an empty zy
+        if real:
+            weight = weight.real
+        if zy.size == 0:
+            out += weight
+            continue
+        np.copyto(odd, bits_t[zy[0]])
+        for q in zy[1:]:
+            np.bitwise_xor(odd, bits_t[q], out=odd)
         out += np.where(odd, -weight, weight)
     return out
 

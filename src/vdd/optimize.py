@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -322,7 +323,8 @@ class TrainConfig:
 @dataclass
 class TraceRecord:
     """One epoch; energy_stderr is the sampled batch's standard error of the
-    energy under the VMC gradient source and None otherwise."""
+    energy under the VMC gradient source and None otherwise, and wall_ms the
+    epoch's wall time in milliseconds, gradient and parameter step included."""
 
     epoch: int
     loss: float
@@ -330,6 +332,7 @@ class TraceRecord:
     relative_error: float | None
     grad_norm: float
     energy_stderr: float | None = None
+    wall_ms: float | None = None
 
 
 @dataclass
@@ -348,7 +351,8 @@ class TrainTrace:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
-                ["epoch", "loss", "energy", "relative_error", "grad_norm", "energy_stderr"]
+                ["epoch", "loss", "energy", "relative_error", "grad_norm", "energy_stderr",
+                 "wall_ms"]
             )
             for rec in self.records:
                 writer.writerow(
@@ -359,6 +363,7 @@ class TrainTrace:
                         "" if rec.relative_error is None else repr(rec.relative_error),
                         repr(rec.grad_norm),
                         "" if rec.energy_stderr is None else repr(rec.energy_stderr),
+                        "" if rec.wall_ms is None else repr(rec.wall_ms),
                     ]
                 )
 
@@ -384,7 +389,7 @@ def train(config: TrainConfig) -> TrainTrace:
     given) and compiles the diagram once; then per epoch: evaluate loss +
     gradient at θ, step θ.  The trained graph is materialized at the end.
     """
-    from .vmc import _draw_batch, _energy_stats, _gradient_entries
+    from .vmc import _batch_gradient, _batch_local_values, _energy_stats, _sample
 
     n = config.num_qubits
     scheme = config.init if config.init is not None else InitScheme("uniform", seed=config.seed)
@@ -409,17 +414,18 @@ def train(config: TrainConfig) -> TrainTrace:
 
     records: list[TraceRecord] = []
     for epoch in range(1, config.epochs + 1):
+        start = time.perf_counter()
         node_params = theta.reshape(-1, 3)  # a view: one (r | u, omega, phi) row per node
         stderr = None
         if energy_driven:
             if config.gradient_source == "exact":
                 energy, grad = energy_and_grad(topo, h, node_params, mode)
             else:
-                _, local, oj = _draw_batch(
-                    topo, h, node_params, mode, config.batch_size, sample_rng
-                )
+                edges = _chart(node_params, mode)
+                samples, rows = _sample(topo, edges[0], config.batch_size, sample_rng)
+                local = _batch_local_values(topo, h, samples, rows, edges)
                 energy, stderr = _energy_stats(local)
-                grad = _gradient_entries(local, oj)
+                grad = _batch_gradient(samples, rows, edges, local)
             loss_val = energy - e0 if config.loss == "energy_gap" else energy
             rel = abs((energy - e0) / e0) if e0 not in (None, 0.0) else None
         else:
@@ -428,16 +434,15 @@ def train(config: TrainConfig) -> TrainTrace:
         grad = grad.ravel()
 
         _check_finite(grad, labels=labels, epoch=epoch)
-        records.append(
-            TraceRecord(
-                epoch=epoch,
-                loss=float(loss_val),
-                energy=float(energy),
-                relative_error=None if rel is None else float(rel),
-                grad_norm=float(np.linalg.norm(grad)),
-                energy_stderr=stderr,
-            )
+        record = TraceRecord(
+            epoch=epoch,
+            loss=float(loss_val),
+            energy=float(energy),
+            relative_error=None if rel is None else float(rel),
+            grad_norm=float(np.linalg.norm(grad)),
+            energy_stderr=stderr,
         )
+        records.append(record)
 
         if isinstance(opt, AdamConfig):
             theta, adam_state = adam_step(
@@ -447,5 +452,6 @@ def train(config: TrainConfig) -> TrainTrace:
             theta = sgd_step(theta, grad, opt.lr)
         if mode == "raw":
             theta[0::3] = np.clip(theta[0::3], _DELTA, 1.0 - _DELTA)
+        record.wall_ms = 1e3 * (time.perf_counter() - start)
 
     return TrainTrace(records=records, graph=_materialize(g, theta, mode))

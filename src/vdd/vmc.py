@@ -27,12 +27,18 @@ Per-sample quantities:
                   right edges)
 
 and the stochastic gradient 2 Re E[conj(O_j) (A~ - E[A~])] with in-batch
-centering.  The batch kernels run on the compiled topology and the edge
-factors of a parameter array θ (see vdd.exact), so training draws batches
-without rebuilding a graph; `sample` and `sample_batch` take a `VddGraph`
-and compile it per call.  The per-bit-string operations walk the graph
-itself and are the reference implementations the kernels are tested
-against.
+centering.  Since conj(O_j) is mag on a taken edge's magnitude slot and
+-i on its phase slot, training's gradient (`_batch_gradient`) is a scatter
+of the centered local values onto the edges the samples took, Re for the
+magnitudes (times mag) and Im for the phases; it never forms O.  The dense
+(batch, 3N) O matrix exists only in `VmcBatch`, whose per-sample entries
+`vmc_gradient` and the jackknife `vmc_gradient_stderr` read.
+
+The batch kernels run on the compiled topology and the edge factors of a
+parameter array θ (see vdd.exact), so training draws batches without
+rebuilding a graph; `sample` and `sample_batch` take a `VddGraph` and
+compile it per call.  The per-bit-string operations walk the graph itself
+and are the reference implementations the kernels are tested against.
 """
 
 from __future__ import annotations
@@ -159,7 +165,7 @@ def _batch_local_values(
     out = np.zeros(count, dtype=np.complex128)
     for flip, terms in h._bit_groups:
         # <b|H_flip|b ^ flip> = conj(<b ^ flip|H_flip|b>), H being Hermitian
-        elements = np.conj(_bit_elements(terms, bits))
+        elements = np.conj(_bit_elements(terms, bits_t))
         if flip.size == 0:
             out += elements
             continue
@@ -256,12 +262,34 @@ def _batch_log_derivs(bits: np.ndarray, rows: np.ndarray, edges) -> np.ndarray:
     return out
 
 
-def _draw_batch(topo: _LevelTables, h: PauliHamiltonian, theta: np.ndarray, mode: str, count, rng):
-    """Samples, local values and log-derivatives at θ (see sample_batch)."""
-    edges = _chart(theta, mode)
-    bits, rows = _sample(topo, edges[0], count, rng)
-    local = _batch_local_values(topo, h, bits, rows, edges)
-    return bits, local, _batch_log_derivs(bits, rows, edges)
+def _batch_gradient(bits: np.ndarray, rows: np.ndarray, edges, local: np.ndarray) -> np.ndarray:
+    """2 Re mean(conj(O_j) (A~ - mean A~)) from the node rows the paths visit.
+
+    O_j(b) is nonzero only on the edges b takes: a real magnitude entry
+    mag = Re(d edge / edge) and an i on that edge's phase slot.  So with
+    c = A~ - mean A~ each parameter's entry is a sum over the samples that
+    take its edges, of mag * Re c (magnitude) or Im c (phase): two
+    scatter-adds of c onto the taken edges, and no (batch, 3N) O matrix.
+    """
+    left, right, dleft, dright = edges
+    count, n = bits.shape
+    size = 2 * left.shape[0]
+    edge = (2 * rows + bits).ravel()  # edge = 2 * node row + bit, sample-major
+    centered = local - np.mean(local)
+    s_re = np.bincount(edge, np.repeat(centered.real, n), size)
+    s_im = np.bincount(edge, np.repeat(centered.imag, n), size)
+    # read mag on taken edges only: an untaken zero-amplitude edge (r = 1)
+    # has an infinite mag and a zero sum, and inf * 0 is NaN
+    taken = np.bincount(edge, minlength=size) > 0
+    mag = np.zeros(size)
+    mag[taken] = (np.stack((dleft, dright), axis=1).ravel()[taken]
+                  / np.stack((left, right), axis=1).ravel()[taken]).real
+    if not np.all(np.isfinite(mag)):
+        raise ValueError("log-derivatives hit a zero-amplitude edge")
+    grad = np.empty((left.shape[0], 3))
+    grad[:, 0] = (mag * s_re).reshape(-1, 2).sum(axis=1)
+    grad[:, 1:] = s_im.reshape(-1, 2)  # omega on the left edge, phi on the right
+    return grad.ravel() * (2.0 / count)
 
 
 def sample_batch(
@@ -277,12 +305,14 @@ def sample_batch(
     _check_graph_and_operator(g, h)
     topo = _LevelTables(g)
     rng = np.random.default_rng(seed) if rng is None else rng
-    bits, local, oj = _draw_batch(topo, h, _flatten(g, mode), mode, count, rng)
+    edges = _chart(_flatten(g, mode), mode)
+    bits, rows = _sample(topo, edges[0], count, rng)
+    local = _batch_local_values(topo, h, bits, rows, edges)
     mean, stderr = _energy_stats(local)
     return VmcBatch(
         samples=bits,
         local_values=local,
-        log_derivs=oj,
+        log_derivs=_batch_log_derivs(bits, rows, edges),
         energy_mean=mean,
         energy_stderr=stderr,
         labels=parameter_labels(g),
@@ -302,13 +332,9 @@ def vmc_gradient(batch: VmcBatch) -> GradientVector:
     """2 Re mean(conj(O_j) (A~ - batch mean A~)) per parameter."""
     if batch.batch_size < 2:
         raise ValueError(f"gradient needs at least 2 samples, got {batch.batch_size}")
-    entries = _gradient_entries(batch.local_values, batch.log_derivs)
+    centered = batch.local_values - np.mean(batch.local_values)
+    entries = 2.0 * np.real(np.conj(batch.log_derivs).T @ centered) / batch.batch_size
     return GradientVector(entries=entries, labels=batch.labels, node_ids=batch.node_ids)
-
-
-def _gradient_entries(local_values: np.ndarray, log_derivs: np.ndarray) -> np.ndarray:
-    centered = local_values - np.mean(local_values)
-    return 2.0 * np.real(np.conj(log_derivs).T @ centered) / local_values.shape[0]
 
 
 def vmc_gradient_stderr(batch: VmcBatch) -> np.ndarray:

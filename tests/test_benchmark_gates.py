@@ -1,0 +1,31 @@
+"""The benchmark's correctness gates pass on the current program.
+
+`perfbench/run.py` checks every operation it times (for train-vmc: the
+variational bound, progress toward the optimum and a fresh-sample z-check
+of the trained graph).  A smoke run in a copy of the checkout keeps those
+gates in the default test run, so a program change that breaks them fails
+here and not first in a full benchmark run.
+"""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_train_vmc_smoke_run_passes_its_checks(tmp_path):
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    ignore = shutil.ignore_patterns("out", "__pycache__")
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=ignore)
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench", ignore=ignore)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "train-vmc", "--smoke",
+         "--seconds", "0", "--trace", "0"],
+        capture_output=True, text=True, timeout=600, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

@@ -159,7 +159,7 @@ def test_train_writes_trace_and_final_graph(tmp_path, capsys):
     )
     assert code == 0
     lines = (out_dir / "trace.csv").read_text().strip().splitlines()
-    assert lines[0] == "epoch,loss,energy,relative_error,grad_norm,energy_stderr"
+    assert lines[0] == "epoch,loss,energy,relative_error,grad_norm,energy_stderr,wall_ms"
     assert len(lines) == 41
     assert lines[1].split(",")[0] == "1" and lines[-1].split(",")[0] == "40"
     g = deserialize((out_dir / "final_vdd.json").read_text())

@@ -313,12 +313,14 @@ def test_trace_csv_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "epoch,loss,energy,relative_error,grad_norm,energy_stderr"
+    assert lines[0] == "epoch,loss,energy,relative_error,grad_norm,energy_stderr,wall_ms"
     assert len(lines) == 13
     cells = lines[1].split(",")
     assert cells[0] == "1"
     assert float(cells[1]) == pytest.approx(trace.records[0].loss)
     assert cells[5] == "" and trace.records[0].energy_stderr is None  # exact energies
+    assert float(cells[6]) == trace.records[0].wall_ms > 0
+    assert all(rec.wall_ms > 0 for rec in trace.records)
 
 
 def test_vmc_epochs_record_the_batch_standard_error(tmp_path):
@@ -331,6 +333,10 @@ def test_vmc_epochs_record_the_batch_standard_error(tmp_path):
     assert trace.records[0].energy == first.energy_mean
     assert trace.records[0].energy_stderr == first.energy_stderr > 0
     assert all(rec.energy_stderr > 0 for rec in trace.records)
+    # the scatter kernel training runs gives the dense estimator's gradient
+    assert trace.records[0].grad_norm == pytest.approx(
+        np.linalg.norm(vmc_gradient(first).entries), rel=1e-12, abs=1e-12
+    )
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     assert float(path.read_text().splitlines()[1].split(",")[5]) == first.energy_stderr
