@@ -43,7 +43,7 @@ from .optimize import (
     train,
 )
 from .state import CapacityError
-from .vmc import batch_to_csv, sample, sample_batch
+from .vmc import _write_samples, batch_to_csv, sample, sample_batch
 
 __all__ = ["run", "main", "emit_svg"]
 
@@ -386,12 +386,7 @@ def _cmd_sample(cfg: dict, outputs: _Outputs) -> None:
         batch = sample_batch(g, build_model(spec), cfg["count"], seed=cfg["seed"])
         batch_to_csv(batch, path)
     else:
-        bits = sample(g, cfg["count"], seed=cfg["seed"])
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample_index", "bitstring", "local_value_re", "local_value_im"])
-            for i, row in enumerate(bits):
-                writer.writerow([i, "".join(str(int(x)) for x in row), "", ""])
+        _write_samples(path, sample(g, cfg["count"], seed=cfg["seed"]))
     print(path)
 
 

@@ -121,6 +121,13 @@ class FitRow:
     r_squared: float
 
 
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 @dataclass
 class VarianceScanResult:
     rows: list[ScanRow]
@@ -128,20 +135,14 @@ class VarianceScanResult:
     notices: list[str] = field(default_factory=list)
 
     def rows_to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["model", "g", "n", "param", "variance", "num_seeds"])
-            for r in self.rows:
-                writer.writerow([r.model, repr(r.g), r.n, r.param, repr(r.variance), r.num_seeds])
+        _write_csv(path, ["model", "g", "n", "param", "variance", "num_seeds"],
+                   ([r.model, repr(r.g), r.n, r.param, repr(r.variance), r.num_seeds]
+                    for r in self.rows))
 
     def fits_to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["model", "g", "param", "slope", "intercept", "r2"])
-            for f in self.fits:
-                writer.writerow(
-                    [f.model, repr(f.g), f.param, repr(f.slope), repr(f.intercept), repr(f.r_squared)]
-                )
+        _write_csv(path, ["model", "g", "param", "slope", "intercept", "r2"],
+                   ([f.model, repr(f.g), f.param, repr(f.slope), repr(f.intercept),
+                     repr(f.r_squared)] for f in self.fits))
 
     def variance(self, n: int, param: str) -> float:
         for r in self.rows:
@@ -279,24 +280,22 @@ class SweepRow:
     relative_error: float
 
 
+def _write_sweep_rows(path, rows: list[SweepRow]) -> None:
+    _write_csv(path, ["g", "final_energy", "e0", "relative_error"],
+               ([repr(r.g), repr(r.final_energy), repr(r.e0), repr(r.relative_error)]
+                for r in rows))
+
+
 @dataclass
 class GSweepResult:
     rows: list[SweepRow]
     dimer_rows: list[SweepRow]  # benchmark: best dimer-product state per g
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["g", "final_energy", "e0", "relative_error"])
-            for r in self.rows:
-                writer.writerow([repr(r.g), repr(r.final_energy), repr(r.e0), repr(r.relative_error)])
+        _write_sweep_rows(path, self.rows)
 
     def benchmark_to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["g", "final_energy", "e0", "relative_error"])
-            for r in self.dimer_rows:
-                writer.writerow([repr(r.g), repr(r.final_energy), repr(r.e0), repr(r.relative_error)])
+        _write_sweep_rows(path, self.dimer_rows)
 
     def relative_error(self, g: float) -> float:
         for r in self.rows:

@@ -14,9 +14,10 @@ use: its terms are grouped by flip mask (Heisenberg's XX and YY on a bond
 share one), and for state vectors the flip-0 group becomes one diagonal
 while every other group becomes an axis flip of the reshaped vector times a
 small coefficient table.  H|v> then costs O(#flip masks * 2^n) without
-index arrays or the matrix.  For sampled bit strings the same groups are
-kept as bit-array columns, so matrix elements of any n are read from the
-bits themselves.
+index arrays or the matrix.  Matrix elements are read in one place
+(`_bit_elements`), from bit-array rows: the groups are also kept as
+bit-array columns, so sampled bit strings of any n, the diagonal, the
+coefficient tables and the dense matrix share one parity kernel.
 
 Qubit 1 is the most significant bit of the state-vector index throughout.
 """
@@ -204,20 +205,6 @@ def _flip_groups(h: PauliHamiltonian) -> tuple[tuple[int, tuple[tuple[complex, i
     return tuple((flip, tuple(terms)) for flip, terms in groups.items())
 
 
-def _parity_sign(idx: np.ndarray, mask: int) -> np.ndarray:
-    """(-1)^{popcount(idx & mask)} as an int8 array of +1 / -1."""
-    odd = (np.bitwise_count(idx & mask) & 1).view(np.int8)  # 0 / 1, signed
-    return 1 - 2 * odd
-
-
-def _group_elements(terms, idx: np.ndarray) -> np.ndarray:
-    """<b ^ flip|H_flip|b> for every index b in idx, H_flip being one group's terms."""
-    out = np.zeros(idx.shape, dtype=np.complex128)
-    for weight, zy in terms:
-        out += weight * _parity_sign(idx, zy)
-    return out
-
-
 def _columns(mask: int, n: int) -> np.ndarray:
     """Bit-array columns (qubit 1 = column 0) of the qubits set in an index mask."""
     return np.array([q for q in range(n) if mask >> (n - 1 - q) & 1], dtype=np.intp)
@@ -237,9 +224,19 @@ def _column_groups(h: PauliHamiltonian):
     )
 
 
+def _index_bits(num_bits: int) -> np.ndarray:
+    """(num_bits, 2^num_bits) uint8 bit rows of every index below 2^num_bits,
+    the most significant bit first, filled one row at a time."""
+    out = np.zeros((num_bits, 2**num_bits), dtype=np.uint8)
+    for q in range(num_bits):
+        out[q].reshape(2**q, 2, -1)[:, 1] = 1
+    return out
+
+
 def _bit_elements(terms, bits_t: np.ndarray) -> np.ndarray:
-    """<b ^ flip|H_flip|b> for every column b of an (n, batch) 0/1 array,
-    terms being one group of `_column_groups`.
+    """<b ^ flip|H_flip|b> for every column b of an (n, count) 0/1 array,
+    terms being one group of `_column_groups`: sampled bit strings, or the
+    bit rows of basis indices.
 
     Each term's parity is its Z/Y rows XOR-ed into one buffer.  The result
     is float64 when every weight in the group is real, complex otherwise.
@@ -260,10 +257,6 @@ def _bit_elements(terms, bits_t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _real_if_real(a: np.ndarray) -> np.ndarray:
-    return a.real.copy() if not np.any(a.imag) else a
-
-
 def _vector_action(h: PauliHamiltonian):
     """(diagonal, ((shape, reversal, coefficient table), ...)) for H|v>.
 
@@ -279,34 +272,26 @@ def _vector_action(h: PauliHamiltonian):
     n = h.num_qubits
     diag = 0.0
     flips = []
-    for flip, terms in h._groups:
-        if flip == 0:
-            diag = _real_if_real(_group_elements(terms, np.arange(2**n, dtype=np.int64)))
+    for flip, terms in h._bit_groups:
+        if flip.size == 0:
+            diag = _bit_elements(terms, _index_bits(n))
             continue
-        support = flip
-        for _, zy in terms:
-            support |= zy
-        shape, table_shape, reversal, bits = [], [], [], []
-        for q in range(1, n + 1):
-            bit = 1 << (n - q)
-            if support & bit:
-                reversal.append(slice(None, None, -1) if flip & bit else slice(None))
-                shape.append(2)
-                table_shape.append(2)
-                bits.append(bit)
-            elif table_shape and table_shape[-1] == 1:
+        support = sorted(set(flip).union(*(zy for _, zy in terms)))
+        shape, table_shape, reversal = [], [], []
+        for q in range(n):
+            if q not in support and table_shape and table_shape[-1] == 1:
                 shape[-1] *= 2  # merge runs of qubits outside the support
-            else:
-                reversal.append(slice(None))
-                shape.append(2)
-                table_shape.append(1)
-        # index of each support assignment, the first support qubit most significant
-        local = np.arange(2 ** len(bits), dtype=np.int64)
-        idx = np.zeros_like(local)
-        for k, bit in enumerate(bits):
-            idx |= ((local >> (len(bits) - 1 - k)) & 1) * bit
-        table = _group_elements(terms, idx ^ flip).reshape(table_shape)
-        flips.append((tuple(shape), tuple(reversal), _real_if_real(table)))
+                continue
+            reversal.append(slice(None, None, -1) if q in flip else slice(None))
+            shape.append(2)
+            table_shape.append(2 if q in support else 1)
+        # bits of b ^ flip for every assignment of the support, the first
+        # support qubit most significant
+        bits = np.zeros((n, 2 ** len(support)), dtype=np.uint8)
+        bits[support] = _index_bits(len(support))
+        bits[flip] ^= 1
+        table = _bit_elements(terms, bits).reshape(table_shape)
+        flips.append((tuple(shape), tuple(reversal), table))
     return diag, tuple(flips)
 
 
@@ -361,9 +346,10 @@ def dense_matrix(h: PauliHamiltonian) -> np.ndarray:
         raise CapacityError(f"dense matrix is capped at n = {DENSE_CAP}, got n = {n}")
     dim = 2**n
     idx = np.arange(dim, dtype=np.int64)
+    bits = _index_bits(n)
     m = np.zeros((dim, dim), dtype=np.complex128)
-    for flip, terms in h._groups:
-        m[idx ^ flip, idx] = _group_elements(terms, idx)
+    for (flip, _), (_, terms) in zip(h._groups, h._bit_groups):
+        m[idx ^ flip, idx] = _bit_elements(terms, bits)
     return m
 
 

@@ -28,11 +28,12 @@ Per-sample quantities:
 
 and the stochastic gradient 2 Re E[conj(O_j) (A~ - E[A~])] with in-batch
 centering.  Since conj(O_j) is mag on a taken edge's magnitude slot and
--i on its phase slot, training's gradient (`_batch_gradient`) is a scatter
-of the centered local values onto the edges the samples took, Re for the
-magnitudes (times mag) and Im for the phases; it never forms O.  The dense
-(batch, 3N) O matrix exists only in `VmcBatch`, whose per-sample entries
-`vmc_gradient` and the jackknife `vmc_gradient_stderr` read.
+-i on its phase slot, the gradient (`_batch_gradient`) is a scatter of the
+centered local values onto the edges the samples took, Re for the
+magnitudes (times mag) and Im for the phases, and its leave-one-out
+jackknife (`vmc_gradient_stderr`) a quadratic form in a few more such
+scatters.  Neither forms O: a `VmcBatch` keeps the node rows the samples
+visited and the chart's edge factors.
 
 The batch kernels run on the compiled topology and the edge factors of a
 parameter array θ (see vdd.exact), so training draws batches without
@@ -70,15 +71,18 @@ __all__ = [
 class VmcBatch:
     """Samples plus everything the stochastic gradient needs.
 
-    samples is a (batch, n) 0/1 array (row = bit string, qubit 1 first);
-    log_derivs is (batch, 3 * node count) complex, columns ordered like
-    GradientVector entries; mode records which magnitude derivative the
-    O columns hold ("raw" or "trig").
+    samples is a (batch, n) 0/1 array (row = bit string, qubit 1 first) and
+    rows the (batch, n) node rows its paths visit, level 1 first, in the
+    row order of GradientVector; edges is the chart's (left, right, dleft,
+    dright) per node row, in mode ("raw" or "trig").  The gradient and its
+    jackknife are scatters of the local values onto the taken edges, so no
+    per-sample log-derivative is stored.
     """
 
     samples: np.ndarray
+    rows: np.ndarray
     local_values: np.ndarray
-    log_derivs: np.ndarray
+    edges: tuple[np.ndarray, ...]
     energy_mean: float
     energy_stderr: float
     labels: tuple[str, ...]
@@ -87,11 +91,11 @@ class VmcBatch:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples)
+        self.rows = np.asarray(self.rows)
         self.local_values = np.asarray(self.local_values, dtype=np.complex128)
-        self.log_derivs = np.asarray(self.log_derivs, dtype=np.complex128)
         b = self.samples.shape[0]
-        if self.local_values.shape != (b,) or self.log_derivs.shape[0] != b:
-            raise ValueError("samples, local_values and log_derivs must have equal length")
+        if self.local_values.shape != (b,) or self.rows.shape != self.samples.shape:
+            raise ValueError("samples, rows and local_values must have equal length")
 
     @property
     def batch_size(self) -> int:
@@ -241,52 +245,38 @@ def log_derivatives(g: VddGraph, b, mode: str = "raw") -> np.ndarray:
     return out
 
 
-def _batch_log_derivs(bits: np.ndarray, rows: np.ndarray, edges) -> np.ndarray:
-    left, right, dleft, dright = edges
-    # magnitude log-derivative of each node's edges: raw 1/r, -r/(1-r^2);
-    # trig -tan u, cot u.  Sampled paths never take a zero-amplitude edge.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mag0 = (dleft / left).real
-        mag1 = (dright / right).real
-    count, n = bits.shape
-    samples = np.arange(count)
-    out = np.zeros((count, 3 * left.shape[0]), dtype=np.complex128)
-    for level in range(n):
-        pos = rows[:, level]
-        zero = bits[:, level] == 0
-        mag = np.where(zero, mag0[pos], mag1[pos])
-        if not np.all(np.isfinite(mag)):
-            raise ValueError("log-derivatives hit a zero-amplitude edge")
-        out[samples, 3 * pos] = mag
-        out[samples, 3 * pos + np.where(zero, 1, 2)] = 1j  # the omega or the phi entry
-    return out
-
-
-def _batch_gradient(bits: np.ndarray, rows: np.ndarray, edges, local: np.ndarray) -> np.ndarray:
-    """2 Re mean(conj(O_j) (A~ - mean A~)) from the node rows the paths visit.
-
-    O_j(b) is nonzero only on the edges b takes: a real magnitude entry
-    mag = Re(d edge / edge) and an i on that edge's phase slot.  So with
-    c = A~ - mean A~ each parameter's entry is a sum over the samples that
-    take its edges, of mag * Re c (magnitude) or Im c (phase): two
-    scatter-adds of c onto the taken edges, and no (batch, 3N) O matrix.
+def _taken_edges(bits: np.ndarray, rows: np.ndarray, edges):
+    """(edge, counts, mag): every (sample, level)'s edge 2 * node row + bit,
+    sample-major; how many samples take each edge; and Re(d edge / edge)
+    on the taken edges, 0 on the others (an untaken zero-amplitude edge at
+    r = 1 has an infinite mag and a zero sum, and inf * 0 is NaN).
     """
     left, right, dleft, dright = edges
-    count, n = bits.shape
     size = 2 * left.shape[0]
-    edge = (2 * rows + bits).ravel()  # edge = 2 * node row + bit, sample-major
-    centered = local - np.mean(local)
-    s_re = np.bincount(edge, np.repeat(centered.real, n), size)
-    s_im = np.bincount(edge, np.repeat(centered.imag, n), size)
-    # read mag on taken edges only: an untaken zero-amplitude edge (r = 1)
-    # has an infinite mag and a zero sum, and inf * 0 is NaN
-    taken = np.bincount(edge, minlength=size) > 0
+    edge = (2 * rows + bits).ravel()
+    counts = np.bincount(edge, minlength=size)
+    taken = counts > 0
     mag = np.zeros(size)
     mag[taken] = (np.stack((dleft, dright), axis=1).ravel()[taken]
                   / np.stack((left, right), axis=1).ravel()[taken]).real
     if not np.all(np.isfinite(mag)):
         raise ValueError("log-derivatives hit a zero-amplitude edge")
-    grad = np.empty((left.shape[0], 3))
+    return edge, counts, mag
+
+
+def _batch_gradient(bits: np.ndarray, rows: np.ndarray, edges, local: np.ndarray) -> np.ndarray:
+    """2 Re mean(conj(O_j) (A~ - mean A~)) from the node rows the paths visit.
+
+    With c = A~ - mean A~, each entry sums mag * Re c (magnitude slot) or
+    Im c (omega or phi slot) over the samples that take its node's edges:
+    two scatter-adds of c onto the taken edges.
+    """
+    edge, _, mag = _taken_edges(bits, rows, edges)
+    count, n = bits.shape
+    centered = local - np.mean(local)
+    s_re = np.bincount(edge, np.repeat(centered.real, n), mag.size)
+    s_im = np.bincount(edge, np.repeat(centered.imag, n), mag.size)
+    grad = np.empty((mag.size // 2, 3))
     grad[:, 0] = (mag * s_re).reshape(-1, 2).sum(axis=1)
     grad[:, 1:] = s_im.reshape(-1, 2)  # omega on the left edge, phi on the right
     return grad.ravel() * (2.0 / count)
@@ -300,7 +290,7 @@ def sample_batch(
     rng=None,
     mode: str = "raw",
 ) -> VmcBatch:
-    """Draw a batch and evaluate local values, log-derivatives and stats."""
+    """Draw a batch and evaluate its local values and energy statistics."""
     _check_mode(mode)
     _check_graph_and_operator(g, h)
     topo = _LevelTables(g)
@@ -309,16 +299,9 @@ def sample_batch(
     bits, rows = _sample(topo, edges[0], count, rng)
     local = _batch_local_values(topo, h, bits, rows, edges)
     mean, stderr = _energy_stats(local)
-    return VmcBatch(
-        samples=bits,
-        local_values=local,
-        log_derivs=_batch_log_derivs(bits, rows, edges),
-        energy_mean=mean,
-        energy_stderr=stderr,
-        labels=parameter_labels(g),
-        node_ids=topo.node_ids,
-        mode=mode,
-    )
+    return VmcBatch(samples=bits, rows=rows, local_values=local, edges=edges,
+                    energy_mean=mean, energy_stderr=stderr, labels=parameter_labels(g),
+                    node_ids=topo.node_ids, mode=mode)
 
 
 def vmc_energy(batch: VmcBatch) -> tuple[float, float]:
@@ -332,45 +315,78 @@ def vmc_gradient(batch: VmcBatch) -> GradientVector:
     """2 Re mean(conj(O_j) (A~ - batch mean A~)) per parameter."""
     if batch.batch_size < 2:
         raise ValueError(f"gradient needs at least 2 samples, got {batch.batch_size}")
-    centered = batch.local_values - np.mean(batch.local_values)
-    entries = 2.0 * np.real(np.conj(batch.log_derivs).T @ centered) / batch.batch_size
+    entries = _batch_gradient(batch.samples, batch.rows, batch.edges, batch.local_values)
     return GradientVector(entries=entries, labels=batch.labels, node_ids=batch.node_ids)
 
 
 def vmc_gradient_stderr(batch: VmcBatch) -> np.ndarray:
     """Leave-one-out jackknife standard error of every gradient entry.
 
-    The estimator is a smooth function of three batch sums, so each
-    leave-one-out replicate is available in closed form and the whole
-    jackknife is a few broadcast operations.
+    With c = A~ - mean A~, m = B - 1 and k = conj(O_j) on each edge (mag on
+    the magnitude slot, -i on the edge's omega or phi slot), replicate i of
+    entry j minus the replicates' mean is (2 / m^2) (Re[w c_i] + K_j).  Here
+    K_j = B g_j / 2, g being the gradient, and w = S_j - B k_e if sample i
+    takes edge e of j's node, w = S_j if its path misses the node, S_j
+    being the sum of k over the edges the samples take.  So the sum of
+    squares adds up, over three groups of samples per node (its two edges
+    and the rest), quadratic forms in each group's size, mean of c and
+    second moments of c about that mean: bincounts over the taken edges,
+    and no (B, 3N) array.  Moments about each edge's own mean keep a term
+    that vanishes (c constant on an edge) from becoming a difference of
+    large sums.
     """
-    if batch.batch_size < 2:
-        raise ValueError(f"jackknife needs at least 2 samples, got {batch.batch_size}")
-    count = batch.batch_size
-    oconj = np.conj(batch.log_derivs)  # (B, P)
-    a = batch.local_values  # (B,)
-    s_oa = oconj.T @ a  # (P,)
-    s_o = oconj.sum(axis=0)  # (P,)
-    s_a = a.sum()
+    count, n = batch.samples.shape
+    if count < 2:
+        raise ValueError(f"jackknife needs at least 2 samples, got {count}")
+    edge, counts, mag = _taken_edges(batch.samples, batch.rows, batch.edges)
+    c = batch.local_values - np.mean(batch.local_values)
+    x, y = c.real, c.imag
+    dx, dy = np.repeat(x, n), np.repeat(y, n)
+    mean = [np.bincount(edge, d, mag.size) / np.maximum(counts, 1) for d in (dx, dy)]
+    dx -= mean[0][edge]
+    dy -= mean[1][edge]
+    moments = [np.bincount(edge, a * b, mag.size) for a, b in ((dx, dx), (dy, dy), (dx, dy))]
+    # size, mean (x, y) and centered moments (xx, yy, xy) per node row and edge
+    on_edge = np.stack([counts, *mean, *moments]).reshape(6, -1, 2)
+    # the samples that miss each node: the batch's raw sums minus the node's
+    size, mx, my, mxx, myy, mxy = on_edge
+    node_sums = np.stack([size, size * mx, size * my, mxx + size * mx**2, myy + size * my**2,
+                          mxy + size * mx * my]).sum(axis=2)
+    batch_sums = np.array([count, x.sum(), y.sum(), x @ x, y @ y, x @ y])
+    n_miss, sx, sy, sxx, syy, sxy = batch_sums[:, None] - node_sums
+    per = 1.0 / np.maximum(n_miss, 1.0)
+    missed = np.where(n_miss > 0, (n_miss, sx * per, sy * per, sxx - sx * sx * per,
+                                   syy - sy * sy * per, sxy - sx * sy * per), 0.0)
+    # per (node row, group: left edge, right edge, missed, slot)
+    size, mean_x, mean_y, m_xx, m_yy, m_xy = np.concatenate(
+        [on_edge, missed[:, :, None]], axis=2)[..., None]
+    k_re = np.zeros((mag.size // 2, 3, 3))
+    k_im = np.zeros_like(k_re)
+    k_re[:, :2, 0] = mag.reshape(-1, 2)
+    k_im[:, 0, 1] = k_im[:, 1, 2] = -1.0
+    k_sum = (size * (k_re * mean_x - k_im * mean_y)).sum(axis=1, keepdims=True)
+    w_re = (k_re * size).sum(axis=1, keepdims=True) - count * k_re
+    w_im = (k_im * size).sum(axis=1, keepdims=True) - count * k_im
+    total = (w_re**2 * m_xx - 2.0 * w_re * w_im * m_xy + w_im**2 * m_yy
+             + size * (w_re * mean_x - w_im * mean_y + k_sum) ** 2).sum(axis=1)
     m = count - 1
-    loo_oa = s_oa[None, :] - oconj * a[:, None]
-    loo_o = s_o[None, :] - oconj
-    loo_a = (s_a - a)[:, None]
-    replicates = 2.0 * np.real((loo_oa - loo_o * loo_a / m) / m)  # (B, P)
-    spread = replicates - replicates.mean(axis=0, keepdims=True)
-    return np.sqrt((m / count) * np.sum(spread**2, axis=0))
+    return (2.0 / m**2) * np.sqrt((m / count) * np.maximum(total, 0.0)).ravel()
 
 
 def batch_to_csv(batch: VmcBatch, path) -> None:
     """Write `sample_index, bitstring, local_value_re, local_value_im` rows."""
+    _write_samples(path, batch.samples, batch.local_values)
+
+
+def _write_samples(path, samples: np.ndarray, local_values: np.ndarray | None = None) -> None:
+    """The samples.csv rows of a (count, n) bit array; without local values
+    their two cells are left empty."""
     import csv
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_index", "bitstring", "local_value_re", "local_value_im"])
-        for i in range(batch.batch_size):
-            bitstring = "".join(str(int(x)) for x in batch.samples[i])
-            writer.writerow(
-                [i, bitstring, repr(float(batch.local_values[i].real)),
-                 repr(float(batch.local_values[i].imag))]
-            )
+        for i, bits in enumerate(samples):
+            cells = ["", ""] if local_values is None else [
+                repr(float(local_values[i].real)), repr(float(local_values[i].imag))]
+            writer.writerow([i, "".join(str(int(x)) for x in bits), *cells])

@@ -12,7 +12,6 @@ import pytest
 
 from vdd.hamiltonian import (
     ModelSpec,
-    _parity_sign,
     PauliHamiltonian,
     PauliString,
     apply_string,
@@ -214,15 +213,6 @@ def test_iterative_and_dense_eigensolvers_agree():
     e_iter, _ = ground_energy(h)
     evals = np.linalg.eigvalsh(dense_matrix(h))
     assert e_iter == pytest.approx(float(evals[0]), abs=1e-8)
-
-
-def test_parity_sign_is_explicit_plus_minus_one():
-    idx = np.arange(8, dtype=np.int64)
-    for mask in range(8):
-        sign = _parity_sign(idx, mask)
-        assert sign.dtype == np.int8
-        expected = [(-1) ** bin(i & mask).count("1") for i in range(8)]
-        assert sign.tolist() == expected
 
 
 def test_arpack_non_convergence_falls_back_to_dense(monkeypatch):

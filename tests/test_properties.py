@@ -21,18 +21,17 @@ from vdd.graph import validate
 from vdd.hamiltonian import ModelSpec, PauliHamiltonian, PauliString, apply_string
 from vdd.hamiltonian import apply_to_vector, build_model
 from vdd.state import bits_of_index, index_of_bits
-from vdd.vmc import _batch_gradient, _sample, local_estimator, log_derivatives, sample_batch
-from vdd.vmc import vmc_gradient
+from vdd.vmc import _sample, local_estimator, sample_batch, vmc_gradient, vmc_gradient_stderr
+from vmc_reference import dense_statistics
 
 SETTINGS = settings(derandomize=True, max_examples=25, deadline=None)
 
 
-def scatter_gradient(g, mode, batch, seed):
-    """Training's gradient kernel on the draw `sample_batch(..., seed=seed)` made."""
-    edges = _chart(_flatten(g, mode), mode)
-    bits, rows = _sample(_LevelTables(g), edges[0], batch.batch_size, np.random.default_rng(seed))
-    np.testing.assert_array_equal(bits, batch.samples)
-    return _batch_gradient(bits, rows, edges, batch.local_values)
+def assert_statistics_match_dense_reference(g, batch):
+    """The edge-scatter gradient and jackknife against the stacked per-string O."""
+    gradient, stderr = dense_statistics(g, batch)
+    np.testing.assert_allclose(vmc_gradient(batch).entries, gradient, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(vmc_gradient_stderr(batch), stderr, rtol=1e-12, atol=1e-12)
 
 
 @st.composite
@@ -156,11 +155,7 @@ def test_batch_kernels_match_per_string_references(case, mode):
         assert batch.local_values[row] == pytest.approx(
             local_estimator(g, h, bits), rel=1e-12, abs=1e-12
         )
-        np.testing.assert_allclose(
-            batch.log_derivs[row], log_derivatives(g, bits, mode=mode), rtol=1e-12, atol=1e-12
-        )
-    np.testing.assert_allclose(scatter_gradient(g, mode, batch, 3), vmc_gradient(batch).entries,
-                               rtol=1e-12, atol=1e-12)
+    assert_statistics_match_dense_reference(g, batch)
 
 
 @SETTINGS
@@ -183,15 +178,16 @@ def test_segment_ratios_on_the_builders(kind, n, spec, seed, mode):
         assert batch.local_values[row] == pytest.approx(
             local_estimator(g, h, bits), rel=1e-12, abs=1e-12
         )
-    np.testing.assert_allclose(scatter_gradient(g, mode, batch, 5), vmc_gradient(batch).entries,
-                               rtol=1e-12, atol=1e-12)
+    assert_statistics_match_dense_reference(g, batch)
 
 
 @pytest.mark.parametrize("mode", ["raw", "trig"])
 def test_batch_gradient_skips_untaken_edges_at_the_box(mode):
     # The root at r = 1 has a right edge of amplitude exactly 0 and its
     # left child at r = 0 a left edge of cos(pi/2) ~ 6e-17; no sample takes
-    # either, but their magnitude log-derivatives are infinite or huge.
+    # either, but their magnitude log-derivatives are infinite or huge.  And
+    # every sample passes the root on one edge, where each jackknife
+    # replicate of the root's entries is the same.
     g = init_params(build_ansatz("accordion", 4), InitScheme("uniform", seed=7))
     root = g.nodes[g.root_child]
     nodes = dict(g.nodes)
@@ -202,14 +198,13 @@ def test_batch_gradient_skips_untaken_edges_at_the_box(mode):
     h = build_model(ModelSpec("heisenberg", 4))
     batch = sample_batch(g, h, 64, seed=2, mode=mode)
     assert np.all(batch.samples[:, :2] == (0, 1))
-    got = scatter_gradient(g, mode, batch, 2)
-    assert np.all(np.isfinite(got))
-    np.testing.assert_allclose(got, vmc_gradient(batch).entries, rtol=1e-12, atol=1e-12)
+    assert np.all(np.isfinite(vmc_gradient(batch).entries))
+    assert np.all(np.isfinite(vmc_gradient_stderr(batch)))
+    assert_statistics_match_dense_reference(g, batch)
     # every edge's magnitude times its summed centered value: inf * 0 at the root
-    edges = _chart(_flatten(g, mode), mode)
-    _, rows = _sample(_LevelTables(g), edges[0], 64, np.random.default_rng(2))
+    edges = batch.edges
     centered = np.real(batch.local_values - batch.local_values.mean())
-    s_re = np.bincount((2 * rows + batch.samples).ravel(), np.repeat(centered, 4),
+    s_re = np.bincount((2 * batch.rows + batch.samples).ravel(), np.repeat(centered, 4),
                        minlength=2 * len(g.nodes))
     with np.errstate(divide="ignore", invalid="ignore"):
         mag = np.stack([(edges[2] / edges[0]).real, (edges[3] / edges[1]).real], axis=1).ravel()

@@ -22,6 +22,7 @@ from vdd.vmc import (
     vmc_gradient,
     vmc_gradient_stderr,
 )
+from vmc_reference import dense_statistics
 
 
 def random_graph(kind: str, n: int, seed: int):
@@ -258,9 +259,9 @@ def test_batch_matches_per_sample_calls():
     for k in (0, 7, 49):
         bits = tuple(int(b) for b in batch.samples[k])
         assert batch.local_values[k] == pytest.approx(local_estimator(g, h, bits), abs=1e-12)
-        np.testing.assert_allclose(
-            batch.log_derivs[k], log_derivatives(g, bits), atol=1e-12
-        )
+    gradient, stderr = dense_statistics(g, batch)
+    np.testing.assert_allclose(vmc_gradient(batch).entries, gradient, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(vmc_gradient_stderr(batch), stderr, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [64, 100])
@@ -302,6 +303,16 @@ def test_vmc_gradient_tracks_exact_gradient():
     assert np.max(z) < 5.0
 
 
+def test_vmc_statistics_match_dense_reference_at_a_large_batch():
+    # the batch of test_vmc_gradient_tracks_exact_gradient
+    g = random_graph("accordion", 6, 13)
+    h = build_model(ModelSpec("tfim", 6, g=1.0))
+    batch = sample_batch(g, h, 20000, seed=4)
+    gradient, stderr = dense_statistics(g, batch)
+    np.testing.assert_allclose(vmc_gradient(batch).entries, gradient, rtol=1e-10)
+    np.testing.assert_allclose(vmc_gradient_stderr(batch), stderr, rtol=1e-10)
+
+
 def test_vmc_gradient_needs_two_samples():
     g = random_graph("accordion", 3, 0)
     h = build_model(ModelSpec("tfim", 3, g=1.0))
@@ -330,7 +341,7 @@ def test_batch_invariants_and_csv(tmp_path):
     h = build_model(ModelSpec("tfim", 3, g=0.5))
     batch = sample_batch(g, h, 10, seed=5)
     assert isinstance(batch, VmcBatch)
-    assert len(batch.samples) == len(batch.local_values) == len(batch.log_derivs) == 10
+    assert len(batch.samples) == len(batch.local_values) == len(batch.rows) == 10
     assert batch.energy_mean == pytest.approx(float(np.mean(batch.local_values.real)))
     expected_se = float(np.std(batch.local_values.real, ddof=1) / math.sqrt(10))
     assert batch.energy_stderr == pytest.approx(expected_se)
