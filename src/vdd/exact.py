@@ -54,7 +54,10 @@ PARAM_MODES = ("raw", "trig")
 
 STATEVECTOR_CAP = 20
 
-_CLAMP = 1e-9  # raw-mode distance kept from the r = 1 singularity
+# raw-mode margin from the box: `_chart` clamps r into [_CLAMP, 1 - _CLAMP]
+# for d/dr, and `train` projects r into the same range, so that the clamped
+# and the true derivative agree at every r it steps to
+_CLAMP = 1e-9
 
 
 class SingularGradientWarning(UserWarning):
@@ -65,13 +68,13 @@ class SingularGradientWarning(UserWarning):
 class GradientVector:
     """Flat gradient, ordered (r, omega, phi) per node in ascending node id.
 
-    Labels follow the node ids ("r3", "omega3", "phi3"); lookups also
-    accept negative ids counting nodes from the end, so "phi-1" is the
+    The entries and the node ids they belong to are all it holds; its
+    labels ("r3", "omega3", "phi3") are derived from the ids, and lookups
+    also accept negative ids counting nodes from the end, so "phi-1" is the
     phi entry of the last node.
     """
 
     entries: np.ndarray
-    labels: tuple[str, ...]
     node_ids: tuple[int, ...]
 
     def __post_init__(self):
@@ -83,27 +86,12 @@ class GradientVector:
         if not np.all(np.isfinite(self.entries)):
             raise ValueError("gradient entries must be finite")
 
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return _labels(self.node_ids)
+
     def index_of(self, label: str) -> int:
-        for kind, offset in (("omega", 1), ("phi", 2), ("r", 0)):
-            if label.startswith(kind):
-                suffix = label[len(kind):]
-                break
-        else:
-            raise KeyError(f"bad gradient label {label!r}")
-        try:
-            ref = int(suffix)
-        except ValueError:
-            raise KeyError(f"bad gradient label {label!r}") from None
-        if ref < 0:
-            try:
-                node_id = self.node_ids[ref]  # negative ids count from the last node
-            except IndexError:
-                raise KeyError(f"label {label!r} reaches past the first node") from None
-        else:
-            node_id = ref
-        if node_id not in self.node_ids:
-            raise KeyError(f"no node {node_id} behind label {label!r}")
-        return 3 * self.node_ids.index(node_id) + offset
+        return _label_index(self.node_ids, label)
 
     def entry(self, label: str) -> float:
         return float(self.entries[self.index_of(label)])
@@ -113,12 +101,37 @@ class GradientVector:
         return float(np.linalg.norm(self.entries))
 
 
+def _labels(node_ids) -> tuple[str, ...]:
+    return tuple(f"{kind}{node_id}" for node_id in node_ids for kind in ("r", "omega", "phi"))
+
+
+def _label_index(node_ids: tuple[int, ...], label: str) -> int:
+    """Flat index of a label among the entries of nodes ``node_ids``."""
+    for kind, offset in (("omega", 1), ("phi", 2), ("r", 0)):
+        if label.startswith(kind):
+            suffix = label[len(kind):]
+            break
+    else:
+        raise KeyError(f"bad gradient label {label!r}")
+    try:
+        ref = int(suffix)
+    except ValueError:
+        raise KeyError(f"bad gradient label {label!r}") from None
+    if ref < 0:
+        try:
+            node_id = node_ids[ref]  # negative ids count from the last node
+        except IndexError:
+            raise KeyError(f"label {label!r} reaches past the first node") from None
+    else:
+        node_id = ref
+    if node_id not in node_ids:
+        raise KeyError(f"no node {node_id} behind label {label!r}")
+    return 3 * node_ids.index(node_id) + offset
+
+
 def parameter_labels(g: VddGraph) -> tuple[str, ...]:
     """Canonical flat parameter names, matching GradientVector ordering."""
-    out: list[str] = []
-    for node_id in g.sorted_ids():
-        out.extend((f"r{node_id}", f"omega{node_id}", f"phi{node_id}"))
-    return tuple(out)
+    return _labels(g.sorted_ids())
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +252,20 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown parameter mode {mode!r}, expected one of {PARAM_MODES}")
 
 
+def _amplitudes(topo: _LevelTables, theta: np.ndarray, mode: str) -> np.ndarray:
+    """The 2^n amplitudes at θ, from the forward sweep alone."""
+    if topo.num_qubits > STATEVECTOR_CAP:
+        raise CapacityError(
+            f"state vectors are capped at n = {STATEVECTOR_CAP}, got n = {topo.num_qubits}"
+        )
+    left, right, _, _ = _chart(theta, mode)
+    return _forward(topo, left, right)[0][-1]
+
+
 def to_state_vector(g: VddGraph) -> StateVector:
     """All 2^n amplitudes of the diagram, indexed with qubit 1 as the MSB."""
-    if g.num_qubits > STATEVECTOR_CAP:
-        raise CapacityError(
-            f"state vectors are capped at n = {STATEVECTOR_CAP}, got n = {g.num_qubits}"
-        )
-    topo = _LevelTables(g)
-    left, right, _, _ = _chart(_flatten(g, "raw"), "raw")
-    amps, _ = _forward(topo, left, right)
-    return StateVector(num_qubits=g.num_qubits, amps=amps[-1])
+    amps = _amplitudes(_LevelTables(g), _flatten(g, "raw"), "raw")
+    return StateVector(num_qubits=g.num_qubits, amps=amps)
 
 
 def exact_energy(g: VddGraph, h) -> float:
@@ -315,56 +332,41 @@ def exact_gradient(g: VddGraph, h, mode: str = "raw") -> GradientVector:
     _check_graph_and_operator(g, h)
     topo = _LevelTables(g)
     _, grad = energy_and_grad(topo, h, _flatten(g, mode), mode)
-    return GradientVector(entries=grad.ravel(), labels=parameter_labels(g), node_ids=topo.node_ids)
+    return GradientVector(entries=grad.ravel(), node_ids=topo.node_ids)
 
 
 # ---------------------------------------------------------------------------
 # finite differences (verification oracle for the analytic gradient)
 
 
-def _with_params(g: VddGraph, node_id: int, params) -> VddGraph:
-    nodes = dict(g.nodes)
-    nodes[node_id] = replace(nodes[node_id], params=params)
-    return replace(g, nodes=nodes)
-
-
 def finite_difference(g: VddGraph, h, step: float = 1e-6, mode: str = "raw") -> GradientVector:
-    """Central-difference gradient of exact_energy, parameter by parameter.
+    """Central-difference gradient of the energy, parameter by parameter.
 
-    Magnitude probes: raw mode clips r into [0, 1] and divides by the
-    realized interval (one-sided at the box edge); trig mode probes
-    u -> u ± step at r = cos u.  Probes never mutate the input graph.
+    The graph is compiled once; each probe is a copy of θ with one entry
+    moved by ± step, evaluated by the forward sweep and <H> alone, so the
+    oracle shares no code with the backward sweep.  Magnitude probes: raw
+    mode clips r into [0, 1] and divides by the realized interval
+    (one-sided at the box edge); trig mode moves the signed u of r = cos u,
+    so the difference is central at r in {0, 1} too.
     """
+    from .hamiltonian import expectation
+
     if not (1e-8 <= step <= 1e-3):
         raise ValueError(f"step must lie in [1e-8, 1e-3], got {step!r}")
     _check_mode(mode)
+    _check_graph_and_operator(g, h)
+    topo = _LevelTables(g)
+    theta = _flatten(g, mode).ravel()
 
-    node_ids = g.sorted_ids()
-    entries = np.empty(3 * len(node_ids), dtype=np.float64)
+    def energy_at(k: int, value: float) -> float:
+        probe = theta.copy()
+        probe[k] = value
+        return expectation(h, _amplitudes(topo, probe.reshape(-1, 3), mode))
 
-    def energy_at(node_id: int, params) -> float:
-        return exact_energy(_with_params(g, node_id, params), h)
-
-    for k, node_id in enumerate(node_ids):
-        p = g.nodes[node_id].params
-        if mode == "raw":
-            hi = min(1.0, p.r + step)
-            lo = max(0.0, p.r - step)
-            de = energy_at(node_id, replace(p, r=hi)) - energy_at(node_id, replace(p, r=lo))
-            entries[3 * k] = de / (hi - lo)
-        else:
-            u = math.acos(min(1.0, max(0.0, p.r)))
-            r_hi = min(1.0, max(0.0, math.cos(u + step)))
-            r_lo = min(1.0, max(0.0, math.cos(u - step)))
-            de = energy_at(node_id, replace(p, r=r_hi)) - energy_at(node_id, replace(p, r=r_lo))
-            entries[3 * k] = de / (2.0 * step)
-        for offset, field in ((1, "omega"), (2, "phi")):
-            val = getattr(p, field)
-            de = energy_at(node_id, replace(p, **{field: val + step})) - energy_at(
-                node_id, replace(p, **{field: val - step})
-            )
-            entries[3 * k + offset] = de / (2.0 * step)
-
-    return GradientVector(
-        entries=entries, labels=parameter_labels(g), node_ids=tuple(node_ids)
-    )
+    entries = np.empty(theta.size, dtype=np.float64)
+    for k, value in enumerate(theta):
+        lo, hi = value - step, value + step
+        if mode == "raw" and k % 3 == 0:
+            lo, hi = max(0.0, lo), min(1.0, hi)
+        entries[k] = (energy_at(k, hi) - energy_at(k, lo)) / (hi - lo)
+    return GradientVector(entries=entries, node_ids=topo.node_ids)

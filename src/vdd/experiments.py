@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ansatz import _uniform_params, build_ansatz
-from .exact import PARAM_MODES, GradientVector, _LevelTables, _materialize, energy_and_grad
+from .exact import PARAM_MODES, _label_index, _LevelTables, _materialize, energy_and_grad
 from .exact import exact_energy
 from .graph import VddGraph
 from .hamiltonian import MODELS, ModelSpec, build_model, ground_energy
@@ -165,13 +165,10 @@ def variance_scan(cfg: VarianceScanConfig) -> VarianceScanResult:
     for n in cfg.n_values:
         topo = _LevelTables(build_ansatz(cfg.ansatz, n))
         h = build_model(cfg.model_spec(n))
-        probe = GradientVector(
-            entries=np.zeros(3 * len(topo.node_ids)), labels=(), node_ids=topo.node_ids
-        )
         live: dict[str, int] = {}  # tracked label -> flat gradient index
         for label in cfg.tracked_params:
             try:
-                live[label] = probe.index_of(label)
+                live[label] = _label_index(topo.node_ids, label)
             except KeyError:
                 note = f"label {label!r} absent at n={n}; row skipped"
                 notices.append(note)

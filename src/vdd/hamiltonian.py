@@ -11,13 +11,14 @@ so a string is a flip mask plus the phase coeff * i^{#Y} * (-1)^{popcount(b & zy
 zy being the mask of its Z and Y qubits.  This module is the only place that
 knows this convention.  A Hamiltonian is compiled once per object, on first
 use: its terms are grouped by flip mask (Heisenberg's XX and YY on a bond
-share one), and for state vectors the flip-0 group becomes one diagonal
+share one), each group naming its flipped and Z/Y qubits as bit-array
+columns, and for state vectors the flip-0 group becomes one diagonal
 while every other group becomes an axis flip of the reshaped vector times a
 small coefficient table.  H|v> then costs O(#flip masks * 2^n) without
 index arrays or the matrix.  Matrix elements are read in one place
-(`_bit_elements`), from bit-array rows: the groups are also kept as
-bit-array columns, so sampled bit strings of any n, the diagonal, the
-coefficient tables and the dense matrix share one parity kernel.
+(`_bit_elements`), from bit-array rows, so sampled bit strings of any n,
+the diagonal, the coefficient tables and the dense matrix share one
+parity kernel.
 
 Qubit 1 is the most significant bit of the state-vector index throughout.
 """
@@ -82,10 +83,6 @@ class PauliHamiltonian:
                 )
 
     # compiled forms, built on first use and kept on the (frozen) instance
-
-    @functools.cached_property
-    def _groups(self):
-        return _flip_groups(self)
 
     @functools.cached_property
     def _action(self):
@@ -180,48 +177,21 @@ def apply_string(s: PauliString, b) -> tuple[tuple[int, ...], complex]:
     return tuple(out), phase
 
 
-def _flip_groups(h: PauliHamiltonian) -> tuple[tuple[int, tuple[tuple[complex, int], ...]], ...]:
+def _column_groups(h: PauliHamiltonian):
     """Terms grouped by flip mask, in order of first appearance.
 
-    Each group is (flip, ((coeff * i^{#Y}, zy mask), ...)) over index bits
-    (qubit 1 = MSB); a term sends |b> to
-    coeff * i^{#Y} * (-1)^{popcount(b & zy)} |b ^ flip>.
+    Each group is (flipped qubits, ((coeff * i^{#Y}, zy qubits), ...)), the
+    qubits as ascending 0-based positions in a bit string (qubit 1 =
+    column 0), zy being a term's Z and Y qubits; a term sends |b> to
+    coeff * i^{#Y} * (-1)^{sum of b over zy} |b ^ flip>.  No bit string is
+    packed into an integer, so any n works.
     """
-    n = h.num_qubits
-    groups: dict[int, list[tuple[complex, int]]] = {}
+    groups: dict[tuple[int, ...], list] = {}
     for t in h.terms:
-        flip = 0
-        zy = 0
-        ny = 0
-        for q, op in enumerate(t.ops, start=1):
-            bitpos = n - q
-            if op in ("X", "Y"):
-                flip |= 1 << bitpos
-            if op in ("Z", "Y"):
-                zy |= 1 << bitpos
-            if op == "Y":
-                ny += 1
-        groups.setdefault(flip, []).append((t.coeff * 1j ** (ny % 4), zy))
-    return tuple((flip, tuple(terms)) for flip, terms in groups.items())
-
-
-def _columns(mask: int, n: int) -> np.ndarray:
-    """Bit-array columns (qubit 1 = column 0) of the qubits set in an index mask."""
-    return np.array([q for q in range(n) if mask >> (n - 1 - q) & 1], dtype=np.intp)
-
-
-def _column_groups(h: PauliHamiltonian):
-    """The flip groups over bit arrays instead of integer indices.
-
-    Each group is (flipped qubits, ((coeff * i^{#Y}, zy qubits), ...)), as
-    ascending 0-based positions in a bit string, so no bit string is packed
-    into an integer and any n works.
-    """
-    n = h.num_qubits
-    return tuple(
-        (_columns(flip, n), tuple((weight, _columns(zy, n)) for weight, zy in terms))
-        for flip, terms in h._groups
-    )
+        flip = tuple(q for q, op in enumerate(t.ops) if op in "XY")
+        zy = np.array([q for q, op in enumerate(t.ops) if op in "ZY"], dtype=np.intp)
+        groups.setdefault(flip, []).append((t.coeff * 1j ** (t.ops.count("Y") % 4), zy))
+    return tuple((np.array(flip, dtype=np.intp), tuple(terms)) for flip, terms in groups.items())
 
 
 def _index_bits(num_bits: int) -> np.ndarray:
@@ -348,8 +318,9 @@ def dense_matrix(h: PauliHamiltonian) -> np.ndarray:
     idx = np.arange(dim, dtype=np.int64)
     bits = _index_bits(n)
     m = np.zeros((dim, dim), dtype=np.complex128)
-    for (flip, _), (_, terms) in zip(h._groups, h._bit_groups):
-        m[idx ^ flip, idx] = _bit_elements(terms, bits)
+    for flip, terms in h._bit_groups:
+        mask = sum(1 << (n - 1 - int(q)) for q in flip)  # qubit 1 = MSB of the index
+        m[idx ^ mask, idx] = _bit_elements(terms, bits)
     return m
 
 

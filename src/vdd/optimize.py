@@ -19,7 +19,8 @@ unfolded, so Adam's moments always live in the chart it steps in; the
 graph is materialized once, at the end, with r = |cos u| and a pi phase
 shift on whichever edge's factor is negative.  In "raw" mode r is updated
 directly and projected into [delta, 1-delta] after each step to keep
-later gradients finite.
+later gradients finite, delta being the exact engine's clamp of d/dr, so
+the projected r is where the clamped and the true derivative agree.
 
 Dataset losses depend on parameters only through the path probabilities
 |edge|^2, so their gradients are products of those factors (no divisions)
@@ -36,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ansatz import ANSATZ_KINDS, InitScheme, build_ansatz, init_params
-from .exact import PARAM_MODES, GradientVector, _chart, _check_mode, _flatten, _LevelTables
-from .exact import _materialize, energy_and_grad, parameter_labels
+from .exact import _CLAMP, PARAM_MODES, GradientVector, _chart, _check_mode, _flatten
+from .exact import _LevelTables, _materialize, energy_and_grad, parameter_labels
 from .graph import VddGraph
 from .hamiltonian import ModelSpec, build_model, ground_energy
 from .state import CapacityError
@@ -62,7 +63,6 @@ __all__ = [
 LOSSES = ("energy_gap", "energy", "bce", "kl")
 GRADIENT_SOURCES = ("exact", "vmc")
 
-_DELTA = 1e-9  # raw-mode projection margin for r
 _EPS_PROB = 1e-12  # probability clamp in the dataset losses
 
 
@@ -247,9 +247,7 @@ def _graph_dataset_loss(g: VddGraph, data: LabeledDataset, mode: str, want_label
         )
     topo = _LevelTables(g)
     loss, grad = _dataset_loss(topo, _flatten(g, mode), mode, *_dataset_arrays(data, want_labels))
-    return loss, GradientVector(
-        entries=grad.ravel(), labels=parameter_labels(g), node_ids=topo.node_ids
-    )
+    return loss, GradientVector(entries=grad.ravel(), node_ids=topo.node_ids)
 
 
 def bce_loss(g: VddGraph, data: LabeledDataset, mode: str = "raw"):
@@ -389,7 +387,7 @@ def train(config: TrainConfig) -> TrainTrace:
     given) and compiles the diagram once; then per epoch: evaluate loss +
     gradient at θ, step θ.  The trained graph is materialized at the end.
     """
-    from .vmc import _batch_gradient, _batch_local_values, _energy_stats, _sample
+    from .vmc import _batch_gradient, _draw
 
     n = config.num_qubits
     scheme = config.init if config.init is not None else InitScheme("uniform", seed=config.seed)
@@ -421,11 +419,9 @@ def train(config: TrainConfig) -> TrainTrace:
             if config.gradient_source == "exact":
                 energy, grad = energy_and_grad(topo, h, node_params, mode)
             else:
-                edges = _chart(node_params, mode)
-                samples, rows = _sample(topo, edges[0], config.batch_size, sample_rng)
-                local = _batch_local_values(topo, h, samples, rows, edges)
-                energy, stderr = _energy_stats(local)
-                grad = _batch_gradient(samples, rows, edges, local)
+                batch = _draw(topo, h, node_params, mode, config.batch_size, sample_rng)
+                energy, stderr = batch.energy_mean, batch.energy_stderr
+                grad = _batch_gradient(batch)
             loss_val = energy - e0 if config.loss == "energy_gap" else energy
             rel = abs((energy - e0) / e0) if e0 not in (None, 0.0) else None
         else:
@@ -451,7 +447,7 @@ def train(config: TrainConfig) -> TrainTrace:
         else:
             theta = sgd_step(theta, grad, opt.lr)
         if mode == "raw":
-            theta[0::3] = np.clip(theta[0::3], _DELTA, 1.0 - _DELTA)
+            theta[0::3] = np.clip(theta[0::3], _CLAMP, 1.0 - _CLAMP)
         record.wall_ms = 1e3 * (time.perf_counter() - start)
 
     return TrainTrace(records=records, graph=_materialize(g, theta, mode))

@@ -35,11 +35,13 @@ jackknife (`vmc_gradient_stderr`) a quadratic form in a few more such
 scatters.  Neither forms O: a `VmcBatch` keeps the node rows the samples
 visited and the chart's edge factors.
 
-The batch kernels run on the compiled topology and the edge factors of a
-parameter array θ (see vdd.exact), so training draws batches without
-rebuilding a graph; `sample` and `sample_batch` take a `VddGraph` and
-compile it per call.  The per-bit-string operations walk the graph itself
-and are the reference implementations the kernels are tested against.
+A batch is drawn by one private kernel (`_draw`) on the compiled topology
+and a parameter array θ (see vdd.exact): the chart's edge factors, the
+Born draws, the local values and their energy statistics, returned as a
+`VmcBatch`.  Training calls it every epoch without rebuilding a graph;
+`sample` and `sample_batch` take a `VddGraph` and compile it per call.
+The per-bit-string operations walk the graph itself and are the reference
+implementations the kernels are tested against.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import GradientVector, _chart, _check_graph_and_operator, _check_mode, _flatten
-from .exact import _LevelTables, parameter_labels
+from .exact import _LevelTables
 from .graph import VddGraph, amplitude
 from .hamiltonian import PauliHamiltonian, _bit_elements
 
@@ -73,10 +75,11 @@ class VmcBatch:
 
     samples is a (batch, n) 0/1 array (row = bit string, qubit 1 first) and
     rows the (batch, n) node rows its paths visit, level 1 first, in the
-    row order of GradientVector; edges is the chart's (left, right, dleft,
-    dright) per node row, in mode ("raw" or "trig").  The gradient and its
-    jackknife are scatters of the local values onto the taken edges, so no
-    per-sample log-derivative is stored.
+    row order of GradientVector; both are views of level-major arrays.
+    edges is the chart's (left, right, dleft, dright) per node row, in mode
+    ("raw" or "trig"), and node_ids the ids of those rows, which label the
+    gradient.  The gradient and its jackknife are scatters of the local
+    values onto the taken edges, so no per-sample log-derivative is stored.
     """
 
     samples: np.ndarray
@@ -85,7 +88,6 @@ class VmcBatch:
     edges: tuple[np.ndarray, ...]
     energy_mean: float
     energy_stderr: float
-    labels: tuple[str, ...]
     node_ids: tuple[int, ...]
     mode: str
 
@@ -116,22 +118,22 @@ def _sample(
     """Level-major Born draws: one uniform per (sample, level), level by level.
 
     Returns the (count, n) bits and the (count, n) node rows their paths
-    visit, level 1 first; the batch kernels read the paths from the rows.
+    visit, level 1 first, as transposed views of the (n, count) arrays the
+    levels are written into; the batch kernels read the paths from the rows.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     n = topo.num_qubits
     p_zero = np.abs(left) ** 2
-    bits = np.empty((count, n), dtype=np.uint8)
-    rows = np.empty((count, n), dtype=np.int64)
+    bits = np.empty((n, count), dtype=np.uint8)
+    rows = np.empty((n, count), dtype=np.int64)
     pos = np.full(count, topo.root, dtype=np.int64)
     for level in range(n):
-        rows[:, level] = pos
-        b = (rng.random(count) >= p_zero[pos]).astype(np.uint8)
-        bits[:, level] = b
+        rows[level] = pos
+        b = np.greater_equal(rng.random(count), p_zero[pos], out=bits[level])
         if level < n - 1:
-            pos = np.where(b == 0, topo.child0[pos], topo.child1[pos])
-    return bits, rows
+            pos = np.where(b, topo.child1[pos], topo.child0[pos])
+    return bits.T, rows.T
 
 
 def sample(g: VddGraph, count: int, seed: int = 0, rng=None) -> np.ndarray:
@@ -159,8 +161,9 @@ def _batch_local_values(
     """
     left, right = edges[:2]
     count, n = bits.shape
-    # level-major copies, and flat tables indexed by edge = 2 * node row + bit
-    bits_t, rows_t = bits.T.copy(), rows.T.copy()
+    # level-major views (the sampler's own layout), and flat tables indexed
+    # by edge = 2 * node row + bit
+    bits_t, rows_t = bits.T, rows.T
     factor = np.stack((left, right), axis=1).ravel()
     child = np.stack((topo.child0, topo.child1), axis=1).ravel()
     path = factor[2 * rows_t + bits_t]  # (n, count) edge factors of b
@@ -245,15 +248,15 @@ def log_derivatives(g: VddGraph, b, mode: str = "raw") -> np.ndarray:
     return out
 
 
-def _taken_edges(bits: np.ndarray, rows: np.ndarray, edges):
+def _taken_edges(batch: VmcBatch):
     """(edge, counts, mag): every (sample, level)'s edge 2 * node row + bit,
     sample-major; how many samples take each edge; and Re(d edge / edge)
     on the taken edges, 0 on the others (an untaken zero-amplitude edge at
     r = 1 has an infinite mag and a zero sum, and inf * 0 is NaN).
     """
-    left, right, dleft, dright = edges
+    left, right, dleft, dright = batch.edges
     size = 2 * left.shape[0]
-    edge = (2 * rows + bits).ravel()
+    edge = (2 * batch.rows + batch.samples).ravel()
     counts = np.bincount(edge, minlength=size)
     taken = counts > 0
     mag = np.zeros(size)
@@ -264,15 +267,16 @@ def _taken_edges(bits: np.ndarray, rows: np.ndarray, edges):
     return edge, counts, mag
 
 
-def _batch_gradient(bits: np.ndarray, rows: np.ndarray, edges, local: np.ndarray) -> np.ndarray:
+def _batch_gradient(batch: VmcBatch) -> np.ndarray:
     """2 Re mean(conj(O_j) (A~ - mean A~)) from the node rows the paths visit.
 
     With c = A~ - mean A~, each entry sums mag * Re c (magnitude slot) or
     Im c (omega or phi slot) over the samples that take its node's edges:
     two scatter-adds of c onto the taken edges.
     """
-    edge, _, mag = _taken_edges(bits, rows, edges)
-    count, n = bits.shape
+    edge, _, mag = _taken_edges(batch)
+    count, n = batch.samples.shape
+    local = batch.local_values
     centered = local - np.mean(local)
     s_re = np.bincount(edge, np.repeat(centered.real, n), mag.size)
     s_im = np.bincount(edge, np.repeat(centered.imag, n), mag.size)
@@ -293,15 +297,20 @@ def sample_batch(
     """Draw a batch and evaluate its local values and energy statistics."""
     _check_mode(mode)
     _check_graph_and_operator(g, h)
-    topo = _LevelTables(g)
     rng = np.random.default_rng(seed) if rng is None else rng
-    edges = _chart(_flatten(g, mode), mode)
+    return _draw(_LevelTables(g), h, _flatten(g, mode), mode, count, rng)
+
+
+def _draw(topo: _LevelTables, h: PauliHamiltonian, theta: np.ndarray, mode: str, count: int,
+          rng) -> VmcBatch:
+    """A batch of `count` Born draws at θ (shape (N, 3), in mode) on a compiled
+    topology, with its local values and energy statistics."""
+    edges = _chart(theta, mode)
     bits, rows = _sample(topo, edges[0], count, rng)
     local = _batch_local_values(topo, h, bits, rows, edges)
     mean, stderr = _energy_stats(local)
     return VmcBatch(samples=bits, rows=rows, local_values=local, edges=edges,
-                    energy_mean=mean, energy_stderr=stderr, labels=parameter_labels(g),
-                    node_ids=topo.node_ids, mode=mode)
+                    energy_mean=mean, energy_stderr=stderr, node_ids=topo.node_ids, mode=mode)
 
 
 def vmc_energy(batch: VmcBatch) -> tuple[float, float]:
@@ -315,8 +324,7 @@ def vmc_gradient(batch: VmcBatch) -> GradientVector:
     """2 Re mean(conj(O_j) (A~ - batch mean A~)) per parameter."""
     if batch.batch_size < 2:
         raise ValueError(f"gradient needs at least 2 samples, got {batch.batch_size}")
-    entries = _batch_gradient(batch.samples, batch.rows, batch.edges, batch.local_values)
-    return GradientVector(entries=entries, labels=batch.labels, node_ids=batch.node_ids)
+    return GradientVector(entries=_batch_gradient(batch), node_ids=batch.node_ids)
 
 
 def vmc_gradient_stderr(batch: VmcBatch) -> np.ndarray:
@@ -338,7 +346,7 @@ def vmc_gradient_stderr(batch: VmcBatch) -> np.ndarray:
     count, n = batch.samples.shape
     if count < 2:
         raise ValueError(f"jackknife needs at least 2 samples, got {count}")
-    edge, counts, mag = _taken_edges(batch.samples, batch.rows, batch.edges)
+    edge, counts, mag = _taken_edges(batch)
     c = batch.local_values - np.mean(batch.local_values)
     x, y = c.real, c.imag
     dx, dy = np.repeat(x, n), np.repeat(y, n)

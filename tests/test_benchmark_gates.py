@@ -1,10 +1,11 @@
 """The benchmark's correctness gates pass on the current program.
 
 `perfbench/run.py` checks the exact gradient against finite differences,
-and every operation it times: for train-vmc the variational bound,
-progress toward the optimum and a fresh-sample z-check of the trained
-graph; for scan-exact finite positive variances, plus a match with the
-stored reference scan.  A smoke run in a copy of the checkout keeps those gates
+and every operation it times: for train-exact the variational bound and
+half-way progress toward the optimum, plus the share of operations that
+converge; for train-vmc the variational bound, progress toward the
+optimum and a fresh-sample z-check of the trained graph; for scan-exact
+finite positive variances, plus a match with the stored reference scan.  A smoke run in a copy of the checkout keeps those gates
 in the default test run, so a program change that breaks them fails here
 and not first in a full benchmark run.
 """
@@ -20,7 +21,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["train-vmc", "scan-exact"])
+@pytest.mark.parametrize("workload", ["train-exact", "train-vmc", "scan-exact"])
 def test_smoke_run_passes_its_checks(tmp_path, workload):
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     ignore = shutil.ignore_patterns("out", "__pycache__")

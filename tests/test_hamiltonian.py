@@ -117,7 +117,7 @@ def _tensor_matrix(h):
 )
 def test_compiled_action_named_cases(spec, masks):
     h = build_model(spec)
-    assert len(h._groups) == masks
+    assert len(h._bit_groups) == masks
     rng = np.random.default_rng(11)
     v = rng.normal(size=2**spec.n) + 1j * rng.normal(size=2**spec.n)
     ref = _tensor_matrix(h)
@@ -142,7 +142,7 @@ def test_hamiltonian_compiles_once(monkeypatch):
     from vdd.exact import _LevelTables, _chart, _flatten
     from vdd.vmc import _batch_local_values, _sample
 
-    calls = {"_flip_groups": 0, "_vector_action": 0, "_column_groups": 0}
+    calls = {"_vector_action": 0, "_column_groups": 0}
     for name in calls:
         def counted(h, _name=name, _original=getattr(ham, name)):
             calls[_name] += 1
@@ -159,7 +159,7 @@ def test_hamiltonian_compiles_once(monkeypatch):
     bits, rows = _sample(topo, edges[0], 2, np.random.default_rng(0))
     _batch_local_values(topo, h, bits, rows, edges)
     _batch_local_values(topo, h, bits, rows, edges)
-    assert calls == {"_flip_groups": 1, "_vector_action": 1, "_column_groups": 1}
+    assert calls == {"_vector_action": 1, "_column_groups": 1}
 
 
 def test_dense_matrix_is_hermitian():
