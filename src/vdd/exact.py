@@ -1,4 +1,4 @@
-"""Exact engine: dense state vectors, energies, and analytic gradients.
+"""Exact engine: state vectors, energies, and analytic gradients.
 
 A graph is compiled once into a topology (`_LevelTables`); its parameters
 travel separately as θ of shape (N, 3), one row per node in ascending id
@@ -7,14 +7,29 @@ order.  `VddGraph` is the input/output form; the hot path takes θ.
 The state vector is filled by level-wise forward propagation: every
 bit-string prefix of length l-1 sits at exactly one level-l node, so the
 2^n amplitudes are built in n vectorized sweeps (O(n 2^n) total) instead
-of 2^n independent path walks.
+of 2^n independent path walks.  State vectors stop at n = STATEVECTOR_CAP.
 
 Gradients use d<H>/dθ_j = 2 Re <∂_j ψ|H|ψ>, valid because the diagram is
 normalized for every parameter value.  ∂_j ψ is ψ with node j's edge
-factor on the path replaced by its θ_j-derivative, so one forward pass
-(prefix amplitudes), one H|ψ> and one backward pass (suffix sums against
-H|ψ>) yield the energy and every parameter's gradient together
-(`energy_and_grad`).
+factor on the path replaced by its θ_j-derivative.  `energy_and_grad`
+gets the energy and every parameter's gradient together from one of two
+engines, which agree to rounding:
+
+* dense (`_dense`) — one forward pass (prefix amplitudes), one H|ψ> and
+  one backward pass (suffix sums against H|ψ>): O(n 2^n), capped at
+  n = STATEVECTOR_CAP.
+* contraction (`_contracted`) — the diagram is a matrix product state
+  whose level tensors hold one edge factor per row, and H a matrix
+  product operator of bond dimension D, so <ψ|H|ψ> and its derivatives are
+  left and right environment sweeps over the levels (Schollwöck, Ann.
+  Phys. 326, 96, 2011): O(n (W^2 D)^2) for a diagram at most W nodes
+  wide, with no 2^n vector, so narrow diagrams have no cap.
+
+The cost rule (`_contracts`) picks contraction when (W^2 D)^2 < 2^n: the
+accordion (W = 2) from n = 9 on for the open Heisenberg chain (D = 5), the
+product layout (W = 1) from n = 5, the universal layout (W = 2^(n-1))
+never.  `exact_energy` follows the same rule; `to_state_vector` and
+`finite_difference`, the oracle for both engines, stay dense.
 
 Two parameter modes (charts for θ's magnitude slot, see `_chart`):
 
@@ -145,6 +160,13 @@ class _LevelTables:
     of θ and of GradientVector.  child0/child1 hold each node's child rows
     (-1 past the last level); root is the row of the level-1 node.  Built
     once per graph shape and reused for every θ.
+
+    For the contraction engine, width is the most nodes on one level and
+    edges (2, N) the flat index of each node's 0- and 1-edge in an
+    (n, 2, width, width) array of level tensors: A[l, b, i, j] is the
+    b-edge factor from the i-th node of level l + 1 to the j-th node of the
+    next level (to index 0 past the last level), nodes of a level counted
+    in row order.
     """
 
     def __init__(self, g: VddGraph):
@@ -158,6 +180,18 @@ class _LevelTables:
         self.child0 = np.array([row.get(g.nodes[i].child0, -1) for i in self.node_ids])
         self.child1 = np.array([row.get(g.nodes[i].child1, -1) for i in self.node_ids])
         self.root = row[g.root_child]
+
+        level = np.array([g.nodes[i].level - 1 for i in self.node_ids])
+        slot = np.empty(len(level), dtype=np.int64)  # index of each row within its level
+        counts = np.zeros(self.num_qubits, dtype=np.int64)
+        for k, l in enumerate(level):
+            slot[k] = counts[l]
+            counts[l] += 1
+        self.width = int(counts.max())
+        w = self.width
+        child_slot = np.stack((self.child0, self.child1))
+        child_slot = np.where(child_slot < 0, 0, slot[child_slot])
+        self.edges = ((2 * level + np.arange(2)[:, None]) * w + slot) * w + child_slot
 
 
 def _chart(theta: np.ndarray, mode: str):
@@ -221,9 +255,12 @@ def _forward(topo: _LevelTables, left: np.ndarray, right: np.ndarray):
 
     P[l][p] is the row of the level-(l+1) node reached by the length-l
     prefix p; F[l][p] is the product of the first l edge factors times the
-    global phase, so F[n] is the state vector.
+    global phase, so F[n] is the state vector.  Every 2^n array of this
+    module starts here, so this is where n > STATEVECTOR_CAP is refused.
     """
     n = topo.num_qubits
+    if n > STATEVECTOR_CAP:
+        raise CapacityError(f"state vectors are capped at n = {STATEVECTOR_CAP}, got n = {n}")
     amps = [np.array([np.exp(1j * topo.global_phase)], dtype=np.complex128)]
     rows = [np.array([topo.root], dtype=np.int64)]
     for level in range(1, n + 1):
@@ -254,10 +291,6 @@ def _check_mode(mode: str) -> None:
 
 def _amplitudes(topo: _LevelTables, theta: np.ndarray, mode: str) -> np.ndarray:
     """The 2^n amplitudes at θ, from the forward sweep alone."""
-    if topo.num_qubits > STATEVECTOR_CAP:
-        raise CapacityError(
-            f"state vectors are capped at n = {STATEVECTOR_CAP}, got n = {topo.num_qubits}"
-        )
     left, right, _, _ = _chart(theta, mode)
     return _forward(topo, left, right)[0][-1]
 
@@ -269,45 +302,48 @@ def to_state_vector(g: VddGraph) -> StateVector:
 
 
 def exact_energy(g: VddGraph, h) -> float:
-    """<psi|H|psi> from the dense state vector."""
+    """<psi|H|psi>, by the engine `energy_and_grad` would use for this graph,
+    without the gradient: past n = 20 for narrow diagrams."""
     from .hamiltonian import expectation
 
     _check_graph_and_operator(g, h)
-    return expectation(h, to_state_vector(g))
+    topo = _LevelTables(g)
+    left, right, _, _ = _chart(_flatten(g, "raw"), "raw")
+    if _contracts(topo, h):
+        return _contracted(topo, h, left, right, gradient=False)[0]
+    return expectation(h, _forward(topo, left, right)[0][-1])
 
 
 # ---------------------------------------------------------------------------
-# fused energy and analytic gradient
+# fused energy and analytic gradient: two engines
 
 
-def energy_and_grad(topo: _LevelTables, h, theta: np.ndarray, mode: str):
-    """(<H>, d<H>/dθ of shape (N, 3)) from one forward sweep, one H|psi> and
-    one backward sweep.
+def _contracts(topo: _LevelTables, h) -> bool:
+    """Whether contraction over levels is the cheaper engine.
 
+    Per level it multiplies (W^2 D)^2 transfer matrices (W the width, D the
+    operator's bond dimension); the dense engine handles 2^n amplitudes.
+    """
+    size = topo.width**2 * h._mpo.shape[1]
+    return size * size < 2**topo.num_qubits
+
+
+def _dense(topo: _LevelTables, h, left: np.ndarray, right: np.ndarray):
+    """(<H>, g0, g1) from one forward sweep, one H|psi> and one backward sweep.
+
+    g0[j], g1[j] are d<psi|H|psi>/d conj(edge) for node j's 0- and 1-edge.
     Forward gives the prefix amplitude F[p] in front of each node; backward
-    propagates suffix sums B against H|psi>, so that the derivative of
-    <psi|H|psi> w.r.t. node j's edge factors is read off from
-    sum_{p at j} conj(F[p]) * B[child prefixes].  Entries are
-    2 Re <∂_j psi|H|psi>.
+    propagates suffix sums B against H|psi>, so that g_b[j] is
+    sum_{p at j} conj(F[p]) * B[p's b-child prefix].
     """
     from .hamiltonian import _energy_of, apply_to_vector
 
-    if mode == "raw":
-        singular = np.flatnonzero((theta[:, 0] == 0.0) | (theta[:, 0] == 1.0))
-        if singular.size:
-            warnings.warn(
-                "raw-mode magnitude gradient is singular at r in {0, 1} for: "
-                + ", ".join(f"r{topo.node_ids[k]}" for k in singular),
-                SingularGradientWarning,
-                stacklevel=3,
-            )
-    left, right, dleft, dright = _chart(theta, mode)
     amps, prefix_rows = _forward(topo, left, right)
     hv = apply_to_vector(h, amps[-1])
     energy = _energy_of(amps[-1], hv)
 
-    g0 = np.zeros(theta.shape[0], dtype=np.complex128)  # conj(F) * B at the 0-child
-    g1 = np.zeros(theta.shape[0], dtype=np.complex128)
+    g0 = np.zeros(left.shape[0], dtype=np.complex128)
+    g1 = np.zeros(left.shape[0], dtype=np.complex128)
     back = hv
     for level in range(topo.num_qubits, 0, -1):
         rows = prefix_rows[level - 1]
@@ -318,6 +354,80 @@ def energy_and_grad(topo: _LevelTables, h, theta: np.ndarray, mode: str):
         np.add.at(g1, rows, prefix * b1)
         if level > 1:
             back = np.conj(left[rows]) * b0 + np.conj(right[rows]) * b1
+    return energy, g0, g1
+
+
+def _contracted(topo: _LevelTables, h, left: np.ndarray, right: np.ndarray,
+                gradient: bool = True):
+    """(<H>, g0, g1) as _dense, by contraction over the levels: no 2^n vector.
+
+    The diagram is a matrix product state whose level tensor A[l, s] (W x W,
+    see _LevelTables) holds the s-edge factors, and H is the operator
+    chain W[l] of `hamiltonian._build_mpo`.  Per level,
+
+        K[l, s, (a, j), (a', j')] = sum_s' W[l, a, a', s, s'] A[l, s', j, j']
+        T[l, (i, a, j), (i', a', j')] = sum_s conj(A[l, s, i, i']) K[l, s, (a, j), (a', j')]
+
+    are computed for all levels in one batched matmul each.  A left sweep
+    L[l+1] = L[l] T[l] from (0, 0, 0) ends with <psi|psi> in channel 0 and
+    <psi|H|psi> in channel D-1; a right sweep R[l] = T[l] R[l+1] from
+    (0, D-1, 0) closes the chain, and d<H>/d conj(A[l, s]) = L[l] K[l, s]
+    R[l+1] for every edge at once.  The global phase cancels.  Cost
+    O(n (W^2 D)^2), the engine of narrow diagrams (`_contracts`).
+    """
+    from .hamiltonian import _checked_energy
+
+    n, w = topo.num_qubits, topo.width
+    mpo = h._mpo
+    d = mpo.shape[1]
+    a = np.zeros((n, 2, w, w), dtype=np.complex128)
+    a.reshape(-1)[topo.edges] = (left, right)
+    ket = np.matmul(mpo.reshape(n, 2 * d * d, 2), a.reshape(n, 2, w * w))
+    ket = ket.reshape(n, d, d, 2, w, w).transpose(0, 3, 1, 4, 2, 5)  # (l, s, a, j, a', j')
+    ket = ket.reshape(n, 2, d * w * d * w)
+    bra = np.conj(a).transpose(0, 2, 3, 1).reshape(n, w * w, 2)  # (l, (i, i'), s)
+    transfer = np.matmul(bra, ket).reshape(n, w, w, d * w, d * w)
+    transfer = transfer.transpose(0, 1, 3, 2, 4).reshape(n, w * d * w, w * d * w)
+
+    size = w * d * w
+    env_left = np.zeros((n + 1, size), dtype=np.complex128)
+    env_left[0, 0] = 1.0
+    for l in range(n):
+        np.matmul(env_left[l], transfer[l], out=env_left[l + 1])
+    energy = _checked_energy(env_left[n, 0], env_left[n, (d - 1) * w])
+    if not gradient:
+        return energy, None, None
+
+    env_right = np.zeros((n + 1, size), dtype=np.complex128)
+    env_right[n, (d - 1) * w] = 1.0
+    for l in range(n - 1, -1, -1):
+        np.matmul(transfer[l], env_right[l + 1], out=env_right[l])
+    grad = np.matmul(env_left[:n].reshape(n, 1, w, d * w), ket.reshape(n, 2, d * w, d * w))
+    grad = np.matmul(grad, env_right[1:].reshape(n, 1, w, d * w).transpose(0, 1, 3, 2))
+    g0, g1 = grad.reshape(-1)[topo.edges]
+    return energy, g0, g1
+
+
+def energy_and_grad(topo: _LevelTables, h, theta: np.ndarray, mode: str):
+    """(<H>, d<H>/dθ of shape (N, 3)) at θ.
+
+    The engine is `_contracted` when the cost estimate `_contracts` favours
+    it and `_dense` otherwise; both give the derivatives g0, g1 of
+    <psi|H|psi> with respect to the conjugated edge factors, and the entries
+    are 2 Re <∂_j psi|H|psi> by the chain rule through `_chart`.
+    """
+    if mode == "raw":
+        singular = np.flatnonzero((theta[:, 0] == 0.0) | (theta[:, 0] == 1.0))
+        if singular.size:
+            warnings.warn(
+                "raw-mode magnitude gradient is singular at r in {0, 1} for: "
+                + ", ".join(f"r{topo.node_ids[k]}" for k in singular),
+                SingularGradientWarning,
+                stacklevel=3,
+            )
+    left, right, dleft, dright = _chart(theta, mode)
+    engine = _contracted if _contracts(topo, h) else _dense
+    energy, g0, g1 = engine(topo, h, left, right)
 
     grad = np.empty(theta.shape, dtype=np.float64)
     grad[:, 0] = 2.0 * (np.conj(dleft) * g0 + np.conj(dright) * g1).real

@@ -2,7 +2,8 @@
 
 Losses:
 
-* "energy_gap" — <H> - E0 (E0 from the dense eigensolver or user-supplied);
+* "energy_gap" — <H> - E0 (E0 user-supplied, or from the eigensolver up to
+                 its cap and, for the open TFIM chain, from free fermions past it);
                  same gradient as "energy", but the trace shows the gap.
 * "energy"     — plain <H>.
 * "bce"        — binary cross-entropy of Born probabilities against 0/1
@@ -40,7 +41,7 @@ from .ansatz import ANSATZ_KINDS, InitScheme, build_ansatz, init_params
 from .exact import _CLAMP, PARAM_MODES, GradientVector, _chart, _check_mode, _flatten
 from .exact import _LevelTables, _materialize, energy_and_grad, parameter_labels
 from .graph import VddGraph
-from .hamiltonian import ModelSpec, build_model, ground_energy
+from .hamiltonian import ModelSpec, build_model, ground_energy, tfim_ground_energy
 from .state import CapacityError
 
 __all__ = [
@@ -374,6 +375,9 @@ def _resolve_e0(config: TrainConfig, h) -> float | None:
     try:
         e0, _ = ground_energy(h)
     except CapacityError as exc:
+        spec = config.model
+        if spec.model == "tfim" and spec.boundary == "open":
+            return tfim_ground_energy(spec)
         raise ConfigError(
             f"energy_gap at n = {h.num_qubits} needs a user-supplied e0: {exc}"
         ) from None

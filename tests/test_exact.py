@@ -11,13 +11,15 @@ from vdd.ansatz import InitScheme, build_accordion, build_ansatz, build_product,
 from vdd.exact import (
     GradientVector,
     SingularGradientWarning,
+    _contracts,
+    _LevelTables,
     exact_energy,
     exact_gradient,
     finite_difference,
     parameter_labels,
     to_state_vector,
 )
-from vdd.graph import ParamTriple, amplitude
+from vdd.graph import TERMINAL, Node, ParamTriple, VddGraph, amplitude
 from vdd.hamiltonian import ModelSpec, build_model, dense_matrix, expectation, ground_energy
 from vdd.state import CapacityError
 
@@ -45,6 +47,51 @@ def test_state_vector_matches_amplitude_and_is_normalized():
 def test_state_vector_capacity_cap():
     with pytest.raises(CapacityError):
         to_state_vector(build_product(21))
+
+
+def wide_graph(n: int, width: int) -> VddGraph:
+    """Level l holds min(2^(l-1), width) nodes; node k's children are nodes
+    2k and 2k + 1 of the next level, modulo its width, so all are reached."""
+    widths = [min(2**level, width) for level in range(n)]
+    first = np.cumsum([1] + widths)  # id of each level's first node
+    nodes = {}
+    for level in range(n):
+        for k in range(widths[level]):
+            nid = int(first[level]) + k
+            if level == n - 1:
+                c0 = c1 = TERMINAL
+            else:
+                c0, c1 = (int(first[level + 1]) + (2 * k + b) % widths[level + 1] for b in (0, 1))
+            nodes[nid] = Node(nid, level + 1, ParamTriple(0.6, 0.1 * k, 0.2), c0, c1)
+    return VddGraph(num_qubits=n, global_phase=0.0, root_child=1, nodes=nodes)
+
+
+def test_dense_engine_respects_the_state_vector_cap():
+    # 32 nodes per level make contraction costlier than 2^21 amplitudes,
+    # so the dense engine is chosen, and it must refuse instead of allocating
+    g = wide_graph(21, 32)
+    h = build_model(ModelSpec("heisenberg", 21))
+    assert not _contracts(_LevelTables(g), h)
+    with pytest.raises(CapacityError):
+        exact_gradient(g, h)
+    with pytest.raises(CapacityError):
+        exact_energy(g, h)
+
+
+def test_cost_rule_contracts_narrow_layouts_only():
+    for spec in (ModelSpec("heisenberg", 12), ModelSpec("tfim", 12, g=1.0, boundary="periodic")):
+        h = build_model(spec)
+        picks = {kind: _contracts(_LevelTables(build_ansatz(kind, 12)), h)
+                 for kind in ("product", "accordion", "universal")}
+        assert picks == {"product": True, "accordion": True, "universal": False}
+
+
+@pytest.mark.parametrize("kind,n", [("accordion", 12), ("accordion", 17), ("product", 15)])
+def test_exact_energy_by_contraction_matches_the_state_vector(kind, n):
+    g = random_graph(kind, n, n)
+    h = build_model(ModelSpec("heisenberg", n, jx=0.8, jy=1.1, jz=0.5, boundary="periodic"))
+    assert _contracts(_LevelTables(g), h)
+    assert exact_energy(g, h) == pytest.approx(expectation(h, to_state_vector(g).amps), abs=1e-12)
 
 
 def test_exact_energy_matches_dense_expectation():

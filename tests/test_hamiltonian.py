@@ -20,6 +20,7 @@ from vdd.hamiltonian import (
     dense_matrix,
     expectation,
     ground_energy,
+    tfim_ground_energy,
 )
 from vdd.state import CapacityError
 
@@ -139,10 +140,10 @@ def test_apply_and_expectation_reject_non_vector_input(shape):
 def test_hamiltonian_compiles_once(monkeypatch):
     import vdd.hamiltonian as ham
     from vdd.ansatz import InitScheme, build_ansatz, init_params
-    from vdd.exact import _LevelTables, _chart, _flatten
+    from vdd.exact import _LevelTables, _chart, _flatten, exact_gradient
     from vdd.vmc import _batch_local_values, _sample
 
-    calls = {"_vector_action": 0, "_column_groups": 0}
+    calls = {"_vector_action": 0, "_column_groups": 0, "_build_mpo": 0}
     for name in calls:
         def counted(h, _name=name, _original=getattr(ham, name)):
             calls[_name] += 1
@@ -159,7 +160,34 @@ def test_hamiltonian_compiles_once(monkeypatch):
     bits, rows = _sample(topo, edges[0], 2, np.random.default_rng(0))
     _batch_local_values(topo, h, bits, rows, edges)
     _batch_local_values(topo, h, bits, rows, edges)
-    assert calls == {"_vector_action": 1, "_column_groups": 1}
+    exact_gradient(g, h)  # the engine's cost rule reads the operator chain
+    exact_gradient(g, h)
+    assert calls == {"_vector_action": 1, "_column_groups": 1, "_build_mpo": 1}
+
+
+@pytest.mark.parametrize("spec,bond_dim", [
+    (ModelSpec("heisenberg", 6), 5),
+    (ModelSpec("heisenberg", 6, boundary="periodic"), 8),
+    (ModelSpec("tfim", 6, g=0.5), 3),
+    (ModelSpec("tfim", 6, g=0.5, boundary="periodic"), 4),
+])
+def test_operator_chain_shares_channels_between_disjoint_terms(spec, bond_dim):
+    # two end channels plus one per term crossing the busiest bond
+    assert build_model(spec)._mpo.shape == (6, bond_dim, bond_dim, 2, 2)
+
+
+@pytest.mark.parametrize("g", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("n", range(4, 13))
+def test_free_fermion_energy_matches_the_eigensolver(n, g):
+    spec = ModelSpec("tfim", n, g=g)
+    assert tfim_ground_energy(spec) == pytest.approx(ground_energy(build_model(spec))[0],
+                                                     rel=0, abs=1e-10)
+
+
+def test_free_fermion_energy_is_for_the_open_tfim_chain_only():
+    for spec in (ModelSpec("tfim", 4, g=1.0, boundary="periodic"), ModelSpec("heisenberg", 4)):
+        with pytest.raises(ValueError):
+            tfim_ground_energy(spec)
 
 
 def test_dense_matrix_is_hermitian():

@@ -9,7 +9,7 @@ import pytest
 from vdd.ansatz import InitScheme, build_ansatz, build_product, build_universal, init_params
 from vdd.exact import exact_energy, exact_gradient, to_state_vector
 from vdd.graph import ParamTriple, amplitude
-from vdd.hamiltonian import ModelSpec, build_model, ground_energy
+from vdd.hamiltonian import ModelSpec, build_model, ground_energy, tfim_ground_energy
 from vdd.optimize import (
     AdamConfig,
     AdamState,
@@ -199,13 +199,31 @@ def test_train_config_validation():
 
 
 def test_train_requires_reachable_oracle_or_e0():
-    spec = ModelSpec("tfim", 13, g=0.0)
+    # the periodic chain has no free-fermion E0 (that is the open chain's)
+    spec = ModelSpec("tfim", 13, g=0.0, boundary="periodic")
     with pytest.raises(ConfigError):
         train(TrainConfig(model=spec, epochs=1))
     # a user-supplied reference energy unlocks the same configuration
     trace = train(TrainConfig(model=spec, epochs=1, e0=-12.0,
                               gradient_source="vmc", batch_size=64))
     assert len(trace.records) == 1
+
+
+def test_exact_training_runs_past_the_state_vector_cap():
+    # the accordion is at most two nodes wide, so n = 64 trains by contraction
+    trace = train(TrainConfig(model=ModelSpec("heisenberg", 64), loss="energy", epochs=5, seed=0))
+    energies = trace.column("energy")
+    assert min(energies) >= -3 * 32 - 1e-9  # one singlet per dimer is the accordion's best
+    assert energies[-1] < energies[0]
+
+
+def test_energy_gap_past_the_eigensolver_cap_uses_free_fermions():
+    spec = ModelSpec("tfim", 64, g=1.0)
+    e0 = tfim_ground_energy(spec)
+    trace = train(TrainConfig(model=spec, epochs=3, seed=0))
+    for rec in trace.records:
+        assert rec.loss == pytest.approx(rec.energy - e0, abs=1e-9) and rec.loss > 0
+        assert rec.relative_error == pytest.approx(abs(rec.loss / e0), rel=1e-12)
 
 
 def test_train_tfim_g0_reaches_ground_state():

@@ -13,13 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vdd.exact as exact
 from vdd.ansatz import ANSATZ_KINDS, InitScheme, build_ansatz, init_params
-from vdd.exact import _LevelTables, _chart, _flatten
+from vdd.exact import _LevelTables, _chart, _contracted, _flatten, energy_and_grad
 from vdd.exact import exact_gradient, finite_difference, to_state_vector
 from vdd.graph import TERMINAL, Node, ParamTriple, VddGraph, amplitude, deserialize, serialize
 from vdd.graph import validate
 from vdd.hamiltonian import ModelSpec, PauliHamiltonian, PauliString, apply_string
-from vdd.hamiltonian import apply_to_vector, build_model
+from vdd.hamiltonian import apply_to_vector, build_model, dense_matrix
 from vdd.state import bits_of_index, index_of_bits
 from vdd.vmc import _sample, local_estimator, sample_batch, vmc_gradient, vmc_gradient_stderr
 from vmc_reference import dense_statistics
@@ -121,6 +122,54 @@ def test_gradient_matches_finite_difference(case, mode):
     got = exact_gradient(g, h, mode=mode).entries
     ref = finite_difference(g, h, step=1e-6, mode=mode).entries
     np.testing.assert_allclose(got, ref, rtol=1e-6, atol=1e-7)
+
+
+def assert_engines_agree(g, h, mode):
+    """energy_and_grad by contraction over levels and by the dense engine, to 1e-12."""
+    topo = _LevelTables(g)
+    theta = _flatten(g, mode)
+    results = []
+    for contract in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_contracts", lambda topo, h, _contract=contract: _contract)
+            results.append(energy_and_grad(topo, h, theta, mode))
+    (energy, grad), (dense_energy, dense_grad) = results
+    assert energy == pytest.approx(dense_energy, rel=0, abs=1e-12)
+    np.testing.assert_allclose(grad, dense_grad, rtol=0, atol=1e-12)
+
+
+@SETTINGS
+@given(dags_with_hamiltonians(max_qubits=6), st.sampled_from(["raw", "trig"]),
+       st.floats(0.1, 6.0), COEFF, COEFF)
+def test_contraction_matches_the_dense_engine(case, mode, phase, identity, y_heavy):
+    g, h = case
+    n = g.num_qubits
+    g = dataclasses.replace(g, global_phase=phase)
+    extra = (PauliString(identity, "I" * n), PauliString(y_heavy, ("YYYI" * n)[:n]))
+    assert_engines_agree(g, PauliHamiltonian(n, h.terms + extra), mode)
+
+
+@pytest.mark.parametrize("spec", [ModelSpec("heisenberg", 2, boundary="periodic"),
+                                  ModelSpec("tfim", 2, g=0.7, boundary="periodic"),
+                                  ModelSpec("heisenberg", 2, jx=0.5, jy=-1.5, jz=0.3)])
+@pytest.mark.parametrize("kind,n", [("product", 2), ("product", 7), ("accordion", 3),
+                                    ("accordion", 10), ("universal", 2), ("universal", 4)])
+def test_contraction_matches_the_dense_engine_on_the_builders(kind, n, spec):
+    # periodic chains carry the wrap bond (n, 1), whose channel spans every level
+    g = init_params(build_ansatz(kind, n), InitScheme("uniform", seed=n))
+    g = dataclasses.replace(g, global_phase=1.3)
+    for mode in ("raw", "trig"):
+        assert_engines_agree(g, build_model(dataclasses.replace(spec, n=n)), mode)
+
+
+@SETTINGS
+@given(hamiltonians(), st.sampled_from(["product", "accordion"]), st.integers(0, 2**16))
+def test_contracted_energy_matches_the_dense_matrix(h, kind, seed):
+    g = init_params(build_ansatz(kind, h.num_qubits), InitScheme("uniform", seed=seed))
+    left, right, _, _ = _chart(_flatten(g, "raw"), "raw")
+    energy, _, _ = _contracted(_LevelTables(g), h, left, right, gradient=False)
+    psi = to_state_vector(g).amps
+    assert energy == pytest.approx(np.vdot(psi, dense_matrix(h) @ psi).real, rel=0, abs=1e-12)
 
 
 @SETTINGS

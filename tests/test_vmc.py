@@ -277,6 +277,17 @@ def test_local_values_past_63_qubits(n):
         )
 
 
+@pytest.mark.parametrize("n", [64, 100])
+def test_sampled_energy_past_63_qubits_matches_the_contracted_energy(n):
+    # no state vector exists at this n; exact_energy contracts over the levels
+    g = random_graph("accordion", n, 3)
+    h = build_model(ModelSpec("heisenberg", n, boundary="periodic"))
+    batch = sample_batch(g, h, 4000, seed=6)
+    mean, stderr = vmc_energy(batch)
+    assert stderr > 0
+    assert abs(mean - exact_energy(g, h)) < 5 * stderr
+
+
 def test_full_basis_weighted_gradient_matches_exact():
     # feed the estimator the entire basis with exact Born weights: the
     # weighted stochastic formula must reproduce the analytic gradient
