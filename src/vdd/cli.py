@@ -6,10 +6,11 @@ train | variance-scan | g-sweep | emit-svg.
 Every option has one source of truth: an explicit flag wins over a value
 in the ``--config`` file (a JSON object of option names), which wins over
 the documented default.  Commands that write files create them under
-``--output-dir`` and echo the fully resolved options to
-``resolved_config.json`` there; on failure, files created by the run are
-removed.  Randomized commands draw a seed when none is given and record
-it in the resolved config.
+``--output-dir`` and echo the fully resolved options, with the Python,
+numpy and scipy versions and the CPU count, to ``resolved_config.json``
+there; on failure, files created by the run are removed.  Randomized
+commands draw a seed when none is given and record it in the resolved
+config.
 
 Exit codes: 0 success; 2 configuration problem (bad flag, unknown config
 key, malformed input document, over-capacity request); 1 runtime failure.
@@ -282,9 +283,20 @@ class _Outputs:
                 pass
 
 
+def _environment() -> dict:
+    """The interpreter, the numeric libraries and the CPU count a run had."""
+    import platform
+
+    import scipy
+
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "cpu_count": os.cpu_count()}
+
+
 def _write_resolved(outputs: _Outputs, command: str, cfg: dict) -> None:
     doc = {"command": command}
     doc.update({k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(cfg.items())})
+    doc["environment"] = _environment()
     with open(outputs.path("resolved_config.json"), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=False)
         fh.write("\n")

@@ -25,11 +25,13 @@ engines, which agree to rounding:
   Phys. 326, 96, 2011): O(n (W^2 D)^2) for a diagram at most W nodes
   wide, with no 2^n vector, so narrow diagrams have no cap.
 
-The cost rule (`_contracts`) picks contraction when (W^2 D)^2 < 2^n: the
-accordion (W = 2) from n = 9 on for the open Heisenberg chain (D = 5), the
-product layout (W = 1) from n = 5, the universal layout (W = 2^(n-1))
-never.  `exact_energy` follows the same rule; `to_state_vector` and
-`finite_difference`, the oracle for both engines, stay dense.
+The cost rule (`_contracts`) picks contraction when
+(W^2 D)^2 < 2^n + _LEVEL_COST: the accordion (W = 2) and the product
+layout (W = 1) at every n for the open Heisenberg chain (D = 5), the
+accordion from n = 5 on for the periodic one (D = 8), and the universal
+layout (W = 2^(n-1)) never past n = 2.  `exact_energy` follows the same rule;
+`to_state_vector` and `finite_difference`, the oracle for both engines,
+stay dense.
 
 Two parameter modes (charts for θ's magnitude slot, see `_chart`):
 
@@ -167,6 +169,11 @@ class _LevelTables:
     b-edge factor from the i-th node of level l + 1 to the j-th node of the
     next level (to index 0 past the last level), nodes of a level counted
     in row order.
+
+    For the VMC local values, rejoin[l] (l = 0..n, levels counted from 0)
+    is the first level at or below l that holds a single node, n if there
+    is none: every path passes that node, so two paths that differ only
+    above it meet there.
     """
 
     def __init__(self, g: VddGraph):
@@ -192,6 +199,10 @@ class _LevelTables:
         child_slot = np.stack((self.child0, self.child1))
         child_slot = np.where(child_slot < 0, 0, slot[child_slot])
         self.edges = ((2 * level + np.arange(2)[:, None]) * w + slot) * w + child_slot
+        rejoin = [self.num_qubits]
+        for l in range(self.num_qubits - 1, -1, -1):
+            rejoin.append(l if counts[l] == 1 else rejoin[-1])
+        self.rejoin = tuple(rejoin[::-1])
 
 
 def _chart(theta: np.ndarray, mode: str):
@@ -318,14 +329,25 @@ def exact_energy(g: VddGraph, h) -> float:
 # fused energy and analytic gradient: two engines
 
 
+# How much more the dense engine's fixed cost per level is than the
+# contraction's, counted in amplitudes: its sweeps run several numpy calls
+# per level, the contraction's one small matmul.  Fitted to both engines'
+# times at n = 2-12 (2 vCPU; product, accordion and universal layouts; open
+# and periodic Heisenberg and TFIM): the rule then picks the faster engine
+# in 94 of the 103 cases, against 70 with no fixed cost, and the 9 misses,
+# all at n <= 6, cost 0.06 ms together.
+_LEVEL_COST = 1000
+
+
 def _contracts(topo: _LevelTables, h) -> bool:
     """Whether contraction over levels is the cheaper engine.
 
     Per level it multiplies (W^2 D)^2 transfer matrices (W the width, D the
-    operator's bond dimension); the dense engine handles 2^n amplitudes.
+    operator's bond dimension); the dense engine handles 2^n amplitudes and
+    pays _LEVEL_COST more in fixed cost.
     """
     size = topo.width**2 * h._mpo.shape[1]
-    return size * size < 2**topo.num_qubits
+    return size * size < 2**topo.num_qubits + _LEVEL_COST
 
 
 def _dense(topo: _LevelTables, h, left: np.ndarray, right: np.ndarray):

@@ -217,22 +217,26 @@ def _bit_elements(terms, bits_t: np.ndarray) -> np.ndarray:
     terms being one group of `_column_groups`: sampled bit strings, or the
     bit rows of basis indices.
 
-    Each term's parity is its Z/Y rows XOR-ed into one buffer.  The result
-    is float64 when every weight in the group is real, complex otherwise.
+    The terms without Z or Y factors add one constant.  Every other term's
+    parity is its Z/Y rows XOR-ed into one buffer, and maps to +-weight by
+    a two-entry lookup.  The result is float64 when every weight in the
+    group is real, complex otherwise.
     """
     real = not any(weight.imag for weight, _ in terms)
-    out = np.zeros(bits_t.shape[1], dtype=np.float64 if real else np.complex128)
-    odd = np.empty(bits_t.shape[1], dtype=np.uint8)
+    dtype = np.float64 if real else np.complex128
+    terms = [(weight.real if real else weight, zy) for weight, zy in terms]
+    count = bits_t.shape[1]
+    out = np.full(count, sum(weight for weight, zy in terms if zy.size == 0), dtype=dtype)
+    odd = np.empty(count, dtype=np.uint8)
+    term = np.empty(count, dtype=dtype)
     for weight, zy in terms:
-        if real:
-            weight = weight.real
         if zy.size == 0:
-            out += weight
             continue
         np.copyto(odd, bits_t[zy[0]])
         for q in zy[1:]:
             np.bitwise_xor(odd, bits_t[q], out=odd)
-        out += np.where(odd, -weight, weight)
+        np.take(np.array([weight, -weight], dtype=dtype), odd, out=term, mode="clip")
+        out += term
     return out
 
 

@@ -391,7 +391,7 @@ def train(config: TrainConfig) -> TrainTrace:
     given) and compiles the diagram once; then per epoch: evaluate loss +
     gradient at θ, step θ.  The trained graph is materialized at the end.
     """
-    from .vmc import _batch_gradient, _draw
+    from .vmc import _batch_gradient, _draw, _Workspace
 
     n = config.num_qubits
     scheme = config.init if config.init is not None else InitScheme("uniform", seed=config.seed)
@@ -409,7 +409,9 @@ def train(config: TrainConfig) -> TrainTrace:
     else:
         bits, targets = _dataset_arrays(config.dataset, want_labels=config.loss == "bce")
 
-    sample_rng = np.random.default_rng([config.seed, 1]) if config.gradient_source == "vmc" else None
+    if config.gradient_source == "vmc":
+        sample_rng = np.random.default_rng([config.seed, 1])
+        work = _Workspace(topo, config.batch_size)  # every epoch's batch is drawn into it
 
     opt = config.optimizer
     adam_state = AdamState.zeros(theta.size) if isinstance(opt, AdamConfig) else None
@@ -423,9 +425,9 @@ def train(config: TrainConfig) -> TrainTrace:
             if config.gradient_source == "exact":
                 energy, grad = energy_and_grad(topo, h, node_params, mode)
             else:
-                batch = _draw(topo, h, node_params, mode, config.batch_size, sample_rng)
+                batch = _draw(topo, h, node_params, mode, work, sample_rng)
                 energy, stderr = batch.energy_mean, batch.energy_stderr
-                grad = _batch_gradient(batch)
+                grad = _batch_gradient(batch, work.weight)
             loss_val = energy - e0 if config.loss == "energy_gap" else energy
             rel = abs((energy - e0) / e0) if e0 not in (None, 0.0) else None
         else:

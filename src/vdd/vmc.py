@@ -11,12 +11,13 @@ Per-sample quantities:
                   of its terms with flip mask f (one connected
                   configuration per flip mask).  The ratio is a product of
                   edge ratios over the diverging segment only: from f's
-                  first flipped level until b xor f's path is back on b's
-                  node, read off the node rows the sampler recorded.  So a
-                  flip group costs the levels its paths diverge over, not
-                  n: from its first flipped level to at most one level
-                  past its last on the accordion and product layouts, to
-                  the last level on the universal one.  No bit string is
+                  first flipped level to the topology's rejoin level, the
+                  first single-node level past f's last one, where every
+                  path meets b's (`_LevelTables.rejoin`), read off the
+                  edges the sampler recorded.  So a flip group walks from
+                  its first flipped level to at most one level past its
+                  last on the accordion and product layouts, and to the
+                  last level on the universal one.  No bit string is
                   packed into an integer, so any n works.
 * log-derivative  O_j(b) = d log psi(b) / d theta_j, nonzero only for the
                   n nodes on b's path:
@@ -32,14 +33,19 @@ centering.  Since conj(O_j) is mag on a taken edge's magnitude slot and
 centered local values onto the edges the samples took, Re for the
 magnitudes (times mag) and Im for the phases, and its leave-one-out
 jackknife (`vmc_gradient_stderr`) a quadratic form in a few more such
-scatters.  Neither forms O: a `VmcBatch` keeps the node rows the samples
-visited and the chart's edge factors.
+scatters.  Neither forms O: a `VmcBatch` keeps the edges the samples
+took and the chart's edge factors.
 
 A batch is drawn by one private kernel (`_draw`) on the compiled topology
 and a parameter array θ (see vdd.exact): the chart's edge factors, the
 Born draws, the local values and their energy statistics, returned as a
-`VmcBatch`.  Training calls it every epoch without rebuilding a graph;
-`sample` and `sample_batch` take a `VddGraph` and compile it per call.
+`VmcBatch`.  It writes into a `_Workspace`, the batch's level-major
+arrays and the kernels' scratch.  Training allocates one workspace per
+run and draws every epoch into it, without rebuilding a graph or
+allocating a batch-sized array; `sample` and `sample_batch` take a
+`VddGraph`, compile it and allocate a workspace per call, so their
+results own their arrays.
+
 The per-bit-string operations walk the graph itself and are the reference
 implementations the kernels are tested against.
 """
@@ -78,7 +84,9 @@ class VmcBatch:
     row order of GradientVector; both are views of level-major arrays.
     edges is the chart's (left, right, dleft, dright) per node row, in mode
     ("raw" or "trig"), and node_ids the ids of those rows, which label the
-    gradient.  The gradient and its jackknife are scatters of the local
+    gradient.  edge is the level-major (n, batch) array of the edges the
+    samples take, 2 * node row + bit, derived from rows and samples when
+    not given.  The gradient and its jackknife are scatters of the local
     values onto the taken edges, so no per-sample log-derivative is stored.
     """
 
@@ -90,6 +98,7 @@ class VmcBatch:
     energy_stderr: float
     node_ids: tuple[int, ...]
     mode: str
+    edge: np.ndarray | None = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples)
@@ -98,6 +107,8 @@ class VmcBatch:
         b = self.samples.shape[0]
         if self.local_values.shape != (b,) or self.rows.shape != self.samples.shape:
             raise ValueError("samples, rows and local_values must have equal length")
+        if self.edge is None:
+            self.edge = 2 * self.rows.T + self.samples.T
 
     @property
     def batch_size(self) -> int:
@@ -112,28 +123,71 @@ def _energy_stats(local_values: np.ndarray) -> tuple[float, float]:
     return mean, float(np.std(re, ddof=1) / math.sqrt(re.shape[0]))
 
 
-def _sample(
-    topo: _LevelTables, left: np.ndarray, count: int, rng
-) -> tuple[np.ndarray, np.ndarray]:
-    """Level-major Born draws: one uniform per (sample, level), level by level.
+class _Workspace:
+    """Every array one batch of `count` draws on a topology is written into.
 
-    Returns the (count, n) bits and the (count, n) node rows their paths
-    visit, level 1 first, as transposed views of the (n, count) arrays the
-    levels are written into; the batch kernels read the paths from the rows.
+    Level-major (n, count): the uniforms (rewritten as the gradient's
+    scatter weights once the sampler has read them), the bits, the node
+    rows and the edges taken (2 * node row + bit).  Per sample: the local
+    values and the scratch of the sampler and of the flip-group walks.
+    `train` allocates one per run and every epoch's draw overwrites it;
+    `sample` and `sample_batch` allocate one per call, so the batch they
+    return owns its arrays.
+
+    All of them are views of one block.  Freed at the end of a run, a
+    block that size raises glibc's mmap threshold above it, so the next
+    run's block comes from heap pages that are already mapped instead of
+    being faulted in again page by page: 1 minor fault per 40-epoch
+    train-vmc run, against about 390 with the arrays allocated one by one.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+
+    def __init__(self, topo: _LevelTables, count: int):
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        n = topo.num_qubits
+        self.child = np.stack((topo.child0, topo.child1), axis=1).ravel()  # per edge
+        layout = (  # widest items first, so that every view is aligned
+            ("local", (count,), np.complex128),
+            ("ratio", (count,), np.complex128),
+            ("step", (count,), np.complex128),
+            ("uniform", (n, count), np.float64),
+            ("rows", (n, count), np.int64),
+            ("edge", (n, count), np.int64),
+            ("p_zero", (count,), np.float64),
+            ("node", (count,), np.int64),
+            ("flipped_edge", (count,), np.int64),
+            ("bits", (n, count), np.uint8),
+        )
+        sizes = [np.dtype(dtype).itemsize * math.prod(shape) for _, shape, dtype in layout]
+        block = np.empty(sum(sizes), dtype=np.uint8)
+        offset = 0
+        for (name, shape, dtype), size in zip(layout, sizes):
+            setattr(self, name, block[offset:offset + size].view(dtype).reshape(shape))
+            offset += size
+        self.weight = self.uniform
+
+
+def _sample(topo: _LevelTables, left: np.ndarray, work: _Workspace, rng) -> None:
+    """Level-major Born draws into `work`: one uniform per (sample, level),
+    all drawn at once in level-major order, consumed level by level.
+
+    Fills the bits, the node rows their paths visit (level 1 first) and
+    the edges they take, from which the batch kernels read the paths.
+    Every index is in range; the kernels gather with mode="clip" because
+    `np.take` buffers `out` in its default mode.
+    """
     n = topo.num_qubits
     p_zero = np.abs(left) ** 2
-    bits = np.empty((n, count), dtype=np.uint8)
-    rows = np.empty((n, count), dtype=np.int64)
-    pos = np.full(count, topo.root, dtype=np.int64)
+    rng.random(out=work.uniform)
+    rows, edge = work.rows, work.edge
+    rows[0] = topo.root
     for level in range(n):
-        rows[level] = pos
-        b = np.greater_equal(rng.random(count), p_zero[pos], out=bits[level])
+        np.take(p_zero, rows[level], out=work.p_zero, mode="clip")
+        np.greater_equal(work.uniform[level], work.p_zero, out=work.bits[level])
+        np.multiply(rows[level], 2, out=edge[level])
+        edge[level] += work.bits[level]
         if level < n - 1:
-            pos = np.where(b, topo.child1[pos], topo.child0[pos])
-    return bits.T, rows.T
+            np.take(work.child, edge[level], out=rows[level + 1], mode="clip")
 
 
 def sample(g: VddGraph, count: int, seed: int = 0, rng=None) -> np.ndarray:
@@ -144,54 +198,63 @@ def sample(g: VddGraph, count: int, seed: int = 0, rng=None) -> np.ndarray:
     """
     topo = _LevelTables(g)
     left = _chart(_flatten(g, "raw"), "raw")[0]
-    return _sample(topo, left, count, np.random.default_rng(seed) if rng is None else rng)[0]
+    work = _Workspace(topo, count)
+    _sample(topo, left, work, np.random.default_rng(seed) if rng is None else rng)
+    return work.bits.T.copy()  # a view would keep the whole workspace alive
 
 
-def _batch_local_values(
-    topo: _LevelTables, h: PauliHamiltonian, bits: np.ndarray, rows: np.ndarray, edges
-) -> np.ndarray:
-    """A~(b) for every sampled row, from the node rows its path visits.
+def _batch_local_values(topo: _LevelTables, h: PauliHamiltonian, work: _Workspace,
+                        edges) -> np.ndarray:
+    """A~(b) for every sample drawn into `work`, from the edges its path takes.
 
     psi(b ^ f) / psi(b) is a product of edge ratios over the levels where
     the two paths differ: they share every node above f's first flipped
-    level, and once b ^ f's path is back on b's node after f's last one,
-    the remaining edges are b's own.  Each flip group walks from its first
-    flipped level until every sample's flipped path has rejoined, or to the
-    last level.
+    level, and once past f's last one they meet at the topology's next
+    single-node level (`_LevelTables.rejoin`), below which the edges are
+    b's own.  So each flip group walks from its first flipped level to
+    that rejoin level, or to the last level.  Paths that meet earlier only
+    multiply in matching factors.  b's factors enter through a per-edge
+    table of their inverses.  Returns `work.local`.
     """
     left, right = edges[:2]
-    count, n = bits.shape
-    # level-major views (the sampler's own layout), and flat tables indexed
-    # by edge = 2 * node row + bit
-    bits_t, rows_t = bits.T, rows.T
-    factor = np.stack((left, right), axis=1).ravel()
-    child = np.stack((topo.child0, topo.child1), axis=1).ravel()
-    path = factor[2 * rows_t + bits_t]  # (n, count) edge factors of b
-    if not np.all(path):
+    factor = np.stack((left, right), axis=1).ravel()  # per edge 2 * node row + bit
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inverse = 1.0 / factor
+    bits, edge = work.bits, work.edge
+    # only an edge of factor 0 has a non-finite inverse: gather b's only then
+    if not np.all(np.isfinite(inverse)) and not np.all(np.isfinite(inverse[edge])):
         raise ValueError("local estimator undefined where psi(b) = 0")
-    out = np.zeros(count, dtype=np.complex128)
+    local, ratio, step = work.local, work.ratio, work.step
+    node, flipped_edge = work.node, work.flipped_edge
+    local.fill(0.0)
     for flip, terms in h._bit_groups:
         # <b|H_flip|b ^ flip> = conj(<b ^ flip|H_flip|b>), H being Hermitian
-        elements = np.conj(_bit_elements(terms, bits_t))
+        elements = _bit_elements(terms, bits)
+        if elements.dtype == np.complex128:
+            np.conj(elements, out=elements)
         if flip.size == 0:
-            out += elements
+            local += elements
             continue
-        flipped = np.zeros(n, dtype=np.uint8)
-        flipped[flip] = 1
-        pos = rows_t[flip[0]]
-        num = np.ones(count, dtype=np.complex128)
-        den = np.ones(count, dtype=np.complex128)
-        for level in range(flip[0], n):
-            edge = 2 * pos + (bits_t[level] ^ flipped[level])
-            num *= factor[edge]
-            den *= path[level]
-            if level == n - 1:
-                break
-            pos = child[edge]
-            if level >= flip[-1] and np.array_equal(pos, rows_t[level + 1]):
-                break
-        out += elements * (num / den)
-    return out
+        first = int(flip[0])
+        # b ^ flip's path sits on b's node at the first flipped level
+        np.bitwise_xor(edge[first], 1, out=flipped_edge)
+        np.take(factor, flipped_edge, out=ratio, mode="clip")
+        np.take(inverse, edge[first], out=step, mode="clip")
+        ratio *= step
+        flipped = set(flip.tolist())
+        for level in range(first + 1, topo.rejoin[flip[-1] + 1]):
+            np.take(work.child, flipped_edge, out=node, mode="clip")
+            np.multiply(node, 2, out=flipped_edge)
+            flipped_edge += bits[level]
+            if level in flipped:
+                np.bitwise_xor(flipped_edge, 1, out=flipped_edge)
+            np.take(factor, flipped_edge, out=step, mode="clip")
+            ratio *= step
+            np.take(inverse, edge[level], out=step, mode="clip")
+            ratio *= step
+        ratio *= elements
+        local += ratio
+    return local
 
 
 def local_estimator(g: VddGraph, h: PauliHamiltonian, b) -> complex:
@@ -250,13 +313,16 @@ def log_derivatives(g: VddGraph, b, mode: str = "raw") -> np.ndarray:
 
 def _taken_edges(batch: VmcBatch):
     """(edge, counts, mag): every (sample, level)'s edge 2 * node row + bit,
-    sample-major; how many samples take each edge; and Re(d edge / edge)
+    level-major; how many samples take each edge; and Re(d edge / edge)
     on the taken edges, 0 on the others (an untaken zero-amplitude edge at
     r = 1 has an infinite mag and a zero sum, and inf * 0 is NaN).
+
+    An edge belongs to one level, so a scatter over the level-major edges
+    adds each edge's samples in sample order, as a sample-major one would.
     """
     left, right, dleft, dright = batch.edges
     size = 2 * left.shape[0]
-    edge = (2 * batch.rows + batch.samples).ravel()
+    edge = batch.edge.ravel()
     counts = np.bincount(edge, minlength=size)
     taken = counts > 0
     mag = np.zeros(size)
@@ -267,19 +333,23 @@ def _taken_edges(batch: VmcBatch):
     return edge, counts, mag
 
 
-def _batch_gradient(batch: VmcBatch) -> np.ndarray:
-    """2 Re mean(conj(O_j) (A~ - mean A~)) from the node rows the paths visit.
+def _batch_gradient(batch: VmcBatch, weight: np.ndarray | None = None) -> np.ndarray:
+    """2 Re mean(conj(O_j) (A~ - mean A~)) from the edges the paths take.
 
     With c = A~ - mean A~, each entry sums mag * Re c (magnitude slot) or
     Im c (omega or phi slot) over the samples that take its node's edges:
-    two scatter-adds of c onto the taken edges.
+    two scatter-adds of c onto the taken edges, whose (n, batch) weights
+    are written into `weight` (allocated when not given).
     """
     edge, _, mag = _taken_edges(batch)
     count, n = batch.samples.shape
     local = batch.local_values
     centered = local - np.mean(local)
-    s_re = np.bincount(edge, np.repeat(centered.real, n), mag.size)
-    s_im = np.bincount(edge, np.repeat(centered.imag, n), mag.size)
+    weight = np.empty((n, count)) if weight is None else weight
+    weight[:] = centered.real
+    s_re = np.bincount(edge, weight.ravel(), mag.size)
+    weight[:] = centered.imag
+    s_im = np.bincount(edge, weight.ravel(), mag.size)
     grad = np.empty((mag.size // 2, 3))
     grad[:, 0] = (mag * s_re).reshape(-1, 2).sum(axis=1)
     grad[:, 1:] = s_im.reshape(-1, 2)  # omega on the left edge, phi on the right
@@ -298,19 +368,22 @@ def sample_batch(
     _check_mode(mode)
     _check_graph_and_operator(g, h)
     rng = np.random.default_rng(seed) if rng is None else rng
-    return _draw(_LevelTables(g), h, _flatten(g, mode), mode, count, rng)
+    topo = _LevelTables(g)
+    return _draw(topo, h, _flatten(g, mode), mode, _Workspace(topo, count), rng)
 
 
-def _draw(topo: _LevelTables, h: PauliHamiltonian, theta: np.ndarray, mode: str, count: int,
-          rng) -> VmcBatch:
-    """A batch of `count` Born draws at θ (shape (N, 3), in mode) on a compiled
-    topology, with its local values and energy statistics."""
+def _draw(topo: _LevelTables, h: PauliHamiltonian, theta: np.ndarray, mode: str,
+          work: _Workspace, rng) -> VmcBatch:
+    """A batch of Born draws at θ (shape (N, 3), in mode) on a compiled
+    topology, with its local values and energy statistics, written into
+    `work`: the batch's arrays are views of it."""
     edges = _chart(theta, mode)
-    bits, rows = _sample(topo, edges[0], count, rng)
-    local = _batch_local_values(topo, h, bits, rows, edges)
+    _sample(topo, edges[0], work, rng)
+    local = _batch_local_values(topo, h, work, edges)
     mean, stderr = _energy_stats(local)
-    return VmcBatch(samples=bits, rows=rows, local_values=local, edges=edges,
-                    energy_mean=mean, energy_stderr=stderr, node_ids=topo.node_ids, mode=mode)
+    return VmcBatch(samples=work.bits.T, rows=work.rows.T, local_values=local, edges=edges,
+                    energy_mean=mean, energy_stderr=stderr, node_ids=topo.node_ids, mode=mode,
+                    edge=work.edge)
 
 
 def vmc_energy(batch: VmcBatch) -> tuple[float, float]:
@@ -349,7 +422,7 @@ def vmc_gradient_stderr(batch: VmcBatch) -> np.ndarray:
     edge, counts, mag = _taken_edges(batch)
     c = batch.local_values - np.mean(batch.local_values)
     x, y = c.real, c.imag
-    dx, dy = np.repeat(x, n), np.repeat(y, n)
+    dx, dy = np.tile(x, n), np.tile(y, n)  # level-major, as the edges
     mean = [np.bincount(edge, d, mag.size) / np.maximum(counts, 1) for d in (dx, dy)]
     dx -= mean[0][edge]
     dy -= mean[1][edge]

@@ -3,9 +3,12 @@
 import dataclasses
 import json
 import math
+import os
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from vdd.ansatz import build_accordion
 from vdd.cli import run
@@ -167,6 +170,9 @@ def test_train_writes_trace_and_final_graph(tmp_path, capsys):
     assert "epoch 40" in out
     resolved = json.loads((out_dir / "resolved_config.json").read_text())
     assert resolved["loss"] == "energy_gap" and resolved["param_mode"] == "trig"
+    env = resolved["environment"]
+    assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+    assert env["scipy"] == scipy.__version__ and env["cpu_count"] == os.cpu_count()
 
 
 def test_train_cleanup_on_config_error(tmp_path, capsys):

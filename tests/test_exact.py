@@ -86,6 +86,16 @@ def test_cost_rule_contracts_narrow_layouts_only():
         assert picks == {"product": True, "accordion": True, "universal": False}
 
 
+def test_cost_rule_counts_the_fixed_cost_per_level():
+    # contraction is the faster engine for the accordion on the open
+    # Heisenberg chain from n = 3 on, though (W^2 D)^2 = 400 > 2^n up to n = 8
+    for n in range(3, 17):
+        h = build_model(ModelSpec("heisenberg", n))
+        assert _contracts(_LevelTables(build_ansatz("accordion", n)), h)
+        if n <= 8:
+            assert not _contracts(_LevelTables(build_ansatz("universal", n)), h)
+
+
 @pytest.mark.parametrize("kind,n", [("accordion", 12), ("accordion", 17), ("product", 15)])
 def test_exact_energy_by_contraction_matches_the_state_vector(kind, n):
     g = random_graph(kind, n, n)

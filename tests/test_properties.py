@@ -22,7 +22,8 @@ from vdd.graph import validate
 from vdd.hamiltonian import ModelSpec, PauliHamiltonian, PauliString, apply_string
 from vdd.hamiltonian import apply_to_vector, build_model, dense_matrix
 from vdd.state import bits_of_index, index_of_bits
-from vdd.vmc import _sample, local_estimator, sample_batch, vmc_gradient, vmc_gradient_stderr
+from vdd.vmc import _sample, _Workspace, local_estimator, sample_batch, vmc_gradient
+from vdd.vmc import vmc_gradient_stderr
 from vmc_reference import dense_statistics
 
 SETTINGS = settings(derandomize=True, max_examples=25, deadline=None)
@@ -230,6 +231,46 @@ def test_segment_ratios_on_the_builders(kind, n, spec, seed, mode):
     assert_statistics_match_dense_reference(g, batch)
 
 
+def assert_flipped_paths_rejoin(g, h, batch):
+    """Each flip group's walk ends above `rejoin[flip[-1] + 1]`: at that level
+    (when it exists) every sample's flipped path is on the sample's own node."""
+    topo = _LevelTables(g)
+    n = g.num_qubits
+    assert topo.rejoin[n] == n
+    row_of = {node_id: k for k, node_id in enumerate(g.sorted_ids())}
+    for flip, _ in h._bit_groups:
+        if flip.size == 0 or topo.rejoin[flip[-1] + 1] == n:
+            continue
+        level = topo.rejoin[flip[-1] + 1]
+        for bits, rows in zip(batch.samples, batch.rows):
+            current = g.root_child
+            for l in range(level):
+                node = g.nodes[current]
+                current = node.child1 if bits[l] ^ (l in flip) else node.child0
+            assert row_of[current] == rows[level]
+
+
+@SETTINGS
+@given(
+    st.sampled_from(ANSATZ_KINDS),
+    st.integers(2, 8),
+    st.sampled_from([ModelSpec("heisenberg", 2), ModelSpec("heisenberg", 2, boundary="periodic"),
+                     ModelSpec("tfim", 2, g=0.7), ModelSpec("tfim", 2, g=0.7, boundary="periodic")]),
+    st.integers(0, 2**16),
+)
+def test_flipped_paths_meet_at_the_rejoin_level_on_the_builders(kind, n, spec, seed):
+    g = init_params(build_ansatz(kind, n), InitScheme("uniform", seed=seed))
+    h = build_model(dataclasses.replace(spec, n=n))
+    assert_flipped_paths_rejoin(g, h, sample_batch(g, h, 24, seed=5))
+
+
+@SETTINGS
+@given(dags_with_hamiltonians(max_qubits=8))
+def test_flipped_paths_meet_at_the_rejoin_level(case):
+    g, h = case
+    assert_flipped_paths_rejoin(g, h, sample_batch(g, h, 16, seed=3))
+
+
 @pytest.mark.parametrize("mode", ["raw", "trig"])
 def test_batch_gradient_skips_untaken_edges_at_the_box(mode):
     # The root at r = 1 has a right edge of amplitude exactly 0 and its
@@ -264,9 +305,11 @@ def test_batch_gradient_skips_untaken_edges_at_the_box(mode):
 @given(leveled_dags(max_qubits=8), st.integers(1, 64), st.integers(0, 2**16))
 def test_sampler_rows_are_the_paths_of_its_bits(g, count, seed):
     topo = _LevelTables(g)
-    bits, rows = _sample(topo, _chart(_flatten(g, "raw"), "raw")[0], count,
-                         np.random.default_rng(seed))
+    work = _Workspace(topo, count)
+    _sample(topo, _chart(_flatten(g, "raw"), "raw")[0], work, np.random.default_rng(seed))
+    bits, rows = work.bits.T, work.rows.T
     assert rows.shape == bits.shape == (count, g.num_qubits) and rows.dtype == np.int64
+    assert np.array_equal(work.edge, 2 * work.rows + work.bits)
     row_of = {node_id: k for k, node_id in enumerate(g.sorted_ids())}
     for sample_bits, sample_rows in zip(bits, rows):
         current = g.root_child

@@ -150,7 +150,7 @@ def test_local_estimator_rejects_zero_amplitude():
 
 def test_batch_local_values_reject_zero_amplitude():
     from vdd.exact import _LevelTables, _chart, _flatten
-    from vdd.vmc import _batch_local_values
+    from vdd.vmc import _batch_local_values, _Workspace
 
     g = init_params(build_product(2), InitScheme("basis", bits=(0, 0)))
     h = build_model(ModelSpec("tfim", 2, g=1.0))
@@ -158,11 +158,18 @@ def test_batch_local_values_reject_zero_amplitude():
     bits = np.array([[0, 0], [1, 1]], dtype=np.uint8)
     rows = np.array([[topo.root, topo.child0[topo.root]]] * 2)
     edges = _chart(_flatten(g, "raw"), "raw")
-    assert _batch_local_values(topo, h, bits[:1], rows[:1], edges)[0] == pytest.approx(
+
+    def drawn(count):  # a workspace holding the first `count` hand-made samples
+        work = _Workspace(topo, count)
+        work.bits[:], work.rows[:] = bits[:count].T, rows[:count].T
+        work.edge[:] = 2 * work.rows + work.bits
+        return work
+
+    assert _batch_local_values(topo, h, drawn(1), edges)[0] == pytest.approx(
         local_estimator(g, h, (0, 0))
     )
     with pytest.raises(ValueError, match="psi"):
-        _batch_local_values(topo, h, bits, rows, edges)
+        _batch_local_values(topo, h, drawn(2), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +352,41 @@ def test_jackknife_stderr_is_calibrated():
         )
         worst = max(worst, float(np.max(np.abs(z))))
     assert worst < 6.0
+
+
+def test_batches_own_their_arrays():
+    # a second batch must not be written into the first one's buffers
+    g = random_graph("accordion", 6, 1)
+    h = build_model(ModelSpec("heisenberg", 6))
+    first = sample_batch(g, h, 64, seed=1)
+    kept = (first.samples.copy(), first.rows.copy(), first.local_values.copy())
+    second = sample_batch(g, h, 64, seed=2)
+    assert not np.array_equal(second.samples, kept[0])
+    for before, after in zip(kept, (first.samples, first.rows, first.local_values)):
+        assert np.array_equal(before, after)
+
+
+def test_draws_into_one_workspace_equal_fresh_draws():
+    # training overwrites one workspace every epoch; each epoch must read
+    # exactly what a freshly allocated one would
+    from vdd.exact import _LevelTables, _flatten
+    from vdd.vmc import _batch_gradient, _draw, _Workspace
+
+    g = random_graph("accordion", 7, 4)
+    h = build_model(ModelSpec("heisenberg", 7, jx=0.7, jy=1.2, boundary="periodic"))
+    topo = _LevelTables(g)
+    theta = _flatten(g, "trig")
+    work = _Workspace(topo, 48)
+    reused, fresh = np.random.default_rng(7), np.random.default_rng(7)
+    for epoch in range(4):
+        at = theta + 0.05 * epoch
+        a = _draw(topo, h, at, "trig", work, reused)
+        grad_a = _batch_gradient(a, work.weight)
+        b = _draw(topo, h, at, "trig", _Workspace(topo, 48), fresh)
+        for name in ("samples", "rows", "edge", "local_values"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert (a.energy_mean, a.energy_stderr) == (b.energy_mean, b.energy_stderr)
+        assert np.array_equal(grad_a, _batch_gradient(b))
 
 
 def test_batch_invariants_and_csv(tmp_path):
