@@ -66,7 +66,9 @@ class Opt:
 _COMMON = (
     Opt("config", "str", None, "JSON file of option values (flags override it)"),
     Opt("output_dir", "str", ".", "directory for produced files"),
-    Opt("threads", "int", 1, "upper bound on engine parallelism (engines run single-threaded)"),
+    Opt("threads", "int", 1, "accepted and recorded, but unused: vdd's own code is "
+        "single-threaded, and OPENBLAS_NUM_THREADS and OMP_NUM_THREADS govern the BLAS "
+        "pool its matrix products run on"),
 )
 
 _MODEL_OPTS = (

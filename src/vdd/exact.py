@@ -2,7 +2,9 @@
 
 A graph is compiled once into a topology (`_LevelTables`); its parameters
 travel separately as θ of shape (N, 3), one row per node in ascending id
-order.  `VddGraph` is the input/output form; the hot path takes θ.
+order, or as a stack of S of them, shape (S, N, 3), evaluated in one
+`energy_and_grad` call.  `VddGraph` is the input/output form; the hot path
+takes θ.
 
 The state vector is filled by level-wise forward propagation: every
 bit-string prefix of length l-1 sits at exactly one level-l node, so the
@@ -17,13 +19,20 @@ engines, which agree to rounding:
 
 * dense (`_dense`) — one forward pass (prefix amplitudes), one H|ψ> and
   one backward pass (suffix sums against H|ψ>): O(n 2^n), capped at
-  n = STATEVECTOR_CAP.
+  n = STATEVECTOR_CAP.  It works on one state vector at a time, so it
+  loops over a stack.
 * contraction (`_contracted`) — the diagram is a matrix product state
   whose level tensors hold one edge factor per row, and H a matrix
   product operator of bond dimension D, so <ψ|H|ψ> and its derivatives are
   left and right environment sweeps over the levels (Schollwöck, Ann.
   Phys. 326, 96, 2011): O(n (W^2 D)^2) for a diagram at most W nodes
-  wide, with no 2^n vector, so narrow diagrams have no cap.
+  wide, with no 2^n vector, so narrow diagrams have no cap.  One code
+  path serves every S >= 1: each level's transfer matrices, for every θ of
+  the stack, are T = F Z, the products F of a node pair's conjugated and
+  plain edge factors times a fixed basis Z that places the operator's
+  tensor at the pair's children.  Z is built once per topology and
+  operator; a stack is contracted in chunks of at most _TRANSFER_BYTES
+  of transfer matrices.
 
 The cost rule (`_contracts`) picks contraction when
 (W^2 D)^2 < 2^n + _LEVEL_COST: the accordion (W = 2) and the product
@@ -163,12 +172,12 @@ class _LevelTables:
     (-1 past the last level); root is the row of the level-1 node.  Built
     once per graph shape and reused for every θ.
 
-    For the contraction engine, width is the most nodes on one level and
-    edges (2, N) the flat index of each node's 0- and 1-edge in an
-    (n, 2, width, width) array of level tensors: A[l, b, i, j] is the
-    b-edge factor from the i-th node of level l + 1 to the j-th node of the
-    next level (to index 0 past the last level), nodes of a level counted
-    in row order.
+    For the contraction engine, width is the most nodes on one level;
+    level and slot give each row's level (counted from 0) and its index among
+    the nodes of that level, in row order; and children[l, i, b] (shape
+    (n, width, 2)) is the slot of the b-child of the level-l node in slot i,
+    0 past the last level and for empty slots.  The transfer basis of
+    `_contracted` is built from them by `basis` for one operator at a time.
 
     For the VMC local values, rejoin[l] (l = 0..n, levels counted from 0)
     is the first level at or below l that holds a single node, n if there
@@ -195,19 +204,28 @@ class _LevelTables:
             slot[k] = counts[l]
             counts[l] += 1
         self.width = int(counts.max())
-        w = self.width
-        child_slot = np.stack((self.child0, self.child1))
-        child_slot = np.where(child_slot < 0, 0, slot[child_slot])
-        self.edges = ((2 * level + np.arange(2)[:, None]) * w + slot) * w + child_slot
+        self.level, self.slot = level, slot
+        child = np.stack((self.child0, self.child1), axis=-1)
+        self.children = np.zeros((self.num_qubits, self.width, 2), dtype=np.int64)
+        self.children[level, slot] = np.where(child < 0, 0, slot[child])
         rejoin = [self.num_qubits]
         for l in range(self.num_qubits - 1, -1, -1):
             rejoin.append(l if counts[l] == 1 else rejoin[-1])
         self.rejoin = tuple(rejoin[::-1])
+        self._basis = self._basis_of = None
+
+    def basis(self, h):
+        """The transfer basis of `_contracted` for operator h: built on the
+        first call with h and kept until a call with another operator."""
+        if self._basis_of is not h:
+            self._basis, self._basis_of = _transfer_basis(self, h._mpo), h
+        return self._basis
 
 
 def _chart(theta: np.ndarray, mode: str):
     """(left, right, dleft, dright): every node's edge factors and their
-    derivatives with respect to its magnitude slot θ[:, 0].
+    derivatives with respect to its magnitude slot θ[..., 0], for θ of shape
+    (N, 3) or a stack of them, (S, N, 3).
 
     Rows of θ are (r, omega, phi) in "raw" mode and (u, omega, phi) in
     "trig" mode, u signed and unfolded.  Both modes evaluate the magnitudes
@@ -218,11 +236,11 @@ def _chart(theta: np.ndarray, mode: str):
         raw:  d/dr = (e^{i omega}, -r / sqrt(1 - r^2) e^{i phi}), r clamped below 1
         trig: d/du = (-sin u e^{i omega}, cos u e^{i phi})
     """
-    mag = theta[:, 0]
+    mag = theta[..., 0]
     u = mag if mode == "trig" else np.arccos(mag)
     cos_u, sin_u = np.cos(u), np.sin(u)
-    eiw = np.exp(1j * theta[:, 1])
-    eip = np.exp(1j * theta[:, 2])
+    eiw = np.exp(1j * theta[..., 1])
+    eip = np.exp(1j * theta[..., 2])
     if mode == "trig":
         dleft, dright = -sin_u, cos_u
     else:
@@ -315,13 +333,14 @@ def to_state_vector(g: VddGraph) -> StateVector:
 def exact_energy(g: VddGraph, h) -> float:
     """<psi|H|psi>, by the engine `energy_and_grad` would use for this graph,
     without the gradient: past n = 20 for narrow diagrams."""
-    from .hamiltonian import expectation
+    from .hamiltonian import _checked_energy, expectation
 
     _check_graph_and_operator(g, h)
     topo = _LevelTables(g)
     left, right, _, _ = _chart(_flatten(g, "raw"), "raw")
     if _contracts(topo, h):
-        return _contracted(topo, h, left, right, gradient=False)[0]
+        norm2, value, _, _ = _contracted(topo, h, left[None], right[None], gradient=False)
+        return _checked_energy(norm2[0], value[0])
     return expectation(h, _forward(topo, left, right)[0][-1])
 
 
@@ -338,6 +357,14 @@ def exact_energy(g: VddGraph, h) -> float:
 # all at n <= 6, cost 0.06 ms together.
 _LEVEL_COST = 1000
 
+# Transfer-matrix bytes one contraction may hold, n S (W^2 D)^2 16 for S
+# stacked θ: `energy_and_grad` contracts a stack in equal chunks within it.
+# A chunk's fixed cost (the per-level sweeps) is shared by its θ, while its
+# temporaries grow with S: 768 KiB gives chunks of 8 θ for the accordion on
+# the open Heisenberg chain at n = 13, 14 (88 KiB per θ at n = 14), where a
+# 32-seed variance scan peaks at 1.4 MB allocated (tracemalloc).
+_TRANSFER_BYTES = 768 * 1024
+
 
 def _contracts(topo: _LevelTables, h) -> bool:
     """Whether contraction over levels is the cheaper engine.
@@ -351,111 +378,166 @@ def _contracts(topo: _LevelTables, h) -> bool:
 
 
 def _dense(topo: _LevelTables, h, left: np.ndarray, right: np.ndarray):
-    """(<H>, g0, g1) from one forward sweep, one H|psi> and one backward sweep.
+    """(<psi|psi>, <psi|H|psi>, g0, g1) for each row of a stack of edge
+    factors (S, N), one state vector at a time: one forward sweep, one H|psi>
+    and one backward sweep per row.
 
-    g0[j], g1[j] are d<psi|H|psi>/d conj(edge) for node j's 0- and 1-edge.
-    Forward gives the prefix amplitude F[p] in front of each node; backward
-    propagates suffix sums B against H|psi>, so that g_b[j] is
-    sum_{p at j} conj(F[p]) * B[p's b-child prefix].
+    g0[k, j], g1[k, j] are d<psi|H|psi>/d conj(edge) for node j's 0- and
+    1-edge in row k.  Forward gives the prefix amplitude F[p] in front of
+    each node; backward propagates suffix sums B against H|psi>, so that
+    g_b[j] is sum_{p at j} conj(F[p]) * B[p's b-child prefix].
     """
-    from .hamiltonian import _energy_of, apply_to_vector
+    from .hamiltonian import apply_to_vector
 
-    amps, prefix_rows = _forward(topo, left, right)
-    hv = apply_to_vector(h, amps[-1])
-    energy = _energy_of(amps[-1], hv)
+    norm2 = np.empty(left.shape[0])
+    value = np.empty(left.shape[0], dtype=np.complex128)
+    g0 = np.zeros(left.shape, dtype=np.complex128)
+    g1 = np.zeros(left.shape, dtype=np.complex128)
+    for k in range(left.shape[0]):
+        amps, prefix_rows = _forward(topo, left[k], right[k])
+        hv = apply_to_vector(h, amps[-1])
+        norm2[k] = np.vdot(amps[-1], amps[-1]).real
+        value[k] = np.vdot(amps[-1], hv)
+        back = hv
+        for level in range(topo.num_qubits, 0, -1):
+            rows = prefix_rows[level - 1]
+            prefix = np.conj(amps[level - 1])
+            b0 = back[0::2]
+            b1 = back[1::2]
+            np.add.at(g0[k], rows, prefix * b0)
+            np.add.at(g1[k], rows, prefix * b1)
+            if level > 1:
+                back = np.conj(left[k, rows]) * b0 + np.conj(right[k, rows]) * b1
+    return norm2, value, g0, g1
 
-    g0 = np.zeros(left.shape[0], dtype=np.complex128)
-    g1 = np.zeros(left.shape[0], dtype=np.complex128)
-    back = hv
-    for level in range(topo.num_qubits, 0, -1):
-        rows = prefix_rows[level - 1]
-        prefix = np.conj(amps[level - 1])
-        b0 = back[0::2]
-        b1 = back[1::2]
-        np.add.at(g0, rows, prefix * b0)
-        np.add.at(g1, rows, prefix * b1)
-        if level > 1:
-            back = np.conj(left[rows]) * b0 + np.conj(right[rows]) * b1
-    return energy, g0, g1
+
+def _transfer_basis(topo: _LevelTables, mpo: np.ndarray) -> np.ndarray:
+    """Z of `_contracted`, shape (n, W^2, 4, D W^2 D):
+
+        Z[l, (i, j), (s, s'), (a, i', j', a')] = W[l, a, a', s, s']
+
+    where i' is the s-child of the level-l node in slot i and j' the
+    s'-child of the one in slot j, and 0 elsewhere.
+    """
+    n, w, d = topo.num_qubits, topo.width, mpo.shape[1]
+    z = np.zeros((n, w, w, 2, 2, d, w, w, d), dtype=np.complex128)
+    l, i, j, s, t = np.ix_(range(n), range(w), range(w), range(2), range(2))
+    child = topo.children
+    z[l, i, j, s, t, :, child[l, i, s], child[l, j, t], :] = mpo[l, :, :, s, t]
+    return z.reshape(n, w * w, 4, d * w * w * d)
 
 
 def _contracted(topo: _LevelTables, h, left: np.ndarray, right: np.ndarray,
                 gradient: bool = True):
-    """(<H>, g0, g1) as _dense, by contraction over the levels: no 2^n vector.
+    """(<psi|psi>, <psi|H|psi>, g0, g1) as _dense, for the whole stack at
+    once, by contraction over the levels: no 2^n vector.
 
-    The diagram is a matrix product state whose level tensor A[l, s] (W x W,
-    see _LevelTables) holds the s-edge factors, and H is the operator
-    chain W[l] of `hamiltonian._build_mpo`.  Per level,
+    The diagram is a matrix product state: f[l, k, i, s] is the s-edge factor
+    of the level-l node in slot i (see _LevelTables) in stack row k, and H is
+    the operator chain W[l] of `hamiltonian._build_mpo`.  The transfer
+    matrix of level l,
 
-        K[l, s, (a, j), (a', j')] = sum_s' W[l, a, a', s, s'] A[l, s', j, j']
-        T[l, (i, a, j), (i', a', j')] = sum_s conj(A[l, s, i, i']) K[l, s, (a, j), (a', j')]
+        T[l, k, (i, j, a), (i', j', a')]
+            = sum_{s, s'} conj(f[l, k, i, s]) f[l, k, j, s'] W[l, a, a', s, s'],
 
-    are computed for all levels in one batched matmul each.  A left sweep
+    summed over the s and s' that lead from slots i, j to i', j', is F Z:
+    the edge products F[l, k, (i, j), (s, s')] times the fixed basis
+    Z = topo.basis(h), one matmul for every level and row.  A left sweep
     L[l+1] = L[l] T[l] from (0, 0, 0) ends with <psi|psi> in channel 0 and
     <psi|H|psi> in channel D-1; a right sweep R[l] = T[l] R[l+1] from
-    (0, D-1, 0) closes the chain, and d<H>/d conj(A[l, s]) = L[l] K[l, s]
-    R[l+1] for every edge at once.  The global phase cancels.  Cost
-    O(n (W^2 D)^2), the engine of narrow diagrams (`_contracts`).
+    (0, 0, D-1) closes the chain, and for every edge at once
+
+        d<H>/d conj(f[l, k, i, s])
+            = sum_{j, s'} f[l, k, j, s'] L[l, k] Z[l, (i, j), (s, s')] R[l+1, k].
+
+    The global phase cancels.  Cost O(n S (W^2 D)^2), the engine of narrow
+    diagrams (`_contracts`).
     """
-    from .hamiltonian import _checked_energy
-
     n, w = topo.num_qubits, topo.width
-    mpo = h._mpo
-    d = mpo.shape[1]
-    a = np.zeros((n, 2, w, w), dtype=np.complex128)
-    a.reshape(-1)[topo.edges] = (left, right)
-    ket = np.matmul(mpo.reshape(n, 2 * d * d, 2), a.reshape(n, 2, w * w))
-    ket = ket.reshape(n, d, d, 2, w, w).transpose(0, 3, 1, 4, 2, 5)  # (l, s, a, j, a', j')
-    ket = ket.reshape(n, 2, d * w * d * w)
-    bra = np.conj(a).transpose(0, 2, 3, 1).reshape(n, w * w, 2)  # (l, (i, i'), s)
-    transfer = np.matmul(bra, ket).reshape(n, w, w, d * w, d * w)
-    transfer = transfer.transpose(0, 1, 3, 2, 4).reshape(n, w * d * w, w * d * w)
+    d = h._mpo.shape[1]
+    basis = topo.basis(h)
+    count, pairs, size = left.shape[0], w * w, w * w * d
+    f = np.zeros((n, count, w, 2), dtype=np.complex128)
+    f[topo.level, :, topo.slot, 0] = left.T
+    f[topo.level, :, topo.slot, 1] = right.T
+    edge_pairs = np.conj(f)[:, :, :, None, :, None] * f[:, :, None, :, None, :]
+    transfer = np.empty((n, count, size, size), dtype=np.complex128)
+    # one (rows x 4) @ (4 x D W^2 D) product per level and slot pair, written
+    # in place into the rows' (i, j) blocks of T
+    np.matmul(edge_pairs.reshape(n, count, pairs, 4).swapaxes(1, 2), basis,
+              out=transfer.reshape(n, count, pairs, d * size).swapaxes(1, 2))
 
-    size = w * d * w
-    env_left = np.zeros((n + 1, size), dtype=np.complex128)
-    env_left[0, 0] = 1.0
+    env_left = np.zeros((n + 1, count, 1, size), dtype=np.complex128)
+    env_left[0, :, 0, 0] = 1.0
     for l in range(n):
         np.matmul(env_left[l], transfer[l], out=env_left[l + 1])
-    energy = _checked_energy(env_left[n, 0], env_left[n, (d - 1) * w])
+    norm2, value = env_left[n, :, 0, 0].real, env_left[n, :, 0, d - 1]
     if not gradient:
-        return energy, None, None
+        return norm2, value, None, None
 
-    env_right = np.zeros((n + 1, size), dtype=np.complex128)
-    env_right[n, (d - 1) * w] = 1.0
+    env_right = np.zeros((n + 1, count, size, 1), dtype=np.complex128)
+    env_right[n, :, d - 1, 0] = 1.0
     for l in range(n - 1, -1, -1):
         np.matmul(transfer[l], env_right[l + 1], out=env_right[l])
-    grad = np.matmul(env_left[:n].reshape(n, 1, w, d * w), ket.reshape(n, 2, d * w, d * w))
-    grad = np.matmul(grad, env_right[1:].reshape(n, 1, w, d * w).transpose(0, 1, 3, 2))
-    g0, g1 = grad.reshape(-1)[topo.edges]
-    return energy, g0, g1
+    del transfer  # the largest array: freed before the gradient's temporaries
+    # Z R over (i', j', a'), one product per level; then L over a and f over (j, s')
+    grad = np.matmul(env_right[1:].reshape(n, count, size),
+                     basis.reshape(n, pairs * 4 * d, size).swapaxes(1, 2))
+    grad = np.einsum("lkijsta,lkija,lkjt->lkis", grad.reshape(n, count, w, w, 2, 2, d),
+                     env_left[:n].reshape(n, count, w, w, d), f)
+    g0, g1 = grad[topo.level, :, topo.slot].T
+    return norm2, value, g0, g1
 
 
 def energy_and_grad(topo: _LevelTables, h, theta: np.ndarray, mode: str):
-    """(<H>, d<H>/dθ of shape (N, 3)) at θ.
+    """(<H>, d<H>/dθ of shape (N, 3)) at θ of shape (N, 3); at a stack of θ,
+    shape (S, N, 3), the energies (S,) and gradients (S, N, 3) of each.
 
     The engine is `_contracted` when the cost estimate `_contracts` favours
     it and `_dense` otherwise; both give the derivatives g0, g1 of
     <psi|H|psi> with respect to the conjugated edge factors, and the entries
-    are 2 Re <∂_j psi|H|psi> by the chain rule through `_chart`.
+    are 2 Re <∂_j psi|H|psi> by the chain rule through `_chart`.  A stack is
+    contracted in equal chunks of at most _TRANSFER_BYTES of transfer
+    matrices.  Errors and warnings about a θ of a stack name its index.
     """
+    from .hamiltonian import _checked_energy
+
+    stacked = theta.ndim == 3
+    stack = theta if stacked else theta[None]
+    count = stack.shape[0]
+    where = "stack entry {}: " if stacked else ""
     if mode == "raw":
-        singular = np.flatnonzero((theta[:, 0] == 0.0) | (theta[:, 0] == 1.0))
+        singular = np.argwhere((stack[..., 0] == 0.0) | (stack[..., 0] == 1.0))
         if singular.size:
             warnings.warn(
                 "raw-mode magnitude gradient is singular at r in {0, 1} for: "
-                + ", ".join(f"r{topo.node_ids[k]}" for k in singular),
+                + ", ".join(f"r{topo.node_ids[j]}" + (f" of stack entry {k}" if stacked else "")
+                            for k, j in singular),
                 SingularGradientWarning,
                 stacklevel=3,
             )
-    left, right, dleft, dright = _chart(theta, mode)
-    engine = _contracted if _contracts(topo, h) else _dense
-    energy, g0, g1 = engine(topo, h, left, right)
+    left, right, dleft, dright = _chart(stack, mode)
+    if _contracts(topo, h):
+        size = topo.width**2 * h._mpo.shape[1]
+        chunks = -(-count * topo.num_qubits * size * size * 16 // _TRANSFER_BYTES)
+        step = -(-count // chunks)
+        parts = [_contracted(topo, h, left[k:k + step], right[k:k + step])
+                 for k in range(0, count, step)]
+        norm2, value, g0, g1 = parts[0] if chunks == 1 else map(np.concatenate, zip(*parts))
+    else:
+        norm2, value, g0, g1 = _dense(topo, h, left, right)
+    energy = np.empty(count)
+    for k, (norm2_k, value_k) in enumerate(zip(norm2.tolist(), value.tolist())):
+        try:
+            energy[k] = _checked_energy(norm2_k, value_k)
+        except ValueError as exc:
+            raise ValueError(where.format(k) + str(exc)) from None
 
-    grad = np.empty(theta.shape, dtype=np.float64)
-    grad[:, 0] = 2.0 * (np.conj(dleft) * g0 + np.conj(dright) * g1).real
-    grad[:, 1] = 2.0 * (np.conj(1j * left) * g0).real
-    grad[:, 2] = 2.0 * (np.conj(1j * right) * g1).real
-    return energy, grad
+    grad = np.empty(stack.shape, dtype=np.float64)
+    grad[..., 0] = 2.0 * (np.conj(dleft) * g0 + np.conj(dright) * g1).real
+    grad[..., 1] = 2.0 * (np.conj(left) * g0).imag  # Re(conj(i left) g0)
+    grad[..., 2] = 2.0 * (np.conj(right) * g1).imag
+    return (energy, grad) if stacked else (float(energy[0]), grad[0])
 
 
 def exact_gradient(g: VddGraph, h, mode: str = "raw") -> GradientVector:

@@ -141,6 +141,12 @@ def adam_step(
     if params.shape != grads.shape:
         raise ValueError(f"shape mismatch: params {params.shape} vs grads {grads.shape}")
     _check_finite(grads)
+    return _adam(params, grads, state, lr, beta1, beta2, eps)
+
+
+def _adam(params, grads, state, lr, beta1, beta2, eps):
+    """adam_step without the input checks, for `train`, which checks each
+    epoch's gradient once."""
     t = state.step + 1
     m = beta1 * state.m + (1 - beta1) * grads
     v = beta2 * state.v + (1 - beta2) * grads**2
@@ -435,23 +441,23 @@ def train(config: TrainConfig) -> TrainTrace:
             energy, rel = math.nan, None
         grad = grad.ravel()
 
-        _check_finite(grad, labels=labels, epoch=epoch)
+        grad_norm = float(np.linalg.norm(grad))
+        if not math.isfinite(grad_norm):  # finite norm, finite entries: one check an epoch
+            _check_finite(grad, labels=labels, epoch=epoch)
         record = TraceRecord(
             epoch=epoch,
             loss=float(loss_val),
             energy=float(energy),
             relative_error=None if rel is None else float(rel),
-            grad_norm=float(np.linalg.norm(grad)),
+            grad_norm=grad_norm,
             energy_stderr=stderr,
         )
         records.append(record)
 
         if isinstance(opt, AdamConfig):
-            theta, adam_state = adam_step(
-                theta, grad, adam_state, opt.lr, opt.beta1, opt.beta2, opt.eps
-            )
+            theta, adam_state = _adam(theta, grad, adam_state, opt.lr, opt.beta1, opt.beta2, opt.eps)
         else:
-            theta = sgd_step(theta, grad, opt.lr)
+            theta = theta - opt.lr * grad
         if mode == "raw":
             theta[0::3] = np.clip(theta[0::3], _CLAMP, 1.0 - _CLAMP)
         record.wall_ms = 1e3 * (time.perf_counter() - start)

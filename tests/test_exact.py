@@ -7,12 +7,15 @@ import warnings
 import numpy as np
 import pytest
 
+import vdd.exact as exact
 from vdd.ansatz import InitScheme, build_accordion, build_ansatz, build_product, init_params
 from vdd.exact import (
     GradientVector,
     SingularGradientWarning,
     _contracts,
+    _flatten,
     _LevelTables,
+    energy_and_grad,
     exact_energy,
     exact_gradient,
     finite_difference,
@@ -198,6 +201,95 @@ def test_raw_gradient_warns_on_boundary_r():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         exact_gradient(g, h, mode="trig")
+
+
+def test_raw_gradient_warning_names_the_stack_entry():
+    g = random_graph("product", 3, 5)
+    h = build_model(ModelSpec("tfim", 3, g=1.0))
+    stack = np.stack([_flatten(g, "raw")] * 3)
+    stack[1, 2, 0] = 1.0  # node 3 of the second θ
+    with pytest.warns(SingularGradientWarning, match=r"for: r3 of stack entry 1$"):
+        _, grads = energy_and_grad(_LevelTables(g), h, stack, "raw")
+    assert np.all(np.isfinite(grads))
+
+
+@pytest.mark.parametrize("contract", [True, False])
+def test_stack_errors_name_the_failing_entry(contract, monkeypatch):
+    # scaling both edge factors of the root by 1 + eps scales <psi|psi> by
+    # about 1 + 2 eps; the check's tolerance is 1e-10
+    g = random_graph("accordion", 4, 3)
+    topo = _LevelTables(g)
+    h = build_model(ModelSpec("heisenberg", 4))
+    stack = np.stack([_flatten(g, "trig")] * 4)
+    stack[2, topo.root, 1] = 0.5  # marks the third θ
+    chart = exact._chart
+
+    def off_norm(eps):
+        def scaled(theta, mode):
+            left, right, dleft, dright = chart(theta, mode)
+            marked = theta[:, topo.root, 1] == 0.5
+            left[marked, topo.root] *= 1.0 + eps
+            right[marked, topo.root] *= 1.0 + eps
+            return left, right, dleft, dright
+        return scaled
+
+    monkeypatch.setattr(exact, "_contracts", lambda topo, h: contract)
+    monkeypatch.setattr(exact, "_TRANSFER_BYTES", 1)  # one θ per chunk
+    monkeypatch.setattr(exact, "_chart", off_norm(1e-10))
+    with pytest.raises(ValueError, match=r"^stack entry 2: state not normalized"):
+        energy_and_grad(topo, h, stack, "trig")
+    monkeypatch.setattr(exact, "_chart", off_norm(2.5e-11))
+    energies, _ = energy_and_grad(topo, h, stack, "trig")
+    assert energies.shape == (4,)
+
+
+@pytest.mark.parametrize("contract", [True, False])
+def test_stack_residue_errors_name_the_failing_entry(contract, monkeypatch):
+    g = random_graph("accordion", 4, 3)
+    topo = _LevelTables(g)
+    h = build_model(ModelSpec("heisenberg", 4))
+    stack = np.stack([_flatten(g, "trig")] * 4)
+    engine = exact._contracted if contract else exact._dense
+
+    def skewed(imag):  # i * imag added to <psi|H|psi> of the third θ of one call
+        def run(topo, h, left, right):
+            norm2, value, g0, g1 = engine(topo, h, left, right)
+            return norm2, value + 1j * imag * (np.arange(len(value)) == 2), g0, g1
+        return run
+
+    monkeypatch.setattr(exact, "_contracts", lambda topo, h: contract)
+    monkeypatch.setattr(exact, "_contracted" if contract else "_dense", skewed(2e-10))
+    with pytest.raises(ValueError, match=r"^stack entry 2: expectation has a non-real residue"):
+        energy_and_grad(topo, h, stack, "trig")
+    monkeypatch.setattr(exact, "_contracted" if contract else "_dense", skewed(5e-11))
+    energies, _ = energy_and_grad(topo, h, stack, "trig")
+    assert energies.shape == (4,)
+
+
+def test_transfer_basis_is_built_once_per_topology_and_operator(monkeypatch):
+    from vdd.experiments import VarianceScanConfig, variance_scan
+    from vdd.optimize import TrainConfig, train
+
+    built = []
+    original = exact._transfer_basis
+
+    def counted(topo, mpo):
+        built.append(topo.num_qubits)
+        return original(topo, mpo)
+
+    monkeypatch.setattr(exact, "_transfer_basis", counted)
+    train(TrainConfig(model=ModelSpec("heisenberg", 6), epochs=20, seed=0))
+    assert built == [6]  # once per run, not per epoch
+    variance_scan(VarianceScanConfig(model="heisenberg", n_values=(6, 8), tracked_params=("r1",),
+                                     num_seeds=40))
+    assert built == [6, 6, 8]  # once per n, not per seed or chunk
+    # another operator on the same topology gets its own basis
+    g = random_graph("accordion", 6, 4)
+    topo = _LevelTables(g)
+    for spec in (ModelSpec("heisenberg", 6), ModelSpec("tfim", 6, g=0.7)):
+        energy, _ = energy_and_grad(topo, build_model(spec), _flatten(g, "raw"), "raw")
+        assert energy == pytest.approx(exact_energy(g, build_model(spec)), abs=1e-12)
+    assert built == [6, 6, 8, 6, 6, 6, 6]
 
 
 def test_trig_gradient_is_chain_rule_of_raw():

@@ -34,8 +34,9 @@ def test_variance_scan_config_validation():
         VarianceScanConfig(model="tfim", n_values=(), tracked_params=("r1",))
     with pytest.raises(ConfigError):
         VarianceScanConfig(model="tfim", n_values=(4, 2), tracked_params=("r1",))
-    with pytest.raises(ConfigError):
-        VarianceScanConfig(model="tfim", n_values=(2, 16), tracked_params=("r1",))
+    with pytest.raises(ConfigError, match="universal layout at n = 21"):
+        variance_scan(VarianceScanConfig(model="tfim", n_values=(21,), tracked_params=("r1",),
+                                         ansatz="universal"))
     with pytest.raises(ConfigError):
         VarianceScanConfig(model="tfim", n_values=(2, 4), tracked_params=("r1",), num_seeds=1)
     with pytest.raises(ConfigError):
@@ -59,6 +60,17 @@ def test_variance_scan_rows_and_reproducibility():
     assert a.variance(4, "r1") > 0
     with pytest.raises(KeyError):
         a.variance(3, "r1")
+
+
+def test_variance_scan_past_the_state_vector_cap():
+    cfg = VarianceScanConfig(
+        model="heisenberg", n_values=(64,), tracked_params=("r1", "r2", "r-1"),
+        num_seeds=8, base_seed=2,
+    )
+    res = variance_scan(cfg)
+    assert [(r.n, r.param) for r in res.rows] == [(64, "r1"), (64, "r2"), (64, "r-1")]
+    for row in res.rows:
+        assert math.isfinite(row.variance) and row.variance > 0
 
 
 def test_variance_scan_skips_absent_labels_with_notice():

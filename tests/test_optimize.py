@@ -85,6 +85,26 @@ def test_sgd_step_literal_update():
         sgd_step(np.zeros(1), np.array([float("inf")]), 0.1)
 
 
+@pytest.mark.parametrize("bad,optimizer", [(float("nan"), AdamConfig()), (float("inf"), SgdConfig())])
+def test_train_names_a_non_finite_gradient_entry(bad, optimizer, monkeypatch):
+    import vdd.optimize as optimize
+
+    exact_energy_and_grad = optimize.energy_and_grad
+    calls = []
+
+    def faulty(topo, h, theta, mode):
+        energy, grad = exact_energy_and_grad(topo, h, theta, mode)
+        calls.append(mode)
+        if len(calls) == 3:
+            grad[1, 1] = bad  # omega of the second node, node 2
+        return energy, grad
+
+    monkeypatch.setattr(optimize, "energy_and_grad", faulty)
+    cfg = TrainConfig(model=ModelSpec("tfim", 3, g=1.0), optimizer=optimizer, epochs=5, seed=0)
+    with pytest.raises(TrainingError, match=r"at epoch 3 for: \['omega2'\]"):
+        train(cfg)
+
+
 # ---------------------------------------------------------------------------
 # dataset losses
 

@@ -150,6 +150,28 @@ def test_contraction_matches_the_dense_engine(case, mode, phase, identity, y_hea
     assert_engines_agree(g, PauliHamiltonian(n, h.terms + extra), mode)
 
 
+@SETTINGS
+@given(dags_with_hamiltonians(), st.sampled_from(["raw", "trig"]), st.sampled_from([1, 3]),
+       st.booleans(), st.integers(0, 2**16))
+def test_a_stack_of_thetas_matches_one_theta_at_a_time(case, mode, count, contract, seed):
+    g, h = case
+    topo = _LevelTables(g)
+    draws = np.random.default_rng(seed).random((count, len(topo.node_ids), 3))
+    stack = np.stack([0.05 + 0.9 * draws[..., 0], 6.0 * draws[..., 1], 6.0 * draws[..., 2]], -1)
+    if mode == "trig":  # a signed u, as training leaves it
+        stack[..., 0] = np.arccos(stack[..., 0]) * np.where(draws[..., 1] < 0.5, -1.0, 1.0)
+    size = topo.width**2 * h._mpo.shape[1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_contracts", lambda topo, h: contract)
+        # two θ per contraction: a stack of three is contracted in two chunks
+        mp.setattr(exact, "_TRANSFER_BYTES", 2 * g.num_qubits * size * size * 16)
+        energies, grads = energy_and_grad(topo, h, stack, mode)
+        singles = [energy_and_grad(topo, h, theta, mode) for theta in stack]
+    assert energies.shape == (count,) and grads.shape == stack.shape
+    np.testing.assert_allclose(energies, [energy for energy, _ in singles], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads, [grad for _, grad in singles], rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("spec", [ModelSpec("heisenberg", 2, boundary="periodic"),
                                   ModelSpec("tfim", 2, g=0.7, boundary="periodic"),
                                   ModelSpec("heisenberg", 2, jx=0.5, jy=-1.5, jz=0.3)])
@@ -168,9 +190,10 @@ def test_contraction_matches_the_dense_engine_on_the_builders(kind, n, spec):
 def test_contracted_energy_matches_the_dense_matrix(h, kind, seed):
     g = init_params(build_ansatz(kind, h.num_qubits), InitScheme("uniform", seed=seed))
     left, right, _, _ = _chart(_flatten(g, "raw"), "raw")
-    energy, _, _ = _contracted(_LevelTables(g), h, left, right, gradient=False)
+    norm2, value, _, _ = _contracted(_LevelTables(g), h, left[None], right[None], gradient=False)
     psi = to_state_vector(g).amps
-    assert energy == pytest.approx(np.vdot(psi, dense_matrix(h) @ psi).real, rel=0, abs=1e-12)
+    assert norm2[0] == pytest.approx(1.0, rel=0, abs=1e-12)
+    assert value[0] == pytest.approx(np.vdot(psi, dense_matrix(h) @ psi), rel=0, abs=1e-12)
 
 
 @SETTINGS
