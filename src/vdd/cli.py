@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -124,13 +124,7 @@ _OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("dataset", "str", None, "JSON dataset file for bce/kl losses"),
         Opt("init", "str", None, 'parameter init override (default "uniform" at --seed)'),
     ),
-    "variance-scan": _COMMON + (
-        Opt("model", "str", None, "hamiltonian family", required=True, choices=MODELS),
-        Opt("g", "float", 0.0, "transverse-field strength (tfim)"),
-        Opt("jx", "float", 1.0, "XX coupling (heisenberg)"),
-        Opt("jy", "float", 1.0, "YY coupling (heisenberg)"),
-        Opt("jz", "float", 1.0, "ZZ coupling (heisenberg)"),
-        Opt("boundary", "str", "open", "chain boundary", choices=BOUNDARIES),
+    "variance-scan": _COMMON + (replace(_MODEL_OPTS[0], required=True),) + _MODEL_OPTS[2:] + (
         Opt("n_values", "ints", tuple(range(2, 13)), "comma-separated system sizes"),
         Opt("tracked", "strs", ("r1", "omega3", "phi-1"), "comma-separated parameter labels"),
         Opt("num_seeds", "int", 100, "random initializations per grid cell"),

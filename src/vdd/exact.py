@@ -6,6 +6,11 @@ order, or as a stack of S of them, shape (S, N, 3), evaluated in one
 `energy_and_grad` call.  `VddGraph` is the input/output form; the hot path
 takes θ.
 
+Every engine, here and in vdd.vmc and vdd.optimize, reads one per-edge
+layout: `_chart`'s edge factors and slopes and `_LevelTables.child`, each
+(..., N, 2) and indexed [row, bit], so that read flat they share the edge
+index 2 * row + bit.
+
 The state vector is filled by level-wise forward propagation: every
 bit-string prefix of length l-1 sits at exactly one level-l node, so the
 2^n amplitudes are built in n vectorized sweeps (O(n 2^n) total) instead
@@ -168,9 +173,10 @@ class _LevelTables:
     """Compiled topology of a validated graph: its structure, not its parameters.
 
     Nodes are numbered by row = index in ascending id order, the row order
-    of θ and of GradientVector.  child0/child1 hold each node's child rows
-    (-1 past the last level); root is the row of the level-1 node.  Built
-    once per graph shape and reused for every θ.
+    of θ and of GradientVector.  child[row, bit] (shape (N, 2)) is the row
+    of the node's bit-child, -1 past the last level, in the layout of
+    `_chart`'s tables; root is the row of the level-1 node.  Built once per
+    graph shape and reused for every θ.
 
     For the contraction engine, width is the most nodes on one level;
     level and slot give each row's level (counted from 0) and its index among
@@ -193,8 +199,9 @@ class _LevelTables:
         self.global_phase = g.global_phase
         self.node_ids = tuple(g.sorted_ids())
         row = {node_id: k for k, node_id in enumerate(self.node_ids)}
-        self.child0 = np.array([row.get(g.nodes[i].child0, -1) for i in self.node_ids])
-        self.child1 = np.array([row.get(g.nodes[i].child1, -1) for i in self.node_ids])
+        self.child = np.array(
+            [(row.get(g.nodes[i].child0, -1), row.get(g.nodes[i].child1, -1))
+             for i in self.node_ids], dtype=np.int64)
         self.root = row[g.root_child]
 
         level = np.array([g.nodes[i].level - 1 for i in self.node_ids])
@@ -205,9 +212,8 @@ class _LevelTables:
             counts[l] += 1
         self.width = int(counts.max())
         self.level, self.slot = level, slot
-        child = np.stack((self.child0, self.child1), axis=-1)
         self.children = np.zeros((self.num_qubits, self.width, 2), dtype=np.int64)
-        self.children[level, slot] = np.where(child < 0, 0, slot[child])
+        self.children[level, slot] = np.where(self.child < 0, 0, slot[self.child])
         rejoin = [self.num_qubits]
         for l in range(self.num_qubits - 1, -1, -1):
             rejoin.append(l if counts[l] == 1 else rejoin[-1])
@@ -223,30 +229,33 @@ class _LevelTables:
 
 
 def _chart(theta: np.ndarray, mode: str):
-    """(left, right, dleft, dright): every node's edge factors and their
-    derivatives with respect to its magnitude slot θ[..., 0], for θ of shape
-    (N, 3) or a stack of them, (S, N, 3).
+    """(edge, slope): every node's edge factors and their derivatives with
+    respect to its magnitude slot θ[..., 0], each of shape (..., N, 2) for θ
+    of shape (N, 3) or a stack of them, (S, N, 3).  [..., row, bit] is the
+    node's bit-edge, so read flat both are indexed by the edge 2 * row + bit.
 
     Rows of θ are (r, omega, phi) in "raw" mode and (u, omega, phi) in
     "trig" mode, u signed and unfolded.  Both modes evaluate the magnitudes
     as (cos u, sin u), raw with u = arccos r, so a graph yields the same
     edge factors whichever mode its gradient is asked in:
 
-        left = cos u e^{i omega},  right = sin u e^{i phi}
-        raw:  d/dr = (e^{i omega}, -r / sqrt(1 - r^2) e^{i phi}), r clamped below 1
-        trig: d/du = (-sin u e^{i omega}, cos u e^{i phi})
+        edge  = (cos u e^{i omega}, sin u e^{i phi})
+        raw:  slope = d/dr = (e^{i omega}, -r / sqrt(1 - r^2) e^{i phi}), r clamped below 1
+        trig: slope = d/du = (-sin u e^{i omega}, cos u e^{i phi})
     """
     mag = theta[..., 0]
     u = mag if mode == "trig" else np.arccos(mag)
-    cos_u, sin_u = np.cos(u), np.sin(u)
-    eiw = np.exp(1j * theta[..., 1])
-    eip = np.exp(1j * theta[..., 2])
+    cos_sin = np.empty(theta.shape[:-1] + (2,))
+    cos_sin[..., 0] = np.cos(u)
+    cos_sin[..., 1] = np.sin(u)
     if mode == "trig":
-        dleft, dright = -sin_u, cos_u
+        slope = cos_sin[..., ::-1] * (-1.0, 1.0)
     else:
         rc = np.clip(mag, _CLAMP, 1.0 - _CLAMP)
-        dleft, dright = 1.0, -rc / np.sqrt(1.0 - rc * rc)
-    return cos_u * eiw, sin_u * eip, dleft * eiw, dright * eip
+        slope = np.ones_like(cos_sin)
+        slope[..., 1] = -rc / np.sqrt(1.0 - rc * rc)
+    phase = np.exp(1j * theta[..., 1:])
+    return cos_sin * phase, slope * phase
 
 
 def _flatten(g: VddGraph, mode: str) -> np.ndarray:
@@ -279,31 +288,29 @@ def _materialize(g: VddGraph, theta: np.ndarray, mode: str) -> VddGraph:
     return replace(g, nodes=nodes)
 
 
-def _forward(topo: _LevelTables, left: np.ndarray, right: np.ndarray):
-    """Prefix amplitudes F[l] (length 2^l) and node rows P[l] per level.
+def _forward(topo: _LevelTables, edge: np.ndarray):
+    """Prefix amplitudes F[l] (length 2^l) and taken edges E[l] per level,
+    for one θ's edge table (N, 2).
 
-    P[l][p] is the row of the level-(l+1) node reached by the length-l
-    prefix p; F[l][p] is the product of the first l edge factors times the
-    global phase, so F[n] is the state vector.  Every 2^n array of this
+    F[l][p] is the product of the first l edge factors of prefix p times
+    the global phase, so F[n] is the state vector.  E[l][q] is the edge
+    2 * row + bit that the length-(l+1) prefix q takes at level l+1, so
+    F[l+1] = repeat(F[l], 2) * edge.flat[E[l]].  Every 2^n array of this
     module starts here, so this is where n > STATEVECTOR_CAP is refused.
     """
     n = topo.num_qubits
     if n > STATEVECTOR_CAP:
         raise CapacityError(f"state vectors are capped at n = {STATEVECTOR_CAP}, got n = {n}")
+    factor, child = edge.ravel(), topo.child.ravel()
     amps = [np.array([np.exp(1j * topo.global_phase)], dtype=np.complex128)]
-    rows = [np.array([topo.root], dtype=np.int64)]
+    taken = [2 * topo.root + np.arange(2)]
     for level in range(1, n + 1):
-        cur, cur_amp = rows[-1], amps[-1]
-        new_amp = np.empty(2 * cur_amp.shape[0], dtype=np.complex128)
-        new_amp[0::2] = cur_amp * left[cur]
-        new_amp[1::2] = cur_amp * right[cur]
-        amps.append(new_amp)
+        amps.append(np.repeat(amps[-1], 2) * factor[taken[-1]])
         if level < n:
-            new_rows = np.empty(2 * cur.shape[0], dtype=np.int64)
-            new_rows[0::2] = topo.child0[cur]
-            new_rows[1::2] = topo.child1[cur]
-            rows.append(new_rows)
-    return amps, rows
+            edges = np.repeat(2 * child[taken[-1]], 2)
+            edges[1::2] += 1
+            taken.append(edges)
+    return amps, taken
 
 
 def _check_graph_and_operator(g: VddGraph, h) -> None:
@@ -320,8 +327,7 @@ def _check_mode(mode: str) -> None:
 
 def _amplitudes(topo: _LevelTables, theta: np.ndarray, mode: str) -> np.ndarray:
     """The 2^n amplitudes at θ, from the forward sweep alone."""
-    left, right, _, _ = _chart(theta, mode)
-    return _forward(topo, left, right)[0][-1]
+    return _forward(topo, _chart(theta, mode)[0])[0][-1]
 
 
 def to_state_vector(g: VddGraph) -> StateVector:
@@ -337,11 +343,11 @@ def exact_energy(g: VddGraph, h) -> float:
 
     _check_graph_and_operator(g, h)
     topo = _LevelTables(g)
-    left, right, _, _ = _chart(_flatten(g, "raw"), "raw")
+    edge, _ = _chart(_flatten(g, "raw"), "raw")
     if _contracts(topo, h):
-        norm2, value, _, _ = _contracted(topo, h, left[None], right[None], gradient=False)
+        norm2, value, _ = _contracted(topo, h, edge[None], gradient=False)
         return _checked_energy(norm2[0], value[0])
-    return expectation(h, _forward(topo, left, right)[0][-1])
+    return expectation(h, _forward(topo, edge)[0][-1])
 
 
 # ---------------------------------------------------------------------------
@@ -377,38 +383,36 @@ def _contracts(topo: _LevelTables, h) -> bool:
     return size * size < 2**topo.num_qubits + _LEVEL_COST
 
 
-def _dense(topo: _LevelTables, h, left: np.ndarray, right: np.ndarray):
-    """(<psi|psi>, <psi|H|psi>, g0, g1) for each row of a stack of edge
-    factors (S, N), one state vector at a time: one forward sweep, one H|psi>
-    and one backward sweep per row.
+def _dense(topo: _LevelTables, h, edge: np.ndarray):
+    """(<psi|psi>, <psi|H|psi>, g) for each θ of a stack of edge tables
+    (S, N, 2), one state vector at a time: one forward sweep, one H|psi>
+    and one backward sweep per θ.
 
-    g0[k, j], g1[k, j] are d<psi|H|psi>/d conj(edge) for node j's 0- and
-    1-edge in row k.  Forward gives the prefix amplitude F[p] in front of
-    each node; backward propagates suffix sums B against H|psi>, so that
-    g_b[j] is sum_{p at j} conj(F[p]) * B[p's b-child prefix].
+    g[k, j, b] is d<psi|H|psi>/d conj(edge[k, j, b]), the derivative by
+    node j's b-edge for θ k.  Forward gives the prefix amplitude F[p] in
+    front of each node and the edges the prefixes take; backward propagates
+    suffix sums B against H|psi>, so that g[k, j, b] is
+    sum_{p at j} conj(F[p]) * B[2p + b], a scatter onto the taken edges.
     """
     from .hamiltonian import apply_to_vector
 
-    norm2 = np.empty(left.shape[0])
-    value = np.empty(left.shape[0], dtype=np.complex128)
-    g0 = np.zeros(left.shape, dtype=np.complex128)
-    g1 = np.zeros(left.shape, dtype=np.complex128)
-    for k in range(left.shape[0]):
-        amps, prefix_rows = _forward(topo, left[k], right[k])
+    norm2 = np.empty(edge.shape[0])
+    value = np.empty(edge.shape[0], dtype=np.complex128)
+    g = np.zeros(edge.shape, dtype=np.complex128)
+    for k in range(edge.shape[0]):
+        amps, taken = _forward(topo, edge[k])
         hv = apply_to_vector(h, amps[-1])
         norm2[k] = np.vdot(amps[-1], amps[-1]).real
         value[k] = np.vdot(amps[-1], hv)
+        factor, gk = edge[k].ravel(), g[k].reshape(-1)
         back = hv
         for level in range(topo.num_qubits, 0, -1):
-            rows = prefix_rows[level - 1]
-            prefix = np.conj(amps[level - 1])
-            b0 = back[0::2]
-            b1 = back[1::2]
-            np.add.at(g0[k], rows, prefix * b0)
-            np.add.at(g1[k], rows, prefix * b1)
+            edges = taken[level - 1]
+            np.add.at(gk, edges, np.repeat(np.conj(amps[level - 1]), 2) * back)
             if level > 1:
-                back = np.conj(left[k, rows]) * b0 + np.conj(right[k, rows]) * b1
-    return norm2, value, g0, g1
+                step = np.conj(factor[edges]) * back
+                back = step[0::2] + step[1::2]
+    return norm2, value, g
 
 
 def _transfer_basis(topo: _LevelTables, mpo: np.ndarray) -> np.ndarray:
@@ -427,13 +431,12 @@ def _transfer_basis(topo: _LevelTables, mpo: np.ndarray) -> np.ndarray:
     return z.reshape(n, w * w, 4, d * w * w * d)
 
 
-def _contracted(topo: _LevelTables, h, left: np.ndarray, right: np.ndarray,
-                gradient: bool = True):
-    """(<psi|psi>, <psi|H|psi>, g0, g1) as _dense, for the whole stack at
-    once, by contraction over the levels: no 2^n vector.
+def _contracted(topo: _LevelTables, h, edge: np.ndarray, gradient: bool = True):
+    """(<psi|psi>, <psi|H|psi>, g) as _dense, for the whole stack of edge
+    tables (S, N, 2) at once, by contraction over the levels: no 2^n vector.
 
     The diagram is a matrix product state: f[l, k, i, s] is the s-edge factor
-    of the level-l node in slot i (see _LevelTables) in stack row k, and H is
+    of the level-l node in slot i (see _LevelTables) for θ k, and H is
     the operator chain W[l] of `hamiltonian._build_mpo`.  The transfer
     matrix of level l,
 
@@ -442,7 +445,7 @@ def _contracted(topo: _LevelTables, h, left: np.ndarray, right: np.ndarray,
 
     summed over the s and s' that lead from slots i, j to i', j', is F Z:
     the edge products F[l, k, (i, j), (s, s')] times the fixed basis
-    Z = topo.basis(h), one matmul for every level and row.  A left sweep
+    Z = topo.basis(h), one matmul for every level and θ.  A left sweep
     L[l+1] = L[l] T[l] from (0, 0, 0) ends with <psi|psi> in channel 0 and
     <psi|H|psi> in channel D-1; a right sweep R[l] = T[l] R[l+1] from
     (0, 0, D-1) closes the chain, and for every edge at once
@@ -456,10 +459,9 @@ def _contracted(topo: _LevelTables, h, left: np.ndarray, right: np.ndarray,
     n, w = topo.num_qubits, topo.width
     d = h._mpo.shape[1]
     basis = topo.basis(h)
-    count, pairs, size = left.shape[0], w * w, w * w * d
+    count, pairs, size = edge.shape[0], w * w, w * w * d
     f = np.zeros((n, count, w, 2), dtype=np.complex128)
-    f[topo.level, :, topo.slot, 0] = left.T
-    f[topo.level, :, topo.slot, 1] = right.T
+    f[topo.level, :, topo.slot] = edge.swapaxes(0, 1)
     edge_pairs = np.conj(f)[:, :, :, None, :, None] * f[:, :, None, :, None, :]
     transfer = np.empty((n, count, size, size), dtype=np.complex128)
     # one (rows x 4) @ (4 x D W^2 D) product per level and slot pair, written
@@ -473,7 +475,7 @@ def _contracted(topo: _LevelTables, h, left: np.ndarray, right: np.ndarray,
         np.matmul(env_left[l], transfer[l], out=env_left[l + 1])
     norm2, value = env_left[n, :, 0, 0].real, env_left[n, :, 0, d - 1]
     if not gradient:
-        return norm2, value, None, None
+        return norm2, value, None
 
     env_right = np.zeros((n + 1, count, size, 1), dtype=np.complex128)
     env_right[n, :, d - 1, 0] = 1.0
@@ -485,8 +487,7 @@ def _contracted(topo: _LevelTables, h, left: np.ndarray, right: np.ndarray,
                      basis.reshape(n, pairs * 4 * d, size).swapaxes(1, 2))
     grad = np.einsum("lkijsta,lkija,lkjt->lkis", grad.reshape(n, count, w, w, 2, 2, d),
                      env_left[:n].reshape(n, count, w, w, d), f)
-    g0, g1 = grad[topo.level, :, topo.slot].T
-    return norm2, value, g0, g1
+    return norm2, value, grad[topo.level, :, topo.slot].swapaxes(0, 1)
 
 
 def energy_and_grad(topo: _LevelTables, h, theta: np.ndarray, mode: str):
@@ -494,9 +495,12 @@ def energy_and_grad(topo: _LevelTables, h, theta: np.ndarray, mode: str):
     shape (S, N, 3), the energies (S,) and gradients (S, N, 3) of each.
 
     The engine is `_contracted` when the cost estimate `_contracts` favours
-    it and `_dense` otherwise; both give the derivatives g0, g1 of
-    <psi|H|psi> with respect to the conjugated edge factors, and the entries
-    are 2 Re <∂_j psi|H|psi> by the chain rule through `_chart`.  A stack is
+    it and `_dense` otherwise; both give the derivatives g of <psi|H|psi>
+    with respect to the conjugated edge factors, in the (..., N, 2) layout
+    of `_chart`'s tables, and the entries are 2 Re <∂_j psi|H|psi> by the
+    chain rule: the magnitude entry sums 2 Re(conj(slope) g) over a node's
+    two edges, and the omega and phi entries are 2 Im(conj(edge) g) of its
+    0- and 1-edge (d edge / d phase = i edge).  A stack is
     contracted in equal chunks of at most _TRANSFER_BYTES of transfer
     matrices.  Errors and warnings about a θ of a stack name its index.
     """
@@ -516,16 +520,15 @@ def energy_and_grad(topo: _LevelTables, h, theta: np.ndarray, mode: str):
                 SingularGradientWarning,
                 stacklevel=3,
             )
-    left, right, dleft, dright = _chart(stack, mode)
+    edge, slope = _chart(stack, mode)
     if _contracts(topo, h):
         size = topo.width**2 * h._mpo.shape[1]
         chunks = -(-count * topo.num_qubits * size * size * 16 // _TRANSFER_BYTES)
         step = -(-count // chunks)
-        parts = [_contracted(topo, h, left[k:k + step], right[k:k + step])
-                 for k in range(0, count, step)]
-        norm2, value, g0, g1 = parts[0] if chunks == 1 else map(np.concatenate, zip(*parts))
+        parts = [_contracted(topo, h, edge[k:k + step]) for k in range(0, count, step)]
+        norm2, value, g = parts[0] if chunks == 1 else map(np.concatenate, zip(*parts))
     else:
-        norm2, value, g0, g1 = _dense(topo, h, left, right)
+        norm2, value, g = _dense(topo, h, edge)
     energy = np.empty(count)
     for k, (norm2_k, value_k) in enumerate(zip(norm2.tolist(), value.tolist())):
         try:
@@ -534,9 +537,9 @@ def energy_and_grad(topo: _LevelTables, h, theta: np.ndarray, mode: str):
             raise ValueError(where.format(k) + str(exc)) from None
 
     grad = np.empty(stack.shape, dtype=np.float64)
-    grad[..., 0] = 2.0 * (np.conj(dleft) * g0 + np.conj(dright) * g1).real
-    grad[..., 1] = 2.0 * (np.conj(left) * g0).imag  # Re(conj(i left) g0)
-    grad[..., 2] = 2.0 * (np.conj(right) * g1).imag
+    magnitude = (np.conj(slope) * g).real
+    grad[..., 0] = 2.0 * (magnitude[..., 0] + magnitude[..., 1])
+    grad[..., 1:] = 2.0 * (np.conj(edge) * g).imag  # Re(conj(i edge) g)
     return (energy, grad) if stacked else (float(energy[0]), grad[0])
 
 

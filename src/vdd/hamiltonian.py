@@ -29,6 +29,7 @@ Qubit 1 is the most significant bit of the state-vector index throughout.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -364,21 +365,18 @@ def apply_to_vector(h: PauliHamiltonian, v) -> np.ndarray:
 def expectation(h: PauliHamiltonian, v) -> float:
     """<v|H|v> for a normalized state; the imaginary residue is checked and dropped."""
     amps = _state_amplitudes(h, v)
-    return _energy_of(amps, apply_to_vector(h, amps))
-
-
-def _energy_of(amps: np.ndarray, hv: np.ndarray) -> float:
-    """<v|H|v> from v and H|v>; v must be normalized, a non-real residue is rejected."""
-    return _checked_energy(np.vdot(amps, amps), np.vdot(amps, hv))
+    return _checked_energy(np.vdot(amps, amps), np.vdot(amps, apply_to_vector(h, amps)))
 
 
 def _checked_energy(norm2, value) -> float:
     """Re <v|H|v> from <v|v> and <v|H|v>, however they were computed:
-    <v|v> must be 1 and <v|H|v> real, each to 1e-10."""
+    <v|v> must be 1 and <v|H|v> real, each to 1e-10, and both finite."""
     norm2 = float(np.real(norm2))
-    if abs(norm2 - 1.0) > 1e-10:
+    if not abs(norm2 - 1.0) <= 1e-10:  # NaN fails every comparison
         raise ValueError(f"state not normalized: sum |amp|^2 = {norm2!r}")
     value = complex(value)
+    if not cmath.isfinite(value):
+        raise ValueError(f"expectation is not finite: {value!r}")
     if abs(value.imag) > 1e-10:
         raise ValueError(f"expectation has a non-real residue: {value!r}")
     return value.real

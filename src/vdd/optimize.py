@@ -217,17 +217,15 @@ def _dataset_loss(topo: _LevelTables, theta: np.ndarray, mode: str, bits, labels
     no division by an edge weight, finite at the box boundary.  Phase
     entries are exactly zero.
     """
-    left, right, dleft, dright = _chart(theta, mode)
+    factor, slope = _chart(theta, mode)
     count, n = bits.shape
     rows = np.empty((count, n), dtype=np.int64)  # node row at each level of each path
     rows[:, 0] = topo.root
     for level in range(1, n):
-        prev = rows[:, level - 1]
-        rows[:, level] = np.where(bits[:, level - 1] == 0, topo.child0[prev], topo.child1[prev])
-    zero = bits == 0
-    edge = np.where(zero, left[rows], right[rows])
+        rows[:, level] = topo.child[rows[:, level - 1], bits[:, level - 1]]
+    edge = factor[rows, bits]
     q = np.abs(edge) ** 2
-    dq = 2.0 * (np.conj(edge) * np.where(zero, dleft[rows], dright[rows])).real
+    dq = 2.0 * (np.conj(edge) * slope[rows, bits]).real
     prefix = np.ones((count, n))
     prefix[:, 1:] = np.cumprod(q[:, :-1], axis=1)
     suffix = np.ones((count, n))

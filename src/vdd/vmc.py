@@ -82,12 +82,12 @@ class VmcBatch:
     samples is a (batch, n) 0/1 array (row = bit string, qubit 1 first) and
     rows the (batch, n) node rows its paths visit, level 1 first, in the
     row order of GradientVector; both are views of level-major arrays.
-    edges is the chart's (left, right, dleft, dright) per node row, in mode
-    ("raw" or "trig"), and node_ids the ids of those rows, which label the
+    edges is the chart's (edge, slope) tables (see vdd.exact) in mode ("raw"
+    or "trig"), and node_ids the ids of their rows, which label the
     gradient.  edge is the level-major (n, batch) array of the edges the
-    samples take, 2 * node row + bit, derived from rows and samples when
-    not given.  The gradient and its jackknife are scatters of the local
-    values onto the taken edges, so no per-sample log-derivative is stored.
+    samples take, 2 * node row + bit.  The gradient and its jackknife are
+    scatters of the local values onto the taken edges, so no per-sample
+    log-derivative is stored.
     """
 
     samples: np.ndarray
@@ -98,7 +98,7 @@ class VmcBatch:
     energy_stderr: float
     node_ids: tuple[int, ...]
     mode: str
-    edge: np.ndarray | None = None
+    edge: np.ndarray
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples)
@@ -107,8 +107,6 @@ class VmcBatch:
         b = self.samples.shape[0]
         if self.local_values.shape != (b,) or self.rows.shape != self.samples.shape:
             raise ValueError("samples, rows and local_values must have equal length")
-        if self.edge is None:
-            self.edge = 2 * self.rows.T + self.samples.T
 
     @property
     def batch_size(self) -> int:
@@ -128,8 +126,9 @@ class _Workspace:
 
     Level-major (n, count): the uniforms (rewritten as the gradient's
     scatter weights once the sampler has read them), the bits, the node
-    rows and the edges taken (2 * node row + bit).  Per sample: the local
-    values and the scratch of the sampler and of the flip-group walks.
+    rows and the edges taken (2 * node row + bit, which also indexes
+    `_LevelTables.child` read flat).  Per sample: the local values and the
+    scratch of the sampler and of the flip-group walks.
     `train` allocates one per run and every epoch's draw overwrites it;
     `sample` and `sample_batch` allocate one per call, so the batch they
     return owns its arrays.
@@ -145,7 +144,6 @@ class _Workspace:
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         n = topo.num_qubits
-        self.child = np.stack((topo.child0, topo.child1), axis=1).ravel()  # per edge
         layout = (  # widest items first, so that every view is aligned
             ("local", (count,), np.complex128),
             ("ratio", (count,), np.complex128),
@@ -167,9 +165,10 @@ class _Workspace:
         self.weight = self.uniform
 
 
-def _sample(topo: _LevelTables, left: np.ndarray, work: _Workspace, rng) -> None:
-    """Level-major Born draws into `work`: one uniform per (sample, level),
-    all drawn at once in level-major order, consumed level by level.
+def _sample(topo: _LevelTables, factor: np.ndarray, work: _Workspace, rng) -> None:
+    """Level-major Born draws into `work` from the chart's edge factors
+    (N, 2): one uniform per (sample, level), all drawn at once in
+    level-major order, consumed level by level.
 
     Fills the bits, the node rows their paths visit (level 1 first) and
     the edges they take, from which the batch kernels read the paths.
@@ -177,7 +176,7 @@ def _sample(topo: _LevelTables, left: np.ndarray, work: _Workspace, rng) -> None
     `np.take` buffers `out` in its default mode.
     """
     n = topo.num_qubits
-    p_zero = np.abs(left) ** 2
+    p_zero = np.abs(factor[:, 0]) ** 2
     rng.random(out=work.uniform)
     rows, edge = work.rows, work.edge
     rows[0] = topo.root
@@ -187,7 +186,7 @@ def _sample(topo: _LevelTables, left: np.ndarray, work: _Workspace, rng) -> None
         np.multiply(rows[level], 2, out=edge[level])
         edge[level] += work.bits[level]
         if level < n - 1:
-            np.take(work.child, edge[level], out=rows[level + 1], mode="clip")
+            np.take(topo.child, edge[level], out=rows[level + 1], mode="clip")
 
 
 def sample(g: VddGraph, count: int, seed: int = 0, rng=None) -> np.ndarray:
@@ -197,9 +196,9 @@ def sample(g: VddGraph, count: int, seed: int = 0, rng=None) -> np.ndarray:
     level, so results are reproducible for a given seed.
     """
     topo = _LevelTables(g)
-    left = _chart(_flatten(g, "raw"), "raw")[0]
+    factor = _chart(_flatten(g, "raw"), "raw")[0]
     work = _Workspace(topo, count)
-    _sample(topo, left, work, np.random.default_rng(seed) if rng is None else rng)
+    _sample(topo, factor, work, np.random.default_rng(seed) if rng is None else rng)
     return work.bits.T.copy()  # a view would keep the whole workspace alive
 
 
@@ -213,11 +212,11 @@ def _batch_local_values(topo: _LevelTables, h: PauliHamiltonian, work: _Workspac
     single-node level (`_LevelTables.rejoin`), below which the edges are
     b's own.  So each flip group walks from its first flipped level to
     that rejoin level, or to the last level.  Paths that meet earlier only
-    multiply in matching factors.  b's factors enter through a per-edge
-    table of their inverses.  Returns `work.local`.
+    multiply in matching factors.  The walks read the chart's edge factors,
+    edges[0], by edge index, and b's through a table of their inverses.
+    Returns `work.local`.
     """
-    left, right = edges[:2]
-    factor = np.stack((left, right), axis=1).ravel()  # per edge 2 * node row + bit
+    factor = edges[0].ravel()  # per edge 2 * node row + bit
     with np.errstate(divide="ignore", invalid="ignore"):
         inverse = 1.0 / factor
     bits, edge = work.bits, work.edge
@@ -243,7 +242,7 @@ def _batch_local_values(topo: _LevelTables, h: PauliHamiltonian, work: _Workspac
         ratio *= step
         flipped = set(flip.tolist())
         for level in range(first + 1, topo.rejoin[flip[-1] + 1]):
-            np.take(work.child, flipped_edge, out=node, mode="clip")
+            np.take(topo.child, flipped_edge, out=node, mode="clip")
             np.multiply(node, 2, out=flipped_edge)
             flipped_edge += bits[level]
             if level in flipped:
@@ -320,14 +319,12 @@ def _taken_edges(batch: VmcBatch):
     An edge belongs to one level, so a scatter over the level-major edges
     adds each edge's samples in sample order, as a sample-major one would.
     """
-    left, right, dleft, dright = batch.edges
-    size = 2 * left.shape[0]
+    factor, slope = (table.ravel() for table in batch.edges)
     edge = batch.edge.ravel()
-    counts = np.bincount(edge, minlength=size)
+    counts = np.bincount(edge, minlength=factor.size)
     taken = counts > 0
-    mag = np.zeros(size)
-    mag[taken] = (np.stack((dleft, dright), axis=1).ravel()[taken]
-                  / np.stack((left, right), axis=1).ravel()[taken]).real
+    mag = np.zeros(factor.size)
+    mag[taken] = (slope[taken] / factor[taken]).real
     if not np.all(np.isfinite(mag)):
         raise ValueError("log-derivatives hit a zero-amplitude edge")
     return edge, counts, mag

@@ -226,11 +226,10 @@ def test_stack_errors_name_the_failing_entry(contract, monkeypatch):
 
     def off_norm(eps):
         def scaled(theta, mode):
-            left, right, dleft, dright = chart(theta, mode)
+            edge, slope = chart(theta, mode)
             marked = theta[:, topo.root, 1] == 0.5
-            left[marked, topo.root] *= 1.0 + eps
-            right[marked, topo.root] *= 1.0 + eps
-            return left, right, dleft, dright
+            edge[marked, topo.root] *= 1.0 + eps
+            return edge, slope
         return scaled
 
     monkeypatch.setattr(exact, "_contracts", lambda topo, h: contract)
@@ -252,9 +251,9 @@ def test_stack_residue_errors_name_the_failing_entry(contract, monkeypatch):
     engine = exact._contracted if contract else exact._dense
 
     def skewed(imag):  # i * imag added to <psi|H|psi> of the third θ of one call
-        def run(topo, h, left, right):
-            norm2, value, g0, g1 = engine(topo, h, left, right)
-            return norm2, value + 1j * imag * (np.arange(len(value)) == 2), g0, g1
+        def run(topo, h, edge):
+            norm2, value, g = engine(topo, h, edge)
+            return norm2, value + 1j * imag * (np.arange(len(value)) == 2), g
         return run
 
     monkeypatch.setattr(exact, "_contracts", lambda topo, h: contract)
@@ -264,6 +263,19 @@ def test_stack_residue_errors_name_the_failing_entry(contract, monkeypatch):
     monkeypatch.setattr(exact, "_contracted" if contract else "_dense", skewed(5e-11))
     energies, _ = energy_and_grad(topo, h, stack, "trig")
     assert energies.shape == (4,)
+
+
+@pytest.mark.parametrize("contract", [True, False])
+def test_stack_entry_with_r_outside_the_box_is_rejected(contract, monkeypatch):
+    # arccos(1.5) is NaN, so every energy and gradient of that θ would be NaN
+    g = random_graph("accordion", 4, 3)
+    topo = _LevelTables(g)
+    h = build_model(ModelSpec("heisenberg", 4))
+    stack = np.stack([_flatten(g, "raw")] * 3)
+    stack[1, topo.root, 0] = 1.5
+    monkeypatch.setattr(exact, "_contracts", lambda topo, h: contract)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"^stack entry 1: "):
+        energy_and_grad(topo, h, stack, "raw")
 
 
 def test_transfer_basis_is_built_once_per_topology_and_operator(monkeypatch):

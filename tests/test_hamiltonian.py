@@ -207,6 +207,14 @@ def test_expectation_matches_quadratic_form():
     )
 
 
+def test_expectation_rejects_a_non_finite_value():
+    # each coefficient is finite, but their sum overflows on a normalized state
+    h = PauliHamiltonian(num_qubits=1, terms=(PauliString(1e308, "Z"), PauliString(1e308, "Z")))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^expectation is not finite"):
+            expectation(h, np.array([1.0, 0.0], dtype=complex))
+
+
 def test_term_counts_open_vs_periodic():
     tfim_open = build_model(ModelSpec("tfim", 6, g=2.0))
     tfim_periodic = build_model(ModelSpec("tfim", 6, g=2.0, boundary="periodic"))

@@ -18,7 +18,7 @@ from vdd.ansatz import ANSATZ_KINDS, InitScheme, build_ansatz, init_params
 from vdd.exact import _LevelTables, _chart, _contracted, _flatten, energy_and_grad
 from vdd.exact import exact_gradient, finite_difference, to_state_vector
 from vdd.graph import TERMINAL, Node, ParamTriple, VddGraph, amplitude, deserialize, serialize
-from vdd.graph import validate
+from vdd.graph import edge_amplitudes, validate
 from vdd.hamiltonian import ModelSpec, PauliHamiltonian, PauliString, apply_string
 from vdd.hamiltonian import apply_to_vector, build_model, dense_matrix
 from vdd.state import bits_of_index, index_of_bits
@@ -117,6 +117,26 @@ def test_state_is_normalized_and_matches_path_walks(g):
 
 
 @SETTINGS
+@given(leveled_dags(), st.sampled_from(["raw", "trig"]))
+def test_edge_tables_are_indexed_by_row_and_bit(g, mode):
+    # the one layout every kernel reads: [row, bit] is the node's bit-edge
+    topo = _LevelTables(g)
+    edge, slope = _chart(_flatten(g, mode), mode)
+    assert topo.child.shape == edge.shape == slope.shape == (len(g.nodes), 2)
+    row_of = {node_id: k for k, node_id in enumerate(g.sorted_ids())}
+    for row, node_id in enumerate(g.sorted_ids()):
+        node = g.nodes[node_id]
+        r, eiw, eip = node.params.r, np.exp(1j * node.params.omega), np.exp(1j * node.params.phi)
+        s = math.sqrt(1.0 - r * r)
+        # d/dr of (r e^{i omega}, s e^{i phi}), and d/du with r = cos u, s = sin u
+        derivative = (eiw, -r / s * eip) if mode == "raw" else (-s * eiw, r * eip)
+        for bit, child in enumerate((node.child0, node.child1)):
+            assert topo.child[row, bit] == (-1 if child is TERMINAL else row_of[child])
+            assert abs(edge[row, bit] - edge_amplitudes(node.params)[bit]) <= 1e-14
+            assert abs(slope[row, bit] - derivative[bit]) <= 1e-14
+
+
+@SETTINGS
 @given(dags_with_hamiltonians(), st.sampled_from(["raw", "trig"]))
 def test_gradient_matches_finite_difference(case, mode):
     g, h = case
@@ -189,8 +209,8 @@ def test_contraction_matches_the_dense_engine_on_the_builders(kind, n, spec):
 @given(hamiltonians(), st.sampled_from(["product", "accordion"]), st.integers(0, 2**16))
 def test_contracted_energy_matches_the_dense_matrix(h, kind, seed):
     g = init_params(build_ansatz(kind, h.num_qubits), InitScheme("uniform", seed=seed))
-    left, right, _, _ = _chart(_flatten(g, "raw"), "raw")
-    norm2, value, _, _ = _contracted(_LevelTables(g), h, left[None], right[None], gradient=False)
+    edge, _ = _chart(_flatten(g, "raw"), "raw")
+    norm2, value, _ = _contracted(_LevelTables(g), h, edge[None], gradient=False)
     psi = to_state_vector(g).amps
     assert norm2[0] == pytest.approx(1.0, rel=0, abs=1e-12)
     assert value[0] == pytest.approx(np.vdot(psi, dense_matrix(h) @ psi), rel=0, abs=1e-12)
@@ -315,12 +335,12 @@ def test_batch_gradient_skips_untaken_edges_at_the_box(mode):
     assert np.all(np.isfinite(vmc_gradient_stderr(batch)))
     assert_statistics_match_dense_reference(g, batch)
     # every edge's magnitude times its summed centered value: inf * 0 at the root
-    edges = batch.edges
+    edge, slope = batch.edges
     centered = np.real(batch.local_values - batch.local_values.mean())
     s_re = np.bincount((2 * batch.rows + batch.samples).ravel(), np.repeat(centered, 4),
                        minlength=2 * len(g.nodes))
     with np.errstate(divide="ignore", invalid="ignore"):
-        mag = np.stack([(edges[2] / edges[0]).real, (edges[3] / edges[1]).real], axis=1).ravel()
+        mag = (slope / edge).real.ravel()
         assert np.isnan(mag * s_re).any()
 
 

@@ -156,7 +156,7 @@ def test_batch_local_values_reject_zero_amplitude():
     h = build_model(ModelSpec("tfim", 2, g=1.0))
     topo = _LevelTables(g)
     bits = np.array([[0, 0], [1, 1]], dtype=np.uint8)
-    rows = np.array([[topo.root, topo.child0[topo.root]]] * 2)
+    rows = np.array([[topo.root, topo.child[topo.root, 0]]] * 2)
     edges = _chart(_flatten(g, "raw"), "raw")
 
     def drawn(count):  # a workspace holding the first `count` hand-made samples
