@@ -180,7 +180,8 @@ class _LevelTables:
 
     For the contraction engine, width is the most nodes on one level;
     level and slot give each row's level (counted from 0) and its index among
-    the nodes of that level, in row order; and children[l, i, b] (shape
+    the nodes of that level, in row order (the VMC local-value tables key
+    on them too); and children[l, i, b] (shape
     (n, width, 2)) is the slot of the b-child of the level-l node in slot i,
     0 past the last level and for empty slots.  The transfer basis of
     `_contracted` is built from them by `basis` for one operator at a time.
@@ -503,6 +504,8 @@ def energy_and_grad(topo: _LevelTables, h, theta: np.ndarray, mode: str):
     0- and 1-edge (d edge / d phase = i edge).  A stack is
     contracted in equal chunks of at most _TRANSFER_BYTES of transfer
     matrices.  Errors and warnings about a θ of a stack name its index.
+    In raw mode an r outside [0, 1], NaN included, is rejected before the
+    chart runs, naming its node and value.
     """
     from .hamiltonian import _checked_energy
 
@@ -511,7 +514,13 @@ def energy_and_grad(topo: _LevelTables, h, theta: np.ndarray, mode: str):
     count = stack.shape[0]
     where = "stack entry {}: " if stacked else ""
     if mode == "raw":
-        singular = np.argwhere((stack[..., 0] == 0.0) | (stack[..., 0] == 1.0))
+        r = stack[..., 0]
+        outside = np.argwhere(~((r >= 0.0) & (r <= 1.0)))  # NaN too
+        if outside.size:
+            k, j = outside[0]
+            raise ValueError(where.format(k)
+                             + f"r{topo.node_ids[j]} = {float(r[k, j])!r} lies outside [0, 1]")
+        singular = np.argwhere((r == 0.0) | (r == 1.0))
         if singular.size:
             warnings.warn(
                 "raw-mode magnitude gradient is singular at r in {0, 1} for: "

@@ -13,11 +13,16 @@ Per-sample quantities:
                   edge ratios over the diverging segment only: from f's
                   first flipped level to the topology's rejoin level, the
                   first single-node level past f's last one, where every
-                  path meets b's (`_LevelTables.rejoin`), read off the
-                  edges the sampler recorded.  So a flip group walks from
-                  its first flipped level to at most one level past its
-                  last on the accordion and product layouts, and to the
-                  last level on the universal one.  No bit string is
+                  path meets b's (`_LevelTables.rejoin`).  A segment ends
+                  at most one level past f's last on the accordion and
+                  product layouts, and at the last level on the universal
+                  one.  f's term depends on b only through b's edge at the
+                  segment's first level and its bits below, so a short
+                  segment is tabulated over those keys once per draw and
+                  each sample reads its term by key (`_Segments`); a
+                  segment with more keys times levels than the batch has
+                  samples (a long one on a wide layout) is walked on the
+                  edges the sampler recorded instead.  No bit string is
                   packed into an integer, so any n works.
 * log-derivative  O_j(b) = d log psi(b) / d theta_j, nonzero only for the
                   n nodes on b's path:
@@ -40,9 +45,10 @@ A batch is drawn by one private kernel (`_draw`) on the compiled topology
 and a parameter array θ (see vdd.exact): the chart's edge factors, the
 Born draws, the local values and their energy statistics, returned as a
 `VmcBatch`.  It writes into a `_Workspace`, the batch's level-major
-arrays and the kernels' scratch.  Training allocates one workspace per
-run and draws every epoch into it, without rebuilding a graph or
-allocating a batch-sized array; `sample` and `sample_batch` take a
+arrays and the kernels' scratch, which also keeps the local-value tables
+compiled for the operator.  Training allocates one workspace per run and
+draws every epoch into it, without rebuilding a graph, recompiling the
+tables or allocating a batch-sized array; `sample` and `sample_batch` take a
 `VddGraph`, compile it and allocate a workspace per call, so their
 results own their arrays.
 
@@ -60,7 +66,7 @@ import numpy as np
 from .exact import GradientVector, _chart, _check_graph_and_operator, _check_mode, _flatten
 from .exact import _LevelTables
 from .graph import VddGraph, amplitude
-from .hamiltonian import PauliHamiltonian, _bit_elements
+from .hamiltonian import PauliHamiltonian, _bit_elements, _index_bits
 
 __all__ = [
     "VmcBatch",
@@ -128,10 +134,13 @@ class _Workspace:
     scatter weights once the sampler has read them), the bits, the node
     rows and the edges taken (2 * node row + bit, which also indexes
     `_LevelTables.child` read flat).  Per sample: the local values and the
-    scratch of the sampler and of the flip-group walks.
+    scratch of the sampler, of the flip-group walks and of the table keys.
     `train` allocates one per run and every epoch's draw overwrites it;
     `sample` and `sample_batch` allocate one per call, so the batch they
-    return owns its arrays.
+    return owns its arrays.  The local-value tables (`_Segments`) depend on
+    the batch size, so the workspace keeps them too: `segments` compiles
+    them for the topology and operator of the first draw, once per `train`
+    run, and again only when a draw brings another.
 
     All of them are views of one block.  Freed at the end of a run, a
     block that size raises glibc's mmap threshold above it, so the next
@@ -154,6 +163,7 @@ class _Workspace:
             ("p_zero", (count,), np.float64),
             ("node", (count,), np.int64),
             ("flipped_edge", (count,), np.int64),
+            ("key", (count,), np.int64),
             ("bits", (n, count), np.uint8),
         )
         sizes = [np.dtype(dtype).itemsize * math.prod(shape) for _, shape, dtype in layout]
@@ -163,6 +173,17 @@ class _Workspace:
             setattr(self, name, block[offset:offset + size].view(dtype).reshape(shape))
             offset += size
         self.weight = self.uniform
+        self._segments = None
+        self._segments_of = (None, None)
+
+    def segments(self, topo: _LevelTables, h: PauliHamiltonian) -> _Segments:
+        """The local-value tables of topology topo and operator h for this
+        batch size: built on the first call with them and kept until a call
+        with another topology or operator."""
+        built_for_topo, built_for_h = self._segments_of
+        if built_for_topo is not topo or built_for_h is not h:
+            self._segments, self._segments_of = _Segments(topo, h, self.local.size), (topo, h)
+        return self._segments
 
 
 def _sample(topo: _LevelTables, factor: np.ndarray, work: _Workspace, rng) -> None:
@@ -202,6 +223,77 @@ def sample(g: VddGraph, count: int, seed: int = 0, rng=None) -> np.ndarray:
     return work.bits.T.copy()  # a view would keep the whole workspace alive
 
 
+def _tabulates(keys: int, length: int, count: int) -> bool:
+    """Whether a flip group's local values are cheaper read from a table
+    than walked: the table gathers `length` edges for each of its `keys`
+    per draw, the walk `length` edges for each of `count` samples."""
+    return keys * length <= count
+
+
+class _Segments:
+    """Compiled local-value tables of a topology and an operator for a
+    batch of `count` samples.
+
+    A flip group's term psi(b ^ f) / psi(b) * <b|H_f|b ^ f> depends on b
+    only through b's node at the first level of the group's segment
+    [first, rejoin[last + 1]), the L levels `_batch_local_values` walks,
+    and b's bits on those levels.  So it has W 2^L keys, W being the width
+    of level first: key = slot * 2^L + the L bits read as a binary number,
+    the first level's most significant, slot being the node's index within
+    its level.  Every key fixes the edges of both paths over the segment.
+    A group for which `_tabulates` holds is compiled into columns of the
+    (depth, keys) edge arrays bra (b's path) and ket (b ^ f's), shorter
+    segments padded with the edge 2N, whose factor is 1, and into
+    elements: its matrix elements per key when every Z and Y qubit of its
+    terms lies in the segment (folded), 1 otherwise.
+
+    groups holds, per group of `h._bit_groups`, None (diagonal or walked)
+    or (first, end, start, stop, folded), [start, stop) being its columns;
+    first_key maps an edge 2 * row + bit to 2 * slot + bit.
+    """
+
+    def __init__(self, topo: _LevelTables, h: PauliHamiltonian, count: int):
+        n, pad = topo.num_qubits, topo.child.size
+        child = topo.child.ravel()
+        self.first_key = (2 * topo.slot[:, None] + np.arange(2)).ravel()
+        self.groups = []
+        paths, elements = [], []  # per tabulated group
+        start = 0
+        for flip, terms in h._bit_groups:
+            if flip.size == 0:
+                self.groups.append(None)
+                continue
+            first, end = int(flip[0]), topo.rejoin[flip[-1] + 1]
+            length = end - first
+            rows = np.flatnonzero(topo.level == first)  # in slot order
+            keys = rows.size * 2**length
+            if not _tabulates(keys, length, count):
+                self.groups.append(None)
+                continue
+            bits = np.zeros((n, keys), dtype=np.uint8)
+            bits[first:end] = np.tile(_index_bits(length), rows.size)
+            bra = np.empty((length, keys), dtype=np.int64)
+            ket = np.empty_like(bra)
+            row = flipped_row = np.repeat(rows, 2**length)
+            for j, level in enumerate(range(first, end)):
+                bra[j] = 2 * row + bits[level]
+                ket[j] = 2 * flipped_row + (bits[level] ^ (level in flip))
+                if level < end - 1:
+                    row, flipped_row = child[bra[j]], child[ket[j]]
+            folded = all(np.all((zy >= first) & (zy < end)) for _, zy in terms)
+            paths.append((bra, ket))
+            # conjugated, as in _batch_local_values
+            elements.append(np.conj(_bit_elements(terms, bits)) if folded else np.ones(keys))
+            self.groups.append((first, end, start, start + keys, folded))
+            start += keys
+        depth = max((len(bra) for bra, _ in paths), default=0)
+        self.bra = np.full((depth, start), pad, dtype=np.int64)
+        self.ket = self.bra.copy()
+        for (bra, ket), (_, _, lo, hi, _) in zip(paths, filter(None, self.groups)):
+            self.bra[:len(bra), lo:hi], self.ket[:len(ket), lo:hi] = bra, ket
+        self.elements = np.concatenate([np.ones(0), *elements])
+
+
 def _batch_local_values(topo: _LevelTables, h: PauliHamiltonian, work: _Workspace,
                         edges) -> np.ndarray:
     """A~(b) for every sample drawn into `work`, from the edges its path takes.
@@ -210,23 +302,47 @@ def _batch_local_values(topo: _LevelTables, h: PauliHamiltonian, work: _Workspac
     the two paths differ: they share every node above f's first flipped
     level, and once past f's last one they meet at the topology's next
     single-node level (`_LevelTables.rejoin`), below which the edges are
-    b's own.  So each flip group walks from its first flipped level to
-    that rejoin level, or to the last level.  Paths that meet earlier only
-    multiply in matching factors.  The walks read the chart's edge factors,
+    b's own.  So a flip group's ratio is a product over its segment, from
+    its first flipped level to that rejoin level, or to the last level.
+
+    Short segments are tabulated (`_Segments`, kept on the workspace): one
+    gather-and-product over the compiled edge arrays gives every tabulated
+    group's value per key, and each sample then reads its group values by
+    key, one gather per group, after building the key from its edge at the
+    first level and its bits below.  A group whose key count times its
+    length exceeds the batch size (`_tabulates`), such as a long segment on
+    a wide layout, walks its segment instead: the chart's edge factors,
     edges[0], by edge index, and b's through a table of their inverses.
+    Paths that meet earlier only multiply in matching factors.
     Returns `work.local`.
     """
+    segments = work.segments(topo, h)
     factor = edges[0].ravel()  # per edge 2 * node row + bit
+    # an edge of factor 0 has an infinite inverse; the keys whose b path
+    # takes one are never read
     with np.errstate(divide="ignore", invalid="ignore"):
         inverse = 1.0 / factor
+        table = np.append(factor, 1.0)[segments.ket].prod(axis=0)
+        table *= np.append(inverse, 1.0)[segments.bra].prod(axis=0)
+        table *= segments.elements
     bits, edge = work.bits, work.edge
     # only an edge of factor 0 has a non-finite inverse: gather b's only then
     if not np.all(np.isfinite(inverse)) and not np.all(np.isfinite(inverse[edge])):
         raise ValueError("local estimator undefined where psi(b) = 0")
     local, ratio, step = work.local, work.ratio, work.step
-    node, flipped_edge = work.node, work.flipped_edge
+    node, flipped_edge, key = work.node, work.flipped_edge, work.key
     local.fill(0.0)
-    for flip, terms in h._bit_groups:
+    for (flip, terms), segment in zip(h._bit_groups, segments.groups):
+        if segment is not None:
+            first, end, start, stop, folded = segment
+            np.take(segments.first_key, edge[first], out=key, mode="clip")
+            for level in range(first + 1, end):
+                np.left_shift(key, 1, out=key)
+                key += bits[level]
+            np.take(table[start:stop], key, out=ratio, mode="clip")
+            if folded:
+                local += ratio
+                continue
         # <b|H_flip|b ^ flip> = conj(<b ^ flip|H_flip|b>), H being Hermitian
         elements = _bit_elements(terms, bits)
         if elements.dtype == np.complex128:
@@ -234,23 +350,24 @@ def _batch_local_values(topo: _LevelTables, h: PauliHamiltonian, work: _Workspac
         if flip.size == 0:
             local += elements
             continue
-        first = int(flip[0])
-        # b ^ flip's path sits on b's node at the first flipped level
-        np.bitwise_xor(edge[first], 1, out=flipped_edge)
-        np.take(factor, flipped_edge, out=ratio, mode="clip")
-        np.take(inverse, edge[first], out=step, mode="clip")
-        ratio *= step
-        flipped = set(flip.tolist())
-        for level in range(first + 1, topo.rejoin[flip[-1] + 1]):
-            np.take(topo.child, flipped_edge, out=node, mode="clip")
-            np.multiply(node, 2, out=flipped_edge)
-            flipped_edge += bits[level]
-            if level in flipped:
-                np.bitwise_xor(flipped_edge, 1, out=flipped_edge)
-            np.take(factor, flipped_edge, out=step, mode="clip")
+        if segment is None:
+            first = int(flip[0])
+            # b ^ flip's path sits on b's node at the first flipped level
+            np.bitwise_xor(edge[first], 1, out=flipped_edge)
+            np.take(factor, flipped_edge, out=ratio, mode="clip")
+            np.take(inverse, edge[first], out=step, mode="clip")
             ratio *= step
-            np.take(inverse, edge[level], out=step, mode="clip")
-            ratio *= step
+            flipped = set(flip.tolist())
+            for level in range(first + 1, topo.rejoin[flip[-1] + 1]):
+                np.take(topo.child, flipped_edge, out=node, mode="clip")
+                np.multiply(node, 2, out=flipped_edge)
+                flipped_edge += bits[level]
+                if level in flipped:
+                    np.bitwise_xor(flipped_edge, 1, out=flipped_edge)
+                np.take(factor, flipped_edge, out=step, mode="clip")
+                ratio *= step
+                np.take(inverse, edge[level], out=step, mode="clip")
+                ratio *= step
         ratio *= elements
         local += ratio
     return local

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -276,6 +277,23 @@ def test_stack_entry_with_r_outside_the_box_is_rejected(contract, monkeypatch):
     monkeypatch.setattr(exact, "_contracts", lambda topo, h: contract)
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"^stack entry 1: "):
         energy_and_grad(topo, h, stack, "raw")
+
+
+@pytest.mark.parametrize("stacked", [True, False])
+@pytest.mark.parametrize("r", [1.5, -0.25, math.nan])
+def test_raw_r_outside_the_box_names_the_node_and_value(stacked, r):
+    # checked before the chart, whose arccos would warn and return NaN
+    g = random_graph("accordion", 4, 3)
+    topo = _LevelTables(g)
+    h = build_model(ModelSpec("heisenberg", 4))
+    stack = np.stack([_flatten(g, "raw")] * 3)
+    stack[1, 2, 0] = r
+    where = "stack entry 1: " if stacked else ""
+    message = re.escape(f"{where}r{topo.node_ids[2]} = {r!r} lies outside [0, 1]")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            energy_and_grad(topo, h, stack if stacked else stack[1], "raw")
 
 
 def test_transfer_basis_is_built_once_per_topology_and_operator(monkeypatch):

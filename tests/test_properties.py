@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vdd.exact as exact
+import vdd.vmc as vmc
 from vdd.ansatz import ANSATZ_KINDS, InitScheme, build_ansatz, init_params
 from vdd.exact import _LevelTables, _chart, _contracted, _flatten, energy_and_grad
 from vdd.exact import exact_gradient, finite_difference, to_state_vector
@@ -22,7 +23,7 @@ from vdd.graph import edge_amplitudes, validate
 from vdd.hamiltonian import ModelSpec, PauliHamiltonian, PauliString, apply_string
 from vdd.hamiltonian import apply_to_vector, build_model, dense_matrix
 from vdd.state import bits_of_index, index_of_bits
-from vdd.vmc import _sample, _Workspace, local_estimator, sample_batch, vmc_gradient
+from vdd.vmc import _draw, _sample, _Workspace, local_estimator, sample_batch, vmc_gradient
 from vdd.vmc import vmc_gradient_stderr
 from vmc_reference import dense_statistics
 
@@ -272,6 +273,51 @@ def test_segment_ratios_on_the_builders(kind, n, spec, seed, mode):
             local_estimator(g, h, bits), rel=1e-12, abs=1e-12
         )
     assert_statistics_match_dense_reference(g, batch)
+
+
+def assert_local_values_match_the_oracle(g, h, batch):
+    for row in range(batch.batch_size):
+        bits = tuple(int(b) for b in batch.samples[row])
+        assert batch.local_values[row] == pytest.approx(
+            local_estimator(g, h, bits), rel=1e-12, abs=1e-12
+        )
+
+
+def walked_groups(topo, h, work):
+    """The flip masks of the non-diagonal groups whose segment is walked."""
+    segments = work.segments(topo, h).groups
+    return [flip.tolist() for (flip, _), segment in zip(h._bit_groups, segments)
+            if flip.size and segment is None]
+
+
+@SETTINGS
+@given(dags_with_hamiltonians(max_qubits=8), st.sampled_from(["raw", "trig"]))
+def test_tabulated_and_walked_local_values_match_the_oracle(case, mode):
+    # every group tabulated, then every group walked; a group whose Z or Y
+    # qubits leave its segment multiplies in its matrix elements per sample
+    g, h = case
+    topo = _LevelTables(g)
+    flips = [flip.tolist() for flip, _ in h._bit_groups if flip.size]
+    for tabulate in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vmc, "_tabulates", lambda keys, length, count: tabulate)
+            work = _Workspace(topo, 16)
+            batch = _draw(topo, h, _flatten(g, mode), mode, work, np.random.default_rng(3))
+            assert walked_groups(topo, h, work) == ([] if tabulate else flips)
+        assert_local_values_match_the_oracle(g, h, batch)
+
+
+@pytest.mark.parametrize("mode", ["raw", "trig"])
+def test_one_draw_tabulates_short_segments_and_walks_the_wrap_bond(mode):
+    # the wrap bond (8, 1) spans all 8 levels: 2^8 keys times 8 levels
+    # exceed the 64 samples, while every other bond has at most 16 keys of 3
+    g = init_params(build_ansatz("accordion", 8), InitScheme("uniform", seed=5))
+    h = build_model(ModelSpec("heisenberg", 8, jx=0.7, jy=1.2, boundary="periodic"))
+    topo = _LevelTables(g)
+    work = _Workspace(topo, 64)
+    batch = _draw(topo, h, _flatten(g, mode), mode, work, np.random.default_rng(3))
+    assert walked_groups(topo, h, work) == [[0, 7]]
+    assert_local_values_match_the_oracle(g, h, batch)
 
 
 def assert_flipped_paths_rejoin(g, h, batch):

@@ -389,6 +389,38 @@ def test_draws_into_one_workspace_equal_fresh_draws():
         assert np.array_equal(grad_a, _batch_gradient(b))
 
 
+def test_segment_tables_are_built_once_per_run_and_operator(monkeypatch):
+    from vdd import vmc
+    from vdd.exact import _LevelTables, _flatten
+    from vdd.optimize import TrainConfig, train
+
+    built = []
+    original = vmc._Segments
+
+    def counted(topo, h, count):
+        built.append(count)
+        return original(topo, h, count)
+
+    monkeypatch.setattr(vmc, "_Segments", counted)
+    train(TrainConfig(model=ModelSpec("heisenberg", 6), epochs=20, seed=0, gradient_source="vmc",
+                      batch_size=64, loss="energy"))
+    assert built == [64]  # once per run, not per epoch
+    # another operator asked of the same workspace gets its own tables
+    g = random_graph("accordion", 6, 4)
+    topo = _LevelTables(g)
+    work = vmc._Workspace(topo, 32)
+    heisenberg = build_model(ModelSpec("heisenberg", 6, jx=0.7, boundary="periodic"))
+    tfim = build_model(ModelSpec("tfim", 6, g=0.7))
+    for h in (heisenberg, heisenberg, tfim, heisenberg):
+        batch = vmc._draw(topo, h, _flatten(g, "raw"), "raw", work, np.random.default_rng(1))
+        for k in range(batch.batch_size):
+            bits = tuple(int(b) for b in batch.samples[k])
+            assert batch.local_values[k] == pytest.approx(
+                local_estimator(g, h, bits), rel=1e-12, abs=1e-12
+            )
+    assert built == [64, 32, 32, 32]
+
+
 def test_batch_invariants_and_csv(tmp_path):
     g = random_graph("accordion", 3, 2)
     h = build_model(ModelSpec("tfim", 3, g=0.5))
