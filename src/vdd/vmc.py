@@ -21,9 +21,10 @@ Per-sample quantities:
                   segment is tabulated over those keys once per draw and
                   each sample reads its term by key (`_Segments`); a
                   segment with more keys times levels than the batch has
-                  samples (a long one on a wide layout) is walked on the
-                  edges the sampler recorded instead.  No bit string is
-                  packed into an integer, so any n works.
+                  samples (a long one on a wide layout), or one with Z or
+                  Y qubits of f's terms outside it, is walked on the edges
+                  the sampler recorded instead.  No bit string is packed
+                  into an integer, so any n works.
 * log-derivative  O_j(b) = d log psi(b) / d theta_j, nonzero only for the
                   n nodes on b's path:
                       left edge:  O_r = 1/r,            O_omega = i
@@ -66,7 +67,7 @@ import numpy as np
 from .exact import GradientVector, _chart, _check_graph_and_operator, _check_mode, _flatten
 from .exact import _LevelTables
 from .graph import VddGraph, amplitude
-from .hamiltonian import PauliHamiltonian, _bit_elements, _index_bits
+from .hamiltonian import PauliHamiltonian, _bit_elements
 
 __all__ = [
     "VmcBatch",
@@ -240,58 +241,79 @@ class _Segments:
     and b's bits on those levels.  So it has W 2^L keys, W being the width
     of level first: key = slot * 2^L + the L bits read as a binary number,
     the first level's most significant, slot being the node's index within
-    its level.  Every key fixes the edges of both paths over the segment.
-    A group for which `_tabulates` holds is compiled into columns of the
-    (depth, keys) edge arrays bra (b's path) and ket (b ^ f's), shorter
-    segments padded with the edge 2N, whose factor is 1, and into
-    elements: its matrix elements per key when every Z and Y qubit of its
-    terms lies in the segment (folded), 1 otherwise.
+    its level.  Every key fixes the edges of both paths over the segment:
+    b ^ f's key is b's with f's bits flipped.  A group for which
+    `_tabulates` holds and whose terms have every Z and Y qubit in the
+    segment, so that its matrix elements too are fixed by the key, gets
+    columns [start, stop), one per key, of the (depth, columns) edge arrays
+    bra (b's path) and ket (b ^ f's), shorter segments padded with the
+    edge 2N, whose factor is 1, and of elements, its matrix elements.  The
+    columns of all groups are compiled together, one level at a time.
 
     groups holds, per group of `h._bit_groups`, None (diagonal or walked)
-    or (first, end, start, stop, folded), [start, stop) being its columns;
-    first_key maps an edge 2 * row + bit to 2 * slot + bit.
+    or (first, end, start, stop); first_key maps an edge 2 * row + bit to
+    2 * slot + bit.
     """
 
     def __init__(self, topo: _LevelTables, h: PauliHamiltonian, count: int):
         n, pad = topo.num_qubits, topo.child.size
-        child = topo.child.ravel()
+        width = np.bincount(topo.level, minlength=n)
+        row_of = np.empty((n, topo.width), dtype=np.int64)  # by level and slot
+        row_of[topo.level, topo.slot] = np.arange(len(topo.level))
         self.first_key = (2 * topo.slot[:, None] + np.arange(2)).ravel()
+
+        def key_bits(qubits, end):
+            """The bits of these qubits in the key of a segment ending at end."""
+            return sum(1 << (end - 1 - q) for q in qubits.tolist())
+
         self.groups = []
-        paths, elements = [], []  # per tabulated group
-        start = 0
+        tabulated = []  # per tabulated group: first, L, keys, f's key bits
+        columns, zy_bits, weights = [np.arange(0)], [], []  # per term of one
+        stop = 0
         for flip, terms in h._bit_groups:
-            if flip.size == 0:
+            first, end = (int(flip[0]), topo.rejoin[flip[-1] + 1]) if flip.size else (0, 0)
+            keys = int(width[first]) << (end - first)
+            # the diagonal group has no segment; a group whose Z or Y qubits
+            # leave its segment is walked
+            if not (flip.size and _tabulates(keys, end - first, count)
+                    and all(first <= q < end for _, zy in terms for q in zy.tolist())):
                 self.groups.append(None)
                 continue
-            first, end = int(flip[0]), topo.rejoin[flip[-1] + 1]
-            length = end - first
-            rows = np.flatnonzero(topo.level == first)  # in slot order
-            keys = rows.size * 2**length
-            if not _tabulates(keys, length, count):
-                self.groups.append(None)
-                continue
-            bits = np.zeros((n, keys), dtype=np.uint8)
-            bits[first:end] = np.tile(_index_bits(length), rows.size)
-            bra = np.empty((length, keys), dtype=np.int64)
-            ket = np.empty_like(bra)
-            row = flipped_row = np.repeat(rows, 2**length)
-            for j, level in enumerate(range(first, end)):
-                bra[j] = 2 * row + bits[level]
-                ket[j] = 2 * flipped_row + (bits[level] ^ (level in flip))
-                if level < end - 1:
-                    row, flipped_row = child[bra[j]], child[ket[j]]
-            folded = all(np.all((zy >= first) & (zy < end)) for _, zy in terms)
-            paths.append((bra, ket))
-            # conjugated, as in _batch_local_values
-            elements.append(np.conj(_bit_elements(terms, bits)) if folded else np.ones(keys))
-            self.groups.append((first, end, start, start + keys, folded))
-            start += keys
-        depth = max((len(bra) for bra, _ in paths), default=0)
-        self.bra = np.full((depth, start), pad, dtype=np.int64)
-        self.ket = self.bra.copy()
-        for (bra, ket), (_, _, lo, hi, _) in zip(paths, filter(None, self.groups)):
-            self.bra[:len(bra), lo:hi], self.ket[:len(ket), lo:hi] = bra, ket
-        self.elements = np.concatenate([np.ones(0), *elements])
+            start, stop = stop, stop + keys
+            self.groups.append((first, end, start, stop))
+            tabulated.append((first, end - first, keys, key_bits(flip, end)))
+            for weight, zy in terms:
+                columns.append(np.arange(start, stop))
+                zy_bits.append(key_bits(zy, end))
+                weights.append(weight)
+
+        # per column: its group's first level, L and flip bits, and its key
+        first, length, keys, flip = np.array(tabulated, dtype=np.int64).reshape(-1, 4).T
+        key = np.arange(stop) - np.repeat(np.cumsum(keys) - keys, keys)
+        first, length, flip = (np.repeat(a, keys) for a in (first, length, flip))
+        child = topo.child.ravel()
+        depth = int(length.max(initial=0))
+
+        def path(key):
+            """(depth, columns) edges taken by the keys' bits from their slot."""
+            edges = np.full((depth, stop), pad, dtype=np.int64)
+            row = row_of[first, key >> length]
+            for j in range(depth):
+                edge = 2 * row + ((key >> np.maximum(length - 1 - j, 0)) & 1)
+                edges[j, j < length] = edge[j < length]
+                row = child.take(edge, mode="clip")  # past a segment's end: unread
+            return edges
+
+        self.bra, self.ket = path(key), path(key ^ flip)
+        # <b|H_f|b ^ f> = conj(<b ^ f|H_f|b>): per term its conjugated weight,
+        # negated where the key's bits on its Z and Y qubits have odd parity
+        column = np.concatenate(columns)
+        sizes = [c.size for c in columns[1:]]
+        zy = np.repeat(np.array(zy_bits, dtype=np.int64), sizes)
+        weight = np.repeat(np.conj(np.array(weights, dtype=np.complex128)), sizes)
+        value = np.where(np.bitwise_count(key[column] & zy) & 1, -weight, weight)
+        self.elements = np.bincount(column, value.real, stop) + 1j * np.bincount(
+            column, value.imag, stop)
 
 
 def _batch_local_values(topo: _LevelTables, h: PauliHamiltonian, work: _Workspace,
@@ -311,9 +333,10 @@ def _batch_local_values(topo: _LevelTables, h: PauliHamiltonian, work: _Workspac
     key, one gather per group, after building the key from its edge at the
     first level and its bits below.  A group whose key count times its
     length exceeds the batch size (`_tabulates`), such as a long segment on
-    a wide layout, walks its segment instead: the chart's edge factors,
-    edges[0], by edge index, and b's through a table of their inverses.
-    Paths that meet earlier only multiply in matching factors.
+    a wide layout, or whose Z or Y qubits leave its segment, walks its
+    segment instead: the chart's edge factors, edges[0], by edge index, and
+    b's through a table of their inverses.  Paths that meet earlier only
+    multiply in matching factors.
     Returns `work.local`.
     """
     segments = work.segments(topo, h)
@@ -334,15 +357,14 @@ def _batch_local_values(topo: _LevelTables, h: PauliHamiltonian, work: _Workspac
     local.fill(0.0)
     for (flip, terms), segment in zip(h._bit_groups, segments.groups):
         if segment is not None:
-            first, end, start, stop, folded = segment
+            first, end, start, stop = segment
             np.take(segments.first_key, edge[first], out=key, mode="clip")
             for level in range(first + 1, end):
                 np.left_shift(key, 1, out=key)
                 key += bits[level]
             np.take(table[start:stop], key, out=ratio, mode="clip")
-            if folded:
-                local += ratio
-                continue
+            local += ratio
+            continue
         # <b|H_flip|b ^ flip> = conj(<b ^ flip|H_flip|b>), H being Hermitian
         elements = _bit_elements(terms, bits)
         if elements.dtype == np.complex128:
@@ -350,24 +372,23 @@ def _batch_local_values(topo: _LevelTables, h: PauliHamiltonian, work: _Workspac
         if flip.size == 0:
             local += elements
             continue
-        if segment is None:
-            first = int(flip[0])
-            # b ^ flip's path sits on b's node at the first flipped level
-            np.bitwise_xor(edge[first], 1, out=flipped_edge)
-            np.take(factor, flipped_edge, out=ratio, mode="clip")
-            np.take(inverse, edge[first], out=step, mode="clip")
+        first = int(flip[0])
+        # b ^ flip's path sits on b's node at the first flipped level
+        np.bitwise_xor(edge[first], 1, out=flipped_edge)
+        np.take(factor, flipped_edge, out=ratio, mode="clip")
+        np.take(inverse, edge[first], out=step, mode="clip")
+        ratio *= step
+        flipped = set(flip.tolist())
+        for level in range(first + 1, topo.rejoin[flip[-1] + 1]):
+            np.take(topo.child, flipped_edge, out=node, mode="clip")
+            np.multiply(node, 2, out=flipped_edge)
+            flipped_edge += bits[level]
+            if level in flipped:
+                np.bitwise_xor(flipped_edge, 1, out=flipped_edge)
+            np.take(factor, flipped_edge, out=step, mode="clip")
             ratio *= step
-            flipped = set(flip.tolist())
-            for level in range(first + 1, topo.rejoin[flip[-1] + 1]):
-                np.take(topo.child, flipped_edge, out=node, mode="clip")
-                np.multiply(node, 2, out=flipped_edge)
-                flipped_edge += bits[level]
-                if level in flipped:
-                    np.bitwise_xor(flipped_edge, 1, out=flipped_edge)
-                np.take(factor, flipped_edge, out=step, mode="clip")
-                ratio *= step
-                np.take(inverse, edge[level], out=step, mode="clip")
-                ratio *= step
+            np.take(inverse, edge[level], out=step, mode="clip")
+            ratio *= step
         ratio *= elements
         local += ratio
     return local

@@ -294,16 +294,18 @@ def walked_groups(topo, h, work):
 @given(dags_with_hamiltonians(max_qubits=8), st.sampled_from(["raw", "trig"]))
 def test_tabulated_and_walked_local_values_match_the_oracle(case, mode):
     # every group tabulated, then every group walked; a group whose Z or Y
-    # qubits leave its segment multiplies in its matrix elements per sample
+    # qubits leave its segment [flip[0], rejoin[flip[-1] + 1]) is walked in both
     g, h = case
     topo = _LevelTables(g)
     flips = [flip.tolist() for flip, _ in h._bit_groups if flip.size]
+    leaving = [flip.tolist() for flip, terms in h._bit_groups if flip.size and any(
+        np.any((zy < flip[0]) | (zy >= topo.rejoin[flip[-1] + 1])) for _, zy in terms)]
     for tabulate in (True, False):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(vmc, "_tabulates", lambda keys, length, count: tabulate)
             work = _Workspace(topo, 16)
             batch = _draw(topo, h, _flatten(g, mode), mode, work, np.random.default_rng(3))
-            assert walked_groups(topo, h, work) == ([] if tabulate else flips)
+            assert walked_groups(topo, h, work) == (leaving if tabulate else flips)
         assert_local_values_match_the_oracle(g, h, batch)
 
 
