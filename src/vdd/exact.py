@@ -43,7 +43,10 @@ The cost rule (`_contracts`) picks contraction when
 (W^2 D)^2 < 2^n + _LEVEL_COST: the accordion (W = 2) and the product
 layout (W = 1) at every n for the open Heisenberg chain (D = 5), the
 accordion from n = 5 on for the periodic one (D = 8), and the universal
-layout (W = 2^(n-1)) never past n = 2.  `exact_energy` follows the same rule;
+layout (W = 2^(n-1)) never past n = 2.  Up to n = STATEVECTOR_CAP, where
+the dense engine can run, it also keeps Z within _BASIS_BYTES, so that a
+width-14 diagram at n = 20 does not contract with a 1.2 GB Z.
+`exact_energy` follows the same rule;
 `to_state_vector` and `finite_difference`, the oracle for both engines,
 stay dense.
 
@@ -373,15 +376,28 @@ _LEVEL_COST = 1000
 _TRANSFER_BYTES = 768 * 1024
 
 
+# Bytes the transfer basis Z of `_contracted` may take where the dense
+# engine can run instead (n <= STATEVECTOR_CAP).  Z holds 4 n (W^2 D)^2
+# complex numbers, and each θ's transfer matrices a quarter of that; the
+# dense engine peaks at about 100 MiB at n = 20 whatever the width (26 MiB
+# at n = 18, tracemalloc).  The accordion on the periodic Heisenberg chain
+# (D = 8) takes 1.3 MB at n = 20.
+_BASIS_BYTES = 64 * 2**20
+
+
 def _contracts(topo: _LevelTables, h) -> bool:
     """Whether contraction over levels is the cheaper engine.
 
     Per level it multiplies (W^2 D)^2 transfer matrices (W the width, D the
     operator's bond dimension); the dense engine handles 2^n amplitudes and
-    pays _LEVEL_COST more in fixed cost.
+    pays _LEVEL_COST more in fixed cost.  Where the dense engine can run,
+    a diagram whose transfer basis would exceed _BASIS_BYTES is left to it.
     """
+    n = topo.num_qubits
     size = topo.width**2 * h._mpo.shape[1]
-    return size * size < 2**topo.num_qubits + _LEVEL_COST
+    if n <= STATEVECTOR_CAP and 64 * n * size * size > _BASIS_BYTES:
+        return False
+    return size * size < 2**n + _LEVEL_COST
 
 
 def _dense(topo: _LevelTables, h, edge: np.ndarray):

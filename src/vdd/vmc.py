@@ -2,7 +2,8 @@
 
 Sampling walks the diagram root-to-leaves, emitting bit 0 with probability
 r^2 at each visited node, so draws come from |psi(b)|^2 exactly — i.i.d.,
-no Markov chain, no burn-in.
+no Markov chain, no burn-in.  At a level that holds one node every sample
+compares its uniform against that node's r^2.
 
 Per-sample quantities:
 
@@ -23,8 +24,11 @@ Per-sample quantities:
                   segment with more keys times levels than the batch has
                   samples (a long one on a wide layout), or one with Z or
                   Y qubits of f's terms outside it, is walked on the edges
-                  the sampler recorded instead.  No bit string is packed
-                  into an integer, so any n works.
+                  the sampler recorded instead.  A diagonal term whose Z
+                  qubits lie in a tabulated segment is read from that
+                  segment's table too; only the others are evaluated per
+                  sample.  No bit string is packed into an integer, so any
+                  n works.
 * log-derivative  O_j(b) = d log psi(b) / d theta_j, nonzero only for the
                   n nodes on b's path:
                       left edge:  O_r = 1/r,            O_omega = i
@@ -40,7 +44,9 @@ centered local values onto the edges the samples took, Re for the
 magnitudes (times mag) and Im for the phases, and its leave-one-out
 jackknife (`vmc_gradient_stderr`) a quadratic form in a few more such
 scatters.  Neither forms O: a `VmcBatch` keeps the edges the samples
-took and the chart's edge factors.
+took and the chart's edge factors.  Only the levels where paths merge are
+scattered from the samples; an edge whose child no other edge enters sums
+the child's two edges (`_PathPlan`).
 
 A batch is drawn by one private kernel (`_draw`) on the compiled topology
 and a parameter array θ (see vdd.exact): the chart's edge factors, the
@@ -92,7 +98,8 @@ class VmcBatch:
     edges is the chart's (edge, slope) tables (see vdd.exact) in mode ("raw"
     or "trig"), and node_ids the ids of their rows, which label the
     gradient.  edge is the level-major (n, batch) array of the edges the
-    samples take, 2 * node row + bit.  The gradient and its jackknife are
+    samples take, 2 * node row + bit, and merge_edge its rows at the levels
+    plan scatters (`_PathPlan.levels`).  The gradient and its jackknife are
     scatters of the local values onto the taken edges, so no per-sample
     log-derivative is stored.
     """
@@ -106,6 +113,8 @@ class VmcBatch:
     node_ids: tuple[int, ...]
     mode: str
     edge: np.ndarray
+    merge_edge: np.ndarray
+    plan: _PathPlan
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples)
@@ -121,11 +130,55 @@ class VmcBatch:
 
 
 def _energy_stats(local_values: np.ndarray) -> tuple[float, float]:
+    """(mean, standard error) of Re A~: one sum, then one pass of deviations."""
     re = np.real(local_values)
-    mean = float(np.mean(re))
-    if re.shape[0] < 2:
+    count = re.shape[0]
+    mean = float(re.sum()) / count
+    if count < 2:
         return mean, 0.0
-    return mean, float(np.std(re, ddof=1) / math.sqrt(re.shape[0]))
+    deviation = re - mean
+    return mean, math.sqrt(float(deviation @ deviation) / (count - 1) / count)
+
+
+class _PathPlan:
+    """What the VMC kernels read of a topology's paths, compiled once per
+    topology (by each `_Workspace`).
+
+    lone[l] is the row of level l's node when the level holds one node, -1
+    otherwise: every sample visits it, so the sampler reads its p_zero as
+    one scalar.
+
+    The gradient needs, per edge, the count of samples taking it and the
+    sums of Re c and Im c over them.  When every node of level l + 1 has
+    in-degree 1, each edge of level l leads to a node of its own, and its
+    sums are the sums of that node's two edges.  So only the other levels,
+    the last one included, are scattered from the samples (levels, in
+    ascending order); the rest are filled bottom-up, one stage per step
+    away from a scattered level: fills holds per stage the edges (dst) and
+    the two edges of each one's child (left, right), whose sums it adds.
+    """
+
+    def __init__(self, topo: _LevelTables):
+        n, level, child = topo.num_qubits, topo.level, topo.child
+        alone = np.bincount(level, minlength=n)[level] == 1
+        self.lone = np.full(n, -1, dtype=np.int64)
+        self.lone[level[alone]] = np.flatnonzero(alone)
+        # a level whose edges meet at a node below it is scattered
+        in_degree = np.bincount(child[child >= 0], minlength=len(level))
+        scattered = np.zeros(n, dtype=bool)
+        scattered[level[in_degree > 1] - 1] = True
+        scattered[n - 1] = True
+        self.levels = np.flatnonzero(scattered)
+        stage = np.zeros(n, dtype=np.int64)  # steps up from the scattered level below
+        for l in range(n - 2, -1, -1):
+            if not scattered[l]:
+                stage[l] = stage[l + 1] + 1
+        edge_stage = np.repeat(stage[level], 2)  # per edge 2 * row + bit
+        self.fills = []
+        for s in range(1, int(stage.max()) + 1):
+            dst = np.flatnonzero(edge_stage == s)
+            left = 2 * child.ravel()[dst]
+            self.fills.append((dst, left, left + 1))
 
 
 class _Workspace:
@@ -134,14 +187,17 @@ class _Workspace:
     Level-major (n, count): the uniforms (rewritten as the gradient's
     scatter weights once the sampler has read them), the bits, the node
     rows and the edges taken (2 * node row + bit, which also indexes
-    `_LevelTables.child` read flat).  Per sample: the local values and the
-    scratch of the sampler, of the flip-group walks and of the table keys.
-    `train` allocates one per run and every epoch's draw overwrites it;
-    `sample` and `sample_batch` allocate one per call, so the batch they
-    return owns its arrays.  The local-value tables (`_Segments`) depend on
-    the batch size, so the workspace keeps them too: `segments` compiles
-    them for the topology and operator of the first draw, once per `train`
-    run, and again only when a draw brings another.
+    `_LevelTables.child` read flat), and a copy of the edges at the levels
+    the gradient scatters (merge_edge, one row per level of
+    `plan.levels`).  Per sample: the local values and the scratch of the
+    sampler, of the flip-group walks and of the table keys.  `train`
+    allocates one per run and every epoch's draw overwrites it; `sample`
+    and `sample_batch` allocate one per call, so the batch they return owns
+    its arrays.  The workspace compiles the topology's `_PathPlan` and
+    keeps the local-value tables (`_Segments`), which depend on the batch
+    size: `segments` compiles them for the topology and operator of the
+    first draw, once per `train` run, and again only when a draw brings
+    another.
 
     All of them are views of one block.  Freed at the end of a run, a
     block that size raises glibc's mmap threshold above it, so the next
@@ -154,6 +210,7 @@ class _Workspace:
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         n = topo.num_qubits
+        self.plan = _PathPlan(topo)
         layout = (  # widest items first, so that every view is aligned
             ("local", (count,), np.complex128),
             ("ratio", (count,), np.complex128),
@@ -161,6 +218,7 @@ class _Workspace:
             ("uniform", (n, count), np.float64),
             ("rows", (n, count), np.int64),
             ("edge", (n, count), np.int64),
+            ("merge_edge", (self.plan.levels.size, count), np.int64),
             ("p_zero", (count,), np.float64),
             ("node", (count,), np.int64),
             ("flipped_edge", (count,), np.int64),
@@ -197,18 +255,27 @@ def _sample(topo: _LevelTables, factor: np.ndarray, work: _Workspace, rng) -> No
     Every index is in range; the kernels gather with mode="clip" because
     `np.take` buffers `out` in its default mode.
     """
-    n = topo.num_qubits
+    n, lone = topo.num_qubits, work.plan.lone.tolist()
     p_zero = np.abs(factor[:, 0]) ** 2
     rng.random(out=work.uniform)
-    rows, edge = work.rows, work.edge
+    rows, edge, bits = work.rows, work.edge, work.bits
     rows[0] = topo.root
     for level in range(n):
-        np.take(p_zero, rows[level], out=work.p_zero, mode="clip")
-        np.greater_equal(work.uniform[level], work.p_zero, out=work.bits[level])
-        np.multiply(rows[level], 2, out=edge[level])
-        edge[level] += work.bits[level]
-        if level < n - 1:
+        row = lone[level]
+        if row < 0:
+            np.take(p_zero, rows[level], out=work.p_zero, mode="clip")
+            np.greater_equal(work.uniform[level], work.p_zero, out=bits[level])
+            np.multiply(rows[level], 2, out=edge[level])
+            edge[level] += bits[level]
+        else:  # every sample is on one node
+            np.greater_equal(work.uniform[level], p_zero[row], out=bits[level])
+            np.add(bits[level], 2 * row, out=edge[level], dtype=np.int64)
+        if level == n - 1:
+            break
+        if lone[level + 1] < 0:
             np.take(topo.child, edge[level], out=rows[level + 1], mode="clip")
+        else:
+            rows[level + 1] = lone[level + 1]
 
 
 def sample(g: VddGraph, count: int, seed: int = 0, rng=None) -> np.ndarray:
@@ -250,9 +317,19 @@ class _Segments:
     edge 2N, whose factor is 1, and of elements, its matrix elements.  The
     columns of all groups are compiled together, one level at a time.
 
+    A diagonal term is fixed by the key too when its Z qubits all lie in a
+    tabulated group's segment: the first such group's columns of diagonal
+    hold it, a per-key value added to the group's table after the ratio
+    times the elements.  A term without Z qubits lies in every segment.
+    leftover holds the diagonal terms no segment covers, which
+    `_bit_elements` evaluates per sample: the wrap bond of a periodic
+    chain, a TFIM bond that straddles two segments, or all of them when no
+    group is tabulated.
+
     groups holds, per group of `h._bit_groups`, None (diagonal or walked)
-    or (first, end, start, stop); first_key maps an edge 2 * row + bit to
-    2 * slot + bit.
+    or (first, end, start, stop, lone), lone telling whether level first
+    holds one node, whose key is then b's bits alone; first_key maps an
+    edge 2 * row + bit to 2 * slot + bit.
     """
 
     def __init__(self, topo: _LevelTables, h: PauliHamiltonian, count: int):
@@ -266,26 +343,45 @@ class _Segments:
             """The bits of these qubits in the key of a segment ending at end."""
             return sum(1 << (end - 1 - q) for q in qubits.tolist())
 
+        def inside(zy, first, end):
+            return all(first <= q < end for q in zy.tolist())
+
         self.groups = []
         tabulated = []  # per tabulated group: first, L, keys, f's key bits
-        columns, zy_bits, weights = [np.arange(0)], [], []  # per term of one
-        stop = 0
+        # per term: its columns, its Z/Y key bits and its weight
+        columns, zy_bits, weights = [np.arange(0)], [], []
+        diagonal, stop = (), 0
         for flip, terms in h._bit_groups:
-            first, end = (int(flip[0]), topo.rejoin[flip[-1] + 1]) if flip.size else (0, 0)
+            if not flip.size:
+                diagonal = terms
+                self.groups.append(None)
+                continue
+            first, end = int(flip[0]), topo.rejoin[flip[-1] + 1]
             keys = int(width[first]) << (end - first)
-            # the diagonal group has no segment; a group whose Z or Y qubits
-            # leave its segment is walked
-            if not (flip.size and _tabulates(keys, end - first, count)
-                    and all(first <= q < end for _, zy in terms for q in zy.tolist())):
+            # a group whose Z or Y qubits leave its segment is walked
+            if not (_tabulates(keys, end - first, count)
+                    and all(inside(zy, first, end) for _, zy in terms)):
                 self.groups.append(None)
                 continue
             start, stop = stop, stop + keys
-            self.groups.append((first, end, start, stop))
+            self.groups.append((first, end, start, stop, bool(width[first] == 1)))
             tabulated.append((first, end - first, keys, key_bits(flip, end)))
             for weight, zy in terms:
                 columns.append(np.arange(start, stop))
                 zy_bits.append(key_bits(zy, end))
                 weights.append(weight)
+        # a diagonal term's columns are numbered from stop on
+        leftover = []
+        for weight, zy in diagonal:
+            group = next((g for g in self.groups if g and inside(zy, g[0], g[1])), None)
+            if group is None:
+                leftover.append((weight, zy))
+                continue
+            _, end, start, group_stop, _ = group
+            columns.append(np.arange(start, group_stop) + stop)
+            zy_bits.append(key_bits(zy, end))
+            weights.append(weight)
+        self.leftover = tuple(leftover)
 
         # per column: its group's first level, L and flip bits, and its key
         first, length, keys, flip = np.array(tabulated, dtype=np.int64).reshape(-1, 4).T
@@ -311,9 +407,10 @@ class _Segments:
         sizes = [c.size for c in columns[1:]]
         zy = np.repeat(np.array(zy_bits, dtype=np.int64), sizes)
         weight = np.repeat(np.conj(np.array(weights, dtype=np.complex128)), sizes)
-        value = np.where(np.bitwise_count(key[column] & zy) & 1, -weight, weight)
-        self.elements = np.bincount(column, value.real, stop) + 1j * np.bincount(
-            column, value.imag, stop)
+        value = np.where(np.bitwise_count(np.tile(key, 2)[column] & zy) & 1, -weight, weight)
+        value = np.bincount(column, value.real, 2 * stop) + 1j * np.bincount(
+            column, value.imag, 2 * stop)
+        self.elements, self.diagonal = value[:stop], value[stop:]
 
 
 def _batch_local_values(topo: _LevelTables, h: PauliHamiltonian, work: _Workspace,
@@ -329,15 +426,17 @@ def _batch_local_values(topo: _LevelTables, h: PauliHamiltonian, work: _Workspac
 
     Short segments are tabulated (`_Segments`, kept on the workspace): one
     gather-and-product over the compiled edge arrays gives every tabulated
-    group's value per key, and each sample then reads its group values by
-    key, one gather per group, after building the key from its edge at the
-    first level and its bits below.  A group whose key count times its
-    length exceeds the batch size (`_tabulates`), such as a long segment on
-    a wide layout, or whose Z or Y qubits leave its segment, walks its
-    segment instead: the chart's edge factors, edges[0], by edge index, and
-    b's through a table of their inverses.  Paths that meet earlier only
-    multiply in matching factors.
-    Returns `work.local`.
+    group's value per key, the diagonal terms its segment covers included,
+    and each sample then reads its group values by key, one gather per
+    group, after building the key from its edge at the first level (its
+    bit, where that level holds one node) and its bits below.  A group
+    whose key count times its length exceeds the batch size
+    (`_tabulates`), such as a long segment on a wide layout, or whose Z or
+    Y qubits leave its segment, walks its segment instead: the chart's edge
+    factors, edges[0], by edge index, and b's through a table of their
+    inverses.  Paths that meet earlier only multiply in matching factors.
+    The diagonal terms no tabulated segment covers are evaluated per
+    sample.  Returns `work.local`.
     """
     segments = work.segments(topo, h)
     factor = edges[0].ravel()  # per edge 2 * node row + bit
@@ -348,6 +447,7 @@ def _batch_local_values(topo: _LevelTables, h: PauliHamiltonian, work: _Workspac
         table = np.append(factor, 1.0)[segments.ket].prod(axis=0)
         table *= np.append(inverse, 1.0)[segments.bra].prod(axis=0)
         table *= segments.elements
+        table += segments.diagonal
     bits, edge = work.bits, work.edge
     # only an edge of factor 0 has a non-finite inverse: gather b's only then
     if not np.all(np.isfinite(inverse)) and not np.all(np.isfinite(inverse[edge])):
@@ -357,14 +457,21 @@ def _batch_local_values(topo: _LevelTables, h: PauliHamiltonian, work: _Workspac
     local.fill(0.0)
     for (flip, terms), segment in zip(h._bit_groups, segments.groups):
         if segment is not None:
-            first, end, start, stop = segment
-            np.take(segments.first_key, edge[first], out=key, mode="clip")
+            first, end, start, stop, lone = segment
+            if lone:
+                np.copyto(key, bits[first])
+            else:
+                np.take(segments.first_key, edge[first], out=key, mode="clip")
             for level in range(first + 1, end):
                 np.left_shift(key, 1, out=key)
                 key += bits[level]
             np.take(table[start:stop], key, out=ratio, mode="clip")
             local += ratio
             continue
+        if flip.size == 0:
+            terms = segments.leftover
+            if not terms:
+                continue
         # <b|H_flip|b ^ flip> = conj(<b ^ flip|H_flip|b>), H being Hermitian
         elements = _bit_elements(terms, bits)
         if elements.dtype == np.complex128:
@@ -448,24 +555,37 @@ def log_derivatives(g: VddGraph, b, mode: str = "raw") -> np.ndarray:
     return out
 
 
-def _taken_edges(batch: VmcBatch):
-    """(edge, counts, mag): every (sample, level)'s edge 2 * node row + bit,
-    level-major; how many samples take each edge; and Re(d edge / edge)
-    on the taken edges, 0 on the others (an untaken zero-amplitude edge at
-    r = 1 has an infinite mag and a zero sum, and inf * 0 is NaN).
+def _taken_edges(batch: VmcBatch, centered: np.ndarray, weight: np.ndarray | None = None):
+    """(sums, mag): per edge 2 * node row + bit, the count of samples that
+    take it and the sums of Re c and Im c over them, c being `centered`,
+    shape (3, 2N); and Re(d edge / edge) on the taken edges, 0 on the
+    others (an untaken zero-amplitude edge at r = 1 has an infinite mag and
+    a zero sum, and inf * 0 is NaN).
 
-    An edge belongs to one level, so a scatter over the level-major edges
-    adds each edge's samples in sample order, as a sample-major one would.
+    Three bincounts over the edges at the levels `batch.plan` scatters,
+    whose weights are written into `weight` ((n, batch), allocated when not
+    given); the other levels' sums are filled in from the level below.  An
+    edge belongs to one level, so a scatter over the level-major edges adds
+    each edge's samples in sample order, as a sample-major one would.
     """
     factor, slope = (table.ravel() for table in batch.edges)
-    edge = batch.edge.ravel()
-    counts = np.bincount(edge, minlength=factor.size)
-    taken = counts > 0
-    mag = np.zeros(factor.size)
+    edge, size = batch.merge_edge.ravel(), factor.size
+    levels = batch.merge_edge.shape[0]
+    weight = np.empty(batch.merge_edge.shape) if weight is None else weight[:levels]
+    sums = np.empty((3, size))
+    sums[0] = np.bincount(edge, minlength=size)
+    weight[:] = centered.real
+    sums[1] = np.bincount(edge, weight.ravel(), size)
+    weight[:] = centered.imag
+    sums[2] = np.bincount(edge, weight.ravel(), size)
+    for dst, left, right in batch.plan.fills:
+        sums[:, dst] = sums[:, left] + sums[:, right]
+    taken = sums[0] > 0
+    mag = np.zeros(size)
     mag[taken] = (slope[taken] / factor[taken]).real
     if not np.all(np.isfinite(mag)):
         raise ValueError("log-derivatives hit a zero-amplitude edge")
-    return edge, counts, mag
+    return sums, mag
 
 
 def _batch_gradient(batch: VmcBatch, weight: np.ndarray | None = None) -> np.ndarray:
@@ -473,22 +593,16 @@ def _batch_gradient(batch: VmcBatch, weight: np.ndarray | None = None) -> np.nda
 
     With c = A~ - mean A~, each entry sums mag * Re c (magnitude slot) or
     Im c (omega or phi slot) over the samples that take its node's edges:
-    two scatter-adds of c onto the taken edges, whose (n, batch) weights
-    are written into `weight` (allocated when not given).
+    the edge sums of `_taken_edges`, which scatters c only at the levels
+    where paths merge and writes its weights into `weight` (allocated when
+    not given).
     """
-    edge, _, mag = _taken_edges(batch)
-    count, n = batch.samples.shape
     local = batch.local_values
-    centered = local - np.mean(local)
-    weight = np.empty((n, count)) if weight is None else weight
-    weight[:] = centered.real
-    s_re = np.bincount(edge, weight.ravel(), mag.size)
-    weight[:] = centered.imag
-    s_im = np.bincount(edge, weight.ravel(), mag.size)
+    sums, mag = _taken_edges(batch, local - np.mean(local), weight)
     grad = np.empty((mag.size // 2, 3))
-    grad[:, 0] = (mag * s_re).reshape(-1, 2).sum(axis=1)
-    grad[:, 1:] = s_im.reshape(-1, 2)  # omega on the left edge, phi on the right
-    return grad.ravel() * (2.0 / count)
+    grad[:, 0] = (mag * sums[1]).reshape(-1, 2).sum(axis=1)
+    grad[:, 1:] = sums[2].reshape(-1, 2)  # omega on the left edge, phi on the right
+    return grad.ravel() * (2.0 / batch.batch_size)
 
 
 def sample_batch(
@@ -514,11 +628,12 @@ def _draw(topo: _LevelTables, h: PauliHamiltonian, theta: np.ndarray, mode: str,
     `work`: the batch's arrays are views of it."""
     edges = _chart(theta, mode)
     _sample(topo, edges[0], work, rng)
+    np.take(work.edge, work.plan.levels, axis=0, out=work.merge_edge, mode="clip")
     local = _batch_local_values(topo, h, work, edges)
     mean, stderr = _energy_stats(local)
     return VmcBatch(samples=work.bits.T, rows=work.rows.T, local_values=local, edges=edges,
                     energy_mean=mean, energy_stderr=stderr, node_ids=topo.node_ids, mode=mode,
-                    edge=work.edge)
+                    edge=work.edge, merge_edge=work.merge_edge, plan=work.plan)
 
 
 def vmc_energy(batch: VmcBatch) -> tuple[float, float]:
@@ -554,11 +669,12 @@ def vmc_gradient_stderr(batch: VmcBatch) -> np.ndarray:
     count, n = batch.samples.shape
     if count < 2:
         raise ValueError(f"jackknife needs at least 2 samples, got {count}")
-    edge, counts, mag = _taken_edges(batch)
     c = batch.local_values - np.mean(batch.local_values)
+    (counts, *sums), mag = _taken_edges(batch, c)
     x, y = c.real, c.imag
+    edge = batch.edge.ravel()
     dx, dy = np.tile(x, n), np.tile(y, n)  # level-major, as the edges
-    mean = [np.bincount(edge, d, mag.size) / np.maximum(counts, 1) for d in (dx, dy)]
+    mean = [s / np.maximum(counts, 1) for s in sums]
     dx -= mean[0][edge]
     dy -= mean[1][edge]
     moments = [np.bincount(edge, a * b, mag.size) for a, b in ((dx, dx), (dy, dy), (dx, dy))]

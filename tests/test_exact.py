@@ -100,6 +100,39 @@ def test_cost_rule_counts_the_fixed_cost_per_level():
             assert not _contracts(_LevelTables(build_ansatz("universal", n)), h)
 
 
+def layered_graph(n: int, width: int) -> VddGraph:
+    """Level l holds min(2^(l-1), width) nodes; node k's children are 2k and
+    2k + 1 of the next level, modulo its width."""
+    widths = [min(2**l, width) for l in range(n)]
+    first = [1 + sum(widths[:l]) for l in range(n)]  # node id of each level's slot 0
+    nodes = {}
+    for l, w in enumerate(widths):
+        for k in range(w):
+            c0 = c1 = TERMINAL
+            if l < n - 1:
+                c0, c1 = (first[l + 1] + (2 * k + b) % widths[l + 1] for b in range(2))
+            nid = first[l] + k
+            nodes[nid] = Node(nid, l + 1, ParamTriple(0.6, 0.0, 0.0), c0, c1)
+    return VddGraph(num_qubits=n, global_phase=0.0, root_child=1, nodes=nodes)
+
+
+def test_cost_rule_keeps_the_transfer_basis_within_its_budget():
+    # width 14 at n = 20: (W^2 D)^2 = 960 400 < 2^20 + 1000, so the time
+    # rule alone contracts, with a Z of 4 n (W^2 D)^2 complex numbers = 1.2 GB
+    h = build_model(ModelSpec("heisenberg", 20))
+    wide = _LevelTables(layered_graph(20, 14))
+    assert wide.width == 14
+    assert 64 * 20 * (14**2 * 5) ** 2 > exact._BASIS_BYTES
+    assert not _contracts(wide, h)
+    assert _contracts(_LevelTables(layered_graph(20, 4)), h)
+    # past the cap contraction is the only engine, whatever Z takes
+    assert _contracts(_LevelTables(layered_graph(21, 14)), build_model(ModelSpec("heisenberg", 21)))
+    for n in (10, 13, 14, 64):
+        for spec in (ModelSpec("heisenberg", n), ModelSpec("heisenberg", n, boundary="periodic")):
+            assert _contracts(_LevelTables(build_ansatz("accordion", n)), build_model(spec))
+        assert _contracts(_LevelTables(build_ansatz("product", n)), build_model(ModelSpec("heisenberg", n)))
+
+
 @pytest.mark.parametrize("kind,n", [("accordion", 12), ("accordion", 17), ("product", 15)])
 def test_exact_energy_by_contraction_matches_the_state_vector(kind, n):
     g = random_graph(kind, n, n)

@@ -322,6 +322,54 @@ def test_one_draw_tabulates_short_segments_and_walks_the_wrap_bond(mode):
     assert_local_values_match_the_oracle(g, h, batch)
 
 
+@st.composite
+def dags_with_z_terms(draw):
+    """A graph, an operator whose Z-only terms lie inside one flip group's
+    segment, straddle two segments or sit on the periodic wrap bond, plus a
+    constant term; and which of its terms are Z-only."""
+    g = draw(leveled_dags(max_qubits=8))
+    n = g.num_qubits
+    strings = ["I" * n]  # constant
+    for _ in range(draw(st.integers(1, 3))):  # flip groups: XX + YY bonds or single X
+        i = draw(st.integers(0, n - 1))
+        if i < n - 1 and draw(st.booleans()):
+            strings += ["I" * i + p * 2 + "I" * (n - i - 2) for p in "XY"]
+            strings.append("I" * i + "ZZ" + "I" * (n - i - 2))  # inside the bond's segment
+        else:
+            strings.append("I" * i + "X" + "I" * (n - i - 1))
+        strings.append("I" * i + "Z" + "I" * (n - i - 1))
+    j, k = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2)))
+    strings.append("".join("Z" if q in (j, k) and j != k else "I" for q in range(n)))
+    if n >= 2:
+        strings.append("Z" + "I" * (n - 2) + "Z")  # the wrap bond
+    h = PauliHamiltonian(n, tuple(PauliString(draw(COEFF), ops) for ops in strings))
+    return g, h
+
+
+@SETTINGS
+@given(dags_with_z_terms(), st.sampled_from(["raw", "trig"]), st.booleans())
+def test_diagonal_terms_folded_into_the_tables_match_the_oracle(case, mode, tabulate):
+    # a diagonal term whose Z qubits lie in a tabulated segment is read from
+    # that group's table; the rest are evaluated per sample
+    g, h = case
+    topo = _LevelTables(g)
+    with pytest.MonkeyPatch.context() as mp:
+        if tabulate:
+            mp.setattr(vmc, "_tabulates", lambda keys, length, count: True)
+        work = _Workspace(topo, 48)
+        batch = _draw(topo, h, _flatten(g, mode), mode, work, np.random.default_rng(3))
+    segments = work.segments(topo, h)
+    spans = [segment[:2] for segment in segments.groups if segment is not None]
+    if tabulate:  # every flip group has a table
+        assert len(spans) == len(h._bit_groups) - 1
+    (diagonal,) = [terms for flip, terms in h._bit_groups if flip.size == 0]
+    left = [(w, zy.tolist()) for w, zy in diagonal
+            if not any(all(first <= q < end for q in zy.tolist()) for first, end in spans)]
+    assert [(w, zy.tolist()) for w, zy in segments.leftover] == left
+    assert len(left) < len(diagonal) or not spans  # the constant term is folded
+    assert_local_values_match_the_oracle(g, h, batch)
+
+
 def assert_flipped_paths_rejoin(g, h, batch):
     """Each flip group's walk ends above `rejoin[flip[-1] + 1]`: at that level
     (when it exists) every sample's flipped path is on the sample's own node."""
@@ -390,6 +438,37 @@ def test_batch_gradient_skips_untaken_edges_at_the_box(mode):
     with np.errstate(divide="ignore", invalid="ignore"):
         mag = (slope / edge).real.ravel()
         assert np.isnan(mag * s_re).any()
+
+
+@SETTINGS
+@given(dags_with_hamiltonians(max_qubits=8), st.integers(1, 40), st.integers(0, 2**16))
+def test_merge_level_scatter_matches_a_full_scatter(case, count, seed):
+    # random weights, so that no sum is special; levels with mixed in-degree
+    # are scattered, the others filled from the level below
+    g, h = case
+    n = g.num_qubits
+    batch = sample_batch(g, h, count, seed=seed)
+    c = np.random.default_rng(seed).normal(size=(count, 2)) @ np.array([1.0, 1j])
+    sums, mag = vmc._taken_edges(batch, c)
+    edge, size = batch.edge.ravel(), 2 * len(g.nodes)
+    assert np.array_equal(sums[0], np.bincount(edge, minlength=size))
+    for row, part in ((1, c.real), (2, c.imag)):
+        np.testing.assert_allclose(sums[row], np.bincount(edge, np.tile(part, n), size),
+                                   rtol=1e-12, atol=1e-12)
+    # a level is filled only when every node one level down has in-degree 1
+    topo = _LevelTables(g)
+    in_degree = np.bincount(topo.child[topo.child >= 0], minlength=len(g.nodes))
+    scattered = {n - 1} | {int(level) - 1 for level in topo.level[in_degree > 1]}
+    assert batch.plan.levels.tolist() == sorted(scattered)
+    assert np.array_equal(batch.merge_edge, batch.edge[batch.plan.levels])
+
+
+@pytest.mark.parametrize("kind,levels", [("accordion", list(range(1, 16, 2))),
+                                         ("universal", [11]), ("product", list(range(12)))])
+def test_merge_levels_of_the_builders(kind, levels):
+    g = init_params(build_ansatz(kind, len(levels) if kind == "product" else 2 * len(levels)
+                                 if kind == "accordion" else 12), InitScheme("uniform", seed=1))
+    assert vmc._PathPlan(_LevelTables(g)).levels.tolist() == levels
 
 
 @SETTINGS

@@ -421,6 +421,18 @@ def test_segment_tables_are_built_once_per_run_and_operator(monkeypatch):
     assert built == [64, 32, 32, 32]
 
 
+@pytest.mark.parametrize("count,offset", [(2, 0.0), (7, -3.5), (4096, -27.9), (4096, 1e4)])
+def test_energy_stats_match_mean_and_std(count, offset):
+    from vdd.vmc import _energy_stats
+
+    rng = np.random.default_rng(count)
+    local = offset + rng.normal(size=count) + 1j * rng.normal(size=count)
+    mean, stderr = _energy_stats(local)
+    assert mean == pytest.approx(float(np.mean(local.real)), rel=1e-12, abs=0.0)
+    expected = float(np.std(local.real, ddof=1) / math.sqrt(count))
+    assert stderr == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_batch_invariants_and_csv(tmp_path):
     g = random_graph("accordion", 3, 2)
     h = build_model(ModelSpec("tfim", 3, g=0.5))
