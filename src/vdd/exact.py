@@ -33,11 +33,15 @@ engines, which agree to rounding:
   Phys. 326, 96, 2011): O(n (W^2 D)^2) for a diagram at most W nodes
   wide, with no 2^n vector, so narrow diagrams have no cap.  One code
   path serves every S >= 1: each level's transfer matrices, for every θ of
-  the stack, are T = F Z, the products F of a node pair's conjugated and
-  plain edge factors times a fixed basis Z that places the operator's
-  tensor at the pair's children.  Z is built once per topology and
-  operator; a stack is contracted in chunks of at most _TRANSFER_BYTES
-  of transfer matrices.
+  the stack, are the products of a node pair's conjugated and plain edge
+  factors with a fixed basis Z that places the operator's tensor at the
+  pair's children, and the gradient reads the same entries of Z against
+  the environments.  Z is built once per topology and operator and kept
+  only as index tables of its nonzero entries (`_Basis`); the buffers of
+  T and of the environments, and their per-level views, are compiled
+  once per stack size as well (`_Contraction`), so a call runs only
+  θ-dependent work.  A stack is contracted in chunks of at most
+  _TRANSFER_BYTES of transfer matrices.
 
 The cost rule (`_contracts`) picks contraction when
 (W^2 D)^2 < 2^n + _LEVEL_COST: the accordion (W = 2) and the product
@@ -66,10 +70,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .graph import ParamTriple, VddGraph, validate
+from .hamiltonian import _checked_energy
 from .state import CapacityError, StateVector
 
 __all__ = [
@@ -187,7 +193,8 @@ class _LevelTables:
     on them too); and children[l, i, b] (shape
     (n, width, 2)) is the slot of the b-child of the level-l node in slot i,
     0 past the last level and for empty slots.  The transfer basis of
-    `_contracted` is built from them by `basis` for one operator at a time.
+    `_contracted` is built from them by `basis`, and the rest of what it
+    compiles by `contraction`, for one operator at a time.
 
     For the VMC local values, rejoin[l] (l = 0..n, levels counted from 0)
     is the first level at or below l that holds a single node, n if there
@@ -223,19 +230,33 @@ class _LevelTables:
             rejoin.append(l if counts[l] == 1 else rejoin[-1])
         self.rejoin = tuple(rejoin[::-1])
         self._basis = self._basis_of = None
+        self._compiled, self._compiled_of = {}, None
 
     def basis(self, h):
-        """The transfer basis of `_contracted` for operator h: built on the
-        first call with h and kept until a call with another operator."""
+        """The transfer basis of `_contracted` for operator h, as its nonzero
+        entries (`_Basis`): built on the first call with h and kept until a
+        call with another operator."""
         if self._basis_of is not h:
-            self._basis, self._basis_of = _transfer_basis(self, h._mpo), h
+            self._basis, self._basis_of = _Basis(self, h), h
         return self._basis
 
+    def contraction(self, h, count: int):
+        """The `_Contraction` of `_contracted` for operator h and a stack of
+        count θ: compiled on the first call with them and kept, with those
+        of other stack sizes, until a call with another operator."""
+        if self._compiled_of is not h:
+            self._compiled, self._compiled_of = {}, h
+        work = self._compiled.get(count)
+        if work is None:
+            work = self._compiled[count] = _Contraction(self, h, count)
+        return work
 
-def _chart(theta: np.ndarray, mode: str):
+
+def _chart(theta: np.ndarray, mode: str) -> np.ndarray:
     """(edge, slope): every node's edge factors and their derivatives with
     respect to its magnitude slot θ[..., 0], each of shape (..., N, 2) for θ
-    of shape (N, 3) or a stack of them, (S, N, 3).  [..., row, bit] is the
+    of shape (N, 3) or a stack of them, (S, N, 3), returned as the two
+    halves of one array of shape (2, ..., N, 2).  [..., row, bit] is the
     node's bit-edge, so read flat both are indexed by the edge 2 * row + bit.
 
     Rows of θ are (r, omega, phi) in "raw" mode and (u, omega, phi) in
@@ -249,17 +270,17 @@ def _chart(theta: np.ndarray, mode: str):
     """
     mag = theta[..., 0]
     u = mag if mode == "trig" else np.arccos(mag)
-    cos_sin = np.empty(theta.shape[:-1] + (2,))
-    cos_sin[..., 0] = np.cos(u)
-    cos_sin[..., 1] = np.sin(u)
+    magnitudes = np.empty((2,) + theta.shape[:-1] + (2,))  # of the edge and of the slope
+    np.cos(u, out=magnitudes[0, ..., 0])
+    np.sin(u, out=magnitudes[0, ..., 1])
     if mode == "trig":
-        slope = cos_sin[..., ::-1] * (-1.0, 1.0)
+        np.negative(magnitudes[0, ..., 1], out=magnitudes[1, ..., 0])
+        magnitudes[1, ..., 1] = magnitudes[0, ..., 0]
     else:
         rc = np.clip(mag, _CLAMP, 1.0 - _CLAMP)
-        slope = np.ones_like(cos_sin)
-        slope[..., 1] = -rc / np.sqrt(1.0 - rc * rc)
-    phase = np.exp(1j * theta[..., 1:])
-    return cos_sin * phase, slope * phase
+        magnitudes[1, ..., 0] = 1.0
+        magnitudes[1, ..., 1] = -rc / np.sqrt(1.0 - rc * rc)
+    return magnitudes * np.exp(1j * theta[..., 1:])
 
 
 def _flatten(g: VddGraph, mode: str) -> np.ndarray:
@@ -343,7 +364,7 @@ def to_state_vector(g: VddGraph) -> StateVector:
 def exact_energy(g: VddGraph, h) -> float:
     """<psi|H|psi>, by the engine `energy_and_grad` would use for this graph,
     without the gradient: past n = 20 for narrow diagrams."""
-    from .hamiltonian import _checked_energy, expectation
+    from .hamiltonian import expectation
 
     _check_graph_and_operator(g, h)
     topo = _LevelTables(g)
@@ -370,9 +391,9 @@ _LEVEL_COST = 1000
 # Transfer-matrix bytes one contraction may hold, n S (W^2 D)^2 16 for S
 # stacked θ: `energy_and_grad` contracts a stack in equal chunks within it.
 # A chunk's fixed cost (the per-level sweeps) is shared by its θ, while its
-# temporaries grow with S: 768 KiB gives chunks of 8 θ for the accordion on
+# buffers grow with S: 768 KiB gives chunks of 8 θ for the accordion on
 # the open Heisenberg chain at n = 13, 14 (88 KiB per θ at n = 14), where a
-# 32-seed variance scan peaks at 1.4 MB allocated (tracemalloc).
+# 32-seed variance scan peaks at 1.1 MB allocated (tracemalloc).
 _TRANSFER_BYTES = 768 * 1024
 
 
@@ -448,6 +469,94 @@ def _transfer_basis(topo: _LevelTables, mpo: np.ndarray) -> np.ndarray:
     return z.reshape(n, w * w, 4, d * w * w * d)
 
 
+class _Basis:
+    """The transfer basis Z = `_transfer_basis(topo, h._mpo)` of one topology
+    and operator, kept as its nonzero entries; Z itself is dropped once they
+    are read.  Its entries e,
+
+        Z[l, (i, j), (s, s'), (a, i', j', a')] = W[l, a, a', s, s'] = value[e],
+
+    are the operator's nonzero entries, each once per pair of occupied slots
+    (i, j) of level l, and each links the edges (i, s) and (j, s') of level
+    l to the entry (row, col) = ((i, j, a), (i', j', a')) of the transfer
+    matrix T[l].  They are kept twice, as flat indices into one θ's edge
+    table, transfer matrices and environments: sorted by their place in T,
+    where the duplicates of one place are summed (`t_*`), and sorted by the
+    edge (i, s), whose derivative they add up (`g_*`; every edge has
+    entries, since the operator chain carries the identity on channels 0
+    and D-1 at every level).
+    """
+
+    def __init__(self, topo: _LevelTables, h):
+        n, w, d = topo.num_qubits, topo.width, h._mpo.shape[1]
+        size = w * w * d
+        z = _transfer_basis(topo, h._mpo)
+        # the occupied slots of level l are 0 .. counts[l] - 1
+        counts = np.bincount(topo.level, minlength=n)
+        level, a, a_next, s, t = np.nonzero(h._mpo)
+        pairs = counts[level] ** 2
+        entry = np.repeat(np.arange(level.size), pairs)
+        i, j = np.divmod(np.arange(entry.size) - np.repeat(np.cumsum(pairs) - pairs, pairs),
+                         counts[level[entry]])
+        level, a, a_next, s, t = level[entry], a[entry], a_next[entry], s[entry], t[entry]
+        row = (i * w + j) * d + a
+        col = (topo.children[level, i, s] * w + topo.children[level, j, t]) * d + a_next
+        value = z[level, i * w + j, 2 * s + t, a * size + col]
+        row_at = np.empty((n, w), dtype=np.int64)  # the row of the node in slot i of level l
+        row_at[topo.level, topo.slot] = np.arange(len(topo.level))
+        edge_i, edge_j = 2 * row_at[level, i] + s, 2 * row_at[level, j] + t
+
+        place = (level * size + row) * size + col
+        order = np.argsort(place, kind="stable")
+        self.t_starts = np.flatnonzero(np.diff(place[order], prepend=-1))
+        self.t_place = place[order][self.t_starts]
+        self.t_i, self.t_j, self.t_value = edge_i[order], edge_j[order], value[order]
+
+        order = np.argsort(edge_i, kind="stable")
+        self.g_starts = np.flatnonzero(np.diff(edge_i[order], prepend=-1))
+        self.g_j, self.g_value = edge_j[order], value[order]
+        self.g_left = (level * size + row)[order]
+        self.g_right = ((level + 1) * size + col)[order]
+
+
+class _Contraction:
+    """Everything of `_contracted` that depends on the topology, the operator
+    and the stack size S alone, compiled once (`_LevelTables.contraction`),
+    so that a call runs only θ-dependent work: the basis's entries
+    (`topo.basis(h)`), the buffers of the stack's transfer matrices
+    (S, n, W^2 D, W^2 D) and environments (S, n + 1, ...), and per-level
+    views of them.  The places of T outside Z's pattern stay 0, and L[0]
+    and R[n] keep their boundary vectors (R[0] is never read).  The sweeps
+    are one product per level: the `dot` of 1-D and 2-D views for S = 1,
+    `np.matmul` on the (S, ...) stacks otherwise.
+    """
+
+    def __init__(self, topo: _LevelTables, h, count: int):
+        n, d = topo.num_qubits, h._mpo.shape[1]
+        size = topo.width**2 * d
+        self.basis = topo.basis(h)
+        self.transfer = np.zeros((count, n, size, size), dtype=np.complex128)
+        self.left = np.zeros((count, n + 1, 1, size), dtype=np.complex128)
+        self.left[:, 0, 0, 0] = 1.0
+        self.closed = self.left[:, n, 0, :d]  # (0, 0, a): <psi|psi> at a = 0, <psi|H|psi> at D-1
+        self.right = np.zeros((count, n + 1, size, 1), dtype=np.complex128)
+        self.right[:, n, d - 1, 0] = 1.0
+        # flat views, one row per θ, for the gathers and the scatter
+        self.transfer_rows = self.transfer.reshape(count, -1)
+        self.left_rows = self.left.reshape(count, -1)
+        self.right_rows = self.right.reshape(count, -1)
+        if count == 1:  # vector-matrix products on 1-D and 2-D views
+            self.left_steps = [(self.left[0, l, 0].dot, self.transfer[0, l], self.left[0, l + 1, 0])
+                               for l in range(n)]
+            self.right_steps = [(self.transfer[0, l].dot, self.right[0, l + 1, :, 0],
+                                 self.right[0, l, :, 0]) for l in range(n - 1, 0, -1)]
+        else:
+            self.left_steps = [(partial(np.matmul, self.left[:, l]), self.transfer[:, l],
+                                self.left[:, l + 1]) for l in range(n)]
+            self.right_steps = [(partial(np.matmul, self.transfer[:, l]), self.right[:, l + 1],
+                                 self.right[:, l]) for l in range(n - 1, 0, -1)]
+
+
 def _contracted(topo: _LevelTables, h, edge: np.ndarray, gradient: bool = True):
     """(<psi|psi>, <psi|H|psi>, g) as _dense, for the whole stack of edge
     tables (S, N, 2) at once, by contraction over the levels: no 2^n vector.
@@ -460,51 +569,47 @@ def _contracted(topo: _LevelTables, h, edge: np.ndarray, gradient: bool = True):
         T[l, k, (i, j, a), (i', j', a')]
             = sum_{s, s'} conj(f[l, k, i, s]) f[l, k, j, s'] W[l, a, a', s, s'],
 
-    summed over the s and s' that lead from slots i, j to i', j', is F Z:
-    the edge products F[l, k, (i, j), (s, s')] times the fixed basis
-    Z = topo.basis(h), one matmul for every level and θ.  A left sweep
-    L[l+1] = L[l] T[l] from (0, 0, 0) ends with <psi|psi> in channel 0 and
-    <psi|H|psi> in channel D-1; a right sweep R[l] = T[l] R[l+1] from
-    (0, 0, D-1) closes the chain, and for every edge at once
+    summed over the s and s' that lead from slots i, j to i', j', is the
+    product of the edge pair conj(f[l, k, i, s]) f[l, k, j, s'] with the
+    fixed basis Z (`_transfer_basis`), summed over (s, s'): one product per
+    nonzero entry of Z (`topo.basis(h)`), gathered from the edge tables and
+    summed into T.  A left sweep L[l+1] = L[l] T[l] from (0, 0, 0) ends
+    with <psi|psi> in channel 0 and <psi|H|psi> in channel D-1; a right
+    sweep R[l] = T[l] R[l+1] from (0, 0, D-1) down to R[1] closes the
+    chain, and for every edge at once
 
         d<H>/d conj(f[l, k, i, s])
-            = sum_{j, s'} f[l, k, j, s'] L[l, k] Z[l, (i, j), (s, s')] R[l+1, k].
+            = sum L[l, k, (i, j, a)] Z[l, (i, j), (s, s'), (a, x)] R[l+1, k, x] f[l, k, j, s'],
 
-    The global phase cancels.  Cost O(n S (W^2 D)^2), the engine of narrow
-    diagrams (`_contracts`).
+    summed over j, s', a and x: again one product per nonzero entry of Z,
+    summed per edge.  Z's entries are compiled once per topology and
+    operator, the buffers and views (`topo.contraction(h, S)`) once per
+    stack size as well; the arrays returned are fresh.
+
+    The global phase cancels.  Cost O(n S (W^2 D)^2) for the sweeps, the
+    engine of narrow diagrams (`_contracts`).
     """
-    n, w = topo.num_qubits, topo.width
-    d = h._mpo.shape[1]
-    basis = topo.basis(h)
-    count, pairs, size = edge.shape[0], w * w, w * w * d
-    f = np.zeros((n, count, w, 2), dtype=np.complex128)
-    f[topo.level, :, topo.slot] = edge.swapaxes(0, 1)
-    edge_pairs = np.conj(f)[:, :, :, None, :, None] * f[:, :, None, :, None, :]
-    transfer = np.empty((n, count, size, size), dtype=np.complex128)
-    # one (rows x 4) @ (4 x D W^2 D) product per level and slot pair, written
-    # in place into the rows' (i, j) blocks of T
-    np.matmul(edge_pairs.reshape(n, count, pairs, 4).swapaxes(1, 2), basis,
-              out=transfer.reshape(n, count, pairs, d * size).swapaxes(1, 2))
-
-    env_left = np.zeros((n + 1, count, 1, size), dtype=np.complex128)
-    env_left[0, :, 0, 0] = 1.0
-    for l in range(n):
-        np.matmul(env_left[l], transfer[l], out=env_left[l + 1])
-    norm2, value = env_left[n, :, 0, 0].real, env_left[n, :, 0, d - 1]
+    work = topo.contraction(h, edge.shape[0])
+    basis, edges = work.basis, edge.reshape(edge.shape[0], -1)
+    values = edges.take(basis.t_i, axis=1)
+    np.conjugate(values, out=values)
+    values *= edges.take(basis.t_j, axis=1)
+    values *= basis.t_value
+    work.transfer_rows[:, basis.t_place] = np.add.reduceat(values, basis.t_starts, axis=1)
+    for product, operand, out in work.left_steps:  # L[l] T[l] into L[l + 1]
+        product(operand, out=out)
+    closed = work.closed.copy()
+    norm2, value = closed[:, 0].real, closed[:, -1]
     if not gradient:
         return norm2, value, None
 
-    env_right = np.zeros((n + 1, count, size, 1), dtype=np.complex128)
-    env_right[n, :, d - 1, 0] = 1.0
-    for l in range(n - 1, -1, -1):
-        np.matmul(transfer[l], env_right[l + 1], out=env_right[l])
-    del transfer  # the largest array: freed before the gradient's temporaries
-    # Z R over (i', j', a'), one product per level; then L over a and f over (j, s')
-    grad = np.matmul(env_right[1:].reshape(n, count, size),
-                     basis.reshape(n, pairs * 4 * d, size).swapaxes(1, 2))
-    grad = np.einsum("lkijsta,lkija,lkjt->lkis", grad.reshape(n, count, w, w, 2, 2, d),
-                     env_left[:n].reshape(n, count, w, w, d), f)
-    return norm2, value, grad[topo.level, :, topo.slot].swapaxes(0, 1)
+    for product, operand, out in work.right_steps:  # T[l] R[l + 1] into R[l]
+        product(operand, out=out)
+    values = edges.take(basis.g_j, axis=1)
+    values *= basis.g_value
+    values *= work.left_rows.take(basis.g_left, axis=1)
+    values *= work.right_rows.take(basis.g_right, axis=1)
+    return norm2, value, np.add.reduceat(values, basis.g_starts, axis=1).reshape(edge.shape)
 
 
 def energy_and_grad(topo: _LevelTables, h, theta: np.ndarray, mode: str):
@@ -517,14 +622,14 @@ def energy_and_grad(topo: _LevelTables, h, theta: np.ndarray, mode: str):
     of `_chart`'s tables, and the entries are 2 Re <∂_j psi|H|psi> by the
     chain rule: the magnitude entry sums 2 Re(conj(slope) g) over a node's
     two edges, and the omega and phi entries are 2 Im(conj(edge) g) of its
-    0- and 1-edge (d edge / d phase = i edge).  A stack is
-    contracted in equal chunks of at most _TRANSFER_BYTES of transfer
-    matrices.  Errors and warnings about a θ of a stack name its index.
-    In raw mode an r outside [0, 1], NaN included, is rejected before the
-    chart runs, naming its node and value.
+    0- and 1-edge (d edge / d phase = i edge), both from one product of g
+    with the conjugated chart.  A stack is contracted in equal chunks of at
+    most _TRANSFER_BYTES of transfer matrices, each chunk size compiled once
+    (`_LevelTables.contraction`); the engine choice and the chunk sizes are
+    integer tests, made per call.  Errors and warnings about a θ of a stack
+    name its index.  In raw mode an r outside [0, 1], NaN included, is
+    rejected before the chart runs, naming its node and value.
     """
-    from .hamiltonian import _checked_energy
-
     stacked = theta.ndim == 3
     stack = theta if stacked else theta[None]
     count = stack.shape[0]
@@ -545,7 +650,8 @@ def energy_and_grad(topo: _LevelTables, h, theta: np.ndarray, mode: str):
                 SingularGradientWarning,
                 stacklevel=3,
             )
-    edge, slope = _chart(stack, mode)
+    chart = _chart(stack, mode)
+    edge = chart[0]
     if _contracts(topo, h):
         size = topo.width**2 * h._mpo.shape[1]
         chunks = -(-count * topo.num_qubits * size * size * 16 // _TRANSFER_BYTES)
@@ -561,10 +667,12 @@ def energy_and_grad(topo: _LevelTables, h, theta: np.ndarray, mode: str):
         except ValueError as exc:
             raise ValueError(where.format(k) + str(exc)) from None
 
+    terms = np.conj(chart)  # conj(edge) g and conj(slope) g, one multiply for both
+    terms *= g
     grad = np.empty(stack.shape, dtype=np.float64)
-    magnitude = (np.conj(slope) * g).real
-    grad[..., 0] = 2.0 * (magnitude[..., 0] + magnitude[..., 1])
-    grad[..., 1:] = 2.0 * (np.conj(edge) * g).imag  # Re(conj(i edge) g)
+    np.add(terms[1, ..., 0].real, terms[1, ..., 1].real, out=grad[..., 0])
+    grad[..., 1:] = terms[0].imag  # Re(conj(i edge) g)
+    grad *= 2.0
     return (energy, grad) if stacked else (float(energy[0]), grad[0])
 
 

@@ -371,7 +371,7 @@ def expectation(h: PauliHamiltonian, v) -> float:
 def _checked_energy(norm2, value) -> float:
     """Re <v|H|v> from <v|v> and <v|H|v>, however they were computed:
     <v|v> must be 1 and <v|H|v> real, each to 1e-10, and both finite."""
-    norm2 = float(np.real(norm2))
+    norm2 = float(norm2.real)
     if not abs(norm2 - 1.0) <= 1e-10:  # NaN fails every comparison
         raise ValueError(f"state not normalized: sum |amp|^2 = {norm2!r}")
     value = complex(value)

@@ -135,26 +135,34 @@ def adam_step(
     """One bias-corrected Adam update in the AMSGrad form (Reddi, Kale & Kumar,
     ICLR 2018): the step divides by the running maximum of v, so it stays
     bounded at a minimum, where plain Adam's decaying v lets the iterate burst
-    away.  Pure: inputs are not mutated."""
-    params = np.asarray(params, dtype=np.float64)
+    away.  Pure: inputs are not mutated; the update runs on copies."""
+    params = np.array(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape:
         raise ValueError(f"shape mismatch: params {params.shape} vs grads {grads.shape}")
     _check_finite(grads)
-    return _adam(params, grads, state, lr, beta1, beta2, eps)
+    state = AdamState(step=state.step, m=state.m.copy(), v=state.v.copy(),
+                      v_max=state.v_max.copy())
+    _adam(params, grads, state, lr, beta1, beta2, eps)
+    return params, state
 
 
 def _adam(params, grads, state, lr, beta1, beta2, eps):
-    """adam_step without the input checks, for `train`, which checks each
-    epoch's gradient once."""
-    t = state.step + 1
-    m = beta1 * state.m + (1 - beta1) * grads
-    v = beta2 * state.v + (1 - beta2) * grads**2
-    v_max = np.maximum(state.v_max, v)
-    m_hat = m / (1 - beta1**t)
-    v_hat = v_max / (1 - beta2**t)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return new_params, AdamState(step=t, m=m, v=v, v_max=v_max)
+    """adam_step in place on params and on state's moments, without the
+    input checks, for `train`, which checks each epoch's gradient once.
+    Each entry is computed with the same operations, in the same order, as
+
+        m = beta1 m + (1 - beta1) g,  v = beta2 v + (1 - beta2) g^2,
+        v_max = max(v_max, v),
+        params -= lr (m / (1 - beta1^t)) / (sqrt(v_max / (1 - beta2^t)) + eps).
+    """
+    t = state.step = state.step + 1
+    state.m *= beta1
+    state.m += (1 - beta1) * grads
+    state.v *= beta2
+    state.v += (1 - beta2) * grads**2
+    np.maximum(state.v_max, state.v, out=state.v_max)
+    params -= lr * (state.m / (1 - beta1**t)) / (np.sqrt(state.v_max / (1 - beta2**t)) + eps)
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
@@ -439,7 +447,7 @@ def train(config: TrainConfig) -> TrainTrace:
             energy, rel = math.nan, None
         grad = grad.ravel()
 
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = math.sqrt(grad @ grad)
         if not math.isfinite(grad_norm):  # finite norm, finite entries: one check an epoch
             _check_finite(grad, labels=labels, epoch=epoch)
         record = TraceRecord(
@@ -453,9 +461,9 @@ def train(config: TrainConfig) -> TrainTrace:
         records.append(record)
 
         if isinstance(opt, AdamConfig):
-            theta, adam_state = _adam(theta, grad, adam_state, opt.lr, opt.beta1, opt.beta2, opt.eps)
+            _adam(theta, grad, adam_state, opt.lr, opt.beta1, opt.beta2, opt.eps)
         else:
-            theta = theta - opt.lr * grad
+            theta -= opt.lr * grad
         if mode == "raw":
             theta[0::3] = np.clip(theta[0::3], _CLAMP, 1.0 - _CLAMP)
         record.wall_ms = 1e3 * (time.perf_counter() - start)

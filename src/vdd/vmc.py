@@ -107,7 +107,7 @@ class VmcBatch:
     samples: np.ndarray
     rows: np.ndarray
     local_values: np.ndarray
-    edges: tuple[np.ndarray, ...]
+    edges: np.ndarray
     energy_mean: float
     energy_stderr: float
     node_ids: tuple[int, ...]
@@ -189,15 +189,16 @@ class _Workspace:
     rows and the edges taken (2 * node row + bit, which also indexes
     `_LevelTables.child` read flat), and a copy of the edges at the levels
     the gradient scatters (merge_edge, one row per level of
-    `plan.levels`).  Per sample: the local values and the scratch of the
-    sampler, of the flip-group walks and of the table keys.  `train`
-    allocates one per run and every epoch's draw overwrites it; `sample`
-    and `sample_batch` allocate one per call, so the batch they return owns
-    its arrays.  The workspace compiles the topology's `_PathPlan` and
-    keeps the local-value tables (`_Segments`), which depend on the batch
-    size: `segments` compiles them for the topology and operator of the
-    first draw, once per `train` run, and again only when a draw brings
-    another.
+    `plan.levels`; when those are all the levels, as on the product
+    layout, merge_edge is the edge array itself).  Per sample: the local
+    values and the scratch of the sampler, of the flip-group walks and of
+    the table keys.  `train` allocates one per run and every epoch's draw
+    overwrites it; `sample` and `sample_batch` allocate one per call, so
+    the batch they return owns its arrays.  The workspace compiles the
+    topology's `_PathPlan` and keeps the local-value tables (`_Segments`),
+    which depend on the batch size: `segments` compiles them for the
+    topology and operator of the first draw, once per `train` run, and
+    again only when a draw brings another.
 
     All of them are views of one block.  Freed at the end of a run, a
     block that size raises glibc's mmap threshold above it, so the next
@@ -211,6 +212,7 @@ class _Workspace:
             raise ValueError(f"count must be >= 1, got {count}")
         n = topo.num_qubits
         self.plan = _PathPlan(topo)
+        every_level = self.plan.levels.size == n  # merge_edge is then edge itself
         layout = (  # widest items first, so that every view is aligned
             ("local", (count,), np.complex128),
             ("ratio", (count,), np.complex128),
@@ -218,7 +220,7 @@ class _Workspace:
             ("uniform", (n, count), np.float64),
             ("rows", (n, count), np.int64),
             ("edge", (n, count), np.int64),
-            ("merge_edge", (self.plan.levels.size, count), np.int64),
+            ("merge_edge", (0 if every_level else self.plan.levels.size, count), np.int64),
             ("p_zero", (count,), np.float64),
             ("node", (count,), np.int64),
             ("flipped_edge", (count,), np.int64),
@@ -231,6 +233,8 @@ class _Workspace:
         for (name, shape, dtype), size in zip(layout, sizes):
             setattr(self, name, block[offset:offset + size].view(dtype).reshape(shape))
             offset += size
+        if every_level:
+            self.merge_edge = self.edge
         self.weight = self.uniform
         self._segments = None
         self._segments_of = (None, None)
@@ -628,7 +632,8 @@ def _draw(topo: _LevelTables, h: PauliHamiltonian, theta: np.ndarray, mode: str,
     `work`: the batch's arrays are views of it."""
     edges = _chart(theta, mode)
     _sample(topo, edges[0], work, rng)
-    np.take(work.edge, work.plan.levels, axis=0, out=work.merge_edge, mode="clip")
+    if work.merge_edge is not work.edge:
+        np.take(work.edge, work.plan.levels, axis=0, out=work.merge_edge, mode="clip")
     local = _batch_local_values(topo, h, work, edges)
     mean, stderr = _energy_stats(local)
     return VmcBatch(samples=work.bits.T, rows=work.rows.T, local_values=local, edges=edges,

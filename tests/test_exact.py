@@ -355,6 +355,77 @@ def test_transfer_basis_is_built_once_per_topology_and_operator(monkeypatch):
     assert built == [6, 6, 8, 6, 6, 6, 6]
 
 
+def test_contraction_buffers_are_compiled_once_per_operator_and_stack_size(monkeypatch):
+    from vdd.experiments import VarianceScanConfig, variance_scan
+    from vdd.optimize import TrainConfig, train
+
+    compiled, bases = [], []
+    contraction, basis = exact._Contraction, exact._transfer_basis
+
+    def counted(topo, h, count):
+        compiled.append((topo.num_qubits, count))
+        return contraction(topo, h, count)
+
+    def counted_basis(topo, mpo):
+        bases.append(topo.num_qubits)
+        return basis(topo, mpo)
+
+    monkeypatch.setattr(exact, "_Contraction", counted)
+    monkeypatch.setattr(exact, "_transfer_basis", counted_basis)
+    train(TrainConfig(model=ModelSpec("heisenberg", 6), epochs=20, seed=0))
+    assert compiled == [(6, 1)] and bases == [6]  # once per run, not per epoch
+    variance_scan(VarianceScanConfig(model="heisenberg", n_values=(6, 8), tracked_params=("r1",),
+                                     num_seeds=40))
+    scan = compiled[1:]  # per n, each chunk size once (40 θ at n = 8 come in chunks of 14 and 12)
+    assert len(set(scan)) == len(scan) and {n for n, _ in scan} == {6, 8} and bases == [6, 6, 8]
+    g = random_graph("accordion", 6, 4)
+    topo = _LevelTables(g)
+    theta = _flatten(g, "trig")
+    heisenberg, tfim = build_model(ModelSpec("heisenberg", 6)), build_model(ModelSpec("tfim", 6))
+    del compiled[:], bases[:]
+    for h, stack in ((heisenberg, theta), (heisenberg, theta), (heisenberg, np.stack([theta] * 3)),
+                     (heisenberg, theta), (tfim, theta), (heisenberg, np.stack([theta] * 3))):
+        energy_and_grad(topo, h, stack, "trig")
+    # a stack size is compiled once per operator, and Z once per operator
+    assert compiled == [(6, 1), (6, 3), (6, 1), (6, 3)] and bases == [6, 6, 6]
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_results_do_not_alias_the_compiled_buffers(count):
+    g = random_graph("accordion", 7, 2)
+    topo = _LevelTables(g)
+    h = build_model(ModelSpec("heisenberg", 7, boundary="periodic"))
+    assert _contracts(topo, h)
+    stack = np.stack([_flatten(g, "trig") + 0.1 * k for k in range(count)])
+    first = energy_and_grad(topo, h, stack, "trig")
+    kept = tuple(np.copy(part) for part in first)
+    edge = exact._chart(stack, "trig")[0]
+    parts = exact._contracted(topo, h, edge)
+    kept_parts = tuple(part.copy() for part in parts)
+    energy_and_grad(topo, h, stack + 0.3, "trig")
+    exact._contracted(topo, h, edge + 0.5)
+    for before, after in zip(kept + kept_parts, first + parts):
+        assert np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("kind", ["accordion", "product"])
+@pytest.mark.parametrize("spec", [ModelSpec("heisenberg", 7), ModelSpec("tfim", 7, g=0.7),
+                                  ModelSpec("heisenberg", 7, boundary="periodic")])
+def test_each_entry_of_a_stack_equals_a_one_theta_contraction(kind, spec):
+    # a stack runs the np.matmul sweeps, one θ the np.dot sweeps on 2-D views
+    g = random_graph(kind, 7, 5)
+    topo = _LevelTables(g)
+    h = build_model(spec)
+    assert _contracts(topo, h)
+    draws = np.random.default_rng(3).random((4, len(topo.node_ids), 3))
+    stack = np.stack([np.pi * (draws[..., 0] - 0.5), 6.0 * draws[..., 1], 6.0 * draws[..., 2]], -1)
+    energies, grads = energy_and_grad(topo, h, stack, "trig")
+    for theta, energy, grad in zip(stack, energies, grads):
+        one_energy, one_grad = energy_and_grad(topo, h, theta, "trig")
+        assert energy == pytest.approx(one_energy, rel=0, abs=1e-12)
+        np.testing.assert_allclose(grad, one_grad, rtol=0, atol=1e-12)
+
+
 def test_trig_gradient_is_chain_rule_of_raw():
     g = random_graph("accordion", 4, 12)
     h = build_model(ModelSpec("heisenberg", 4))

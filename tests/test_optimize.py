@@ -51,6 +51,19 @@ def test_adam_first_step_is_signed_lr():
     assert state.step == 1
 
 
+def test_adam_step_is_pure():
+    rng = np.random.default_rng(4)
+    params, grads = rng.normal(size=6), rng.normal(size=6)
+    state = AdamState(step=3, m=rng.normal(size=6), v=rng.random(6), v_max=rng.random(6))
+    inputs = (params.copy(), grads.copy(), state.m.copy(), state.v.copy(), state.v_max.copy())
+    new, new_state = adam_step(params, grads, state, lr=0.01)
+    for before, after in zip(inputs, (params, grads, state.m, state.v, state.v_max)):
+        assert np.array_equal(before, after)
+    assert state.step == 3 and new_state.step == 4
+    assert not any(np.shares_memory(a, b) for a in (new, new_state.m, new_state.v, new_state.v_max)
+                   for b in (params, grads, state.m, state.v, state.v_max))
+
+
 def test_adam_zero_gradient_keeps_params():
     params = np.array([0.4, -1.2])
     new, _ = adam_step(params, np.zeros(2), AdamState.zeros(2), 0.01, 0.9, 0.999, 1e-8)
@@ -431,6 +444,27 @@ def test_trig_training_is_adam_on_the_chart_energy():
             grads[i] = (energy(theta + probe) - energy(theta - probe)) / (2 * step)
         theta, state = adam_step(theta, grads, state, lr=lr)
     np.testing.assert_allclose([rec.energy for rec in trace.records], energies, atol=1e-6)
+
+
+def test_training_steps_like_an_explicit_adam_step_loop():
+    # train updates θ and the Adam moments in place; the energies must be
+    # bit-identical to those of energy_and_grad and the pure adam_step
+    from vdd.exact import _flatten, _LevelTables, energy_and_grad
+
+    spec = ModelSpec("heisenberg", 6)
+    opt = AdamConfig(lr=0.02)
+    trace = train(TrainConfig(ansatz="accordion", model=spec, optimizer=opt, epochs=50, seed=2,
+                              param_mode="trig", loss="energy"))
+    g = random_graph("accordion", 6, 2)
+    topo, h = _LevelTables(g), build_model(spec)
+    theta = _flatten(g, "trig").ravel()
+    state = AdamState.zeros(theta.size)
+    energies = []
+    for _ in range(50):
+        energy, grad = energy_and_grad(topo, h, theta.reshape(-1, 3), "trig")
+        energies.append(energy)
+        theta, state = adam_step(theta, grad.ravel(), state, opt.lr, opt.beta1, opt.beta2, opt.eps)
+    assert [rec.energy for rec in trace.records] == energies
 
 
 def test_trained_graph_carries_the_final_parameters():

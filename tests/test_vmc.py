@@ -389,6 +389,26 @@ def test_draws_into_one_workspace_equal_fresh_draws():
         assert np.array_equal(grad_a, _batch_gradient(b))
 
 
+@pytest.mark.parametrize("kind,n,rows", [("product", 8, 8), ("accordion", 16, 8)])
+def test_merge_edge_is_the_edge_array_when_every_level_is_scattered(kind, n, rows):
+    # on the product layout both edges of a node enter one child, so every
+    # level is scattered and the workspace keeps no copy of the edges
+    from vdd.exact import _LevelTables, _flatten
+    from vdd.vmc import _batch_gradient, _draw, _Workspace
+
+    g = random_graph(kind, n, 3)
+    h = build_model(ModelSpec("heisenberg", n))
+    topo = _LevelTables(g)
+    work = _Workspace(topo, 256)
+    batch = _draw(topo, h, _flatten(g, "trig"), "trig", work, np.random.default_rng(0))
+    assert work.merge_edge.shape == (rows, 256)
+    assert np.shares_memory(work.merge_edge, work.edge) == (rows == n)
+    copied = batch.edge[work.plan.levels]
+    assert np.array_equal(batch.merge_edge, copied)
+    grad = _batch_gradient(batch)
+    assert np.array_equal(grad, _batch_gradient(dataclasses.replace(batch, merge_edge=copied)))
+
+
 def test_segment_tables_are_built_once_per_run_and_operator(monkeypatch):
     from vdd import vmc
     from vdd.exact import _LevelTables, _flatten
