@@ -33,23 +33,23 @@ engines, which agree to rounding:
   Phys. 326, 96, 2011): O(n (W^2 D)^2) for a diagram at most W nodes
   wide, with no 2^n vector, so narrow diagrams have no cap.  One code
   path serves every S >= 1: each level's transfer matrices, for every θ of
-  the stack, are the products of a node pair's conjugated and plain edge
-  factors with a fixed basis Z that places the operator's tensor at the
-  pair's children, and the gradient reads the same entries of Z against
-  the environments.  Z is built once per topology and operator and kept
-  only as index tables of its nonzero entries (`_Basis`); the buffers of
-  T and of the environments, and their per-level views, are compiled
-  once per stack size as well (`_Contraction`), so a call runs only
-  θ-dependent work.  A stack is contracted in chunks of at most
-  _TRANSFER_BYTES of transfer matrices.
+  the stack, are sums of products of a node pair's conjugated and plain
+  edge factors with the operator's nonzero entries, placed at the pair's
+  children, and the gradient reads the same entries against the
+  environments.  Those entries are compiled once per topology and operator
+  into index tables (`_Basis`), and the buffers of T and of the
+  environments, and their per-level views, once per stack size as well
+  (`_Contraction`), so a call runs only θ-dependent work.  A stack is
+  contracted in chunks of about _TRANSFER_BYTES of transfer matrices.
 
 The cost rule (`_contracts`) picks contraction when
 (W^2 D)^2 < 2^n + _LEVEL_COST: the accordion (W = 2) and the product
 layout (W = 1) at every n for the open Heisenberg chain (D = 5), the
 accordion from n = 5 on for the periodic one (D = 8), and the universal
 layout (W = 2^(n-1)) never past n = 2.  Up to n = STATEVECTOR_CAP, where
-the dense engine can run, it also keeps Z within _BASIS_BYTES, so that a
-width-14 diagram at n = 20 does not contract with a 1.2 GB Z.
+the dense engine can run, it also keeps one θ's transfer matrices within
+_CONTRACTION_BYTES, so that a width-14 diagram at n = 20 does not contract
+with 300 MB of them.
 `exact_energy` follows the same rule;
 `to_state_vector` and `finite_difference`, the oracle for both engines,
 stay dense.
@@ -187,26 +187,28 @@ class _LevelTables:
     `_chart`'s tables; root is the row of the level-1 node.  Built once per
     graph shape and reused for every θ.
 
-    For the contraction engine, width is the most nodes on one level;
-    level and slot give each row's level (counted from 0) and its index among
-    the nodes of that level, in row order (the VMC local-value tables key
-    on them too); and children[l, i, b] (shape
-    (n, width, 2)) is the slot of the b-child of the level-l node in slot i,
-    0 past the last level and for empty slots.  The transfer basis of
-    `_contracted` is built from them by `basis`, and the rest of what it
-    compiles by `contraction`, for one operator at a time.
+    The per-level tables every engine reads, levels counted from 0: level
+    and slot give each row's level and its index among the nodes of that
+    level, in row order; counts[l] is the number of nodes of level l and
+    width the most on one level; row_of[l, i] (shape (n, width)) is the row
+    of the node in slot i of level l, -1 for empty slots; and lone[l] is
+    the row of level l's node when the level holds one node, -1 otherwise:
+    every path passes that node, so the VMC sampler reads its p_zero as one
+    scalar, and two paths that differ only above it meet there.  So
+    rejoin[l] (l = 0..n) is the first level at or below l with a lone node,
+    n if there is none, where the VMC local values end a flip group's walk.
 
-    For the VMC local values, rejoin[l] (l = 0..n, levels counted from 0)
-    is the first level at or below l that holds a single node, n if there
-    is none: every path passes that node, so two paths that differ only
-    above it meet there.
+    For the contraction engine, children[l, i, b] (shape (n, width, 2)) is
+    the slot of the b-child of the level-l node in slot i, 0 past the last
+    level and for empty slots; `contraction` compiles the rest, for one
+    operator at a time.
     """
 
     def __init__(self, g: VddGraph):
         issues = validate(g)
         if issues:
             raise ValueError("invalid graph: " + "; ".join(issues))
-        self.num_qubits = g.num_qubits
+        n = self.num_qubits = g.num_qubits
         self.global_phase = g.global_phase
         self.node_ids = tuple(g.sorted_ids())
         row = {node_id: k for k, node_id in enumerate(self.node_ids)}
@@ -216,36 +218,31 @@ class _LevelTables:
         self.root = row[g.root_child]
 
         level = np.array([g.nodes[i].level - 1 for i in self.node_ids])
-        slot = np.empty(len(level), dtype=np.int64)  # index of each row within its level
-        counts = np.zeros(self.num_qubits, dtype=np.int64)
+        slot = np.empty(len(level), dtype=np.int64)
+        counts = np.zeros(n, dtype=np.int64)
         for k, l in enumerate(level):
             slot[k] = counts[l]
             counts[l] += 1
+        self.level, self.slot, self.counts = level, slot, counts
         self.width = int(counts.max())
-        self.level, self.slot = level, slot
-        self.children = np.zeros((self.num_qubits, self.width, 2), dtype=np.int64)
+        self.row_of = np.full((n, self.width), -1, dtype=np.int64)
+        self.row_of[level, slot] = np.arange(len(level))
+        self.lone = np.where(counts == 1, self.row_of[:, 0], -1)
+        self.children = np.zeros((n, self.width, 2), dtype=np.int64)
         self.children[level, slot] = np.where(self.child < 0, 0, slot[self.child])
-        rejoin = [self.num_qubits]
-        for l in range(self.num_qubits - 1, -1, -1):
-            rejoin.append(l if counts[l] == 1 else rejoin[-1])
+        rejoin = [n]
+        for l in range(n - 1, -1, -1):
+            rejoin.append(l if self.lone[l] >= 0 else rejoin[-1])
         self.rejoin = tuple(rejoin[::-1])
-        self._basis = self._basis_of = None
-        self._compiled, self._compiled_of = {}, None
-
-    def basis(self, h):
-        """The transfer basis of `_contracted` for operator h, as its nonzero
-        entries (`_Basis`): built on the first call with h and kept until a
-        call with another operator."""
-        if self._basis_of is not h:
-            self._basis, self._basis_of = _Basis(self, h), h
-        return self._basis
+        self._basis = self._compiled = self._compiled_of = None
 
     def contraction(self, h, count: int):
         """The `_Contraction` of `_contracted` for operator h and a stack of
         count θ: compiled on the first call with them and kept, with those
-        of other stack sizes, until a call with another operator."""
+        of other stack sizes and the operator's `_Basis` they share, until a
+        call with another operator."""
         if self._compiled_of is not h:
-            self._compiled, self._compiled_of = {}, h
+            self._basis, self._compiled, self._compiled_of = _Basis(self, h), {}, h
         work = self._compiled.get(count)
         if work is None:
             work = self._compiled[count] = _Contraction(self, h, count)
@@ -389,21 +386,27 @@ def exact_energy(g: VddGraph, h) -> float:
 _LEVEL_COST = 1000
 
 # Transfer-matrix bytes one contraction may hold, n S (W^2 D)^2 16 for S
-# stacked θ: `energy_and_grad` contracts a stack in equal chunks within it.
-# A chunk's fixed cost (the per-level sweeps) is shared by its θ, while its
-# buffers grow with S: 768 KiB gives chunks of 8 θ for the accordion on
-# the open Heisenberg chain at n = 13, 14 (88 KiB per θ at n = 14), where a
-# 32-seed variance scan peaks at 1.1 MB allocated (tracemalloc).
+# stacked θ.  With k = ceil(S n (W^2 D)^2 16 / _TRANSFER_BYTES),
+# `energy_and_grad` contracts a stack in turn in chunks of ceil(S / k)
+# consecutive θ, the last chunk taking the rest.  So a chunk can exceed the
+# bound by less than one θ's transfer matrices, and the chunks are equal
+# only when their size divides S: 40 θ at n = 8 come as 14, 14 and 12, two
+# stack sizes to compile.  A chunk's fixed cost (the per-level sweeps) is
+# shared by its θ, while its buffers grow with the chunk: 768 KiB gives four
+# chunks of 8 θ for a 32-seed variance scan of the accordion on the open
+# Heisenberg chain at n = 13, 14 (88 KiB per θ at n = 14), which peaks at
+# 1.1 MB allocated (tracemalloc).
 _TRANSFER_BYTES = 768 * 1024
 
 
-# Bytes the transfer basis Z of `_contracted` may take where the dense
-# engine can run instead (n <= STATEVECTOR_CAP).  Z holds 4 n (W^2 D)^2
-# complex numbers, and each θ's transfer matrices a quarter of that; the
+# Bytes one θ's transfer matrices, n (W^2 D)^2 complex numbers, may take
+# where the dense engine can run instead (n <= STATEVECTOR_CAP).  A chunk
+# holds about _TRANSFER_BYTES of them, or one θ's where that is more, so
+# past this bound they are the largest array a contraction allocates.  The
 # dense engine peaks at about 100 MiB at n = 20 whatever the width (26 MiB
 # at n = 18, tracemalloc).  The accordion on the periodic Heisenberg chain
-# (D = 8) takes 1.3 MB at n = 20.
-_BASIS_BYTES = 64 * 2**20
+# (D = 8) takes 328 KB at n = 20.
+_CONTRACTION_BYTES = 16 * 2**20
 
 
 def _contracts(topo: _LevelTables, h) -> bool:
@@ -412,11 +415,12 @@ def _contracts(topo: _LevelTables, h) -> bool:
     Per level it multiplies (W^2 D)^2 transfer matrices (W the width, D the
     operator's bond dimension); the dense engine handles 2^n amplitudes and
     pays _LEVEL_COST more in fixed cost.  Where the dense engine can run,
-    a diagram whose transfer basis would exceed _BASIS_BYTES is left to it.
+    a diagram whose transfer matrices for one θ would exceed
+    _CONTRACTION_BYTES is left to it.
     """
     n = topo.num_qubits
     size = topo.width**2 * h._mpo.shape[1]
-    if n <= STATEVECTOR_CAP and 64 * n * size * size > _BASIS_BYTES:
+    if n <= STATEVECTOR_CAP and 16 * n * size * size > _CONTRACTION_BYTES:
         return False
     return size * size < 2**n + _LEVEL_COST
 
@@ -453,58 +457,36 @@ def _dense(topo: _LevelTables, h, edge: np.ndarray):
     return norm2, value, g
 
 
-def _transfer_basis(topo: _LevelTables, mpo: np.ndarray) -> np.ndarray:
-    """Z of `_contracted`, shape (n, W^2, 4, D W^2 D):
-
-        Z[l, (i, j), (s, s'), (a, i', j', a')] = W[l, a, a', s, s']
-
-    where i' is the s-child of the level-l node in slot i and j' the
-    s'-child of the one in slot j, and 0 elsewhere.
-    """
-    n, w, d = topo.num_qubits, topo.width, mpo.shape[1]
-    z = np.zeros((n, w, w, 2, 2, d, w, w, d), dtype=np.complex128)
-    l, i, j, s, t = np.ix_(range(n), range(w), range(w), range(2), range(2))
-    child = topo.children
-    z[l, i, j, s, t, :, child[l, i, s], child[l, j, t], :] = mpo[l, :, :, s, t]
-    return z.reshape(n, w * w, 4, d * w * w * d)
-
-
 class _Basis:
-    """The transfer basis Z = `_transfer_basis(topo, h._mpo)` of one topology
-    and operator, kept as its nonzero entries; Z itself is dropped once they
-    are read.  Its entries e,
-
-        Z[l, (i, j), (s, s'), (a, i', j', a')] = W[l, a, a', s, s'] = value[e],
-
-    are the operator's nonzero entries, each once per pair of occupied slots
-    (i, j) of level l, and each links the edges (i, s) and (j, s') of level
-    l to the entry (row, col) = ((i, j, a), (i', j', a')) of the transfer
-    matrix T[l].  They are kept twice, as flat indices into one θ's edge
-    table, transfer matrices and environments: sorted by their place in T,
-    where the duplicates of one place are summed (`t_*`), and sorted by the
-    edge (i, s), whose derivative they add up (`g_*`; every edge has
-    entries, since the operator chain carries the identity on channels 0
-    and D-1 at every level).
+    """The entries of one topology and operator that the transfer matrices
+    of `_contracted` are built from.  Each is a nonzero entry
+    W[l, a, a', s, s'] of the operator chain (`h._mpo`) taken at a pair of
+    occupied slots (i, j) of level l: it links the edges (i, s) and (j, s')
+    of level l to the entry (row, col) = ((i, j, a), (i', j', a')) of the
+    transfer matrix T[l], i' being the s-child of slot i and j' the s'-child
+    of slot j, and adds conj(f[l, i, s]) f[l, j, s'] W[l, a, a', s, s'] there.
+    They are kept twice, as flat indices into one θ's edge table, transfer
+    matrices and environments: sorted by their place in T, where the
+    entries of one place are summed (`t_*`), and sorted by the edge (i, s),
+    whose derivative they add up (`g_*`; every edge has entries, since the
+    operator chain carries the identity on channels 0 and D-1 at every
+    level).
     """
 
     def __init__(self, topo: _LevelTables, h):
-        n, w, d = topo.num_qubits, topo.width, h._mpo.shape[1]
+        w, d = topo.width, h._mpo.shape[1]
         size = w * w * d
-        z = _transfer_basis(topo, h._mpo)
-        # the occupied slots of level l are 0 .. counts[l] - 1
-        counts = np.bincount(topo.level, minlength=n)
         level, a, a_next, s, t = np.nonzero(h._mpo)
-        pairs = counts[level] ** 2
+        # each entry once per pair (i, j) of the occupied slots 0 .. counts[l] - 1
+        pairs = topo.counts[level] ** 2
         entry = np.repeat(np.arange(level.size), pairs)
         i, j = np.divmod(np.arange(entry.size) - np.repeat(np.cumsum(pairs) - pairs, pairs),
-                         counts[level[entry]])
+                         topo.counts[level[entry]])
         level, a, a_next, s, t = level[entry], a[entry], a_next[entry], s[entry], t[entry]
+        value = h._mpo[level, a, a_next, s, t]
         row = (i * w + j) * d + a
         col = (topo.children[level, i, s] * w + topo.children[level, j, t]) * d + a_next
-        value = z[level, i * w + j, 2 * s + t, a * size + col]
-        row_at = np.empty((n, w), dtype=np.int64)  # the row of the node in slot i of level l
-        row_at[topo.level, topo.slot] = np.arange(len(topo.level))
-        edge_i, edge_j = 2 * row_at[level, i] + s, 2 * row_at[level, j] + t
+        edge_i, edge_j = 2 * topo.row_of[level, i] + s, 2 * topo.row_of[level, j] + t
 
         place = (level * size + row) * size + col
         order = np.argsort(place, kind="stable")
@@ -522,19 +504,20 @@ class _Basis:
 class _Contraction:
     """Everything of `_contracted` that depends on the topology, the operator
     and the stack size S alone, compiled once (`_LevelTables.contraction`),
-    so that a call runs only θ-dependent work: the basis's entries
-    (`topo.basis(h)`), the buffers of the stack's transfer matrices
-    (S, n, W^2 D, W^2 D) and environments (S, n + 1, ...), and per-level
-    views of them.  The places of T outside Z's pattern stay 0, and L[0]
-    and R[n] keep their boundary vectors (R[0] is never read).  The sweeps
-    are one product per level: the `dot` of 1-D and 2-D views for S = 1,
-    `np.matmul` on the (S, ...) stacks otherwise.
+    so that a call runs only θ-dependent work: the operator's `_Basis`,
+    which `_LevelTables.contraction` builds once for every stack size, the
+    buffers of the stack's transfer matrices (S, n, W^2 D, W^2 D) and
+    environments (S, n + 1, ...), and per-level views of them.  The places
+    of T that no entry reaches stay 0, and L[0] and R[n] keep their boundary
+    vectors (R[0] is never read).  The sweeps are one product per level: the
+    `dot` of 1-D and 2-D views for S = 1, `np.matmul` on the (S, ...) stacks
+    otherwise.
     """
 
     def __init__(self, topo: _LevelTables, h, count: int):
         n, d = topo.num_qubits, h._mpo.shape[1]
         size = topo.width**2 * d
-        self.basis = topo.basis(h)
+        self.basis = topo._basis  # operator h's
         self.transfer = np.zeros((count, n, size, size), dtype=np.complex128)
         self.left = np.zeros((count, n + 1, 1, size), dtype=np.complex128)
         self.left[:, 0, 0, 0] = 1.0
@@ -569,22 +552,21 @@ def _contracted(topo: _LevelTables, h, edge: np.ndarray, gradient: bool = True):
         T[l, k, (i, j, a), (i', j', a')]
             = sum_{s, s'} conj(f[l, k, i, s]) f[l, k, j, s'] W[l, a, a', s, s'],
 
-    summed over the s and s' that lead from slots i, j to i', j', is the
-    product of the edge pair conj(f[l, k, i, s]) f[l, k, j, s'] with the
-    fixed basis Z (`_transfer_basis`), summed over (s, s'): one product per
-    nonzero entry of Z (`topo.basis(h)`), gathered from the edge tables and
-    summed into T.  A left sweep L[l+1] = L[l] T[l] from (0, 0, 0) ends
-    with <psi|psi> in channel 0 and <psi|H|psi> in channel D-1; a right
-    sweep R[l] = T[l] R[l+1] from (0, 0, D-1) down to R[1] closes the
-    chain, and for every edge at once
+    summed over the s and s' that lead from slots i, j to i', j', has one
+    term per nonzero entry of W and pair of occupied slots (`_Basis`): a
+    product of the edge pair with the entry's value, gathered from the edge
+    tables and summed into T.  A left sweep L[l+1] = L[l] T[l] from
+    (0, 0, 0) ends with <psi|psi> in channel 0 and <psi|H|psi> in channel
+    D-1; a right sweep R[l] = T[l] R[l+1] from (0, 0, D-1) down to R[1]
+    closes the chain, and for every edge at once
 
         d<H>/d conj(f[l, k, i, s])
-            = sum L[l, k, (i, j, a)] Z[l, (i, j), (s, s'), (a, x)] R[l+1, k, x] f[l, k, j, s'],
+            = sum L[l, k, (i, j, a)] W[l, a, a', s, s'] R[l+1, k, (i', j', a')] f[l, k, j, s'],
 
-    summed over j, s', a and x: again one product per nonzero entry of Z,
-    summed per edge.  Z's entries are compiled once per topology and
-    operator, the buffers and views (`topo.contraction(h, S)`) once per
-    stack size as well; the arrays returned are fresh.
+    summed over j, s', a and a': again one product per entry of `_Basis`,
+    summed per edge.  The entries, buffers and views
+    (`topo.contraction(h, S)`) are compiled once per topology, operator and
+    stack size; the arrays returned are fresh.
 
     The global phase cancels.  Cost O(n S (W^2 D)^2) for the sweeps, the
     engine of narrow diagrams (`_contracts`).
@@ -623,9 +605,10 @@ def energy_and_grad(topo: _LevelTables, h, theta: np.ndarray, mode: str):
     chain rule: the magnitude entry sums 2 Re(conj(slope) g) over a node's
     two edges, and the omega and phi entries are 2 Im(conj(edge) g) of its
     0- and 1-edge (d edge / d phase = i edge), both from one product of g
-    with the conjugated chart.  A stack is contracted in equal chunks of at
-    most _TRANSFER_BYTES of transfer matrices, each chunk size compiled once
-    (`_LevelTables.contraction`); the engine choice and the chunk sizes are
+    with the conjugated chart.  A stack is contracted in consecutive chunks
+    of about _TRANSFER_BYTES of transfer matrices, all of one size but the
+    last, which takes the rest; each chunk size is compiled once
+    (`_LevelTables.contraction`).  The engine choice and the chunk sizes are
     integer tests, made per call.  Errors and warnings about a θ of a stack
     name its index.  In raw mode an r outside [0, 1], NaN included, is
     rejected before the chart runs, naming its node and value.

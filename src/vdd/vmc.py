@@ -141,12 +141,8 @@ def _energy_stats(local_values: np.ndarray) -> tuple[float, float]:
 
 
 class _PathPlan:
-    """What the VMC kernels read of a topology's paths, compiled once per
-    topology (by each `_Workspace`).
-
-    lone[l] is the row of level l's node when the level holds one node, -1
-    otherwise: every sample visits it, so the sampler reads its p_zero as
-    one scalar.
+    """Where the VMC gradient scatters, compiled once per topology (by each
+    `_Workspace`) from the topology's levels and children.
 
     The gradient needs, per edge, the count of samples taking it and the
     sums of Re c and Im c over them.  When every node of level l + 1 has
@@ -160,9 +156,6 @@ class _PathPlan:
 
     def __init__(self, topo: _LevelTables):
         n, level, child = topo.num_qubits, topo.level, topo.child
-        alone = np.bincount(level, minlength=n)[level] == 1
-        self.lone = np.full(n, -1, dtype=np.int64)
-        self.lone[level[alone]] = np.flatnonzero(alone)
         # a level whose edges meet at a node below it is scattered
         in_degree = np.bincount(child[child >= 0], minlength=len(level))
         scattered = np.zeros(n, dtype=bool)
@@ -255,11 +248,13 @@ def _sample(topo: _LevelTables, factor: np.ndarray, work: _Workspace, rng) -> No
     level-major order, consumed level by level.
 
     Fills the bits, the node rows their paths visit (level 1 first) and
-    the edges they take, from which the batch kernels read the paths.
-    Every index is in range; the kernels gather with mode="clip" because
-    `np.take` buffers `out` in its default mode.
+    the edges they take, from which the batch kernels read the paths.  At
+    a level with a lone node (`_LevelTables.lone`) every sample is on it, so
+    its p_zero is read as one scalar.  Every index is in range; the kernels
+    gather with mode="clip" because `np.take` buffers `out` in its default
+    mode.
     """
-    n, lone = topo.num_qubits, work.plan.lone.tolist()
+    n, lone = topo.num_qubits, topo.lone.tolist()
     p_zero = np.abs(factor[:, 0]) ** 2
     rng.random(out=work.uniform)
     rows, edge, bits = work.rows, work.edge, work.bits
@@ -309,10 +304,11 @@ class _Segments:
     A flip group's term psi(b ^ f) / psi(b) * <b|H_f|b ^ f> depends on b
     only through b's node at the first level of the group's segment
     [first, rejoin[last + 1]), the L levels `_batch_local_values` walks,
-    and b's bits on those levels.  So it has W 2^L keys, W being the width
-    of level first: key = slot * 2^L + the L bits read as a binary number,
-    the first level's most significant, slot being the node's index within
-    its level.  Every key fixes the edges of both paths over the segment:
+    and b's bits on those levels.  So it has W 2^L keys, W being the node
+    count of level first (`_LevelTables.counts`): key = slot * 2^L + the L
+    bits read as a binary number, the first level's most significant, slot
+    being the node's index within its level, whose row `_LevelTables.row_of`
+    gives.  Every key fixes the edges of both paths over the segment:
     b ^ f's key is b's with f's bits flipped.  A group for which
     `_tabulates` holds and whose terms have every Z and Y qubit in the
     segment, so that its matrix elements too are fixed by the key, gets
@@ -332,15 +328,12 @@ class _Segments:
 
     groups holds, per group of `h._bit_groups`, None (diagonal or walked)
     or (first, end, start, stop, lone), lone telling whether level first
-    holds one node, whose key is then b's bits alone; first_key maps an
-    edge 2 * row + bit to 2 * slot + bit.
+    holds one node (`_LevelTables.lone`), whose key is then b's bits
+    alone; first_key maps an edge 2 * row + bit to 2 * slot + bit.
     """
 
     def __init__(self, topo: _LevelTables, h: PauliHamiltonian, count: int):
-        n, pad = topo.num_qubits, topo.child.size
-        width = np.bincount(topo.level, minlength=n)
-        row_of = np.empty((n, topo.width), dtype=np.int64)  # by level and slot
-        row_of[topo.level, topo.slot] = np.arange(len(topo.level))
+        pad = topo.child.size
         self.first_key = (2 * topo.slot[:, None] + np.arange(2)).ravel()
 
         def key_bits(qubits, end):
@@ -361,14 +354,14 @@ class _Segments:
                 self.groups.append(None)
                 continue
             first, end = int(flip[0]), topo.rejoin[flip[-1] + 1]
-            keys = int(width[first]) << (end - first)
+            keys = int(topo.counts[first]) << (end - first)
             # a group whose Z or Y qubits leave its segment is walked
             if not (_tabulates(keys, end - first, count)
                     and all(inside(zy, first, end) for _, zy in terms)):
                 self.groups.append(None)
                 continue
             start, stop = stop, stop + keys
-            self.groups.append((first, end, start, stop, bool(width[first] == 1)))
+            self.groups.append((first, end, start, stop, bool(topo.lone[first] >= 0)))
             tabulated.append((first, end - first, keys, key_bits(flip, end)))
             for weight, zy in terms:
                 columns.append(np.arange(start, stop))
@@ -397,7 +390,7 @@ class _Segments:
         def path(key):
             """(depth, columns) edges taken by the keys' bits from their slot."""
             edges = np.full((depth, stop), pad, dtype=np.int64)
-            row = row_of[first, key >> length]
+            row = topo.row_of[first, key >> length]
             for j in range(depth):
                 edge = 2 * row + ((key >> np.maximum(length - 1 - j, 0)) & 1)
                 edges[j, j < length] = edge[j < length]

@@ -122,7 +122,7 @@ def test_cost_rule_keeps_the_transfer_basis_within_its_budget():
     h = build_model(ModelSpec("heisenberg", 20))
     wide = _LevelTables(layered_graph(20, 14))
     assert wide.width == 14
-    assert 64 * 20 * (14**2 * 5) ** 2 > exact._BASIS_BYTES
+    assert 16 * 20 * (14**2 * 5) ** 2 > exact._CONTRACTION_BYTES
     assert not _contracts(wide, h)
     assert _contracts(_LevelTables(layered_graph(20, 4)), h)
     # past the cap contraction is the only engine, whatever Z takes
@@ -131,6 +131,24 @@ def test_cost_rule_keeps_the_transfer_basis_within_its_budget():
         for spec in (ModelSpec("heisenberg", n), ModelSpec("heisenberg", n, boundary="periodic")):
             assert _contracts(_LevelTables(build_ansatz("accordion", n)), build_model(spec))
         assert _contracts(_LevelTables(build_ansatz("product", n)), build_model(ModelSpec("heisenberg", n)))
+
+
+def test_first_contraction_allocates_no_dense_basis():
+    # width 4 at n = 64: one θ's transfer matrices take 16 n (W^2 D)^2 bytes
+    # = 6.2 MiB; a dense transfer basis, 4 n (W^2 D)^2 complex numbers, would
+    # take 25 MiB on top
+    import tracemalloc
+
+    g = layered_graph(64, 4)
+    topo, h = _LevelTables(g), build_model(ModelSpec("heisenberg", 64))
+    theta = _flatten(g, "trig")
+    tracemalloc.start()
+    try:
+        energy_and_grad(topo, h, theta, "trig")  # compiles the contraction
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 @pytest.mark.parametrize("kind,n", [("accordion", 12), ("accordion", 17), ("product", 15)])
@@ -334,13 +352,13 @@ def test_transfer_basis_is_built_once_per_topology_and_operator(monkeypatch):
     from vdd.optimize import TrainConfig, train
 
     built = []
-    original = exact._transfer_basis
+    original = exact._Basis
 
-    def counted(topo, mpo):
+    def counted(topo, h):
         built.append(topo.num_qubits)
-        return original(topo, mpo)
+        return original(topo, h)
 
-    monkeypatch.setattr(exact, "_transfer_basis", counted)
+    monkeypatch.setattr(exact, "_Basis", counted)
     train(TrainConfig(model=ModelSpec("heisenberg", 6), epochs=20, seed=0))
     assert built == [6]  # once per run, not per epoch
     variance_scan(VarianceScanConfig(model="heisenberg", n_values=(6, 8), tracked_params=("r1",),
@@ -360,18 +378,18 @@ def test_contraction_buffers_are_compiled_once_per_operator_and_stack_size(monke
     from vdd.optimize import TrainConfig, train
 
     compiled, bases = [], []
-    contraction, basis = exact._Contraction, exact._transfer_basis
+    contraction, basis = exact._Contraction, exact._Basis
 
     def counted(topo, h, count):
         compiled.append((topo.num_qubits, count))
         return contraction(topo, h, count)
 
-    def counted_basis(topo, mpo):
+    def counted_basis(topo, h):
         bases.append(topo.num_qubits)
-        return basis(topo, mpo)
+        return basis(topo, h)
 
     monkeypatch.setattr(exact, "_Contraction", counted)
-    monkeypatch.setattr(exact, "_transfer_basis", counted_basis)
+    monkeypatch.setattr(exact, "_Basis", counted_basis)
     train(TrainConfig(model=ModelSpec("heisenberg", 6), epochs=20, seed=0))
     assert compiled == [(6, 1)] and bases == [6]  # once per run, not per epoch
     variance_scan(VarianceScanConfig(model="heisenberg", n_values=(6, 8), tracked_params=("r1",),
@@ -386,7 +404,7 @@ def test_contraction_buffers_are_compiled_once_per_operator_and_stack_size(monke
     for h, stack in ((heisenberg, theta), (heisenberg, theta), (heisenberg, np.stack([theta] * 3)),
                      (heisenberg, theta), (tfim, theta), (heisenberg, np.stack([theta] * 3))):
         energy_and_grad(topo, h, stack, "trig")
-    # a stack size is compiled once per operator, and Z once per operator
+    # a stack size is compiled once per operator, and the basis once per operator
     assert compiled == [(6, 1), (6, 3), (6, 1), (6, 3)] and bases == [6, 6, 6]
 
 

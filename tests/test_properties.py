@@ -137,6 +137,29 @@ def test_edge_tables_are_indexed_by_row_and_bit(g, mode):
             assert abs(slope[row, bit] - derivative[bit]) <= 1e-14
 
 
+def assert_level_tables_agree(topo):
+    """counts, row_of, lone and rejoin against level and slot."""
+    n = topo.num_qubits
+    assert np.array_equal(topo.row_of[topo.level, topo.slot], np.arange(len(topo.level)))
+    assert np.count_nonzero(topo.row_of >= 0) == len(topo.level)  # -1 in empty slots
+    assert np.array_equal(topo.counts, np.bincount(topo.level))
+    assert np.array_equal(topo.lone, np.where(topo.counts == 1, topo.row_of[:, 0], -1))
+    for l in range(n + 1):
+        assert topo.rejoin[l] == next((k for k in range(l, n) if topo.lone[k] >= 0), n)
+
+
+@SETTINGS
+@given(leveled_dags())
+def test_level_tables_agree(g):
+    assert_level_tables_agree(_LevelTables(g))
+
+
+@pytest.mark.parametrize("kind", ANSATZ_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_level_tables_agree_on_the_builders(kind, n):
+    assert_level_tables_agree(_LevelTables(build_ansatz(kind, n)))
+
+
 @SETTINGS
 @given(dags_with_hamiltonians(), st.sampled_from(["raw", "trig"]))
 def test_gradient_matches_finite_difference(case, mode):
