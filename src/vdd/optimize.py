@@ -3,7 +3,8 @@
 Losses:
 
 * "energy_gap" — <H> - E0 (E0 user-supplied, or from the eigensolver up to
-                 its cap and, for the open TFIM chain, from free fermions past it);
+                 its cap and, for the open TFIM and XX chains, from free
+                 fermions past it);
                  same gradient as "energy", but the trace shows the gap.
 * "energy"     — plain <H>.
 * "bce"        — binary cross-entropy of Born probabilities against 0/1
@@ -41,7 +42,13 @@ from .ansatz import ANSATZ_KINDS, InitScheme, build_ansatz, init_params
 from .exact import _CLAMP, PARAM_MODES, GradientVector, _chart, _check_mode, _flatten
 from .exact import _LevelTables, _materialize, energy_and_grad, parameter_labels
 from .graph import VddGraph
-from .hamiltonian import ModelSpec, build_model, ground_energy, tfim_ground_energy
+from .hamiltonian import (
+    ModelSpec,
+    build_model,
+    ground_energy,
+    tfim_ground_energy,
+    xx_ground_energy,
+)
 from .state import CapacityError
 
 __all__ = [
@@ -387,9 +394,11 @@ def _resolve_e0(config: TrainConfig, h) -> float | None:
     try:
         e0, _ = ground_energy(h)
     except CapacityError as exc:
-        spec = config.model
-        if spec.model == "tfim" and spec.boundary == "open":
-            return tfim_ground_energy(spec)
+        for free_fermions in (tfim_ground_energy, xx_ground_energy):
+            try:
+                return free_fermions(config.model)
+            except ValueError:  # not the chain this oracle solves
+                pass
         raise ConfigError(
             f"energy_gap at n = {h.num_qubits} needs a user-supplied e0: {exc}"
         ) from None

@@ -116,16 +116,18 @@ def layered_graph(n: int, width: int) -> VddGraph:
     return VddGraph(num_qubits=n, global_phase=0.0, root_child=1, nodes=nodes)
 
 
-def test_cost_rule_keeps_the_transfer_basis_within_its_budget():
-    # width 14 at n = 20: (W^2 D)^2 = 960 400 < 2^20 + 1000, so the time
-    # rule alone contracts, with a Z of 4 n (W^2 D)^2 complex numbers = 1.2 GB
+def test_cost_rule_keeps_one_thetas_transfer_matrices_within_their_budget():
+    # width 14 at n = 20: (W^2 D)^2 = 960 400 < 2^20 + 1000, so the time rule
+    # alone contracts, with transfer matrices of 16 n (W^2 D)^2 bytes = 307 MB
+    # for one θ
     h = build_model(ModelSpec("heisenberg", 20))
     wide = _LevelTables(layered_graph(20, 14))
     assert wide.width == 14
     assert 16 * 20 * (14**2 * 5) ** 2 > exact._CONTRACTION_BYTES
     assert not _contracts(wide, h)
     assert _contracts(_LevelTables(layered_graph(20, 4)), h)
-    # past the cap contraction is the only engine, whatever Z takes
+    # past the cap contraction is the only engine, whatever its transfer
+    # matrices take
     assert _contracts(_LevelTables(layered_graph(21, 14)), build_model(ModelSpec("heisenberg", 21)))
     for n in (10, 13, 14, 64):
         for spec in (ModelSpec("heisenberg", n), ModelSpec("heisenberg", n, boundary="periodic")):

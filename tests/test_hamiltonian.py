@@ -5,11 +5,15 @@ explicitly tensored operators.
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from vdd import hamiltonian
 from vdd.hamiltonian import (
     ModelSpec,
     PauliHamiltonian,
@@ -21,6 +25,7 @@ from vdd.hamiltonian import (
     expectation,
     ground_energy,
     tfim_ground_energy,
+    xx_ground_energy,
 )
 from vdd.state import CapacityError
 
@@ -191,6 +196,23 @@ def test_free_fermion_energy_is_for_the_open_tfim_chain_only():
             tfim_ground_energy(spec)
 
 
+@pytest.mark.parametrize("j", [1.0, -0.6])
+@pytest.mark.parametrize("n", [4, 7, 10, 11, 12])
+def test_xx_free_fermion_energy_matches_the_eigensolver(n, j):
+    spec = ModelSpec("heisenberg", n, jx=j, jy=j, jz=0.0)
+    assert xx_ground_energy(spec) == pytest.approx(ground_energy(build_model(spec))[0],
+                                                   rel=0, abs=1e-10)
+
+
+def test_xx_free_fermion_energy_is_for_the_open_xx_chain_only():
+    for spec in (ModelSpec("heisenberg", 4, jz=0.0, boundary="periodic"),
+                 ModelSpec("heisenberg", 4),
+                 ModelSpec("heisenberg", 4, jx=1.0, jy=0.5, jz=0.0),
+                 ModelSpec("tfim", 4, g=1.0)):
+        with pytest.raises(ValueError):
+            xx_ground_energy(spec)
+
+
 def test_dense_matrix_is_hermitian():
     for spec in (ModelSpec("tfim", 3, g=0.7), ModelSpec("heisenberg", 3)):
         m = dense_matrix(build_model(spec))
@@ -244,33 +266,58 @@ def test_tfim_n2_g1_closed_form():
     assert e0 == pytest.approx(-SQRT5, abs=1e-12)
 
 
-def test_iterative_and_dense_eigensolvers_agree():
-    # n=10 exercises the matrix-free path; compare against the dense answer
-    h = build_model(ModelSpec("tfim", 10, g=1.7))
+@pytest.mark.parametrize("spec", [
+    pytest.param(ModelSpec("tfim", 10, g=1.7), id="tfim-10"),
+    pytest.param(ModelSpec("tfim", 11, g=0.5), id="tfim-11"),
+    # an odd ring: its ground level is degenerate
+    pytest.param(ModelSpec("heisenberg", 11, boundary="periodic"), id="heisenberg-11-periodic"),
+    pytest.param(ModelSpec("heisenberg", 10, jz=0.0), id="xx-10"),
+    pytest.param(ModelSpec("heisenberg", 10, jx=0.7, jy=1.3, jz=-0.4), id="xyz-10"),
+    # diagonal operators: the iteration breaks down (beta = 0) at convergence
+    pytest.param(ModelSpec("tfim", 10, g=0.0), id="tfim-g0-10"),
+    pytest.param(ModelSpec("z1z2", 10), id="z1z2-10"),
+])
+def test_iterative_and_dense_eigensolvers_agree(spec):
+    # n >= 10 runs the Lanczos iteration; compare against the dense answer
+    h = build_model(spec)
     e_iter, _ = ground_energy(h)
     evals = np.linalg.eigvalsh(dense_matrix(h))
-    assert e_iter == pytest.approx(float(evals[0]), abs=1e-8)
+    assert e_iter == pytest.approx(float(evals[0]), abs=1e-10)
 
 
-def test_arpack_non_convergence_falls_back_to_dense(monkeypatch):
-    import scipy.sparse.linalg as spla
+def test_iterative_eigensolver_is_deterministic():
+    h = build_model(ModelSpec("heisenberg", 10))
+    (e1, v1), (e2, v2) = ground_energy(h), ground_energy(h)
+    assert e1 == e2
+    assert np.array_equal(v1.amps, v2.amps)
 
-    def no_convergence(*args, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
-    monkeypatch.setattr(spla, "eigsh", no_convergence)
+def test_ground_solve_does_not_import_scipy_sparse():
+    # importing scipy.sparse.linalg costs more than the solve; keep it out
+    code = ("import sys, vdd; "
+            "vdd.ground_energy(vdd.build_model(vdd.ModelSpec('heisenberg', 10))); "
+            "print('scipy.sparse' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(hamiltonian.__file__))  # the vdd under test
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
+def test_lanczos_non_convergence_falls_back_to_dense(monkeypatch):
+    # a budget of two Krylov steps misses the residual contract
+    monkeypatch.setattr(hamiltonian, "_KRYLOV_STEPS", 2)
     h = build_model(ModelSpec("tfim", 10, g=1.7))
     e0, _ = ground_energy(h)
     assert e0 == pytest.approx(float(np.linalg.eigvalsh(dense_matrix(h))[0]), abs=1e-8)
 
 
 def test_other_eigensolver_errors_propagate(monkeypatch):
-    import scipy.sparse.linalg as spla
-
     def broken(*args, **kwargs):
         raise RuntimeError("broken solver")
 
-    monkeypatch.setattr(spla, "eigsh", broken)
+    monkeypatch.setattr(hamiltonian, "apply_to_vector", broken)
     with pytest.raises(RuntimeError, match="broken solver"):
         ground_energy(build_model(ModelSpec("tfim", 10, g=1.7)))
 

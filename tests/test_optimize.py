@@ -9,7 +9,13 @@ import pytest
 from vdd.ansatz import InitScheme, build_ansatz, build_product, build_universal, init_params
 from vdd.exact import exact_energy, exact_gradient, to_state_vector
 from vdd.graph import ParamTriple, amplitude
-from vdd.hamiltonian import ModelSpec, build_model, ground_energy, tfim_ground_energy
+from vdd.hamiltonian import (
+    ModelSpec,
+    build_model,
+    ground_energy,
+    tfim_ground_energy,
+    xx_ground_energy,
+)
 from vdd.optimize import (
     AdamConfig,
     AdamState,
@@ -257,6 +263,14 @@ def test_energy_gap_past_the_eigensolver_cap_uses_free_fermions():
     for rec in trace.records:
         assert rec.loss == pytest.approx(rec.energy - e0, abs=1e-9) and rec.loss > 0
         assert rec.relative_error == pytest.approx(abs(rec.loss / e0), rel=1e-12)
+
+
+def test_energy_gap_past_the_eigensolver_cap_uses_the_xx_chain_oracle():
+    spec = ModelSpec("heisenberg", 16, jz=0.0)
+    e0 = xx_ground_energy(spec)
+    trace = train(TrainConfig(model=spec, epochs=3, seed=0))
+    for rec in trace.records:
+        assert rec.loss == pytest.approx(rec.energy - e0, abs=1e-9) and rec.loss > 0
 
 
 def test_train_tfim_g0_reaches_ground_state():
