@@ -478,6 +478,11 @@ def _cmd_variance_scan(cfg: dict, outputs: _Outputs) -> None:
 
 
 def _cmd_g_sweep(cfg: dict, outputs: _Outputs) -> None:
+    for g in cfg["g_values"]:  # every model, before any training
+        try:
+            ModelSpec("tfim", cfg["n"], g=g)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     result = g_sweep(
         cfg["g_values"],
         n=cfg["n"],
@@ -500,9 +505,9 @@ def _cmd_g_sweep(cfg: dict, outputs: _Outputs) -> None:
 def emit_svg(csv_path: str, x_column: str, y_column: str, log_y: bool = False) -> str:
     """Single-series SVG line chart from two numeric CSV columns.
 
-    Deterministic for fixed input; nonpositive y points are dropped in
-    log mode.  Missing columns, empty tables and non-numeric cells raise
-    ConfigError.
+    Deterministic for fixed input; nonpositive and non-finite y points are
+    dropped in log mode.  Missing columns, empty tables, non-numeric cells
+    and other non-finite values raise ConfigError.
     """
     try:
         with open(csv_path, newline="") as fh:
@@ -521,6 +526,11 @@ def emit_svg(csv_path: str, x_column: str, y_column: str, log_y: bool = False) -
                         f"non-numeric value {row[x_column]!r}/{row[y_column]!r} "
                         f"in columns {x_column!r}/{y_column!r}"
                     ) from None
+                if not math.isfinite(x) or not (log_y or math.isfinite(y)):
+                    raise ConfigError(
+                        f"non-finite value {row[x_column]!r}/{row[y_column]!r} "
+                        f"in columns {x_column!r}/{y_column!r}"
+                    )
                 xs.append(x)
                 ys.append(y)
     except OSError as exc:

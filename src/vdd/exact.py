@@ -200,7 +200,18 @@ class _LevelTables:
 
     For the contraction engine, children[l, i, b] (shape (n, width, 2)) is
     the slot of the b-child of the level-l node in slot i, 0 past the last
-    level and for empty slots; `contraction` compiles the rest, for one
+    level and for empty slots.
+
+    For the VMC gradient, which needs per edge the count of samples taking
+    it and the sums of their centered local values: when every node of
+    level l + 1 has in-degree 1, each edge of level l leads to a node of
+    its own, and its sums are the sums of that node's two edges.  So only
+    the other levels, the last one included, are scattered from the samples
+    (merge_levels, ascending); the rest are filled bottom-up, one stage per
+    step away from a scattered level: fills holds per stage the edges (dst)
+    and the two edges of each one's child (left, right), whose sums it adds.
+
+    What depends on an operator too is compiled by `compiled`, for one
     operator at a time.
     """
 
@@ -234,19 +245,38 @@ class _LevelTables:
         for l in range(n - 1, -1, -1):
             rejoin.append(l if self.lone[l] >= 0 else rejoin[-1])
         self.rejoin = tuple(rejoin[::-1])
-        self._basis = self._compiled = self._compiled_of = None
 
-    def contraction(self, h, count: int):
-        """The `_Contraction` of `_contracted` for operator h and a stack of
-        count θ: compiled on the first call with them and kept, with those
-        of other stack sizes and the operator's `_Basis` they share, until a
-        call with another operator."""
+        # a level whose edges meet at a node below it is scattered
+        in_degree = np.bincount(self.child[self.child >= 0], minlength=len(level))
+        scattered = np.zeros(n, dtype=bool)
+        scattered[level[in_degree > 1] - 1] = True
+        scattered[n - 1] = True
+        self.merge_levels = np.flatnonzero(scattered)
+        stage = np.zeros(n, dtype=np.int64)  # steps up from the scattered level below
+        for l in range(n - 2, -1, -1):
+            if not scattered[l]:
+                stage[l] = stage[l + 1] + 1
+        edge_stage = np.repeat(stage[level], 2)  # per edge 2 * row + bit
+        self.fills = []
+        for s in range(1, int(stage.max()) + 1):
+            dst = np.flatnonzero(edge_stage == s)
+            left = 2 * self.child.ravel()[dst]
+            self.fills.append((dst, left, left + 1))
+        self._compiled, self._compiled_of = {}, None
+
+    def compiled(self, h, kind, *size):
+        """kind(self, h, *size), compiled on the first call with them and
+        kept, with everything else compiled for operator h, until a call with
+        another operator drops them all: the operator's `_Basis`, each stack
+        size's `_Contraction` and each batch size's `_Segments` (vdd.vmc).
+        The caller passes the class, so this module needs nothing of vdd.vmc."""
         if self._compiled_of is not h:
-            self._basis, self._compiled, self._compiled_of = _Basis(self, h), {}, h
-        work = self._compiled.get(count)
-        if work is None:
-            work = self._compiled[count] = _Contraction(self, h, count)
-        return work
+            self._compiled, self._compiled_of = {}, h
+        key = (kind, *size)
+        built = self._compiled.get(key)
+        if built is None:
+            built = self._compiled[key] = kind(self, h, *size)
+        return built
 
 
 def _chart(theta: np.ndarray, mode: str) -> np.ndarray:
@@ -503,21 +533,20 @@ class _Basis:
 
 class _Contraction:
     """Everything of `_contracted` that depends on the topology, the operator
-    and the stack size S alone, compiled once (`_LevelTables.contraction`),
+    and the stack size S alone, compiled once (`_LevelTables.compiled`),
     so that a call runs only θ-dependent work: the operator's `_Basis`,
-    which `_LevelTables.contraction` builds once for every stack size, the
-    buffers of the stack's transfer matrices (S, n, W^2 D, W^2 D) and
-    environments (S, n + 1, ...), and per-level views of them.  The places
-    of T that no entry reaches stay 0, and L[0] and R[n] keep their boundary
-    vectors (R[0] is never read).  The sweeps are one product per level: the
-    `dot` of 1-D and 2-D views for S = 1, `np.matmul` on the (S, ...) stacks
-    otherwise.
+    compiled once for every stack size, the buffers of the stack's transfer
+    matrices (S, n, W^2 D, W^2 D) and environments (S, n + 1, ...), and
+    per-level views of them.  The places of T that no entry reaches stay 0,
+    and L[0] and R[n] keep their boundary vectors (R[0] is never read).  The
+    sweeps are one product per level: the `dot` of 1-D and 2-D views for
+    S = 1, `np.matmul` on the (S, ...) stacks otherwise.
     """
 
     def __init__(self, topo: _LevelTables, h, count: int):
         n, d = topo.num_qubits, h._mpo.shape[1]
         size = topo.width**2 * d
-        self.basis = topo._basis  # operator h's
+        self.basis = topo.compiled(h, _Basis)
         self.transfer = np.zeros((count, n, size, size), dtype=np.complex128)
         self.left = np.zeros((count, n + 1, 1, size), dtype=np.complex128)
         self.left[:, 0, 0, 0] = 1.0
@@ -565,13 +594,13 @@ def _contracted(topo: _LevelTables, h, edge: np.ndarray, gradient: bool = True):
 
     summed over j, s', a and a': again one product per entry of `_Basis`,
     summed per edge.  The entries, buffers and views
-    (`topo.contraction(h, S)`) are compiled once per topology, operator and
-    stack size; the arrays returned are fresh.
+    (`topo.compiled(h, _Contraction, S)`) are compiled once per topology,
+    operator and stack size; the arrays returned are fresh.
 
     The global phase cancels.  Cost O(n S (W^2 D)^2) for the sweeps, the
     engine of narrow diagrams (`_contracts`).
     """
-    work = topo.contraction(h, edge.shape[0])
+    work = topo.compiled(h, _Contraction, edge.shape[0])
     basis, edges = work.basis, edge.reshape(edge.shape[0], -1)
     values = edges.take(basis.t_i, axis=1)
     np.conjugate(values, out=values)
@@ -608,7 +637,7 @@ def energy_and_grad(topo: _LevelTables, h, theta: np.ndarray, mode: str):
     with the conjugated chart.  A stack is contracted in consecutive chunks
     of about _TRANSFER_BYTES of transfer matrices, all of one size but the
     last, which takes the rest; each chunk size is compiled once
-    (`_LevelTables.contraction`).  The engine choice and the chunk sizes are
+    (`_LevelTables.compiled`).  The engine choice and the chunk sizes are
     integer tests, made per call.  Errors and warnings about a θ of a stack
     name its index.  In raw mode an r outside [0, 1], NaN included, is
     rejected before the chart runs, naming its node and value.

@@ -84,6 +84,11 @@ class VarianceScanConfig:
             raise ConfigError(
                 f"unknown param_mode {self.param_mode!r}, expected one of {PARAM_MODES}"
             )
+        for n in self.n_values:
+            try:
+                self.model_spec(n)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
     def model_spec(self, n: int) -> ModelSpec:
         return ModelSpec(

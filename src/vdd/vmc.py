@@ -46,18 +46,19 @@ jackknife (`vmc_gradient_stderr`) a quadratic form in a few more such
 scatters.  Neither forms O: a `VmcBatch` keeps the edges the samples
 took and the chart's edge factors.  Only the levels where paths merge are
 scattered from the samples; an edge whose child no other edge enters sums
-the child's two edges (`_PathPlan`).
+the child's two edges (`_LevelTables.merge_levels` and `fills`).
 
 A batch is drawn by one private kernel (`_draw`) on the compiled topology
 and a parameter array θ (see vdd.exact): the chart's edge factors, the
 Born draws, the local values and their energy statistics, returned as a
 `VmcBatch`.  It writes into a `_Workspace`, the batch's level-major
-arrays and the kernels' scratch, which also keeps the local-value tables
-compiled for the operator.  Training allocates one workspace per run and
-draws every epoch into it, without rebuilding a graph, recompiling the
-tables or allocating a batch-sized array; `sample` and `sample_batch` take a
-`VddGraph`, compile it and allocate a workspace per call, so their
-results own their arrays.
+arrays and the kernels' scratch; the local-value tables are compiled on
+the topology, once per operator and batch size (`_LevelTables.compiled`),
+as the exact engine's contraction is.  Training allocates one workspace
+per run and draws every epoch into it, without rebuilding a graph,
+recompiling the tables or allocating a batch-sized array; `sample` and
+`sample_batch` take a `VddGraph`, compile it and allocate a workspace per
+call, so their results own their arrays.
 
 The per-bit-string operations walk the graph itself and are the reference
 implementations the kernels are tested against.
@@ -99,9 +100,9 @@ class VmcBatch:
     or "trig"), and node_ids the ids of their rows, which label the
     gradient.  edge is the level-major (n, batch) array of the edges the
     samples take, 2 * node row + bit, and merge_edge its rows at the levels
-    plan scatters (`_PathPlan.levels`).  The gradient and its jackknife are
-    scatters of the local values onto the taken edges, so no per-sample
-    log-derivative is stored.
+    the topology topo scatters (`_LevelTables.merge_levels`).  The gradient
+    and its jackknife are scatters of the local values onto the taken edges,
+    so no per-sample log-derivative is stored.
     """
 
     samples: np.ndarray
@@ -114,7 +115,7 @@ class VmcBatch:
     mode: str
     edge: np.ndarray
     merge_edge: np.ndarray
-    plan: _PathPlan
+    topo: _LevelTables
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples)
@@ -140,40 +141,6 @@ def _energy_stats(local_values: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(float(deviation @ deviation) / (count - 1) / count)
 
 
-class _PathPlan:
-    """Where the VMC gradient scatters, compiled once per topology (by each
-    `_Workspace`) from the topology's levels and children.
-
-    The gradient needs, per edge, the count of samples taking it and the
-    sums of Re c and Im c over them.  When every node of level l + 1 has
-    in-degree 1, each edge of level l leads to a node of its own, and its
-    sums are the sums of that node's two edges.  So only the other levels,
-    the last one included, are scattered from the samples (levels, in
-    ascending order); the rest are filled bottom-up, one stage per step
-    away from a scattered level: fills holds per stage the edges (dst) and
-    the two edges of each one's child (left, right), whose sums it adds.
-    """
-
-    def __init__(self, topo: _LevelTables):
-        n, level, child = topo.num_qubits, topo.level, topo.child
-        # a level whose edges meet at a node below it is scattered
-        in_degree = np.bincount(child[child >= 0], minlength=len(level))
-        scattered = np.zeros(n, dtype=bool)
-        scattered[level[in_degree > 1] - 1] = True
-        scattered[n - 1] = True
-        self.levels = np.flatnonzero(scattered)
-        stage = np.zeros(n, dtype=np.int64)  # steps up from the scattered level below
-        for l in range(n - 2, -1, -1):
-            if not scattered[l]:
-                stage[l] = stage[l + 1] + 1
-        edge_stage = np.repeat(stage[level], 2)  # per edge 2 * row + bit
-        self.fills = []
-        for s in range(1, int(stage.max()) + 1):
-            dst = np.flatnonzero(edge_stage == s)
-            left = 2 * child.ravel()[dst]
-            self.fills.append((dst, left, left + 1))
-
-
 class _Workspace:
     """Every array one batch of `count` draws on a topology is written into.
 
@@ -182,16 +149,12 @@ class _Workspace:
     rows and the edges taken (2 * node row + bit, which also indexes
     `_LevelTables.child` read flat), and a copy of the edges at the levels
     the gradient scatters (merge_edge, one row per level of
-    `plan.levels`; when those are all the levels, as on the product
-    layout, merge_edge is the edge array itself).  Per sample: the local
-    values and the scratch of the sampler, of the flip-group walks and of
-    the table keys.  `train` allocates one per run and every epoch's draw
-    overwrites it; `sample` and `sample_batch` allocate one per call, so
-    the batch they return owns its arrays.  The workspace compiles the
-    topology's `_PathPlan` and keeps the local-value tables (`_Segments`),
-    which depend on the batch size: `segments` compiles them for the
-    topology and operator of the first draw, once per `train` run, and
-    again only when a draw brings another.
+    `_LevelTables.merge_levels`; when those are all the levels, as on the
+    product layout, merge_edge is the edge array itself).  Per sample: the
+    local values and the scratch of the sampler, of the flip-group walks
+    and of the table keys.  `train` allocates one per run and every epoch's
+    draw overwrites it; `sample` and `sample_batch` allocate one per call,
+    so the batch they return owns its arrays.  It holds buffers only.
 
     All of them are views of one block.  Freed at the end of a run, a
     block that size raises glibc's mmap threshold above it, so the next
@@ -203,9 +166,8 @@ class _Workspace:
     def __init__(self, topo: _LevelTables, count: int):
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        n = topo.num_qubits
-        self.plan = _PathPlan(topo)
-        every_level = self.plan.levels.size == n  # merge_edge is then edge itself
+        n, levels = topo.num_qubits, topo.merge_levels.size
+        every_level = levels == n  # merge_edge is then edge itself
         layout = (  # widest items first, so that every view is aligned
             ("local", (count,), np.complex128),
             ("ratio", (count,), np.complex128),
@@ -213,7 +175,7 @@ class _Workspace:
             ("uniform", (n, count), np.float64),
             ("rows", (n, count), np.int64),
             ("edge", (n, count), np.int64),
-            ("merge_edge", (0 if every_level else self.plan.levels.size, count), np.int64),
+            ("merge_edge", (0 if every_level else levels, count), np.int64),
             ("p_zero", (count,), np.float64),
             ("node", (count,), np.int64),
             ("flipped_edge", (count,), np.int64),
@@ -229,17 +191,6 @@ class _Workspace:
         if every_level:
             self.merge_edge = self.edge
         self.weight = self.uniform
-        self._segments = None
-        self._segments_of = (None, None)
-
-    def segments(self, topo: _LevelTables, h: PauliHamiltonian) -> _Segments:
-        """The local-value tables of topology topo and operator h for this
-        batch size: built on the first call with them and kept until a call
-        with another topology or operator."""
-        built_for_topo, built_for_h = self._segments_of
-        if built_for_topo is not topo or built_for_h is not h:
-            self._segments, self._segments_of = _Segments(topo, h, self.local.size), (topo, h)
-        return self._segments
 
 
 def _sample(topo: _LevelTables, factor: np.ndarray, work: _Workspace, rng) -> None:
@@ -297,6 +248,16 @@ def _tabulates(keys: int, length: int, count: int) -> bool:
     return keys * length <= count
 
 
+def _elements(terms, bits_t: np.ndarray) -> np.ndarray:
+    """<b|H_f|b ^ f> for every column b of an (n, count) 0/1 array, terms
+    being one group of `h._bit_groups`: conj(<b ^ f|H_f|b>), H being
+    Hermitian, from `_bit_elements`."""
+    elements = _bit_elements(terms, bits_t)
+    if elements.dtype == np.complex128:
+        np.conj(elements, out=elements)
+    return elements
+
+
 class _Segments:
     """Compiled local-value tables of a topology and an operator for a
     batch of `count` samples.
@@ -314,8 +275,9 @@ class _Segments:
     segment, so that its matrix elements too are fixed by the key, gets
     columns [start, stop), one per key, of the (depth, columns) edge arrays
     bra (b's path) and ket (b ^ f's), shorter segments padded with the
-    edge 2N, whose factor is 1, and of elements, its matrix elements.  The
-    columns of all groups are compiled together, one level at a time.
+    edge 2N, whose factor is 1, and of elements, its matrix elements,
+    which `_elements` evaluates on the bits of each key's b.  The columns
+    of all groups are compiled together, one level at a time.
 
     A diagonal term is fixed by the key too when its Z qubits all lie in a
     tabulated group's segment: the first such group's columns of diagonal
@@ -336,17 +298,11 @@ class _Segments:
         pad = topo.child.size
         self.first_key = (2 * topo.slot[:, None] + np.arange(2)).ravel()
 
-        def key_bits(qubits, end):
-            """The bits of these qubits in the key of a segment ending at end."""
-            return sum(1 << (end - 1 - q) for q in qubits.tolist())
-
         def inside(zy, first, end):
             return all(first <= q < end for q in zy.tolist())
 
         self.groups = []
-        tabulated = []  # per tabulated group: first, L, keys, f's key bits
-        # per term: its columns, its Z/Y key bits and its weight
-        columns, zy_bits, weights = [np.arange(0)], [], []
+        tabulated = []  # per tabulated group: first, L, keys, f's bits in the key
         diagonal, stop = (), 0
         for flip, terms in h._bit_groups:
             if not flip.size:
@@ -362,22 +318,15 @@ class _Segments:
                 continue
             start, stop = stop, stop + keys
             self.groups.append((first, end, start, stop, bool(topo.lone[first] >= 0)))
-            tabulated.append((first, end - first, keys, key_bits(flip, end)))
-            for weight, zy in terms:
-                columns.append(np.arange(start, stop))
-                zy_bits.append(key_bits(zy, end))
-                weights.append(weight)
-        # a diagonal term's columns are numbered from stop on
-        leftover = []
+            tabulated.append((first, end - first, keys,
+                              sum(1 << (end - 1 - q) for q in flip.tolist())))
+        folded, leftover = {}, []  # per tabulated group its diagonal terms; the rest
         for weight, zy in diagonal:
             group = next((g for g in self.groups if g and inside(zy, g[0], g[1])), None)
             if group is None:
                 leftover.append((weight, zy))
-                continue
-            _, end, start, group_stop, _ = group
-            columns.append(np.arange(start, group_stop) + stop)
-            zy_bits.append(key_bits(zy, end))
-            weights.append(weight)
+            else:
+                folded.setdefault(group, []).append((weight, zy))
         self.leftover = tuple(leftover)
 
         # per column: its group's first level, L and flip bits, and its key
@@ -398,16 +347,18 @@ class _Segments:
             return edges
 
         self.bra, self.ket = path(key), path(key ^ flip)
-        # <b|H_f|b ^ f> = conj(<b ^ f|H_f|b>): per term its conjugated weight,
-        # negated where the key's bits on its Z and Y qubits have odd parity
-        column = np.concatenate(columns)
-        sizes = [c.size for c in columns[1:]]
-        zy = np.repeat(np.array(zy_bits, dtype=np.int64), sizes)
-        weight = np.repeat(np.conj(np.array(weights, dtype=np.complex128)), sizes)
-        value = np.where(np.bitwise_count(np.tile(key, 2)[column] & zy) & 1, -weight, weight)
-        value = np.bincount(column, value.real, 2 * stop) + 1j * np.bincount(
-            column, value.imag, 2 * stop)
-        self.elements, self.diagonal = value[:stop], value[stop:]
+        # each column's b: the bits of its bra edges, in the rows of their levels
+        bits = np.zeros((topo.num_qubits, stop), dtype=np.uint8)
+        j, column = np.nonzero(np.arange(depth)[:, None] < length)
+        bits[first[column] + j, column] = self.bra[j, column] & 1
+        self.elements = np.zeros(stop, dtype=np.complex128)
+        self.diagonal = np.zeros(stop, dtype=np.complex128)
+        for (_, terms), group in zip(h._bit_groups, self.groups):
+            if group is not None:
+                columns = slice(*group[2:4])
+                self.elements[columns] = _elements(terms, bits[:, columns])
+                if group in folded:
+                    self.diagonal[columns] = _elements(folded[group], bits[:, columns])
 
 
 def _batch_local_values(topo: _LevelTables, h: PauliHamiltonian, work: _Workspace,
@@ -421,7 +372,7 @@ def _batch_local_values(topo: _LevelTables, h: PauliHamiltonian, work: _Workspac
     b's own.  So a flip group's ratio is a product over its segment, from
     its first flipped level to that rejoin level, or to the last level.
 
-    Short segments are tabulated (`_Segments`, kept on the workspace): one
+    Short segments are tabulated (`_Segments`, compiled on the topology): one
     gather-and-product over the compiled edge arrays gives every tabulated
     group's value per key, the diagonal terms its segment covers included,
     and each sample then reads its group values by key, one gather per
@@ -435,7 +386,7 @@ def _batch_local_values(topo: _LevelTables, h: PauliHamiltonian, work: _Workspac
     The diagonal terms no tabulated segment covers are evaluated per
     sample.  Returns `work.local`.
     """
-    segments = work.segments(topo, h)
+    segments = topo.compiled(h, _Segments, work.local.size)
     factor = edges[0].ravel()  # per edge 2 * node row + bit
     # an edge of factor 0 has an infinite inverse; the keys whose b path
     # takes one are never read
@@ -469,10 +420,7 @@ def _batch_local_values(topo: _LevelTables, h: PauliHamiltonian, work: _Workspac
             terms = segments.leftover
             if not terms:
                 continue
-        # <b|H_flip|b ^ flip> = conj(<b ^ flip|H_flip|b>), H being Hermitian
-        elements = _bit_elements(terms, bits)
-        if elements.dtype == np.complex128:
-            np.conj(elements, out=elements)
+        elements = _elements(terms, bits)
         if flip.size == 0:
             local += elements
             continue
@@ -559,9 +507,10 @@ def _taken_edges(batch: VmcBatch, centered: np.ndarray, weight: np.ndarray | Non
     others (an untaken zero-amplitude edge at r = 1 has an infinite mag and
     a zero sum, and inf * 0 is NaN).
 
-    Three bincounts over the edges at the levels `batch.plan` scatters,
-    whose weights are written into `weight` ((n, batch), allocated when not
-    given); the other levels' sums are filled in from the level below.  An
+    Three bincounts over the edges at the levels the topology scatters
+    (`_LevelTables.merge_levels`), whose weights are written into `weight`
+    ((n, batch), allocated when not given); the other levels' sums are
+    filled in from the level below (`_LevelTables.fills`).  An
     edge belongs to one level, so a scatter over the level-major edges adds
     each edge's samples in sample order, as a sample-major one would.
     """
@@ -575,7 +524,7 @@ def _taken_edges(batch: VmcBatch, centered: np.ndarray, weight: np.ndarray | Non
     sums[1] = np.bincount(edge, weight.ravel(), size)
     weight[:] = centered.imag
     sums[2] = np.bincount(edge, weight.ravel(), size)
-    for dst, left, right in batch.plan.fills:
+    for dst, left, right in batch.topo.fills:
         sums[:, dst] = sums[:, left] + sums[:, right]
     taken = sums[0] > 0
     mag = np.zeros(size)
@@ -626,12 +575,12 @@ def _draw(topo: _LevelTables, h: PauliHamiltonian, theta: np.ndarray, mode: str,
     edges = _chart(theta, mode)
     _sample(topo, edges[0], work, rng)
     if work.merge_edge is not work.edge:
-        np.take(work.edge, work.plan.levels, axis=0, out=work.merge_edge, mode="clip")
+        np.take(work.edge, topo.merge_levels, axis=0, out=work.merge_edge, mode="clip")
     local = _batch_local_values(topo, h, work, edges)
     mean, stderr = _energy_stats(local)
     return VmcBatch(samples=work.bits.T, rows=work.rows.T, local_values=local, edges=edges,
                     energy_mean=mean, energy_stderr=stderr, node_ids=topo.node_ids, mode=mode,
-                    edge=work.edge, merge_edge=work.merge_edge, plan=work.plan)
+                    edge=work.edge, merge_edge=work.merge_edge, topo=topo)
 
 
 def vmc_energy(batch: VmcBatch) -> tuple[float, float]:

@@ -50,6 +50,21 @@ def test_unknown_flag_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("train", "--model", "tfim", "--n", "4", "--g", "nan"),
+    ("variance-scan", "--model", "tfim", "--n-values", "1,3"),
+    ("variance-scan", "--model", "heisenberg", "--n-values", "2,3", "--jx", "nan"),
+    ("g-sweep", "--n", "1", "--g-values", "1"),
+    ("g-sweep", "--n", "4", "--g-values", "1,nan", "--epochs", "100000"),
+])
+def test_invalid_model_is_a_config_error(tmp_path, capsys, argv):
+    # the g-sweep's epochs would take minutes: its models are checked before any training
+    out_dir = tmp_path / "out"
+    code, _, err = invoke(capsys, *argv, "--output-dir", str(out_dir))
+    assert code == 2 and "config error: " in err
+    assert not any(out_dir.iterdir()) if out_dir.exists() else True
+
+
 def test_build_validate_amplitude_flow(tmp_path, capsys):
     out_dir = tmp_path / "b"
     code, out, _ = invoke(
@@ -252,11 +267,12 @@ def test_emit_svg_deterministic_and_strict(tmp_path, capsys):
     assert code == 2 and "nope" in err
     assert not (bad_dir / "chart.svg").exists()
 
-    # non-numeric cell and empty table are config errors too
+    # non-numeric and non-finite cells and an empty table are config errors too
     mixed = tmp_path / "mixed.csv"
-    mixed.write_text("epoch,loss\n1,oops\n")
-    assert invoke(capsys, "emit-svg", "--csv", str(mixed), "--x", "epoch", "--y", "loss",
-                  "--output-dir", str(bad_dir))[0] == 2
+    for cells in ("1,oops", "2,inf", "3,nan", "inf,2", "nan,2"):
+        mixed.write_text(f"epoch,loss\n1,2\n{cells}\n")
+        assert invoke(capsys, "emit-svg", "--csv", str(mixed), "--x", "epoch", "--y", "loss",
+                      "--output-dir", str(bad_dir))[0] == 2
     empty = tmp_path / "empty.csv"
     empty.write_text("epoch,loss\n")
     assert invoke(capsys, "emit-svg", "--csv", str(empty), "--x", "epoch", "--y", "loss",

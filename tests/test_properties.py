@@ -308,7 +308,7 @@ def assert_local_values_match_the_oracle(g, h, batch):
 
 def walked_groups(topo, h, work):
     """The flip masks of the non-diagonal groups whose segment is walked."""
-    segments = work.segments(topo, h).groups
+    segments = topo.compiled(h, vmc._Segments, work.local.size).groups
     return [flip.tolist() for (flip, _), segment in zip(h._bit_groups, segments)
             if flip.size and segment is None]
 
@@ -326,6 +326,7 @@ def test_tabulated_and_walked_local_values_match_the_oracle(case, mode):
     for tabulate in (True, False):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(vmc, "_tabulates", lambda keys, length, count: tabulate)
+            topo = _LevelTables(g)  # a fresh one: the tables are kept on the topology
             work = _Workspace(topo, 16)
             batch = _draw(topo, h, _flatten(g, mode), mode, work, np.random.default_rng(3))
             assert walked_groups(topo, h, work) == (leaving if tabulate else flips)
@@ -381,7 +382,7 @@ def test_diagonal_terms_folded_into_the_tables_match_the_oracle(case, mode, tabu
             mp.setattr(vmc, "_tabulates", lambda keys, length, count: True)
         work = _Workspace(topo, 48)
         batch = _draw(topo, h, _flatten(g, mode), mode, work, np.random.default_rng(3))
-    segments = work.segments(topo, h)
+    segments = topo.compiled(h, vmc._Segments, work.local.size)
     spans = [segment[:2] for segment in segments.groups if segment is not None]
     if tabulate:  # every flip group has a table
         assert len(spans) == len(h._bit_groups) - 1
@@ -482,8 +483,8 @@ def test_merge_level_scatter_matches_a_full_scatter(case, count, seed):
     topo = _LevelTables(g)
     in_degree = np.bincount(topo.child[topo.child >= 0], minlength=len(g.nodes))
     scattered = {n - 1} | {int(level) - 1 for level in topo.level[in_degree > 1]}
-    assert batch.plan.levels.tolist() == sorted(scattered)
-    assert np.array_equal(batch.merge_edge, batch.edge[batch.plan.levels])
+    assert batch.topo.merge_levels.tolist() == sorted(scattered)
+    assert np.array_equal(batch.merge_edge, batch.edge[batch.topo.merge_levels])
 
 
 @pytest.mark.parametrize("kind,levels", [("accordion", list(range(1, 16, 2))),
@@ -491,7 +492,7 @@ def test_merge_level_scatter_matches_a_full_scatter(case, count, seed):
 def test_merge_levels_of_the_builders(kind, levels):
     g = init_params(build_ansatz(kind, len(levels) if kind == "product" else 2 * len(levels)
                                  if kind == "accordion" else 12), InitScheme("uniform", seed=1))
-    assert vmc._PathPlan(_LevelTables(g)).levels.tolist() == levels
+    assert _LevelTables(g).merge_levels.tolist() == levels
 
 
 @SETTINGS

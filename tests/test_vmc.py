@@ -403,7 +403,7 @@ def test_merge_edge_is_the_edge_array_when_every_level_is_scattered(kind, n, row
     batch = _draw(topo, h, _flatten(g, "trig"), "trig", work, np.random.default_rng(0))
     assert work.merge_edge.shape == (rows, 256)
     assert np.shares_memory(work.merge_edge, work.edge) == (rows == n)
-    copied = batch.edge[work.plan.levels]
+    copied = batch.edge[topo.merge_levels]
     assert np.array_equal(batch.merge_edge, copied)
     grad = _batch_gradient(batch)
     assert np.array_equal(grad, _batch_gradient(dataclasses.replace(batch, merge_edge=copied)))
@@ -425,7 +425,7 @@ def test_segment_tables_are_built_once_per_run_and_operator(monkeypatch):
     train(TrainConfig(model=ModelSpec("heisenberg", 6), epochs=20, seed=0, gradient_source="vmc",
                       batch_size=64, loss="energy"))
     assert built == [64]  # once per run, not per epoch
-    # another operator asked of the same workspace gets its own tables
+    # another operator asked of the same topology gets its own tables
     g = random_graph("accordion", 6, 4)
     topo = _LevelTables(g)
     work = vmc._Workspace(topo, 32)
@@ -439,6 +439,43 @@ def test_segment_tables_are_built_once_per_run_and_operator(monkeypatch):
                 local_estimator(g, h, bits), rel=1e-12, abs=1e-12
             )
     assert built == [64, 32, 32, 32]
+
+
+def test_both_engines_share_one_cache_per_operator(monkeypatch):
+    # the exact engine's basis and contraction buffers and the VMC tables are
+    # kept on the topology, each built once per operator and size
+    from vdd import exact, vmc
+    from vdd.exact import _LevelTables, _flatten, energy_and_grad
+
+    built = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def build(topo, h, *size):
+            built.append((name, *size))
+            return original(topo, h, *size)
+
+        monkeypatch.setattr(module, name, build)
+
+    for module, name in ((exact, "_Basis"), (exact, "_Contraction"), (vmc, "_Segments")):
+        counted(module, name)
+    g = random_graph("accordion", 6, 4)
+    topo = _LevelTables(g)
+    theta = _flatten(g, "trig")
+    work = vmc._Workspace(topo, 32)
+    heisenberg = build_model(ModelSpec("heisenberg", 6))
+    tfim = build_model(ModelSpec("tfim", 6, g=0.7))
+    assert exact._contracts(topo, heisenberg) and exact._contracts(topo, tfim)
+    rounds = []
+    for h in (heisenberg, heisenberg, tfim):
+        energy_and_grad(topo, h, theta, "trig")
+        energy_and_grad(topo, h, np.stack([theta] * 3), "trig")
+        vmc._draw(topo, h, theta, "trig", work, np.random.default_rng(0))
+        rounds.append(sorted(built))
+        built.clear()
+    once = [("_Basis",), ("_Contraction", 1), ("_Contraction", 3), ("_Segments", 32)]
+    assert rounds == [once, [], once]
 
 
 @pytest.mark.parametrize("count,offset", [(2, 0.0), (7, -3.5), (4096, -27.9), (4096, 1e4)])
