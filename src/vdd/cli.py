@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ansatz import ANSATZ_KINDS, build_ansatz, init_params, parse_init_scheme
-from .exact import PARAM_MODES, exact_energy, to_state_vector
+from .exact import PARAM_MODES, to_state_vector
 from .experiments import VarianceScanConfig, g_sweep, variance_scan
 from .graph import ParseError, amplitude, deserialize, serialize, validate
 from .hamiltonian import BOUNDARIES, MODELS, ModelSpec, build_model, ground_energy

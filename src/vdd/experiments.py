@@ -23,8 +23,8 @@ from .ansatz import _uniform_params, build_ansatz
 from .exact import PARAM_MODES, _label_index, _LevelTables, _materialize, energy_and_grad
 from .exact import exact_energy
 from .graph import VddGraph
-from .hamiltonian import MODELS, ModelSpec, build_model, ground_energy
-from .optimize import AdamConfig, ConfigError, TrainConfig, TrainTrace, train
+from .hamiltonian import MODELS, ModelSpec, build_model, tfim_ground_energy
+from .optimize import AdamConfig, ConfigError, TrainConfig, TrainTrace, _check_count, train
 from .state import CapacityError
 
 __all__ = [
@@ -68,6 +68,8 @@ class VarianceScanConfig:
     param_mode: str = "raw"
 
     def __post_init__(self):
+        for n in self.n_values:
+            _check_count("n_values", n, 1)
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "tracked_params", tuple(self.tracked_params))
         if self.model not in MODELS:
@@ -76,8 +78,7 @@ class VarianceScanConfig:
             raise ConfigError("n_values must be nonempty")
         if list(self.n_values) != sorted(set(self.n_values)):
             raise ConfigError(f"n_values must be strictly ascending, got {self.n_values}")
-        if self.num_seeds < 2:
-            raise ConfigError(f"num_seeds must be >= 2, got {self.num_seeds}")
+        _check_count("num_seeds", self.num_seeds, 2)
         if not self.tracked_params:
             raise ConfigError("tracked_params must be nonempty")
         if self.param_mode not in PARAM_MODES:
@@ -353,7 +354,9 @@ def g_sweep(
     ansatz: str = "accordion",
     param_mode: str = "trig",
 ) -> GSweepResult:
-    """Train TFIM at each g; report trained and best-dimer relative errors."""
+    """Train the open TFIM chain at each g; report trained and best-dimer
+    relative errors against the free-fermion E0 (`tfim_ground_energy`),
+    which, like the exact contraction, holds at any n."""
     g_values = [float(g) for g in g_values]
     if not g_values:
         raise ValueError("g_values must be nonempty")
@@ -361,7 +364,7 @@ def g_sweep(
     dimer_rows: list[SweepRow] = []
     for g in g_values:
         spec = ModelSpec("tfim", n, g=g)
-        e0, _ = ground_energy(build_model(spec))
+        e0 = tfim_ground_energy(spec)
         cfg = TrainConfig(
             ansatz=ansatz,
             model=spec,

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -80,6 +81,17 @@ class ConfigError(ValueError):
 
 class TrainingError(RuntimeError):
     """A training run hit a non-finite gradient or similar runtime failure."""
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """ConfigError naming the field unless value is an integer >= least;
+    numpy integers pass, bools and floats do not."""
+    try:
+        valid = not isinstance(value, bool) and operator.index(value) >= least
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -313,15 +325,13 @@ class TrainConfig:
             raise ConfigError(
                 f"unknown param_mode {self.param_mode!r}, expected one of {PARAM_MODES}"
             )
-        if not isinstance(self.epochs, int) or isinstance(self.epochs, bool) or self.epochs < 1:
-            raise ConfigError(f"epochs must be an integer >= 1, got {self.epochs!r}")
+        _check_count("epochs", self.epochs, 1)
         if not isinstance(self.optimizer, (AdamConfig, SgdConfig)):
             raise ConfigError(f"optimizer must be AdamConfig or SgdConfig, got {self.optimizer!r}")
         if self.e0 is not None and not math.isfinite(self.e0):
             raise ConfigError(f"e0 must be finite, got {self.e0!r}")
         if self.gradient_source == "vmc":
-            if self.batch_size is None or self.batch_size < 2:
-                raise ConfigError(f"vmc needs batch_size >= 2, got {self.batch_size!r}")
+            _check_count("batch_size", self.batch_size, 2)
         if self.loss in ("bce", "kl"):
             if self.dataset is None:
                 raise ConfigError(f"loss {self.loss!r} needs a dataset")
@@ -412,7 +422,7 @@ def train(config: TrainConfig) -> TrainTrace:
     given) and compiles the diagram once; then per epoch: evaluate loss +
     gradient at θ, step θ.  The trained graph is materialized at the end.
     """
-    from .vmc import _batch_gradient, _draw, _Workspace
+    from .vmc import VmcBatch, _batch_gradient, _draw
 
     n = config.num_qubits
     scheme = config.init if config.init is not None else InitScheme("uniform", seed=config.seed)
@@ -432,7 +442,7 @@ def train(config: TrainConfig) -> TrainTrace:
 
     if config.gradient_source == "vmc":
         sample_rng = np.random.default_rng([config.seed, 1])
-        work = _Workspace(topo, config.batch_size)  # every epoch's batch is drawn into it
+        batch = VmcBatch(topo, config.batch_size)  # every epoch is drawn into it
 
     opt = config.optimizer
     adam_state = AdamState.zeros(theta.size) if isinstance(opt, AdamConfig) else None
@@ -446,9 +456,9 @@ def train(config: TrainConfig) -> TrainTrace:
             if config.gradient_source == "exact":
                 energy, grad = energy_and_grad(topo, h, node_params, mode)
             else:
-                batch = _draw(topo, h, node_params, mode, work, sample_rng)
+                _draw(batch, h, node_params, mode, sample_rng)
                 energy, stderr = batch.energy_mean, batch.energy_stderr
-                grad = _batch_gradient(batch, work.weight)
+                grad = _batch_gradient(batch)
             loss_val = energy - e0 if config.loss == "energy_gap" else energy
             rel = abs((energy - e0) / e0) if e0 not in (None, 0.0) else None
         else:

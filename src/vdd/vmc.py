@@ -48,17 +48,18 @@ took and the chart's edge factors.  Only the levels where paths merge are
 scattered from the samples; an edge whose child no other edge enters sums
 the child's two edges (`_LevelTables.merge_levels` and `fills`).
 
-A batch is drawn by one private kernel (`_draw`) on the compiled topology
-and a parameter array θ (see vdd.exact): the chart's edge factors, the
-Born draws, the local values and their energy statistics, returned as a
-`VmcBatch`.  It writes into a `_Workspace`, the batch's level-major
-arrays and the kernels' scratch; the local-value tables are compiled on
-the topology, once per operator and batch size (`_LevelTables.compiled`),
-as the exact engine's contraction is.  Training allocates one workspace
-per run and draws every epoch into it, without rebuilding a graph,
-recompiling the tables or allocating a batch-sized array; `sample` and
-`sample_batch` take a `VddGraph`, compile it and allocate a workspace per
-call, so their results own their arrays.
+A `VmcBatch` is allocated once from the compiled topology and a sample
+count: the batch's level-major arrays and the kernels' scratch, with no
+per-sample node rows (the sampler keeps the current level's nodes only).
+One private kernel (`_draw`) draws into it at a parameter array θ (see
+vdd.exact): the chart's edge factors, the Born draws, the local values
+and their energy statistics.  The local-value tables are compiled on the
+topology, once per operator and batch size (`_LevelTables.compiled`), as
+the exact engine's contraction is.  Training allocates one batch per run
+and draws every epoch into it, without rebuilding a graph, recompiling
+the tables or allocating a batch-sized array; `sample` and `sample_batch`
+take a `VddGraph`, compile it and allocate a batch per call, so their
+results own their arrays.
 
 The per-bit-string operations walk the graph itself and are the reference
 implementations the kernels are tested against.
@@ -67,7 +68,6 @@ implementations the kernels are tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,78 +89,36 @@ __all__ = [
 ]
 
 
-@dataclass
 class VmcBatch:
-    """Samples plus everything the stochastic gradient needs.
-
-    samples is a (batch, n) 0/1 array (row = bit string, qubit 1 first) and
-    rows the (batch, n) node rows its paths visit, level 1 first, in the
-    row order of GradientVector; both are views of level-major arrays.
-    edges is the chart's (edge, slope) tables (see vdd.exact) in mode ("raw"
-    or "trig"), and node_ids the ids of their rows, which label the
-    gradient.  edge is the level-major (n, batch) array of the edges the
-    samples take, 2 * node row + bit, and merge_edge its rows at the levels
-    the topology topo scatters (`_LevelTables.merge_levels`).  The gradient
-    and its jackknife are scatters of the local values onto the taken edges,
-    so no per-sample log-derivative is stored.
-    """
-
-    samples: np.ndarray
-    rows: np.ndarray
-    local_values: np.ndarray
-    edges: np.ndarray
-    energy_mean: float
-    energy_stderr: float
-    node_ids: tuple[int, ...]
-    mode: str
-    edge: np.ndarray
-    merge_edge: np.ndarray
-    topo: _LevelTables
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples)
-        self.rows = np.asarray(self.rows)
-        self.local_values = np.asarray(self.local_values, dtype=np.complex128)
-        b = self.samples.shape[0]
-        if self.local_values.shape != (b,) or self.rows.shape != self.samples.shape:
-            raise ValueError("samples, rows and local_values must have equal length")
-
-    @property
-    def batch_size(self) -> int:
-        return int(self.samples.shape[0])
-
-
-def _energy_stats(local_values: np.ndarray) -> tuple[float, float]:
-    """(mean, standard error) of Re A~: one sum, then one pass of deviations."""
-    re = np.real(local_values)
-    count = re.shape[0]
-    mean = float(re.sum()) / count
-    if count < 2:
-        return mean, 0.0
-    deviation = re - mean
-    return mean, math.sqrt(float(deviation @ deviation) / (count - 1) / count)
-
-
-class _Workspace:
-    """Every array one batch of `count` draws on a topology is written into.
+    """One batch of `count` Born draws on a compiled topology `topo`, and
+    every array it is drawn into (`_draw`).
 
     Level-major (n, count): the uniforms (rewritten as the gradient's
-    scatter weights once the sampler has read them), the bits, the node
-    rows and the edges taken (2 * node row + bit, which also indexes
-    `_LevelTables.child` read flat), and a copy of the edges at the levels
-    the gradient scatters (merge_edge, one row per level of
-    `_LevelTables.merge_levels`; when those are all the levels, as on the
-    product layout, merge_edge is the edge array itself).  Per sample: the
-    local values and the scratch of the sampler, of the flip-group walks
-    and of the table keys.  `train` allocates one per run and every epoch's
-    draw overwrites it; `sample` and `sample_batch` allocate one per call,
-    so the batch they return owns its arrays.  It holds buffers only.
+    scatter weights once the sampler has read them), the bits; edge, the
+    edges the samples take (2 * node row + bit, which also indexes
+    `_LevelTables.child` read flat); and merge_edge, edge's rows at the
+    levels the gradient scatters (`_LevelTables.merge_levels`; when those
+    are all the levels, as on the product layout, merge_edge is edge
+    itself).  Per sample: local_values and the scratch of the sampler, of
+    the flip-group walks and of the table keys.  A draw also sets edges,
+    the chart's (edge, slope) tables (see vdd.exact) in mode ("raw" or
+    "trig"), and energy_mean and energy_stderr.
 
-    All of them are views of one block.  Freed at the end of a run, a
-    block that size raises glibc's mmap threshold above it, so the next
-    run's block comes from heap pages that are already mapped instead of
-    being faulted in again page by page: 1 minor fault per 40-epoch
-    train-vmc run, against about 390 with the arrays allocated one by one.
+    samples is the (count, n) 0/1 array (row = bit string, qubit 1 first),
+    a view of the bits, and rows the (count, n) node rows its paths visit,
+    level 1 first, in the row order of GradientVector, read off edge;
+    node_ids labels those rows.  The gradient and its jackknife are
+    scatters of the local values onto the taken edges, so no per-sample
+    log-derivative is stored.
+
+    `train` allocates one per run and every epoch's draw overwrites it;
+    `sample` and `sample_batch` allocate one per call, so the batch they
+    return owns its arrays.  The arrays are views of one block.  Freed at
+    the end of a run, a block that size raises glibc's mmap threshold
+    above it, so the next run's block comes from heap pages that are
+    already mapped instead of being faulted in again page by page: 1 minor
+    fault per 40-epoch train-vmc run, against about 390 with the arrays
+    allocated one by one.
     """
 
     def __init__(self, topo: _LevelTables, count: int):
@@ -169,11 +127,10 @@ class _Workspace:
         n, levels = topo.num_qubits, topo.merge_levels.size
         every_level = levels == n  # merge_edge is then edge itself
         layout = (  # widest items first, so that every view is aligned
-            ("local", (count,), np.complex128),
+            ("local_values", (count,), np.complex128),
             ("ratio", (count,), np.complex128),
             ("step", (count,), np.complex128),
             ("uniform", (n, count), np.float64),
-            ("rows", (n, count), np.int64),
             ("edge", (n, count), np.int64),
             ("merge_edge", (0 if every_level else levels, count), np.int64),
             ("p_zero", (count,), np.float64),
@@ -190,42 +147,67 @@ class _Workspace:
             offset += size
         if every_level:
             self.merge_edge = self.edge
-        self.weight = self.uniform
+        self.topo = topo
+        self.mode = self.edges = None
+        self.energy_mean = self.energy_stderr = math.nan
+
+    @property
+    def samples(self) -> np.ndarray:
+        return self.bits.T
+
+    @property
+    def rows(self) -> np.ndarray:
+        return (self.edge >> 1).T
+
+    @property
+    def node_ids(self) -> tuple[int, ...]:
+        return self.topo.node_ids
+
+    @property
+    def batch_size(self) -> int:
+        return int(self.local_values.size)
 
 
-def _sample(topo: _LevelTables, factor: np.ndarray, work: _Workspace, rng) -> None:
-    """Level-major Born draws into `work` from the chart's edge factors
-    (N, 2): one uniform per (sample, level), all drawn at once in
-    level-major order, consumed level by level.
+def _energy_stats(local_values: np.ndarray) -> tuple[float, float]:
+    """(mean, standard error) of Re A~: one sum, then one pass of deviations."""
+    re = np.real(local_values)
+    count = re.shape[0]
+    mean = float(re.sum()) / count
+    if count < 2:
+        return mean, 0.0
+    deviation = re - mean
+    return mean, math.sqrt(float(deviation @ deviation) / (count - 1) / count)
 
-    Fills the bits, the node rows their paths visit (level 1 first) and
-    the edges they take, from which the batch kernels read the paths.  At
-    a level with a lone node (`_LevelTables.lone`) every sample is on it, so
-    its p_zero is read as one scalar.  Every index is in range; the kernels
-    gather with mode="clip" because `np.take` buffers `out` in its default
-    mode.
+
+def _sample(batch: VmcBatch, rng) -> None:
+    """Level-major Born draws into `batch` from the chart's edge factors
+    batch.edges[0] (N, 2): one uniform per (sample, level), all drawn at
+    once in level-major order, consumed level by level.
+
+    Fills the bits and the edges they take, from which the batch kernels
+    read the paths; the node each sample is on is kept for one level only.
+    At a level with a lone node (`_LevelTables.lone`, level 1's root among
+    them) every sample is on it, so its p_zero is read as one scalar.  Every
+    index is in range; the kernels gather with mode="clip" because
+    `np.take` buffers `out` in its default mode.
     """
+    topo = batch.topo
     n, lone = topo.num_qubits, topo.lone.tolist()
-    p_zero = np.abs(factor[:, 0]) ** 2
-    rng.random(out=work.uniform)
-    rows, edge, bits = work.rows, work.edge, work.bits
-    rows[0] = topo.root
+    p_zero = np.abs(batch.edges[0][:, 0]) ** 2
+    rng.random(out=batch.uniform)
+    node, edge, bits = batch.node, batch.edge, batch.bits
     for level in range(n):
         row = lone[level]
         if row < 0:
-            np.take(p_zero, rows[level], out=work.p_zero, mode="clip")
-            np.greater_equal(work.uniform[level], work.p_zero, out=bits[level])
-            np.multiply(rows[level], 2, out=edge[level])
+            np.take(p_zero, node, out=batch.p_zero, mode="clip")
+            np.greater_equal(batch.uniform[level], batch.p_zero, out=bits[level])
+            np.multiply(node, 2, out=edge[level])
             edge[level] += bits[level]
         else:  # every sample is on one node
-            np.greater_equal(work.uniform[level], p_zero[row], out=bits[level])
+            np.greater_equal(batch.uniform[level], p_zero[row], out=bits[level])
             np.add(bits[level], 2 * row, out=edge[level], dtype=np.int64)
-        if level == n - 1:
-            break
-        if lone[level + 1] < 0:
-            np.take(topo.child, edge[level], out=rows[level + 1], mode="clip")
-        else:
-            rows[level + 1] = lone[level + 1]
+        if level + 1 < n and lone[level + 1] < 0:
+            np.take(topo.child, edge[level], out=node, mode="clip")
 
 
 def sample(g: VddGraph, count: int, seed: int = 0, rng=None) -> np.ndarray:
@@ -234,11 +216,10 @@ def sample(g: VddGraph, count: int, seed: int = 0, rng=None) -> np.ndarray:
     Level-major: one uniform draw per (sample, level), consumed level by
     level, so results are reproducible for a given seed.
     """
-    topo = _LevelTables(g)
-    factor = _chart(_flatten(g, "raw"), "raw")[0]
-    work = _Workspace(topo, count)
-    _sample(topo, factor, work, np.random.default_rng(seed) if rng is None else rng)
-    return work.bits.T.copy()  # a view would keep the whole workspace alive
+    batch = VmcBatch(_LevelTables(g), count)
+    batch.edges = _chart(_flatten(g, "raw"), "raw")
+    _sample(batch, np.random.default_rng(seed) if rng is None else rng)
+    return batch.samples.copy()  # a view would keep the whole batch alive
 
 
 def _tabulates(keys: int, length: int, count: int) -> bool:
@@ -361,9 +342,8 @@ class _Segments:
                     self.diagonal[columns] = _elements(folded[group], bits[:, columns])
 
 
-def _batch_local_values(topo: _LevelTables, h: PauliHamiltonian, work: _Workspace,
-                        edges) -> np.ndarray:
-    """A~(b) for every sample drawn into `work`, from the edges its path takes.
+def _batch_local_values(batch: VmcBatch, h: PauliHamiltonian) -> np.ndarray:
+    """A~(b) for every sample drawn into `batch`, from the edges its path takes.
 
     psi(b ^ f) / psi(b) is a product of edge ratios over the levels where
     the two paths differ: they share every node above f's first flipped
@@ -381,13 +361,14 @@ def _batch_local_values(topo: _LevelTables, h: PauliHamiltonian, work: _Workspac
     whose key count times its length exceeds the batch size
     (`_tabulates`), such as a long segment on a wide layout, or whose Z or
     Y qubits leave its segment, walks its segment instead: the chart's edge
-    factors, edges[0], by edge index, and b's through a table of their
-    inverses.  Paths that meet earlier only multiply in matching factors.
-    The diagonal terms no tabulated segment covers are evaluated per
-    sample.  Returns `work.local`.
+    factors, batch.edges[0], by edge index, and b's through a table of
+    their inverses.  Paths that meet earlier only multiply in matching
+    factors.  The diagonal terms no tabulated segment covers are evaluated
+    per sample.  Returns `batch.local_values`.
     """
-    segments = topo.compiled(h, _Segments, work.local.size)
-    factor = edges[0].ravel()  # per edge 2 * node row + bit
+    topo = batch.topo
+    segments = topo.compiled(h, _Segments, batch.batch_size)
+    factor = batch.edges[0].ravel()  # per edge 2 * node row + bit
     # an edge of factor 0 has an infinite inverse; the keys whose b path
     # takes one are never read
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -396,12 +377,12 @@ def _batch_local_values(topo: _LevelTables, h: PauliHamiltonian, work: _Workspac
         table *= np.append(inverse, 1.0)[segments.bra].prod(axis=0)
         table *= segments.elements
         table += segments.diagonal
-    bits, edge = work.bits, work.edge
+    bits, edge = batch.bits, batch.edge
     # only an edge of factor 0 has a non-finite inverse: gather b's only then
     if not np.all(np.isfinite(inverse)) and not np.all(np.isfinite(inverse[edge])):
         raise ValueError("local estimator undefined where psi(b) = 0")
-    local, ratio, step = work.local, work.ratio, work.step
-    node, flipped_edge, key = work.node, work.flipped_edge, work.key
+    local, ratio, step = batch.local_values, batch.ratio, batch.step
+    node, flipped_edge, key = batch.node, batch.flipped_edge, batch.key
     local.fill(0.0)
     for (flip, terms), segment in zip(h._bit_groups, segments.groups):
         if segment is not None:
@@ -500,7 +481,7 @@ def log_derivatives(g: VddGraph, b, mode: str = "raw") -> np.ndarray:
     return out
 
 
-def _taken_edges(batch: VmcBatch, centered: np.ndarray, weight: np.ndarray | None = None):
+def _taken_edges(batch: VmcBatch, centered: np.ndarray):
     """(sums, mag): per edge 2 * node row + bit, the count of samples that
     take it and the sums of Re c and Im c over them, c being `centered`,
     shape (3, 2N); and Re(d edge / edge) on the taken edges, 0 on the
@@ -508,16 +489,15 @@ def _taken_edges(batch: VmcBatch, centered: np.ndarray, weight: np.ndarray | Non
     a zero sum, and inf * 0 is NaN).
 
     Three bincounts over the edges at the levels the topology scatters
-    (`_LevelTables.merge_levels`), whose weights are written into `weight`
-    ((n, batch), allocated when not given); the other levels' sums are
-    filled in from the level below (`_LevelTables.fills`).  An
-    edge belongs to one level, so a scatter over the level-major edges adds
-    each edge's samples in sample order, as a sample-major one would.
+    (`_LevelTables.merge_levels`), whose weights are written over the
+    batch's uniforms; the other levels' sums are filled in from the level
+    below (`_LevelTables.fills`).  An edge belongs to one level, so a
+    scatter over the level-major edges adds each edge's samples in sample
+    order, as a sample-major one would.
     """
     factor, slope = (table.ravel() for table in batch.edges)
     edge, size = batch.merge_edge.ravel(), factor.size
-    levels = batch.merge_edge.shape[0]
-    weight = np.empty(batch.merge_edge.shape) if weight is None else weight[:levels]
+    weight = batch.uniform[:batch.merge_edge.shape[0]]
     sums = np.empty((3, size))
     sums[0] = np.bincount(edge, minlength=size)
     weight[:] = centered.real
@@ -534,17 +514,16 @@ def _taken_edges(batch: VmcBatch, centered: np.ndarray, weight: np.ndarray | Non
     return sums, mag
 
 
-def _batch_gradient(batch: VmcBatch, weight: np.ndarray | None = None) -> np.ndarray:
+def _batch_gradient(batch: VmcBatch) -> np.ndarray:
     """2 Re mean(conj(O_j) (A~ - mean A~)) from the edges the paths take.
 
     With c = A~ - mean A~, each entry sums mag * Re c (magnitude slot) or
     Im c (omega or phi slot) over the samples that take its node's edges:
     the edge sums of `_taken_edges`, which scatters c only at the levels
-    where paths merge and writes its weights into `weight` (allocated when
-    not given).
+    where paths merge.
     """
     local = batch.local_values
-    sums, mag = _taken_edges(batch, local - np.mean(local), weight)
+    sums, mag = _taken_edges(batch, local - np.mean(local))
     grad = np.empty((mag.size // 2, 3))
     grad[:, 0] = (mag * sums[1]).reshape(-1, 2).sum(axis=1)
     grad[:, 1:] = sums[2].reshape(-1, 2)  # omega on the left edge, phi on the right
@@ -563,24 +542,19 @@ def sample_batch(
     _check_mode(mode)
     _check_graph_and_operator(g, h)
     rng = np.random.default_rng(seed) if rng is None else rng
-    topo = _LevelTables(g)
-    return _draw(topo, h, _flatten(g, mode), mode, _Workspace(topo, count), rng)
+    return _draw(VmcBatch(_LevelTables(g), count), h, _flatten(g, mode), mode, rng)
 
 
-def _draw(topo: _LevelTables, h: PauliHamiltonian, theta: np.ndarray, mode: str,
-          work: _Workspace, rng) -> VmcBatch:
-    """A batch of Born draws at θ (shape (N, 3), in mode) on a compiled
-    topology, with its local values and energy statistics, written into
-    `work`: the batch's arrays are views of it."""
-    edges = _chart(theta, mode)
-    _sample(topo, edges[0], work, rng)
-    if work.merge_edge is not work.edge:
-        np.take(work.edge, topo.merge_levels, axis=0, out=work.merge_edge, mode="clip")
-    local = _batch_local_values(topo, h, work, edges)
-    mean, stderr = _energy_stats(local)
-    return VmcBatch(samples=work.bits.T, rows=work.rows.T, local_values=local, edges=edges,
-                    energy_mean=mean, energy_stderr=stderr, node_ids=topo.node_ids, mode=mode,
-                    edge=work.edge, merge_edge=work.merge_edge, topo=topo)
+def _draw(batch: VmcBatch, h: PauliHamiltonian, theta: np.ndarray, mode: str,
+          rng) -> VmcBatch:
+    """Born draws at θ (shape (N, 3), in mode) into `batch`, with their
+    local values and energy statistics; returns `batch`."""
+    batch.mode, batch.edges = mode, _chart(theta, mode)
+    _sample(batch, rng)
+    if batch.merge_edge is not batch.edge:
+        np.take(batch.edge, batch.topo.merge_levels, axis=0, out=batch.merge_edge, mode="clip")
+    batch.energy_mean, batch.energy_stderr = _energy_stats(_batch_local_values(batch, h))
+    return batch
 
 
 def vmc_energy(batch: VmcBatch) -> tuple[float, float]:

@@ -53,27 +53,26 @@ def test_state_vector_capacity_cap():
         to_state_vector(build_product(21))
 
 
-def wide_graph(n: int, width: int) -> VddGraph:
-    """Level l holds min(2^(l-1), width) nodes; node k's children are nodes
-    2k and 2k + 1 of the next level, modulo its width, so all are reached."""
-    widths = [min(2**level, width) for level in range(n)]
-    first = np.cumsum([1] + widths)  # id of each level's first node
+def layered_graph(n: int, width: int) -> VddGraph:
+    """Level l holds min(2^(l-1), width) nodes; node k's children are 2k and
+    2k + 1 of the next level, modulo its width."""
+    widths = [min(2**l, width) for l in range(n)]
+    first = [1 + sum(widths[:l]) for l in range(n)]  # node id of each level's slot 0
     nodes = {}
-    for level in range(n):
-        for k in range(widths[level]):
-            nid = int(first[level]) + k
-            if level == n - 1:
-                c0 = c1 = TERMINAL
-            else:
-                c0, c1 = (int(first[level + 1]) + (2 * k + b) % widths[level + 1] for b in (0, 1))
-            nodes[nid] = Node(nid, level + 1, ParamTriple(0.6, 0.1 * k, 0.2), c0, c1)
+    for l, w in enumerate(widths):
+        for k in range(w):
+            c0 = c1 = TERMINAL
+            if l < n - 1:
+                c0, c1 = (first[l + 1] + (2 * k + b) % widths[l + 1] for b in range(2))
+            nid = first[l] + k
+            nodes[nid] = Node(nid, l + 1, ParamTriple(0.6, 0.0, 0.0), c0, c1)
     return VddGraph(num_qubits=n, global_phase=0.0, root_child=1, nodes=nodes)
 
 
 def test_dense_engine_respects_the_state_vector_cap():
     # 32 nodes per level make contraction costlier than 2^21 amplitudes,
     # so the dense engine is chosen, and it must refuse instead of allocating
-    g = wide_graph(21, 32)
+    g = layered_graph(21, 32)
     h = build_model(ModelSpec("heisenberg", 21))
     assert not _contracts(_LevelTables(g), h)
     with pytest.raises(CapacityError):
@@ -98,22 +97,6 @@ def test_cost_rule_counts_the_fixed_cost_per_level():
         assert _contracts(_LevelTables(build_ansatz("accordion", n)), h)
         if n <= 8:
             assert not _contracts(_LevelTables(build_ansatz("universal", n)), h)
-
-
-def layered_graph(n: int, width: int) -> VddGraph:
-    """Level l holds min(2^(l-1), width) nodes; node k's children are 2k and
-    2k + 1 of the next level, modulo its width."""
-    widths = [min(2**l, width) for l in range(n)]
-    first = [1 + sum(widths[:l]) for l in range(n)]  # node id of each level's slot 0
-    nodes = {}
-    for l, w in enumerate(widths):
-        for k in range(w):
-            c0 = c1 = TERMINAL
-            if l < n - 1:
-                c0, c1 = (first[l + 1] + (2 * k + b) % widths[l + 1] for b in range(2))
-            nid = first[l] + k
-            nodes[nid] = Node(nid, l + 1, ParamTriple(0.6, 0.0, 0.0), c0, c1)
-    return VddGraph(num_qubits=n, global_phase=0.0, root_child=1, nodes=nodes)
 
 
 def test_cost_rule_keeps_one_thetas_transfer_matrices_within_their_budget():

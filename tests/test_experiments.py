@@ -14,8 +14,9 @@ from vdd.experiments import (
     training_curves,
     variance_scan,
 )
-from vdd.hamiltonian import ModelSpec, build_model, ground_energy
+from vdd.hamiltonian import ModelSpec, build_model, ground_energy, tfim_ground_energy
 from vdd.optimize import ConfigError
+from vdd.state import CapacityError
 
 # best dimer-product relative errors for the transverse-field chain at n=8,
 # frozen from converged multi-start quasi-Newton runs
@@ -41,6 +42,15 @@ def test_variance_scan_config_validation():
         VarianceScanConfig(model="tfim", n_values=(2, 4), tracked_params=("r1",), num_seeds=1)
     with pytest.raises(ConfigError):
         VarianceScanConfig(model="spin-glass", n_values=(2, 4), tracked_params=("r1",))
+    # counts are integers: a float or a bool is refused by name, not truncated
+    for name, value in (("num_seeds", 2.5), ("num_seeds", True), ("n_values", (4.7, 6.2)),
+                        ("n_values", (2, True))):
+        with pytest.raises(ConfigError, match=name):
+            VarianceScanConfig(model="tfim", tracked_params=("r1",),
+                               **{"n_values": (2, 4), "num_seeds": 2, name: value})
+    cfg = VarianceScanConfig(model="tfim", n_values=(np.int64(2), 4), tracked_params=("r1",),
+                             num_seeds=np.int64(3))
+    assert cfg.n_values == (2, 4) and cfg.n_values[0].__class__ is int
 
 
 def test_variance_scan_rows_and_reproducibility():
@@ -173,6 +183,17 @@ def test_g_sweep_exact_limit_and_errors():
     assert res.rows[0].relative_error < 1e-4
     with pytest.raises(ValueError):
         g_sweep((), n=4)
+
+
+def test_g_sweep_past_the_eigensolver_cap():
+    # E0 of the open chain is the free-fermion one, so the sweep runs where
+    # the eigensolver refuses
+    with pytest.raises(CapacityError):
+        ground_energy(build_model(ModelSpec("tfim", 13, g=1.0)))
+    res = g_sweep((1.0,), n=13, epochs=5, seed=0)
+    e0 = tfim_ground_energy(ModelSpec("tfim", 13, g=1.0))
+    assert res.rows[0].e0 == res.dimer_rows[0].e0 == e0
+    assert res.rows[0].relative_error >= 0
 
 
 def test_g_sweep_csvs(tmp_path):

@@ -146,7 +146,7 @@ def test_hamiltonian_compiles_once(monkeypatch):
     import vdd.hamiltonian as ham
     from vdd.ansatz import InitScheme, build_ansatz, init_params
     from vdd.exact import _LevelTables, _chart, _flatten, exact_gradient
-    from vdd.vmc import _batch_local_values, _sample, _Workspace
+    from vdd.vmc import VmcBatch, _batch_local_values, _sample
 
     calls = {"_vector_action": 0, "_column_groups": 0, "_build_mpo": 0}
     for name in calls:
@@ -161,11 +161,11 @@ def test_hamiltonian_compiles_once(monkeypatch):
     apply_to_vector(h, v)
     apply_to_vector(h, v)
     topo = _LevelTables(g)
-    edges = _chart(_flatten(g, "raw"), "raw")
-    work = _Workspace(topo, 2)
-    _sample(topo, edges[0], work, np.random.default_rng(0))
-    _batch_local_values(topo, h, work, edges)
-    _batch_local_values(topo, h, work, edges)
+    batch = VmcBatch(topo, 2)
+    batch.edges = _chart(_flatten(g, "raw"), "raw")
+    _sample(batch, np.random.default_rng(0))
+    _batch_local_values(batch, h)
+    _batch_local_values(batch, h)
     exact_gradient(g, h)  # the engine's cost rule reads the operator chain
     exact_gradient(g, h)
     assert calls == {"_vector_action": 1, "_column_groups": 1, "_build_mpo": 1}

@@ -235,6 +235,12 @@ def test_train_config_validation():
         TrainConfig(model=spec, loss="bce")  # dataset losses take a dataset, not a model
     with pytest.raises(ConfigError):
         TrainConfig(model=spec, optimizer=AdamConfig(lr=-0.5))
+    # counts are integers: a float or a bool is refused by name, a numpy integer is not
+    for name, value in (("epochs", 2.5), ("epochs", True), ("batch_size", 8.5),
+                        ("batch_size", True), ("batch_size", None)):
+        with pytest.raises(ConfigError, match=name):
+            TrainConfig(model=spec, gradient_source="vmc", **{"batch_size": 8, name: value})
+    TrainConfig(model=spec, gradient_source="vmc", epochs=np.int64(3), batch_size=np.int64(8))
 
 
 def test_train_requires_reachable_oracle_or_e0():

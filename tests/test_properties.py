@@ -23,7 +23,7 @@ from vdd.graph import edge_amplitudes, validate
 from vdd.hamiltonian import ModelSpec, PauliHamiltonian, PauliString, apply_string
 from vdd.hamiltonian import apply_to_vector, build_model, dense_matrix
 from vdd.state import bits_of_index, index_of_bits
-from vdd.vmc import _draw, _sample, _Workspace, local_estimator, sample_batch, vmc_gradient
+from vdd.vmc import VmcBatch, _draw, _sample, local_estimator, sample_batch, vmc_gradient
 from vdd.vmc import vmc_gradient_stderr
 from vmc_reference import dense_statistics
 
@@ -306,9 +306,9 @@ def assert_local_values_match_the_oracle(g, h, batch):
         )
 
 
-def walked_groups(topo, h, work):
+def walked_groups(topo, h, batch):
     """The flip masks of the non-diagonal groups whose segment is walked."""
-    segments = topo.compiled(h, vmc._Segments, work.local.size).groups
+    segments = topo.compiled(h, vmc._Segments, batch.batch_size).groups
     return [flip.tolist() for (flip, _), segment in zip(h._bit_groups, segments)
             if flip.size and segment is None]
 
@@ -327,9 +327,8 @@ def test_tabulated_and_walked_local_values_match_the_oracle(case, mode):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(vmc, "_tabulates", lambda keys, length, count: tabulate)
             topo = _LevelTables(g)  # a fresh one: the tables are kept on the topology
-            work = _Workspace(topo, 16)
-            batch = _draw(topo, h, _flatten(g, mode), mode, work, np.random.default_rng(3))
-            assert walked_groups(topo, h, work) == (leaving if tabulate else flips)
+            batch = _draw(VmcBatch(topo, 16), h, _flatten(g, mode), mode, np.random.default_rng(3))
+            assert walked_groups(topo, h, batch) == (leaving if tabulate else flips)
         assert_local_values_match_the_oracle(g, h, batch)
 
 
@@ -340,9 +339,8 @@ def test_one_draw_tabulates_short_segments_and_walks_the_wrap_bond(mode):
     g = init_params(build_ansatz("accordion", 8), InitScheme("uniform", seed=5))
     h = build_model(ModelSpec("heisenberg", 8, jx=0.7, jy=1.2, boundary="periodic"))
     topo = _LevelTables(g)
-    work = _Workspace(topo, 64)
-    batch = _draw(topo, h, _flatten(g, mode), mode, work, np.random.default_rng(3))
-    assert walked_groups(topo, h, work) == [[0, 7]]
+    batch = _draw(VmcBatch(topo, 64), h, _flatten(g, mode), mode, np.random.default_rng(3))
+    assert walked_groups(topo, h, batch) == [[0, 7]]
     assert_local_values_match_the_oracle(g, h, batch)
 
 
@@ -380,9 +378,8 @@ def test_diagonal_terms_folded_into_the_tables_match_the_oracle(case, mode, tabu
     with pytest.MonkeyPatch.context() as mp:
         if tabulate:
             mp.setattr(vmc, "_tabulates", lambda keys, length, count: True)
-        work = _Workspace(topo, 48)
-        batch = _draw(topo, h, _flatten(g, mode), mode, work, np.random.default_rng(3))
-    segments = topo.compiled(h, vmc._Segments, work.local.size)
+        batch = _draw(VmcBatch(topo, 48), h, _flatten(g, mode), mode, np.random.default_rng(3))
+    segments = topo.compiled(h, vmc._Segments, batch.batch_size)
     spans = [segment[:2] for segment in segments.groups if segment is not None]
     if tabulate:  # every flip group has a table
         assert len(spans) == len(h._bit_groups) - 1
@@ -499,11 +496,12 @@ def test_merge_levels_of_the_builders(kind, levels):
 @given(leveled_dags(max_qubits=8), st.integers(1, 64), st.integers(0, 2**16))
 def test_sampler_rows_are_the_paths_of_its_bits(g, count, seed):
     topo = _LevelTables(g)
-    work = _Workspace(topo, count)
-    _sample(topo, _chart(_flatten(g, "raw"), "raw")[0], work, np.random.default_rng(seed))
-    bits, rows = work.bits.T, work.rows.T
+    batch = VmcBatch(topo, count)
+    batch.edges = _chart(_flatten(g, "raw"), "raw")
+    _sample(batch, np.random.default_rng(seed))
+    bits, rows = batch.samples, batch.rows
     assert rows.shape == bits.shape == (count, g.num_qubits) and rows.dtype == np.int64
-    assert np.array_equal(work.edge, 2 * work.rows + work.bits)
+    assert np.array_equal(batch.edge, 2 * rows.T + bits.T)
     row_of = {node_id: k for k, node_id in enumerate(g.sorted_ids())}
     for sample_bits, sample_rows in zip(bits, rows):
         current = g.root_child

@@ -1,5 +1,6 @@
 """Monte Carlo engine: exact sampling, local estimators, stochastic gradients."""
 
+import copy
 import dataclasses
 import math
 
@@ -150,7 +151,7 @@ def test_local_estimator_rejects_zero_amplitude():
 
 def test_batch_local_values_reject_zero_amplitude():
     from vdd.exact import _LevelTables, _chart, _flatten
-    from vdd.vmc import _batch_local_values, _Workspace
+    from vdd.vmc import _batch_local_values
 
     g = init_params(build_product(2), InitScheme("basis", bits=(0, 0)))
     h = build_model(ModelSpec("tfim", 2, g=1.0))
@@ -159,17 +160,17 @@ def test_batch_local_values_reject_zero_amplitude():
     rows = np.array([[topo.root, topo.child[topo.root, 0]]] * 2)
     edges = _chart(_flatten(g, "raw"), "raw")
 
-    def drawn(count):  # a workspace holding the first `count` hand-made samples
-        work = _Workspace(topo, count)
-        work.bits[:], work.rows[:] = bits[:count].T, rows[:count].T
-        work.edge[:] = 2 * work.rows + work.bits
-        return work
+    def drawn(count):  # a batch holding the first `count` hand-made samples
+        batch = VmcBatch(topo, count)
+        batch.edges, batch.bits[:] = edges, bits[:count].T
+        batch.edge[:] = 2 * rows[:count].T + batch.bits
+        return batch
 
-    assert _batch_local_values(topo, h, drawn(1), edges)[0] == pytest.approx(
+    assert _batch_local_values(drawn(1), h)[0] == pytest.approx(
         local_estimator(g, h, (0, 0))
     )
     with pytest.raises(ValueError, match="psi"):
-        _batch_local_values(topo, h, drawn(2), edges)
+        _batch_local_values(drawn(2), h)
 
 
 # ---------------------------------------------------------------------------
@@ -367,22 +368,22 @@ def test_batches_own_their_arrays():
 
 
 def test_draws_into_one_workspace_equal_fresh_draws():
-    # training overwrites one workspace every epoch; each epoch must read
+    # training draws every epoch into one batch; each epoch must read
     # exactly what a freshly allocated one would
     from vdd.exact import _LevelTables, _flatten
-    from vdd.vmc import _batch_gradient, _draw, _Workspace
+    from vdd.vmc import _batch_gradient, _draw
 
     g = random_graph("accordion", 7, 4)
     h = build_model(ModelSpec("heisenberg", 7, jx=0.7, jy=1.2, boundary="periodic"))
     topo = _LevelTables(g)
     theta = _flatten(g, "trig")
-    work = _Workspace(topo, 48)
+    batch = VmcBatch(topo, 48)
     reused, fresh = np.random.default_rng(7), np.random.default_rng(7)
     for epoch in range(4):
         at = theta + 0.05 * epoch
-        a = _draw(topo, h, at, "trig", work, reused)
-        grad_a = _batch_gradient(a, work.weight)
-        b = _draw(topo, h, at, "trig", _Workspace(topo, 48), fresh)
+        a = _draw(batch, h, at, "trig", reused)
+        grad_a = _batch_gradient(a)
+        b = _draw(VmcBatch(topo, 48), h, at, "trig", fresh)
         for name in ("samples", "rows", "edge", "local_values"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
         assert (a.energy_mean, a.energy_stderr) == (b.energy_mean, b.energy_stderr)
@@ -392,21 +393,22 @@ def test_draws_into_one_workspace_equal_fresh_draws():
 @pytest.mark.parametrize("kind,n,rows", [("product", 8, 8), ("accordion", 16, 8)])
 def test_merge_edge_is_the_edge_array_when_every_level_is_scattered(kind, n, rows):
     # on the product layout both edges of a node enter one child, so every
-    # level is scattered and the workspace keeps no copy of the edges
+    # level is scattered and the batch keeps no copy of the edges
     from vdd.exact import _LevelTables, _flatten
-    from vdd.vmc import _batch_gradient, _draw, _Workspace
+    from vdd.vmc import _batch_gradient, _draw
 
     g = random_graph(kind, n, 3)
     h = build_model(ModelSpec("heisenberg", n))
     topo = _LevelTables(g)
-    work = _Workspace(topo, 256)
-    batch = _draw(topo, h, _flatten(g, "trig"), "trig", work, np.random.default_rng(0))
-    assert work.merge_edge.shape == (rows, 256)
-    assert np.shares_memory(work.merge_edge, work.edge) == (rows == n)
+    batch = _draw(VmcBatch(topo, 256), h, _flatten(g, "trig"), "trig", np.random.default_rng(0))
+    assert batch.merge_edge.shape == (rows, 256)
+    assert np.shares_memory(batch.merge_edge, batch.edge) == (rows == n)
     copied = batch.edge[topo.merge_levels]
     assert np.array_equal(batch.merge_edge, copied)
     grad = _batch_gradient(batch)
-    assert np.array_equal(grad, _batch_gradient(dataclasses.replace(batch, merge_edge=copied)))
+    replaced = copy.copy(batch)
+    replaced.merge_edge = copied
+    assert np.array_equal(grad, _batch_gradient(replaced))
 
 
 def test_segment_tables_are_built_once_per_run_and_operator(monkeypatch):
@@ -428,11 +430,11 @@ def test_segment_tables_are_built_once_per_run_and_operator(monkeypatch):
     # another operator asked of the same topology gets its own tables
     g = random_graph("accordion", 6, 4)
     topo = _LevelTables(g)
-    work = vmc._Workspace(topo, 32)
+    batch = vmc.VmcBatch(topo, 32)
     heisenberg = build_model(ModelSpec("heisenberg", 6, jx=0.7, boundary="periodic"))
     tfim = build_model(ModelSpec("tfim", 6, g=0.7))
     for h in (heisenberg, heisenberg, tfim, heisenberg):
-        batch = vmc._draw(topo, h, _flatten(g, "raw"), "raw", work, np.random.default_rng(1))
+        vmc._draw(batch, h, _flatten(g, "raw"), "raw", np.random.default_rng(1))
         for k in range(batch.batch_size):
             bits = tuple(int(b) for b in batch.samples[k])
             assert batch.local_values[k] == pytest.approx(
@@ -463,7 +465,7 @@ def test_both_engines_share_one_cache_per_operator(monkeypatch):
     g = random_graph("accordion", 6, 4)
     topo = _LevelTables(g)
     theta = _flatten(g, "trig")
-    work = vmc._Workspace(topo, 32)
+    batch = vmc.VmcBatch(topo, 32)
     heisenberg = build_model(ModelSpec("heisenberg", 6))
     tfim = build_model(ModelSpec("tfim", 6, g=0.7))
     assert exact._contracts(topo, heisenberg) and exact._contracts(topo, tfim)
@@ -471,7 +473,7 @@ def test_both_engines_share_one_cache_per_operator(monkeypatch):
     for h in (heisenberg, heisenberg, tfim):
         energy_and_grad(topo, h, theta, "trig")
         energy_and_grad(topo, h, np.stack([theta] * 3), "trig")
-        vmc._draw(topo, h, theta, "trig", work, np.random.default_rng(0))
+        vmc._draw(batch, h, theta, "trig", np.random.default_rng(0))
         rounds.append(sorted(built))
         built.clear()
     once = [("_Basis",), ("_Contraction", 1), ("_Contraction", 3), ("_Segments", 32)]
