@@ -79,6 +79,7 @@ class VarianceScanConfig:
         if list(self.n_values) != sorted(set(self.n_values)):
             raise ConfigError(f"n_values must be strictly ascending, got {self.n_values}")
         _check_count("num_seeds", self.num_seeds, 2)
+        _check_count("base_seed", self.base_seed, 0)
         if not self.tracked_params:
             raise ConfigError("tracked_params must be nonempty")
         if self.param_mode not in PARAM_MODES:

@@ -326,6 +326,7 @@ class TrainConfig:
                 f"unknown param_mode {self.param_mode!r}, expected one of {PARAM_MODES}"
             )
         _check_count("epochs", self.epochs, 1)
+        _check_count("seed", self.seed, 0)
         if not isinstance(self.optimizer, (AdamConfig, SgdConfig)):
             raise ConfigError(f"optimizer must be AdamConfig or SgdConfig, got {self.optimizer!r}")
         if self.e0 is not None and not math.isfinite(self.e0):

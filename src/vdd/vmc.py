@@ -17,18 +17,19 @@ Per-sample quantities:
                   path meets b's (`_LevelTables.rejoin`).  A segment ends
                   at most one level past f's last on the accordion and
                   product layouts, and at the last level on the universal
-                  one.  f's term depends on b only through b's edge at the
-                  segment's first level and its bits below, so a short
-                  segment is tabulated over those keys once per draw and
-                  each sample reads its term by key (`_Segments`); a
-                  segment with more keys times levels than the batch has
-                  samples (a long one on a wide layout), or one with Z or
-                  Y qubits of f's terms outside it, is walked on the edges
-                  the sampler recorded instead.  A diagonal term whose Z
-                  qubits lie in a tabulated segment is read from that
-                  segment's table too; only the others are evaluated per
-                  sample.  No bit string is packed into an integer, so any
-                  n works.
+                  one.  f's term depends on b only through b's path over
+                  the segment, which b's edges at the segment's merge
+                  levels and its last one fix, so a short segment is
+                  tabulated over those keys once per draw and each sample
+                  reads its term by the key its recorded edges make
+                  (`_Segments`); a segment with more keys times levels
+                  than the batch has samples (a long one on a wide
+                  layout), or one with Z or Y qubits of f's terms outside
+                  it, is walked on the edges the sampler recorded
+                  instead.  A diagonal term whose Z qubits lie in a
+                  tabulated segment is read from that segment's table too;
+                  only the others are evaluated per sample.  No bit string
+                  is packed into an integer, so any n works.
 * log-derivative  O_j(b) = d log psi(b) / d theta_j, nonzero only for the
                   n nodes on b's path:
                       left edge:  O_r = 1/r,            O_omega = i
@@ -244,21 +245,31 @@ class _Segments:
     batch of `count` samples.
 
     A flip group's term psi(b ^ f) / psi(b) * <b|H_f|b ^ f> depends on b
-    only through b's node at the first level of the group's segment
-    [first, rejoin[last + 1]), the L levels `_batch_local_values` walks,
-    and b's bits on those levels.  So it has W 2^L keys, W being the node
-    count of level first (`_LevelTables.counts`): key = slot * 2^L + the L
-    bits read as a binary number, the first level's most significant, slot
-    being the node's index within its level, whose row `_LevelTables.row_of`
-    gives.  Every key fixes the edges of both paths over the segment:
-    b ^ f's key is b's with f's bits flipped.  A group for which
-    `_tabulates` holds and whose terms have every Z and Y qubit in the
-    segment, so that its matrix elements too are fixed by the key, gets
-    columns [start, stop), one per key, of the (depth, columns) edge arrays
-    bra (b's path) and ket (b ^ f's), shorter segments padded with the
-    edge 2N, whose factor is 1, and of elements, its matrix elements,
+    only through b's path over the group's segment [first, rejoin[last +
+    1]), the L levels `_batch_local_values` walks, which b's node at level
+    first and its L bits fix.  So it has W 2^L keys, W being the node count
+    of level first (`_LevelTables.counts`), and every key fixes the edges of
+    both paths over the segment: b ^ f's takes f's bits flipped.  A group
+    for which `_tabulates` holds and whose terms have every Z and Y qubit
+    in the segment, so that its matrix elements too are fixed by the key,
+    gets columns [start, stop), one per key, of the (depth, columns) edge
+    arrays bra (b's path) and ket (b ^ f's), shorter segments padded with
+    the edge 2N, whose factor is 1, and of elements, its matrix elements,
     which `_elements` evaluates on the bits of each key's b.  The columns
     of all groups are compiled together, one level at a time.
+
+    A sample's key is read off its recorded edges.  Above a level not in
+    `_LevelTables.merge_levels` every node has one parent edge, so b's
+    edges at the segment's merge levels and its last level fix its path:
+    key = sum of (edge - the level's lowest edge) * stride, the stride 1 at
+    the last level and the product of the edge spans below elsewhere.
+    Where the spans multiply to W 2^L, as on every builder, the key is
+    one-to-one, the group's columns are in key order and terms holds its
+    (level, stride) pairs; otherwise terms is None and the key is b's
+    node's slot times 2^L plus its L bits, the first level's most
+    significant (first_key maps an edge 2 * row + bit to 2 * slot + bit).
+    base folds the group's lowest key into where it indexes a draw's table
+    of `size` entries, columns last.
 
     A diagonal term is fixed by the key too when its Z qubits all lie in a
     tabulated group's segment: the first such group's columns of diagonal
@@ -270,9 +281,7 @@ class _Segments:
     group is tabulated.
 
     groups holds, per group of `h._bit_groups`, None (diagonal or walked)
-    or (first, end, start, stop, lone), lone telling whether level first
-    holds one node (`_LevelTables.lone`), whose key is then b's bits
-    alone; first_key maps an edge 2 * row + bit to 2 * slot + bit.
+    or (first, end, start, stop, base, terms).
     """
 
     def __init__(self, topo: _LevelTables, h: PauliHamiltonian, count: int):
@@ -282,28 +291,28 @@ class _Segments:
         def inside(zy, first, end):
             return all(first <= q < end for q in zy.tolist())
 
-        self.groups = []
+        groups = []
         tabulated = []  # per tabulated group: first, L, keys, f's bits in the key
-        diagonal, stop = (), 0
+        diagonal, columns = (), 0
         for flip, terms in h._bit_groups:
             if not flip.size:
                 diagonal = terms
-                self.groups.append(None)
+                groups.append(None)
                 continue
             first, end = int(flip[0]), topo.rejoin[flip[-1] + 1]
             keys = int(topo.counts[first]) << (end - first)
             # a group whose Z or Y qubits leave its segment is walked
             if not (_tabulates(keys, end - first, count)
                     and all(inside(zy, first, end) for _, zy in terms)):
-                self.groups.append(None)
+                groups.append(None)
                 continue
-            start, stop = stop, stop + keys
-            self.groups.append((first, end, start, stop, bool(topo.lone[first] >= 0)))
+            groups.append((first, end, columns, columns + keys))
+            columns += keys
             tabulated.append((first, end - first, keys,
                               sum(1 << (end - 1 - q) for q in flip.tolist())))
         folded, leftover = {}, []  # per tabulated group its diagonal terms; the rest
         for weight, zy in diagonal:
-            group = next((g for g in self.groups if g and inside(zy, g[0], g[1])), None)
+            group = next((g for g in groups if g and inside(zy, g[0], g[1])), None)
             if group is None:
                 leftover.append((weight, zy))
             else:
@@ -312,14 +321,14 @@ class _Segments:
 
         # per column: its group's first level, L and flip bits, and its key
         first, length, keys, flip = np.array(tabulated, dtype=np.int64).reshape(-1, 4).T
-        key = np.arange(stop) - np.repeat(np.cumsum(keys) - keys, keys)
+        key = np.arange(columns) - np.repeat(np.cumsum(keys) - keys, keys)
         first, length, flip = (np.repeat(a, keys) for a in (first, length, flip))
         child = topo.child.ravel()
         depth = int(length.max(initial=0))
 
         def path(key):
             """(depth, columns) edges taken by the keys' bits from their slot."""
-            edges = np.full((depth, stop), pad, dtype=np.int64)
+            edges = np.full((depth, columns), pad, dtype=np.int64)
             row = topo.row_of[first, key >> length]
             for j in range(depth):
                 edge = 2 * row + ((key >> np.maximum(length - 1 - j, 0)) & 1)
@@ -327,19 +336,45 @@ class _Segments:
                 row = child.take(edge, mode="clip")  # past a segment's end: unread
             return edges
 
-        self.bra, self.ket = path(key), path(key ^ flip)
+        bra, ket = path(key), path(key ^ flip)
         # each column's b: the bits of its bra edges, in the rows of their levels
-        bits = np.zeros((topo.num_qubits, stop), dtype=np.uint8)
+        bits = np.zeros((topo.num_qubits, columns), dtype=np.uint8)
         j, column = np.nonzero(np.arange(depth)[:, None] < length)
-        bits[first[column] + j, column] = self.bra[j, column] & 1
-        self.elements = np.zeros(stop, dtype=np.complex128)
-        self.diagonal = np.zeros(stop, dtype=np.complex128)
-        for (_, terms), group in zip(h._bit_groups, self.groups):
+        bits[first[column] + j, column] = bra[j, column] & 1
+        elements = np.zeros(columns, dtype=np.complex128)
+        diagonal = np.zeros(columns, dtype=np.complex128)
+        for (_, terms), group in zip(h._bit_groups, groups):
             if group is not None:
-                columns = slice(*group[2:4])
-                self.elements[columns] = _elements(terms, bits[:, columns])
+                at = slice(*group[2:])
+                elements[at] = _elements(terms, bits[:, at])
                 if group in folded:
-                    self.diagonal[columns] = _elements(folded[group], bits[:, columns])
+                    diagonal[at] = _elements(folded[group], bits[:, at])
+
+        # each group's edge key, where it is one-to-one: its columns in key order
+        rows = [topo.row_of[level, :width] for level, width in enumerate(topo.counts)]
+        low = np.array([2 * r.min() for r in rows])  # per level its lowest edge and span
+        span = np.array([2 * (r.max() - r.min() + 1) for r in rows])
+        merge = set(topo.merge_levels.tolist())
+        order = np.arange(columns)
+        for index, group in enumerate(groups):
+            if group is None:
+                continue
+            first, end, start, stop = group
+            levels = [level for level in range(first, end - 1) if level in merge] + [end - 1]
+            stride = np.cumprod(np.append(1, span[levels[:0:-1]]))[::-1]
+            terms, lowest = None, 0
+            if span[levels].prod() == stop - start:
+                terms, lowest = tuple(zip(levels, stride.tolist())), int(low[levels] @ stride)
+                edge = bra[np.subtract(levels, first), start:stop]
+                order[start - lowest + stride @ edge] = np.arange(start, stop)
+            groups[index] = group + (start - lowest, terms)
+        front = -min([0] + [g[4] for g in groups if g])  # so that every base is >= 0
+        self.size = front + columns
+        self.groups = [None if g is None else (*g[:4], g[4] + front, g[5]) for g in groups]
+        # take keeps C order: through an F-ordered gather the per-draw
+        # products over levels would round differently
+        self.bra, self.ket = bra.take(order, axis=1), ket.take(order, axis=1)
+        self.elements, self.diagonal = elements[order], diagonal[order]
 
 
 def _batch_local_values(batch: VmcBatch, h: PauliHamiltonian) -> np.ndarray:
@@ -356,8 +391,8 @@ def _batch_local_values(batch: VmcBatch, h: PauliHamiltonian) -> np.ndarray:
     gather-and-product over the compiled edge arrays gives every tabulated
     group's value per key, the diagonal terms its segment covers included,
     and each sample then reads its group values by key, one gather per
-    group, after building the key from its edge at the first level (its
-    bit, where that level holds one node) and its bits below.  A group
+    group, the key costing one multiply-add per recorded edge past the
+    first (see `_Segments`).  A group
     whose key count times its length exceeds the batch size
     (`_tabulates`), such as a long segment on a wide layout, or whose Z or
     Y qubits leave its segment, walks its segment instead: the chart's edge
@@ -371,12 +406,14 @@ def _batch_local_values(batch: VmcBatch, h: PauliHamiltonian) -> np.ndarray:
     factor = batch.edges[0].ravel()  # per edge 2 * node row + bit
     # an edge of factor 0 has an infinite inverse; the keys whose b path
     # takes one are never read
+    table = np.empty(segments.size, dtype=np.complex128)
+    columns = table[table.size - segments.elements.size:]
     with np.errstate(divide="ignore", invalid="ignore"):
         inverse = 1.0 / factor
-        table = np.append(factor, 1.0)[segments.ket].prod(axis=0)
-        table *= np.append(inverse, 1.0)[segments.bra].prod(axis=0)
-        table *= segments.elements
-        table += segments.diagonal
+        np.prod(np.append(factor, 1.0)[segments.ket], axis=0, out=columns)
+        columns *= np.append(inverse, 1.0)[segments.bra].prod(axis=0)
+        columns *= segments.elements
+        columns += segments.diagonal
     bits, edge = batch.bits, batch.edge
     # only an edge of factor 0 has a non-finite inverse: gather b's only then
     if not np.all(np.isfinite(inverse)) and not np.all(np.isfinite(inverse[edge])):
@@ -386,15 +423,23 @@ def _batch_local_values(batch: VmcBatch, h: PauliHamiltonian) -> np.ndarray:
     local.fill(0.0)
     for (flip, terms), segment in zip(h._bit_groups, segments.groups):
         if segment is not None:
-            first, end, start, stop, lone = segment
-            if lone:
-                np.copyto(key, bits[first])
-            else:
+            first, end, _, _, base, key_terms = segment
+            at = key
+            if key_terms is None:  # b's slot at level first, then its bits
                 np.take(segments.first_key, edge[first], out=key, mode="clip")
-            for level in range(first + 1, end):
-                np.left_shift(key, 1, out=key)
-                key += bits[level]
-            np.take(table[start:stop], key, out=ratio, mode="clip")
+                for level in range(first + 1, end):
+                    np.left_shift(key, 1, out=key)
+                    key += bits[level]
+            elif len(key_terms) == 1:  # of stride 1: the edge itself
+                at = edge[key_terms[0][0]]
+            else:
+                (level, stride), *middle, (last, _) = key_terms
+                np.multiply(edge[level], stride, out=key)
+                for level, stride in middle:
+                    np.multiply(edge[level], stride, out=flipped_edge)
+                    key += flipped_edge
+                key += edge[last]
+            np.take(table[base:], at, out=ratio, mode="clip")
             local += ratio
             continue
         if flip.size == 0:
@@ -481,37 +526,48 @@ def log_derivatives(g: VddGraph, b, mode: str = "raw") -> np.ndarray:
     return out
 
 
-def _taken_edges(batch: VmcBatch, centered: np.ndarray):
-    """(sums, mag): per edge 2 * node row + bit, the count of samples that
-    take it and the sums of Re c and Im c over them, c being `centered`,
-    shape (3, 2N); and Re(d edge / edge) on the taken edges, 0 on the
-    others (an untaken zero-amplitude edge at r = 1 has an infinite mag and
-    a zero sum, and inf * 0 is NaN).
+def _edge_sums(batch: VmcBatch, centered: np.ndarray, counts: bool = False) -> np.ndarray:
+    """Per edge 2 * node row + bit, the sums of Re c and Im c over the
+    samples that take it, c being `centered`, shape (2, 2N), or with
+    `counts` the count of those samples first, shape (3, 2N).
 
-    Three bincounts over the edges at the levels the topology scatters
+    One bincount per row over the edges at the levels the topology scatters
     (`_LevelTables.merge_levels`), whose weights are written over the
     batch's uniforms; the other levels' sums are filled in from the level
     below (`_LevelTables.fills`).  An edge belongs to one level, so a
     scatter over the level-major edges adds each edge's samples in sample
     order, as a sample-major one would.
     """
-    factor, slope = (table.ravel() for table in batch.edges)
-    edge, size = batch.merge_edge.ravel(), factor.size
+    edge, size = batch.merge_edge.ravel(), batch.edges[0].size
     weight = batch.uniform[:batch.merge_edge.shape[0]]
-    sums = np.empty((3, size))
-    sums[0] = np.bincount(edge, minlength=size)
+    sums = np.empty((3 if counts else 2, size))
+    if counts:
+        sums[0] = np.bincount(edge, minlength=size)
     weight[:] = centered.real
-    sums[1] = np.bincount(edge, weight.ravel(), size)
+    sums[-2] = np.bincount(edge, weight.ravel(), size)
     weight[:] = centered.imag
-    sums[2] = np.bincount(edge, weight.ravel(), size)
+    sums[-1] = np.bincount(edge, weight.ravel(), size)
     for dst, left, right in batch.topo.fills:
         sums[:, dst] = sums[:, left] + sums[:, right]
-    taken = sums[0] > 0
-    mag = np.zeros(size)
-    mag[taken] = (slope[taken] / factor[taken]).real
+    return sums
+
+
+def _magnitudes(batch: VmcBatch) -> np.ndarray:
+    """Re(d edge / edge) per edge 2 * node row + bit, O's magnitude slot,
+    and 0 where the edge factor is exactly 0 (the right edge at r = 1),
+    which no Born draw takes: elsewhere it is finite, so an untaken edge's
+    zero sums need no count to stay 0."""
+    factor, slope = (table.ravel() for table in batch.edges)
+    mag = np.divide(slope, factor, out=np.zeros_like(factor), where=factor != 0).real
     if not np.all(np.isfinite(mag)):
         raise ValueError("log-derivatives hit a zero-amplitude edge")
-    return sums, mag
+    return mag
+
+
+def _taken_edges(batch: VmcBatch, centered: np.ndarray):
+    """(sums, mag): `_edge_sums` of `centered` with the per-edge sample
+    counts first, shape (3, 2N), and `_magnitudes`."""
+    return _edge_sums(batch, centered, counts=True), _magnitudes(batch)
 
 
 def _batch_gradient(batch: VmcBatch) -> np.ndarray:
@@ -519,14 +575,14 @@ def _batch_gradient(batch: VmcBatch) -> np.ndarray:
 
     With c = A~ - mean A~, each entry sums mag * Re c (magnitude slot) or
     Im c (omega or phi slot) over the samples that take its node's edges:
-    the edge sums of `_taken_edges`, which scatters c only at the levels
-    where paths merge.
+    the edge sums of `_edge_sums`, which scatters c only at the levels where
+    paths merge.
     """
     local = batch.local_values
-    sums, mag = _taken_edges(batch, local - np.mean(local))
+    sums, mag = _edge_sums(batch, local - np.mean(local)), _magnitudes(batch)
     grad = np.empty((mag.size // 2, 3))
-    grad[:, 0] = (mag * sums[1]).reshape(-1, 2).sum(axis=1)
-    grad[:, 1:] = sums[2].reshape(-1, 2)  # omega on the left edge, phi on the right
+    grad[:, 0] = (mag * sums[0]).reshape(-1, 2).sum(axis=1)
+    grad[:, 1:] = sums[1].reshape(-1, 2)  # omega on the left edge, phi on the right
     return grad.ravel() * (2.0 / batch.batch_size)
 
 

@@ -51,6 +51,12 @@ def test_variance_scan_config_validation():
     cfg = VarianceScanConfig(model="tfim", n_values=(np.int64(2), 4), tracked_params=("r1",),
                              num_seeds=np.int64(3))
     assert cfg.n_values == (2, 4) and cfg.n_values[0].__class__ is int
+    for value in (2.5, -1, True):
+        with pytest.raises(ConfigError, match="base_seed"):
+            VarianceScanConfig(model="tfim", n_values=(2, 4), tracked_params=("r1",),
+                               base_seed=value)
+    VarianceScanConfig(model="tfim", n_values=(2, 4), tracked_params=("r1",),
+                       base_seed=np.int64(5))
 
 
 def test_variance_scan_rows_and_reproducibility():

@@ -243,6 +243,16 @@ def test_train_config_validation():
     TrainConfig(model=spec, gradient_source="vmc", epochs=np.int64(3), batch_size=np.int64(8))
 
 
+def test_train_config_refuses_a_seed_that_is_not_a_non_negative_integer():
+    # numpy's SeedSequence would refuse these from inside the run, and a bool
+    # would train as seed 0 or 1
+    spec = ModelSpec("tfim", 4, g=1.0)
+    for value in (2.5, -1, True):
+        with pytest.raises(ConfigError, match="seed"):
+            TrainConfig(model=spec, seed=value)
+    assert TrainConfig(model=spec, seed=np.int64(3)).seed == 3
+
+
 def test_train_requires_reachable_oracle_or_e0():
     # the periodic chain has no free-fermion E0 (that is the open chain's)
     spec = ModelSpec("tfim", 13, g=0.0, boundary="periodic")

@@ -510,3 +510,125 @@ def test_batch_invariants_and_csv(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0" and set(first[1]) <= {"0", "1"} and len(first[1]) == 3
     float(first[2]), float(first[3])
+
+
+# per epoch (energy, energy_stderr, grad_norm) of 5-epoch VMC runs at seed 3
+PINNED_TRACES = {
+    ("accordion", "heisenberg", "open", 8, 256, "trig"): [
+        (-0.14325281995843867, 0.2034812538104535, 6.169846829827241),
+        (-0.20397716519339765, 0.22687279185276057, 7.972808899097583),
+        (-0.40450448406535255, 0.20861948224019505, 6.39238485655547),
+        (-0.7745369560233413, 0.21499423452259583, 6.424311683346717),
+        (-1.3638759703579817, 0.21699618423622294, 6.3129464167416245),
+    ],
+    ("accordion", "heisenberg", "open", 8, 256, "raw"): [
+        (-0.14325281995843867, 0.2034812538104535, 8.006547530601173),
+        (-0.294034769383265, 0.22040167279840736, 15.346763750908737),
+        (-0.6134903467756749, 0.22575892023107413, 23.617047308264972),
+        (-1.143683402773143, 0.21080916477737072, 8.626261504656348),
+        (-1.884461904590169, 0.20757468358296874, 8.820719104324565),
+    ],
+    # the wrap bond's segment spans every level, so it is walked
+    ("accordion", "heisenberg", "periodic", 8, 64, "trig"): [
+        (-0.5075946980824853, 0.417848733181994, 6.5486961915037805),
+        (0.21533429353617212, 0.45284724085813133, 7.740230215923168),
+        (-0.29329740584852193, 0.5865404297641376, 10.968473817994758),
+        (-0.17040534142369723, 0.42934004346830124, 6.7387254504703495),
+        (-0.3620366968414585, 0.5302233587088141, 9.16196928845149),
+    ],
+    ("accordion", "heisenberg", "periodic", 8, 64, "raw"): [
+        (-0.5075946980824853, 0.417848733181994, 13.815969999099806),
+        (-0.020384998448446573, 0.4433054099978894, 10.074430184646783),
+        (-0.5964702626096983, 0.6290462031765365, 18.24313011452951),
+        (-0.47330497001551175, 0.45121634484534184, 9.872696097236185),
+        (-1.0157221591130279, 0.4358374925714672, 10.393579439946183),
+    ],
+    ("product", "tfim", "open", 6, 128, "trig"): [
+        (-0.07873388547642572, 0.24926882831159286, 5.851850938379386),
+        (-0.09768777923873027, 0.2310250475888701, 5.11844509347044),
+        (-0.5479937220298101, 0.22422257019296737, 4.828133360453761),
+        (-0.6698562737645334, 0.23745722685285803, 5.676037216947332),
+        (-0.8155320202412188, 0.23393244412531897, 5.458629651756551),
+    ],
+    ("product", "tfim", "open", 6, 128, "raw"): [
+        (-0.07873388547642572, 0.24926882831159286, 6.565683299007639),
+        (-0.13438540432379215, 0.23263741162203902, 7.204882811081433),
+        (-0.586514285096761, 0.22373926744947856, 5.65644194528484),
+        (-0.6755408349780134, 0.2355776788697315, 8.049174444919217),
+        (-0.8880839983983866, 0.23153727509111, 6.160665994012667),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_TRACES))
+def test_vmc_training_trace_is_pinned_for_a_seed(case):
+    # a change to the sampler, the local-value tables or the gradient's
+    # scatter that moves any result moves these
+    from vdd.optimize import TrainConfig, train
+
+    ansatz, model, boundary, n, count, mode = case
+    spec = ModelSpec(model, n, g=1.0 if model == "tfim" else 0.0, boundary=boundary)
+    trace = train(TrainConfig(ansatz=ansatz, model=spec, epochs=5, seed=3, gradient_source="vmc",
+                              batch_size=count, param_mode=mode, loss="energy"))
+    got = [(r.energy, r.energy_stderr, r.grad_norm) for r in trace.records]
+    np.testing.assert_allclose(got, PINNED_TRACES[case], rtol=1e-12, atol=0.0)
+
+
+def segment_keys(g, h, count):
+    from vdd import vmc
+    from vdd.exact import _LevelTables
+
+    topo = _LevelTables(g)
+    return topo, [s for s in topo.compiled(h, vmc._Segments, count).groups if s is not None]
+
+
+def relabeled(g, relabel):
+    """g with node ids renamed by `relabel` (ids it leaves out are kept)."""
+    def moved(node_id):
+        return relabel.get(node_id, node_id)
+
+    nodes = {moved(i): dataclasses.replace(node, id=moved(i), child0=moved(node.child0),
+                                           child1=moved(node.child1))
+             for i, node in g.nodes.items()}
+    return dataclasses.replace(g, nodes=nodes, root_child=moved(g.root_child))
+
+
+@pytest.mark.parametrize("kind", ["accordion", "universal", "product"])
+@pytest.mark.parametrize("spec", [ModelSpec("heisenberg", 2), ModelSpec("tfim", 2, g=1.0),
+                                  ModelSpec("heisenberg", 2, boundary="periodic")])
+@pytest.mark.parametrize("n", [6, 8, 12])
+def test_builders_key_their_tables_by_recorded_edges(kind, spec, n):
+    # on every builder a tabulated group's key is a few of the sample's edges:
+    # at the merge levels inside its segment and at its last level
+    g = random_graph(kind, n, 0)
+    h = build_model(dataclasses.replace(spec, n=n))
+    topo, groups = segment_keys(g, h, 4096)
+    # the universal layout's bonds at n = 12 have 2^12 keys of 2 or more levels
+    assert groups or (kind, spec.model, n) == ("universal", "heisenberg", 12)
+    merge = topo.merge_levels.tolist()
+    for first, end, start, stop, _, terms in groups:
+        assert stop - start == topo.counts[first] << (end - first)  # W 2^L columns
+        levels = [level for level, _ in terms]
+        assert levels == [m for m in merge if first <= m < end - 1] + [end - 1]
+        assert terms[-1][1] == 1
+        if kind == "universal":
+            assert terms == ((n - 1, 1),)
+        elif kind == "product":
+            assert terms == tuple((level, 1 << (end - 1 - level)) for level in range(first, end))
+    if kind == "accordion" and spec.model == "heisenberg" and spec.boundary == "open":
+        # a bond from a one-node level keys by one edge, from a two-node level by two
+        assert [len(terms) for *_, terms in groups] == [1, 2] * (n // 2 - 1) + [1]
+
+
+def test_tables_fall_back_to_slot_and_bits_keys_where_edges_are_not_one_to_one():
+    # swapping the ids of level 2's second node and level 3's node leaves
+    # level 2's rows apart, so its edges span 6 keys for its 4 edges
+    g = relabeled(random_graph("accordion", 6, 2), {3: 4, 4: 3})
+    h = build_model(ModelSpec("heisenberg", 6))
+    _, groups = segment_keys(g, h, 256)
+    assert [terms for *_, terms in groups].count(None) == 2  # the bonds keyed by two levels
+    batch = sample_batch(g, h, 256, seed=4, mode="trig")
+    for k in range(batch.batch_size):
+        bits = tuple(int(b) for b in batch.samples[k])
+        assert batch.local_values[k] == pytest.approx(local_estimator(g, h, bits),
+                                                      rel=1e-12, abs=1e-12)
