@@ -1,25 +1,31 @@
-"""Builders for the three diagram layouts, parameter initialization, and
-encoding of arbitrary states onto the universal layout.
+"""Diagram layouts as automata, parameter initialization, and encoding of
+arbitrary states onto the universal layout.
 
-Layouts ("product", "accordion", "universal"):
+A layout is a deterministic automaton over the bits: each node is a state,
+and ``step(l, state, bit)`` names the state that the edge taken on ``bit``
+leads to one level down (levels counted from 0).  ``build_automaton`` turns
+a step into a graph; each layout below is one step.
 
-* product   — one node per level; any state it represents is a product of
-              single-qubit states.  3n parameters.
-* accordion — alternating one- and two-node levels; represents exactly the
-              products of two-qubit (dimer) states on pairs (1,2), (3,4), ...
-              floor(3n/2) nodes, 3*floor(3n/2) parameters.
-* universal — level l holds 2^(l-1) nodes, one per bit-string prefix; can
-              represent any n-qubit state.  2^n - 1 nodes.
+* product   — ``step = 0``: one node per level; any state it represents is a
+              product of single-qubit states.  3n parameters.
+* accordion — ``step = bit`` on even levels, else 0: alternating one- and
+              two-node levels; represents exactly the products of two-qubit
+              (dimer) states on pairs (1,2), (3,4), ...  floor(3n/2) nodes,
+              3*floor(3n/2) parameters.
+* universal — ``step = 2*state + bit``: level l holds 2^(l-1) nodes, one per
+              bit-string prefix; can represent any n-qubit state.  2^n - 1
+              nodes.
 
 Builders return graphs with balanced parameters (r = 1/sqrt2, phases 0);
-apply ``init_params`` to overwrite them.  Node ids run level by level,
-left to right, starting at 1.
+apply ``init_params`` to overwrite them.  Node ids run level by level, in
+ascending state order, starting at 1.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +36,7 @@ from .state import CapacityError, as_amplitudes
 __all__ = [
     "ANSATZ_KINDS",
     "InitScheme",
+    "build_automaton",
     "build_product",
     "build_accordion",
     "build_universal",
@@ -37,17 +44,9 @@ __all__ = [
     "init_params",
     "parse_init_scheme",
     "encode_state",
-    "accordion_node_count",
 ]
 
-ANSATZ_KINDS = ("product", "accordion", "universal")
-
 _BALANCED = ParamTriple(r=1.0 / math.sqrt(2.0), omega=0.0, phi=0.0)
-
-
-def accordion_node_count(n: int) -> int:
-    """Closed form for the accordion layout: floor(3n/2) nodes."""
-    return (3 * n) // 2
 
 
 def _check_n(n: int) -> None:
@@ -55,45 +54,42 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
 
 
-def build_product(n: int) -> VddGraph:
-    """One node per level; both edges of level l target the level-(l+1) node."""
+def build_automaton(n: int, step: Callable[[int, int, int], int]) -> VddGraph:
+    """The n-level diagram of the automaton that starts in state 0 and moves
+    on ``bit`` from ``state`` at level l (counted from 0) to
+    ``step(l, state, bit)``.
+
+    Level l + 1 holds the sorted set of states that level l's edges reach;
+    ids run level by level in ascending state order from 1, and the last
+    level's edges point to TERMINAL.  ``step`` is called once per edge
+    between levels.
+    """
     _check_n(n)
     nodes = {}
-    for level in range(1, n + 1):
-        nxt = level + 1 if level < n else TERMINAL
-        nodes[level] = Node(id=level, level=level, params=_BALANCED, child0=nxt, child1=nxt)
+    states, first = [0], 1
+    for level in range(1, n):
+        edges = [(step(level - 1, state, 0), step(level - 1, state, 1)) for state in states]
+        reached = sorted({target for pair in edges for target in pair})
+        after = first + len(states)
+        ids = dict(zip(reached, range(after, after + len(reached))))
+        for nid, (c0, c1) in enumerate(edges, start=first):
+            nodes[nid] = Node(nid, level, _BALANCED, ids[c0], ids[c1])
+        states, first = reached, after
+    for nid in range(first, first + len(states)):
+        nodes[nid] = Node(nid, n, _BALANCED, TERMINAL, TERMINAL)
     return VddGraph(num_qubits=n, global_phase=0.0, root_child=1, nodes=nodes)
+
+
+def build_product(n: int) -> VddGraph:
+    """One node per level; both edges of level l target the level-(l+1) node."""
+    return build_automaton(n, lambda level, state, bit: 0)
 
 
 def build_accordion(n: int) -> VddGraph:
-    """Alternating one- and two-node levels.
-
-    A one-node level's left/right edges point at the left/right nodes of
-    the next (two-node) level; both nodes of a two-node level send both
-    edges to the single node of the level after.  The represented states
-    are dimer products over qubit pairs (1,2), (3,4), ... with a single
-    leftover qubit factor when n is odd.
-    """
-    _check_n(n)
-    level_ids: list[list[int]] = []
-    next_id = 1
-    for level in range(1, n + 1):
-        width = 1 if level % 2 == 1 else 2
-        level_ids.append(list(range(next_id, next_id + width)))
-        next_id += width
-
-    nodes = {}
-    for level, ids in enumerate(level_ids, start=1):
-        nxt = level_ids[level] if level < n else None
-        for nid in ids:
-            if nxt is None:
-                c0 = c1 = TERMINAL
-            elif len(nxt) == 2:
-                c0, c1 = nxt[0], nxt[1]
-            else:
-                c0 = c1 = nxt[0]
-            nodes[nid] = Node(id=nid, level=level, params=_BALANCED, child0=c0, child1=c1)
-    return VddGraph(num_qubits=n, global_phase=0.0, root_child=1, nodes=nodes)
+    """Alternating one- and two-node levels: the states it represents are
+    dimer products over qubit pairs (1,2), (3,4), ... with a single leftover
+    qubit factor when n is odd."""
+    return build_automaton(n, lambda level, state, bit: bit if level % 2 == 0 else 0)
 
 
 def build_universal(n: int) -> VddGraph:
@@ -106,26 +102,19 @@ def build_universal(n: int) -> VddGraph:
     _check_n(n)
     if n > 20:
         raise CapacityError(f"universal layout is capped at n = 20 (2^n - 1 nodes), got n = {n}")
-    nodes = {}
-    for level in range(1, n + 1):
-        for nid in range(2 ** (level - 1), 2**level):
-            if level == n:
-                c0 = c1 = TERMINAL
-            else:
-                c0, c1 = 2 * nid, 2 * nid + 1
-            nodes[nid] = Node(id=nid, level=level, params=_BALANCED, child0=c0, child1=c1)
-    return VddGraph(num_qubits=n, global_phase=0.0, root_child=1, nodes=nodes)
+    return build_automaton(n, lambda level, state, bit: 2 * state + bit)
+
+
+_LAYOUTS = {"product": build_product, "accordion": build_accordion, "universal": build_universal}
+
+ANSATZ_KINDS = tuple(_LAYOUTS)
 
 
 def build_ansatz(kind: str, n: int) -> VddGraph:
     """Dispatch on the layout name ("product" | "accordion" | "universal")."""
-    if kind == "product":
-        return build_product(n)
-    if kind == "accordion":
-        return build_accordion(n)
-    if kind == "universal":
-        return build_universal(n)
-    raise ValueError(f"unknown ansatz {kind!r}, expected one of {ANSATZ_KINDS}")
+    if kind not in ANSATZ_KINDS:
+        raise ValueError(f"unknown ansatz {kind!r}, expected one of {ANSATZ_KINDS}")
+    return _LAYOUTS[kind](n)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,17 @@
 """Layout builders, parameter initialization and state encoding."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from vdd.ansatz import (
+    ANSATZ_KINDS,
     InitScheme,
     build_accordion,
     build_ansatz,
+    build_automaton,
     build_product,
     build_universal,
     encode_state,
@@ -16,7 +19,7 @@ from vdd.ansatz import (
     parse_init_scheme,
 )
 from vdd.exact import to_state_vector
-from vdd.graph import TERMINAL, amplitude, validate
+from vdd.graph import TERMINAL, amplitude, serialize, validate
 from vdd.state import CapacityError
 
 
@@ -47,11 +50,47 @@ def test_universal_layout_widths_and_cap():
 
 
 def test_build_ansatz_dispatch():
+    assert ANSATZ_KINDS == ("product", "accordion", "universal")
     assert len(build_ansatz("product", 4).nodes) == 4
     assert len(build_ansatz("accordion", 4).nodes) == 6
     assert len(build_ansatz("universal", 4).nodes) == 15
     with pytest.raises(ValueError):
         build_ansatz("ring", 4)
+
+
+@pytest.mark.parametrize("n", [0, -1, True, 2.5])
+def test_builders_reject_n_that_is_not_a_positive_integer(n):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        build_automaton(n, lambda level, state, bit: 0)
+    for kind in ANSATZ_KINDS:
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            build_ansatz(kind, n)
+
+
+def test_automaton_calls_its_step_once_per_edge_between_levels():
+    calls = []
+
+    def step(level, state, bit):
+        calls.append((level, state, bit))
+        return 2 * state + bit
+
+    build_automaton(5, step)
+    assert sorted(calls) == [(l, s, b) for l in range(4) for s in range(2**l) for b in (0, 1)]
+
+
+# sha256 of serialize(build_ansatz(kind, n)) concatenated over n = 1..12:
+# ids, levels, children and parameters of every builder, pinned
+BUILDER_DIGESTS = {
+    "product": "6ceef0a81f7ba4746205f98e6764a9a2ce3dc7a49445deb5a2aab1df239dbfbc",
+    "accordion": "fe9b4267772065dfacedbc023792774b0018e33aa23edadb9ea9e8a1bfd64083",
+    "universal": "890ed37cf6872c182eb5ca61d23ef61f1fb1d4820731951fd8d7c41f037b7e88",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDER_DIGESTS))
+def test_builders_are_pinned_by_their_serialized_graphs(kind):
+    text = "".join(serialize(build_ansatz(kind, n)) for n in range(1, 13))
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILDER_DIGESTS[kind]
 
 
 def test_uniform_init_is_seeded_and_in_range():

@@ -1,6 +1,5 @@
 """Exact engine: state vectors, energies, analytic gradients vs differences."""
 
-import dataclasses
 import math
 import re
 import warnings
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 import vdd.exact as exact
-from vdd.ansatz import InitScheme, build_accordion, build_ansatz, build_product, init_params
+from vdd.ansatz import build_accordion, build_ansatz, build_product
 from vdd.exact import (
     GradientVector,
     SingularGradientWarning,
@@ -23,19 +22,10 @@ from vdd.exact import (
     parameter_labels,
     to_state_vector,
 )
-from vdd.graph import TERMINAL, Node, ParamTriple, VddGraph, amplitude
-from vdd.hamiltonian import ModelSpec, build_model, dense_matrix, expectation, ground_energy
+from vdd.graph import amplitude
+from vdd.hamiltonian import ModelSpec, build_model, expectation, ground_energy
 from vdd.state import CapacityError
-
-
-def random_graph(kind: str, n: int, seed: int):
-    return init_params(build_ansatz(kind, n), InitScheme("uniform", seed=seed))
-
-
-def set_node(g, nid, r, w, p):
-    nodes = dict(g.nodes)
-    nodes[nid] = dataclasses.replace(nodes[nid], params=ParamTriple(r, w, p))
-    return dataclasses.replace(g, nodes=nodes)
+from graphs import layered_graph, random_graph, set_node
 
 
 def test_state_vector_matches_amplitude_and_is_normalized():
@@ -51,22 +41,6 @@ def test_state_vector_matches_amplitude_and_is_normalized():
 def test_state_vector_capacity_cap():
     with pytest.raises(CapacityError):
         to_state_vector(build_product(21))
-
-
-def layered_graph(n: int, width: int) -> VddGraph:
-    """Level l holds min(2^(l-1), width) nodes; node k's children are 2k and
-    2k + 1 of the next level, modulo its width."""
-    widths = [min(2**l, width) for l in range(n)]
-    first = [1 + sum(widths[:l]) for l in range(n)]  # node id of each level's slot 0
-    nodes = {}
-    for l, w in enumerate(widths):
-        for k in range(w):
-            c0 = c1 = TERMINAL
-            if l < n - 1:
-                c0, c1 = (first[l + 1] + (2 * k + b) % widths[l + 1] for b in range(2))
-            nid = first[l] + k
-            nodes[nid] = Node(nid, l + 1, ParamTriple(0.6, 0.0, 0.0), c0, c1)
-    return VddGraph(num_qubits=n, global_phase=0.0, root_child=1, nodes=nodes)
 
 
 def test_dense_engine_respects_the_state_vector_cap():

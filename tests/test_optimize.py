@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from vdd.ansatz import InitScheme, build_ansatz, build_product, build_universal, init_params
-from vdd.exact import exact_energy, exact_gradient, to_state_vector
+from vdd.ansatz import InitScheme, build_ansatz, build_product, init_params
+from vdd.exact import exact_energy, exact_gradient
 from vdd.graph import ParamTriple, amplitude
 from vdd.hamiltonian import (
     ModelSpec,
@@ -31,12 +31,9 @@ from vdd.optimize import (
     train,
 )
 from vdd.vmc import sample_batch, vmc_gradient, vmc_gradient_stderr
+from graphs import random_graph, set_node
 
 LOG2 = math.log(2.0)
-
-
-def random_graph(kind: str, n: int, seed: int):
-    return init_params(build_ansatz(kind, n), InitScheme("uniform", seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +126,7 @@ def test_train_names_a_non_finite_gradient_entry(bad, optimizer, monkeypatch):
 
 
 def bce_probe_graph(r: float):
-    g = build_product(1)
-    nodes = {1: dataclasses.replace(g.nodes[1], params=ParamTriple(r, 0.0, 0.0))}
-    return dataclasses.replace(g, nodes=nodes)
+    return set_node(build_product(1), 1, r, 0.0, 0.0)
 
 
 def test_bce_on_perfectly_classified_point():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import vdd.exact as exact
 import vdd.vmc as vmc
-from vdd.ansatz import ANSATZ_KINDS, InitScheme, build_ansatz, init_params
+from vdd.ansatz import ANSATZ_KINDS, InitScheme, build_ansatz, build_automaton, init_params
 from vdd.exact import _LevelTables, _chart, _contracted, _flatten, energy_and_grad
 from vdd.exact import exact_gradient, finite_difference, to_state_vector
 from vdd.graph import TERMINAL, Node, ParamTriple, VddGraph, amplitude, deserialize, serialize
@@ -227,6 +227,27 @@ def test_contraction_matches_the_dense_engine_on_the_builders(kind, n, spec):
     g = dataclasses.replace(g, global_phase=1.3)
     for mode in ("raw", "trig"):
         assert_engines_agree(g, build_model(dataclasses.replace(spec, n=n)), mode)
+
+
+@SETTINGS
+@given(n=st.integers(2, 6), coeffs=st.tuples(*[st.integers(0, 3)] * 3), width=st.integers(1, 4),
+       mode=st.sampled_from(["raw", "trig"]), seed=st.integers(0, 2**16))
+def test_automaton_layouts_are_valid_and_the_engines_agree_on_them(n, coeffs, width, mode, seed):
+    # the layout of the step (a state + c bit + d) mod W, with uniform parameters
+    a, c, d = coeffs
+
+    def step(level, state, bit):
+        return (a * state + c * bit + d) % width
+
+    g = init_params(build_automaton(n, step), InitScheme("uniform", seed=seed))
+    assert validate(g) == []
+    reached = [{0}]
+    for l in range(n - 1):
+        reached.append({step(l, state, bit) for state in reached[-1] for bit in (0, 1)})
+    levels = [node.level for node in g.nodes.values()]
+    assert [levels.count(l + 1) for l in range(n)] == [len(states) for states in reached]
+    for spec in (ModelSpec("heisenberg", n), ModelSpec("tfim", n, g=0.7)):
+        assert_engines_agree(g, build_model(spec), mode)
 
 
 @SETTINGS

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from vdd.ansatz import InitScheme, build_accordion, build_ansatz, build_product, encode_state, init_params
+from vdd.ansatz import InitScheme, build_accordion, build_product, encode_state, init_params
 from vdd.exact import exact_energy, exact_gradient, to_state_vector
-from vdd.graph import ParamTriple
 from vdd.hamiltonian import ModelSpec, PauliHamiltonian, PauliString, build_model
 from vdd.vmc import (
     VmcBatch,
@@ -23,17 +22,8 @@ from vdd.vmc import (
     vmc_gradient,
     vmc_gradient_stderr,
 )
+from graphs import random_graph, set_node
 from vmc_reference import dense_statistics
-
-
-def random_graph(kind: str, n: int, seed: int):
-    return init_params(build_ansatz(kind, n), InitScheme("uniform", seed=seed))
-
-
-def set_node(g, nid, r, w, p):
-    nodes = dict(g.nodes)
-    nodes[nid] = dataclasses.replace(nodes[nid], params=ParamTriple(r, w, p))
-    return dataclasses.replace(g, nodes=nodes)
 
 
 def bits_to_index(row) -> int:
