@@ -1,19 +1,24 @@
 """Command-line entry point.
 
-Subcommands: build | validate | amplitude | statevector | eigen | sample |
-train | variance-scan | g-sweep | emit-svg.
+Subcommands, one entry each in ``_COMMANDS``: build | validate | amplitude |
+statevector | eigen | sample | train | variance-scan | g-sweep | emit-svg.
 
 Every option has one source of truth: an explicit flag wins over a value
 in the ``--config`` file (a JSON object of option names), which wins over
-the documented default.  Commands that write files create them under
-``--output-dir`` and echo the fully resolved options, with the Python,
-numpy and scipy versions and the CPU count, to ``resolved_config.json``
-there; on failure, files created by the run are removed.  Randomized
-commands draw a seed when none is given and record it in the resolved
-config.
+the documented default.  Flags and config values are read by one parser
+per kind: a config value is JSON of the option's kind or the flag's text,
+list items must be of the item kind, and a value outside an option's
+choices is refused from either source.  Commands that write files create
+them under ``--output-dir`` and echo the fully resolved options, with the
+Python, numpy and scipy versions, the CPU count and the BLAS thread
+variables OMP_NUM_THREADS and OPENBLAS_NUM_THREADS, to
+``resolved_config.json`` there; on failure, files created by the run are
+removed.  Randomized commands draw a seed when none is given and record
+it in the resolved config.
 
-Exit codes: 0 success; 2 configuration problem (bad flag, unknown config
-key, malformed input document, over-capacity request); 1 runtime failure.
+Exit codes: 0 success; 2 configuration problem (bad flag or config value,
+unknown config key, malformed input document, over-capacity request); 1
+runtime failure.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +41,7 @@ from .experiments import VarianceScanConfig, g_sweep, variance_scan
 from .graph import ParseError, amplitude, deserialize, serialize, validate
 from .hamiltonian import BOUNDARIES, MODELS, ModelSpec, build_model, ground_energy
 from .optimize import (
+    GRADIENT_SOURCES,
     LOSSES,
     AdamConfig,
     ConfigError,
@@ -52,208 +59,105 @@ __all__ = ["run", "main", "emit_svg"]
 # ---------------------------------------------------------------------------
 # option plumbing: flag > config file > default
 
+_LIST_KINDS = ("ints", "floats", "strs")
+# the exact types a parsed value may have: a bool is not an int here
+_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
 
 @dataclass(frozen=True)
 class Opt:
     name: str  # underscore form; the flag is --with-dashes
-    kind: str  # int | float | str | bool | ints | floats
+    kind: str  # int | float | str | bool | ints | floats | strs
     default: object = None
     help: str = ""
     required: bool = False
     choices: tuple | None = None
 
+    def parse(self, value):
+        """This option's value from a flag's text or a config file's JSON.
+
+        Text is split at commas for a list kind and read as a number for a
+        numeric one.  Otherwise the value must be of the kind already: a
+        list of items of the item kind, an int for a float, and a bool is
+        not a number.  Raises ArgumentTypeError, which argparse reports
+        against the flag.
+        """
+        kind = self.kind
+        if kind in _LIST_KINDS:
+            if isinstance(value, str):
+                value = [part.strip() for part in value.split(",") if part.strip()]
+            if not isinstance(value, list):
+                raise argparse.ArgumentTypeError(f"expected {kind}, got {value!r}")
+            return tuple(Opt(self.name, kind[:-1]).parse(item) for item in value)
+        if isinstance(value, str) and kind in ("int", "float"):
+            try:
+                value = int(value) if kind == "int" else float(value)
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"expected {kind}, got {value!r}") from None
+        if type(value) not in _TYPES[kind]:
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {value!r}")
+        if self.choices is not None and value not in self.choices:
+            raise argparse.ArgumentTypeError(f"expected one of {self.choices}, got {value!r}")
+        return float(value) if kind == "float" else value
+
 
 _COMMON = (
     Opt("config", "str", None, "JSON file of option values (flags override it)"),
     Opt("output_dir", "str", ".", "directory for produced files"),
-    Opt("threads", "int", 1, "accepted and recorded, but unused: vdd's own code is "
-        "single-threaded, and OPENBLAS_NUM_THREADS and OMP_NUM_THREADS govern the BLAS "
-        "pool its matrix products run on"),
 )
 
 _MODEL_OPTS = (
     Opt("model", "str", None, "hamiltonian family", choices=MODELS),
     Opt("n", "int", None, "number of qubits"),
-    Opt("g", "float", 0.0, "transverse-field strength (tfim)"),
-    Opt("jx", "float", 1.0, "XX coupling (heisenberg)"),
-    Opt("jy", "float", 1.0, "YY coupling (heisenberg)"),
-    Opt("jz", "float", 1.0, "ZZ coupling (heisenberg)"),
-    Opt("boundary", "str", "open", "chain boundary", choices=BOUNDARIES),
+    Opt("g", "float", ModelSpec.g, "transverse-field strength (tfim)"),
+    Opt("jx", "float", ModelSpec.jx, "XX coupling (heisenberg)"),
+    Opt("jy", "float", ModelSpec.jy, "YY coupling (heisenberg)"),
+    Opt("jz", "float", ModelSpec.jz, "ZZ coupling (heisenberg)"),
+    Opt("boundary", "str", ModelSpec.boundary, "chain boundary", choices=BOUNDARIES),
 )
 
-_OPTIONS: dict[str, tuple[Opt, ...]] = {
-    "build": _COMMON + (
-        Opt("ansatz", "str", "accordion", "graph layout", choices=ANSATZ_KINDS),
-        Opt("n", "int", None, "number of qubits", required=True),
-        Opt("init", "str", "balanced", 'parameter init: "uniform", "balanced" or "basis:<bits>"'),
-        Opt("seed", "int", None, "seed for uniform init (generated and recorded if omitted)"),
-        Opt("out", "str", "vdd.json", "output file name under output-dir"),
-    ),
-    "validate": _COMMON + (
-        Opt("vdd", "str", None, "graph document to check", required=True),
-    ),
-    "amplitude": _COMMON + (
-        Opt("vdd", "str", None, "graph document", required=True),
-        Opt("bits", "str", None, "bit string, qubit 1 first (e.g. 001)", required=True),
-    ),
-    "statevector": _COMMON + (
-        Opt("vdd", "str", None, "graph document", required=True),
-        Opt("out", "str", "statevector.csv", "output file name under output-dir"),
-    ),
-    "eigen": _COMMON + _MODEL_OPTS,
-    "sample": _COMMON + (
-        Opt("vdd", "str", None, "graph document", required=True),
-        Opt("count", "int", 1000, "number of samples"),
-        Opt("seed", "int", None, "sampling seed (generated and recorded if omitted)"),
-        Opt("out", "str", "samples.csv", "output file name under output-dir"),
-    ) + _MODEL_OPTS[:1] + _MODEL_OPTS[2:],  # optional model adds local values
-    "train": _COMMON + _MODEL_OPTS + (
-        Opt("ansatz", "str", "accordion", "graph layout", choices=ANSATZ_KINDS),
-        Opt("optimizer", "str", "adam", "update rule", choices=("adam", "sgd")),
-        Opt("lr", "float", 0.01, "learning rate"),
-        Opt("beta1", "float", 0.9, "adam first-moment decay"),
-        Opt("beta2", "float", 0.999, "adam second-moment decay"),
-        Opt("eps", "float", 1e-8, "adam denominator floor"),
-        Opt("epochs", "int", 10000, "gradient steps"),
-        Opt("seed", "int", None, "init/sampling seed (generated and recorded if omitted)"),
-        Opt("param_mode", "str", "trig", "magnitude parameterization", choices=PARAM_MODES),
-        Opt("gradient_source", "str", "exact", "gradient engine", choices=("exact", "vmc")),
-        Opt("batch_size", "int", None, "samples per epoch (vmc)"),
-        Opt("loss", "str", "energy_gap", "objective", choices=LOSSES),
-        Opt("e0", "float", None, "reference ground energy (skips the dense eigensolve)"),
-        Opt("dataset", "str", None, "JSON dataset file for bce/kl losses"),
-        Opt("init", "str", None, 'parameter init override (default "uniform" at --seed)'),
-    ),
-    "variance-scan": _COMMON + (replace(_MODEL_OPTS[0], required=True),) + _MODEL_OPTS[2:] + (
-        Opt("n_values", "ints", tuple(range(2, 13)), "comma-separated system sizes"),
-        Opt("tracked", "strs", ("r1", "omega3", "phi-1"), "comma-separated parameter labels"),
-        Opt("num_seeds", "int", 100, "random initializations per grid cell"),
-        Opt("base_seed", "int", None, "scan seed (generated and recorded if omitted)"),
-        Opt("param_mode", "str", "raw", "magnitude parameterization", choices=PARAM_MODES),
-        Opt("ansatz", "str", "accordion", "graph layout", choices=ANSATZ_KINDS),
-    ),
-    "g-sweep": _COMMON + (
-        Opt("g_values", "floats", (10.0, 20.0, 40.0), "comma-separated field strengths"),
-        Opt("n", "int", 8, "number of qubits"),
-        Opt("epochs", "int", 10000, "gradient steps per field value"),
-        Opt("lr", "float", 0.01, "learning rate"),
-        Opt("seed", "int", None, "training seed (generated and recorded if omitted)"),
-        Opt("ansatz", "str", "accordion", "graph layout", choices=ANSATZ_KINDS),
-        Opt("param_mode", "str", "trig", "magnitude parameterization", choices=PARAM_MODES),
-    ),
-    "emit-svg": _COMMON + (
-        Opt("csv", "str", None, "input table", required=True),
-        Opt("x", "str", None, "x column name", required=True),
-        Opt("y", "str", None, "y column name", required=True),
-        Opt("log_y", "bool", False, "plot log10 of y (nonpositive points dropped)"),
-        Opt("out", "str", "chart.svg", "output file name under output-dir"),
-    ),
-}
-
-_RANDOMIZED_SEED_KEY = {
-    "build": "seed",
-    "sample": "seed",
-    "train": "seed",
-    "variance-scan": "base_seed",
-    "g-sweep": "seed",
-}
+_ANSATZ = Opt("ansatz", "str", TrainConfig.ansatz, "graph layout", choices=ANSATZ_KINDS)
 
 
-def _parse_list(kind: str, text: str):
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    if kind == "ints":
-        return tuple(int(x) for x in items)
-    if kind == "floats":
-        return tuple(float(x) for x in items)
-    return tuple(items)
+def _param_mode(default: str) -> Opt:
+    return Opt("param_mode", "str", default, "magnitude parameterization", choices=PARAM_MODES)
 
 
-def _add_options(parser: argparse.ArgumentParser, opts: tuple[Opt, ...]) -> None:
-    for opt in opts:
-        flag = "--" + opt.name.replace("_", "-")
-        if opt.kind == "bool":
-            parser.add_argument(flag, dest=opt.name, action="store_const", const=True,
-                                default=None, help=opt.help)
-        elif opt.kind in ("ints", "floats", "strs"):
-            parser.add_argument(flag, dest=opt.name, type=str, default=None,
-                                help=opt.help + " (comma-separated)")
-        else:
-            typ = {"int": int, "float": float, "str": str}[opt.kind]
-            parser.add_argument(flag, dest=opt.name, type=typ, default=None,
-                                choices=opt.choices, help=opt.help)
-
-
-def _coerce_config_value(opt: Opt, value):
+def _read_json(path: str, what: str):
     try:
-        if opt.kind == "int":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError
-            return value
-        if opt.kind == "float":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError
-            return float(value)
-        if opt.kind == "str":
-            if not isinstance(value, str):
-                raise TypeError
-            return value
-        if opt.kind == "bool":
-            if not isinstance(value, bool):
-                raise TypeError
-            return value
-        if isinstance(value, str):
-            return _parse_list(opt.kind, value)
-        items = tuple(value)
-        if opt.kind == "ints":
-            return tuple(int(x) for x in items)
-        if opt.kind == "floats":
-            return tuple(float(x) for x in items)
-        return tuple(str(x) for x in items)
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad value for config key {opt.name!r}: {value!r}") from None
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed {what} file: {exc}") from None
 
 
-def _resolve(command: str, args: argparse.Namespace) -> dict:
+def _resolve(args: argparse.Namespace) -> dict:
     """Merge flags, config file and defaults into one options dict."""
-    opts = _OPTIONS[command]
-    by_name = {o.name: o for o in opts}
-    file_values: dict = {}
+    command = _COMMANDS[args.command]
+    opts = {opt.name: opt for opt in command.options if opt.name != "config"}
+    resolved = {name: opt.default for name, opt in opts.items()}
     if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed config file: {exc}") from None
+        doc = _read_json(args.config, "config")
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, value in doc.items():
-            if key == "config" or key not in by_name:
-                raise ConfigError(f"unknown config key {key!r} for {command}")
-            file_values[key] = _coerce_config_value(by_name[key], value)
+            if key not in opts:
+                raise ConfigError(f"unknown config key {key!r} for {args.command}")
+            try:
+                resolved[key] = opts[key].parse(value)
+            except argparse.ArgumentTypeError as exc:
+                raise ConfigError(f"bad value for config key {key!r}: {exc}") from None
+    for name in opts:
+        if getattr(args, name) is not None:
+            resolved[name] = getattr(args, name)
 
-    resolved = {}
-    for opt in opts:
-        flag_value = getattr(args, opt.name)
-        if flag_value is not None and opt.kind in ("ints", "floats", "strs"):
-            flag_value = _parse_list(opt.kind, flag_value)
-        if flag_value is not None:
-            resolved[opt.name] = flag_value
-        elif opt.name in file_values:
-            resolved[opt.name] = file_values[opt.name]
-        else:
-            resolved[opt.name] = opt.default
-    resolved.pop("config", None)
-
-    if resolved.get("threads") is not None and resolved["threads"] < 1:
-        raise ConfigError(f"threads must be >= 1, got {resolved['threads']}")
-    seed_key = _RANDOMIZED_SEED_KEY.get(command)
-    if seed_key and resolved.get(seed_key) is None:
-        resolved[seed_key] = int.from_bytes(os.urandom(4), "big")
-        print(f"{seed_key} {resolved[seed_key]} (generated)", file=sys.stderr)
-    for opt in opts:
-        if opt.required and resolved.get(opt.name) is None:
+    if command.seed is not None and resolved[command.seed] is None:
+        resolved[command.seed] = int.from_bytes(os.urandom(4), "big")
+        print(f"{command.seed} {resolved[command.seed]} (generated)", file=sys.stderr)
+    for opt in opts.values():
+        if opt.required and resolved[opt.name] is None:
             raise ConfigError(f"missing required option {opt.name!r}")
     return resolved
 
@@ -280,13 +184,17 @@ class _Outputs:
 
 
 def _environment() -> dict:
-    """The interpreter, the numeric libraries and the CPU count a run had."""
+    """The interpreter, the numeric libraries, the CPU count and the BLAS
+    thread variables (None when unset) a run had."""
     import platform
 
     import scipy
 
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "cpu_count": os.cpu_count()}
+    env = {"python": platform.python_version(), "numpy": np.__version__,
+           "scipy": scipy.__version__, "cpu_count": os.cpu_count()}
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):  # they size the BLAS pool
+        env[name] = os.environ.get(name)
+    return env
 
 
 def _write_resolved(outputs: _Outputs, command: str, cfg: dict) -> None:
@@ -298,10 +206,10 @@ def _write_resolved(outputs: _Outputs, command: str, cfg: dict) -> None:
         fh.write("\n")
 
 
-def _read_graph(path: str):
+def _read_graph(path: str, validate_graph: bool = True):
     try:
         with open(path) as fh:
-            return deserialize(fh.read())
+            return deserialize(fh.read(), validate_graph=validate_graph)
     except OSError as exc:
         raise ConfigError(f"cannot read vdd file: {exc}") from None
 
@@ -333,21 +241,19 @@ def _model_spec(cfg: dict, n: int | None = None) -> ModelSpec:
 
 
 def _cmd_build(cfg: dict, outputs: _Outputs) -> None:
-    scheme = parse_init_scheme(cfg["init"], seed=cfg["seed"])
-    g = init_params(build_ansatz(cfg["ansatz"], cfg["n"]), scheme)
+    try:
+        scheme = parse_init_scheme(cfg["init"], seed=cfg["seed"])
+        g = init_params(build_ansatz(cfg["ansatz"], cfg["n"]), scheme)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     path = outputs.path(cfg["out"])
     with open(path, "w") as fh:
         fh.write(serialize(g))
     print(path)
 
 
-def _cmd_validate(cfg: dict) -> int:
-    try:
-        with open(cfg["vdd"]) as fh:
-            g = deserialize(fh.read(), validate_graph=False)
-    except OSError as exc:
-        raise ConfigError(f"cannot read vdd file: {exc}") from None
-    problems = validate(g)
+def _cmd_validate(cfg: dict, outputs: None) -> int:
+    problems = validate(_read_graph(cfg["vdd"], validate_graph=False))
     if not problems:
         print("valid")
         return 0
@@ -356,7 +262,7 @@ def _cmd_validate(cfg: dict) -> int:
     return 1
 
 
-def _cmd_amplitude(cfg: dict) -> None:
+def _cmd_amplitude(cfg: dict, outputs: None) -> None:
     g = _read_graph(cfg["vdd"])
     bits = _parse_bit_text(cfg["bits"])
     if len(bits) != g.num_qubits:
@@ -379,7 +285,7 @@ def _cmd_statevector(cfg: dict, outputs: _Outputs) -> None:
     print(path)
 
 
-def _cmd_eigen(cfg: dict) -> None:
+def _cmd_eigen(cfg: dict, outputs: None) -> None:
     e0, _ = ground_energy(build_model(_model_spec(cfg)))
     print(repr(e0))
 
@@ -399,13 +305,7 @@ def _cmd_sample(cfg: dict, outputs: _Outputs) -> None:
 
 
 def _load_dataset(path: str) -> LabeledDataset:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read dataset file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed dataset file: {exc}") from None
+    doc = _read_json(path, "dataset")
     if not isinstance(doc, dict) or set(doc) != {"items"} or not isinstance(doc["items"], list):
         raise ConfigError('dataset file must be {"items": [...]}')
     items = []
@@ -433,7 +333,10 @@ def _cmd_train(cfg: dict, outputs: _Outputs) -> None:
     model = None
     if cfg["loss"] in ("energy_gap", "energy"):
         model = _model_spec(cfg)
-    init = parse_init_scheme(cfg["init"], seed=cfg["seed"]) if cfg.get("init") else None
+    try:
+        init = parse_init_scheme(cfg["init"], seed=cfg["seed"]) if cfg["init"] else None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     config = TrainConfig(
         ansatz=cfg["ansatz"],
         model=model,
@@ -478,11 +381,6 @@ def _cmd_variance_scan(cfg: dict, outputs: _Outputs) -> None:
 
 
 def _cmd_g_sweep(cfg: dict, outputs: _Outputs) -> None:
-    for g in cfg["g_values"]:  # every model, before any training
-        try:
-            ModelSpec("tfim", cfg["n"], g=g)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
     result = g_sweep(
         cfg["g_values"],
         n=cfg["n"],
@@ -600,8 +498,84 @@ def _cmd_emit_svg(cfg: dict, outputs: _Outputs) -> None:
 # dispatch
 
 
-_WRITING_COMMANDS = {
-    "build", "statevector", "sample", "train", "variance-scan", "g-sweep", "emit-svg",
+@dataclass(frozen=True)
+class Command:
+    run: Callable[[dict, _Outputs | None], int | None]  # the exit code; None for 0
+    options: tuple[Opt, ...]
+    seed: str | None = None  # the option a randomized run draws when it is omitted
+    writes: bool = False  # creates output_dir and its resolved_config.json
+
+
+_COMMANDS = {
+    "build": Command(_cmd_build, _COMMON + (
+        _ANSATZ,
+        Opt("n", "int", None, "number of qubits", required=True),
+        Opt("init", "str", "balanced", 'parameter init: "uniform", "balanced" or "basis:<bits>"'),
+        Opt("seed", "int", None, "seed for uniform init (generated and recorded if omitted)"),
+        Opt("out", "str", "vdd.json", "output file name under output-dir"),
+    ), seed="seed", writes=True),
+    "validate": Command(_cmd_validate, _COMMON + (
+        Opt("vdd", "str", None, "graph document to check", required=True),
+    )),
+    "amplitude": Command(_cmd_amplitude, _COMMON + (
+        Opt("vdd", "str", None, "graph document", required=True),
+        Opt("bits", "str", None, "bit string, qubit 1 first (e.g. 001)", required=True),
+    )),
+    "statevector": Command(_cmd_statevector, _COMMON + (
+        Opt("vdd", "str", None, "graph document", required=True),
+        Opt("out", "str", "statevector.csv", "output file name under output-dir"),
+    ), writes=True),
+    "eigen": Command(_cmd_eigen, _COMMON + _MODEL_OPTS),
+    "sample": Command(_cmd_sample, _COMMON + (
+        Opt("vdd", "str", None, "graph document", required=True),
+        Opt("count", "int", 1000, "number of samples"),
+        Opt("seed", "int", None, "sampling seed (generated and recorded if omitted)"),
+        Opt("out", "str", "samples.csv", "output file name under output-dir"),
+    ) + _MODEL_OPTS[:1] + _MODEL_OPTS[2:], seed="seed", writes=True),  # a model adds local values
+    "train": Command(_cmd_train, _COMMON + _MODEL_OPTS + (
+        _ANSATZ,
+        Opt("optimizer", "str", "adam", "update rule", choices=("adam", "sgd")),
+        Opt("lr", "float", AdamConfig.lr, "learning rate"),
+        Opt("beta1", "float", AdamConfig.beta1, "adam first-moment decay"),
+        Opt("beta2", "float", AdamConfig.beta2, "adam second-moment decay"),
+        Opt("eps", "float", AdamConfig.eps, "adam denominator floor"),
+        Opt("epochs", "int", TrainConfig.epochs, "gradient steps"),
+        Opt("seed", "int", None, "init/sampling seed (generated and recorded if omitted)"),
+        _param_mode(TrainConfig.param_mode),
+        Opt("gradient_source", "str", TrainConfig.gradient_source, "gradient engine",
+            choices=GRADIENT_SOURCES),
+        Opt("batch_size", "int", None, "samples per epoch (vmc)"),
+        Opt("loss", "str", TrainConfig.loss, "objective", choices=LOSSES),
+        Opt("e0", "float", None, "reference ground energy (skips the dense eigensolve)"),
+        Opt("dataset", "str", None, "JSON dataset file for bce/kl losses"),
+        Opt("init", "str", None, 'parameter init override (default "uniform" at --seed)'),
+    ), seed="seed", writes=True),
+    "variance-scan": Command(_cmd_variance_scan, _COMMON + (
+        replace(_MODEL_OPTS[0], required=True),
+    ) + _MODEL_OPTS[2:] + (
+        Opt("n_values", "ints", tuple(range(2, 13)), "comma-separated system sizes"),
+        Opt("tracked", "strs", ("r1", "omega3", "phi-1"), "comma-separated parameter labels"),
+        Opt("num_seeds", "int", VarianceScanConfig.num_seeds, "random initializations per grid cell"),
+        Opt("base_seed", "int", None, "scan seed (generated and recorded if omitted)"),
+        _param_mode(VarianceScanConfig.param_mode),
+        _ANSATZ,
+    ), seed="base_seed", writes=True),
+    "g-sweep": Command(_cmd_g_sweep, _COMMON + (
+        Opt("g_values", "floats", (10.0, 20.0, 40.0), "comma-separated field strengths"),
+        Opt("n", "int", 8, "number of qubits"),
+        Opt("epochs", "int", TrainConfig.epochs, "gradient steps per field value"),
+        Opt("lr", "float", AdamConfig.lr, "learning rate"),
+        Opt("seed", "int", None, "training seed (generated and recorded if omitted)"),
+        _ANSATZ,
+        _param_mode(TrainConfig.param_mode),
+    ), seed="seed", writes=True),
+    "emit-svg": Command(_cmd_emit_svg, _COMMON + (
+        Opt("csv", "str", None, "input table", required=True),
+        Opt("x", "str", None, "x column name", required=True),
+        Opt("y", "str", None, "y column name", required=True),
+        Opt("log_y", "bool", False, "plot log10 of y (nonpositive points dropped)"),
+        Opt("out", "str", "chart.svg", "output file name under output-dir"),
+    ), writes=True),
 }
 
 
@@ -613,9 +587,14 @@ def build_parser() -> argparse.ArgumentParser:
         "the gradient-variance and field-sweep experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, opts in _OPTIONS.items():
-        p = sub.add_parser(command)
-        _add_options(p, opts)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name)
+        for opt in command.options:
+            flag = "--" + opt.name.replace("_", "-")
+            if opt.kind == "bool":
+                p.add_argument(flag, action="store_const", const=True, help=opt.help)
+            else:  # choices only list them in the help: parse has checked them
+                p.add_argument(flag, type=opt.parse, choices=opt.choices, help=opt.help)
     return parser
 
 
@@ -625,33 +604,14 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 
+    command = _COMMANDS[args.command]
     outputs = None
     try:
-        cfg = _resolve(args.command, args)
-        if args.command in _WRITING_COMMANDS:
+        cfg = _resolve(args)
+        if command.writes:
             outputs = _Outputs(cfg["output_dir"])
             _write_resolved(outputs, args.command, cfg)
-        if args.command == "build":
-            _cmd_build(cfg, outputs)
-        elif args.command == "validate":
-            return _cmd_validate(cfg)
-        elif args.command == "amplitude":
-            _cmd_amplitude(cfg)
-        elif args.command == "statevector":
-            _cmd_statevector(cfg, outputs)
-        elif args.command == "eigen":
-            _cmd_eigen(cfg)
-        elif args.command == "sample":
-            _cmd_sample(cfg, outputs)
-        elif args.command == "train":
-            _cmd_train(cfg, outputs)
-        elif args.command == "variance-scan":
-            _cmd_variance_scan(cfg, outputs)
-        elif args.command == "g-sweep":
-            _cmd_g_sweep(cfg, outputs)
-        elif args.command == "emit-svg":
-            _cmd_emit_svg(cfg, outputs)
-        return 0
+        return command.run(cfg, outputs) or 0
     except (ConfigError, ParseError, CapacityError) as exc:
         if outputs is not None:
             outputs.discard()

@@ -256,11 +256,11 @@ def fig_panels(n: int = 10) -> tuple[ModelSpec, ...]:
 def training_curves(
     models=None,
     n: int = 10,
-    epochs: int = 10000,
-    lr: float = 0.01,
-    seed: int = 0,
-    ansatz: str = "accordion",
-    param_mode: str = "trig",
+    epochs: int = TrainConfig.epochs,
+    lr: float = AdamConfig.lr,
+    seed: int = TrainConfig.seed,
+    ansatz: str = TrainConfig.ansatz,
+    param_mode: str = TrainConfig.param_mode,
 ) -> list[tuple[ModelSpec, TrainTrace]]:
     """Train each panel with the energy-gap loss and return the traces."""
     if models is None:
@@ -349,22 +349,25 @@ def best_dimer(spec: ModelSpec, starts: int = 6, seed: int = 0) -> tuple[float, 
 def g_sweep(
     g_values,
     n: int = 8,
-    epochs: int = 10000,
-    seed: int = 0,
-    lr: float = 0.01,
-    ansatz: str = "accordion",
-    param_mode: str = "trig",
+    epochs: int = TrainConfig.epochs,
+    seed: int = TrainConfig.seed,
+    lr: float = AdamConfig.lr,
+    ansatz: str = TrainConfig.ansatz,
+    param_mode: str = TrainConfig.param_mode,
 ) -> GSweepResult:
     """Train the open TFIM chain at each g; report trained and best-dimer
     relative errors against the free-fermion E0 (`tfim_ground_energy`),
-    which, like the exact contraction, holds at any n."""
-    g_values = [float(g) for g in g_values]
-    if not g_values:
-        raise ValueError("g_values must be nonempty")
+    which, like the exact contraction, holds at any n.  Every model is
+    checked before the first training: an invalid one is a ConfigError."""
+    try:
+        specs = [ModelSpec("tfim", n, g=float(g)) for g in g_values]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if not specs:
+        raise ConfigError("g_values must be nonempty")
     rows: list[SweepRow] = []
     dimer_rows: list[SweepRow] = []
-    for g in g_values:
-        spec = ModelSpec("tfim", n, g=g)
+    for spec in specs:
         e0 = tfim_ground_energy(spec)
         cfg = TrainConfig(
             ansatz=ansatz,
@@ -380,7 +383,7 @@ def g_sweep(
         final_energy = exact_energy(trace.graph, build_model(spec))
         rows.append(
             SweepRow(
-                g=g,
+                g=spec.g,
                 final_energy=final_energy,
                 e0=e0,
                 relative_error=abs((final_energy - e0) / e0),
@@ -390,7 +393,7 @@ def g_sweep(
             bench_energy, _ = best_dimer(spec, seed=seed)
             dimer_rows.append(
                 SweepRow(
-                    g=g,
+                    g=spec.g,
                     final_energy=bench_energy,
                     e0=e0,
                     relative_error=abs((bench_energy - e0) / e0),

@@ -614,10 +614,8 @@ def _draw(batch: VmcBatch, h: PauliHamiltonian, theta: np.ndarray, mode: str,
 
 
 def vmc_energy(batch: VmcBatch) -> tuple[float, float]:
-    """(mean, standard error) of Re A~ over the batch."""
-    if batch.batch_size < 1:
-        raise ValueError("empty batch")
-    return _energy_stats(batch.local_values)
+    """(mean, standard error) of Re A~ over the batch, as its draw computed them."""
+    return batch.energy_mean, batch.energy_stderr
 
 
 def vmc_gradient(batch: VmcBatch) -> GradientVector:

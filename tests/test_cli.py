@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, config precedence, produced files."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 import scipy
 
 from vdd.ansatz import build_accordion
-from vdd.cli import run
+from vdd.cli import build_parser, run
 from vdd.graph import ParamTriple, deserialize, serialize
 
 pytestmark = pytest.mark.usefixtures("capsys")
@@ -21,6 +22,10 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def left_behind(out_dir):
+    return list(out_dir.iterdir()) if out_dir.exists() else []
 
 
 def worked_example_doc() -> str:
@@ -231,9 +236,99 @@ def test_generated_seed_is_recorded(tmp_path, capsys):
     assert isinstance(resolved["seed"], int)
 
 
-def test_threads_must_be_positive(capsys):
-    code, _, err = invoke(capsys, "eigen", "--model", "tfim", "--n", "3", "--threads", "0")
+def test_threads_is_refused(tmp_path, capsys):
+    # the BLAS pool follows OMP_NUM_THREADS and OPENBLAS_NUM_THREADS, not a flag
+    assert invoke(capsys, "eigen", "--model", "tfim", "--n", "3", "--threads", "1")[0] == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 1}))
+    code, _, err = invoke(capsys, "eigen", "--model", "tfim", "--n", "3", "--config", str(cfg))
     assert code == 2 and "threads" in err
+
+
+def test_resolved_config_records_the_blas_thread_variables(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    out_dir = tmp_path / "out"
+    assert invoke(capsys, "build", "--n", "2", "--output-dir", str(out_dir))[0] == 0
+    env = json.loads((out_dir / "resolved_config.json").read_text())["environment"]
+    assert env["OMP_NUM_THREADS"] == "3" and env["OPENBLAS_NUM_THREADS"] is None
+
+
+# every settable value of each command, read off the parser
+FLAGS = {
+    "build": "config output_dir ansatz n init seed out",
+    "validate": "config output_dir vdd",
+    "amplitude": "config output_dir vdd bits",
+    "statevector": "config output_dir vdd out",
+    "eigen": "config output_dir model n g jx jy jz boundary",
+    "sample": "config output_dir vdd count seed out model g jx jy jz boundary",
+    "train": "config output_dir model n g jx jy jz boundary ansatz optimizer lr beta1 "
+             "beta2 eps epochs seed param_mode gradient_source batch_size loss e0 dataset init",
+    "variance-scan": "config output_dir model g jx jy jz boundary n_values tracked "
+                     "num_seeds base_seed param_mode ansatz",
+    "g-sweep": "config output_dir g_values n epochs lr seed ansatz param_mode",
+    "emit-svg": "config output_dir csv x y log_y out",
+}
+
+
+def test_each_command_has_its_flag_set():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: {a.dest for a in p._actions} - {"help"} for name, p in sub.choices.items()}
+    assert got == {name: set(flags.split()) for name, flags in FLAGS.items()}
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "--n", "2"),
+    ("statevector", "--vdd", "{vdd}"),
+    ("sample", "--vdd", "{vdd}", "--count", "2"),
+    ("train", "--model", "tfim", "--n", "2", "--epochs", "1"),
+    ("variance-scan", "--model", "tfim", "--n-values", "2,3", "--num-seeds", "2"),
+    ("g-sweep", "--g-values", "1", "--n", "2", "--epochs", "1"),
+    ("emit-svg", "--csv", "{csv}", "--x", "epoch", "--y", "loss"),
+])
+def test_resolved_config_holds_exactly_the_options(tmp_path, capsys, argv):
+    vdd, table = tmp_path / "g.json", tmp_path / "t.csv"
+    vdd.write_text(worked_example_doc())
+    table.write_text("epoch,loss\n1,2\n")
+    out_dir = tmp_path / "out"
+    argv = [a.format(vdd=vdd, csv=table) for a in argv]
+    assert invoke(capsys, *argv, "--output-dir", str(out_dir))[0] == 0
+    resolved = json.loads((out_dir / "resolved_config.json").read_text())
+    assert set(resolved) == set(FLAGS[argv[0]].split()) - {"config"} | {"command", "environment"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("variance-scan", "--model", "tfim", "--n-values", "2,x"),
+    ("variance-scan", "--model", "tfim", "--n-values", "2.5"),
+    ("g-sweep", "--g-values", "1,x"),
+])
+def test_malformed_list_flag_is_named(tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    code, _, err = invoke(capsys, *argv, "--output-dir", str(out_dir))
+    assert code == 2 and argv[-2] in err
+    assert not left_behind(out_dir)
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (("build", "--n", "0"), None),
+    (("build", "--n", "3", "--init", "basis:01"), None),
+    (("build", "--n", "3", "--init", "foo"), None),
+    (("train", "--model", "tfim", "--n", "3", "--init", "foo", "--epochs", "2"), None),
+    (("build", "--n", "3"), {"ansatz": "window"}),
+    (("variance-scan", "--model", "tfim", "--num-seeds", "2"), {"n_values": [2.7, 3.2]}),
+    (("variance-scan", "--model", "tfim", "--num-seeds", "2"), {"n_values": [True, 3]}),
+    (("train", "--model", "tfim", "--n", "3", "--epochs", "2"), {"optimizer": "adamw"}),
+])
+def test_bad_value_is_a_config_error(tmp_path, capsys, argv, doc):
+    out_dir = tmp_path / "out"
+    if doc is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv += ("--config", str(cfg))
+    code, _, err = invoke(capsys, *argv, "--output-dir", str(out_dir))
+    assert code == 2 and "config error: " in err
+    assert doc is None or next(iter(doc)) in err
+    assert not left_behind(out_dir)
 
 
 def test_emit_svg_deterministic_and_strict(tmp_path, capsys):

@@ -214,3 +214,9 @@ def test_g_sweep_csvs(tmp_path):
         cells = [float(c) for c in lines[1].split(",")]
         assert cells[0] == 10.0
         assert cells[2] < 0 and cells[3] >= 0
+
+
+def test_g_sweep_checks_every_field_before_training():
+    # a check after the first field's training would take minutes
+    with pytest.raises(ConfigError, match="finite"):
+        g_sweep((0.5, float("nan")), n=4, epochs=10**6)
