@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph import TERMINAL, Node, ParamTriple, VddGraph, validate
-from .state import CapacityError, as_amplitudes
+from .state import CapacityError, ConfigError, _check_choice, _check_count, as_amplitudes
 
 __all__ = [
     "ANSATZ_KINDS",
@@ -49,11 +49,6 @@ __all__ = [
 _BALANCED = ParamTriple(r=1.0 / math.sqrt(2.0), omega=0.0, phi=0.0)
 
 
-def _check_n(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-
-
 def build_automaton(n: int, step: Callable[[int, int, int], int]) -> VddGraph:
     """The n-level diagram of the automaton that starts in state 0 and moves
     on ``bit`` from ``state`` at level l (counted from 0) to
@@ -64,7 +59,7 @@ def build_automaton(n: int, step: Callable[[int, int, int], int]) -> VddGraph:
     level's edges point to TERMINAL.  ``step`` is called once per edge
     between levels.
     """
-    _check_n(n)
+    n = _check_count("n", n, 1)
     nodes = {}
     states, first = [0], 1
     for level in range(1, n):
@@ -99,8 +94,7 @@ def build_universal(n: int) -> VddGraph:
     length l-1, so any n-qubit state can be represented (see encode_state).
     Capped at n = 20 since the layout has 2^n - 1 nodes.
     """
-    _check_n(n)
-    if n > 20:
+    if _check_count("n", n, 1) > 20:
         raise CapacityError(f"universal layout is capped at n = 20 (2^n - 1 nodes), got n = {n}")
     return build_automaton(n, lambda level, state, bit: 2 * state + bit)
 
@@ -112,8 +106,7 @@ ANSATZ_KINDS = tuple(_LAYOUTS)
 
 def build_ansatz(kind: str, n: int) -> VddGraph:
     """Dispatch on the layout name ("product" | "accordion" | "universal")."""
-    if kind not in ANSATZ_KINDS:
-        raise ValueError(f"unknown ansatz {kind!r}, expected one of {ANSATZ_KINDS}")
+    _check_choice("ansatz", kind, ANSATZ_KINDS)
     return _LAYOUTS[kind](n)
 
 
@@ -135,14 +128,14 @@ class InitScheme:
     bits: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "balanced", "basis"):
-            raise ValueError(f"unknown init scheme {self.kind!r}")
+        _check_choice("init kind", self.kind, ("uniform", "balanced", "basis"))
+        object.__setattr__(self, "seed", _check_count("seed", self.seed, 0))
         if self.kind == "basis":
             if self.bits is None:
-                raise ValueError("basis init requires a bit string")
+                raise ConfigError("basis init requires a bit string")
             object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
             if any(b not in (0, 1) for b in self.bits):
-                raise ValueError(f"bits must be 0/1, got {self.bits}")
+                raise ConfigError(f"bits must be 0/1, got {self.bits}")
 
 
 def parse_init_scheme(text: str, seed: int = 0) -> InitScheme:
@@ -154,9 +147,11 @@ def parse_init_scheme(text: str, seed: int = 0) -> InitScheme:
     if text.startswith("basis:"):
         bits = text[len("basis:"):]
         if not bits or set(bits) - {"0", "1"}:
-            raise ValueError(f"basis init needs a 0/1 string, got {bits!r}")
+            raise ConfigError(f"basis init needs a 0/1 string, got {bits!r}")
         return InitScheme("basis", bits=tuple(int(c) for c in bits))
-    raise ValueError(f'unknown init scheme {text!r}, expected "uniform", "balanced" or "basis:<bits>"')
+    raise ConfigError(
+        f'unknown init scheme {text!r}, expected "uniform", "balanced" or "basis:<bits>"'
+    )
 
 
 def _uniform_params(num_nodes: int, seed: int) -> np.ndarray:
@@ -184,7 +179,7 @@ def init_params(g: VddGraph, scheme: InitScheme) -> VddGraph:
     else:
         bits = scheme.bits
         if bits is None or len(bits) != g.num_qubits:
-            raise ValueError(
+            raise ConfigError(
                 f"basis init needs {g.num_qubits} bits, got {len(bits) if bits else 0}"
             )
         on_path: dict[int, int] = {}

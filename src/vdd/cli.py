@@ -16,9 +16,10 @@ variables OMP_NUM_THREADS and OPENBLAS_NUM_THREADS, to
 removed.  Randomized commands draw a seed when none is given and record
 it in the resolved config.
 
-Exit codes: 0 success; 2 configuration problem (bad flag or config value,
-unknown config key, malformed input document, over-capacity request); 1
-runtime failure.
+Exit codes: 0 success; 2 any ConfigError, raised here or by the library
+check that finds the bad value: a flag or config value, an unknown config
+key, a malformed input document (ParseError) or an over-capacity request
+(CapacityError), both ConfigErrors; 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -38,19 +39,18 @@ import numpy as np
 from .ansatz import ANSATZ_KINDS, build_ansatz, init_params, parse_init_scheme
 from .exact import PARAM_MODES, to_state_vector
 from .experiments import VarianceScanConfig, g_sweep, variance_scan
-from .graph import ParseError, amplitude, deserialize, serialize, validate
+from .graph import amplitude, deserialize, serialize, validate
 from .hamiltonian import BOUNDARIES, MODELS, ModelSpec, build_model, ground_energy
 from .optimize import (
     GRADIENT_SOURCES,
     LOSSES,
     AdamConfig,
-    ConfigError,
     LabeledDataset,
     SgdConfig,
     TrainConfig,
     train,
 )
-from .state import CapacityError
+from .state import ConfigError
 from .vmc import _write_samples, batch_to_csv, sample, sample_batch
 
 __all__ = ["run", "main", "emit_svg"]
@@ -101,10 +101,8 @@ class Opt:
         return float(value) if kind == "float" else value
 
 
-_COMMON = (
-    Opt("config", "str", None, "JSON file of option values (flags override it)"),
-    Opt("output_dir", "str", ".", "directory for produced files"),
-)
+_CONFIG = Opt("config", "str", None, "JSON file of option values (flags override it)")
+_OUTPUT_DIR = Opt("output_dir", "str", ".", "directory for produced files")
 
 _MODEL_OPTS = (
     Opt("model", "str", None, "hamiltonian family", choices=MODELS),
@@ -227,13 +225,10 @@ def _model_spec(cfg: dict, n: int | None = None) -> ModelSpec:
         n = cfg.get("n")
     if n is None:
         raise ConfigError("missing required option 'n'")
-    try:
-        return ModelSpec(
-            cfg["model"], n, g=cfg["g"],
-            jx=cfg["jx"], jy=cfg["jy"], jz=cfg["jz"], boundary=cfg["boundary"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ModelSpec(
+        cfg["model"], n, g=cfg["g"],
+        jx=cfg["jx"], jy=cfg["jy"], jz=cfg["jz"], boundary=cfg["boundary"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +236,8 @@ def _model_spec(cfg: dict, n: int | None = None) -> ModelSpec:
 
 
 def _cmd_build(cfg: dict, outputs: _Outputs) -> None:
-    try:
-        scheme = parse_init_scheme(cfg["init"], seed=cfg["seed"])
-        g = init_params(build_ansatz(cfg["ansatz"], cfg["n"]), scheme)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    scheme = parse_init_scheme(cfg["init"], seed=cfg["seed"])
+    g = init_params(build_ansatz(cfg["ansatz"], cfg["n"]), scheme)
     path = outputs.path(cfg["out"])
     with open(path, "w") as fh:
         fh.write(serialize(g))
@@ -292,8 +284,6 @@ def _cmd_eigen(cfg: dict, outputs: None) -> None:
 
 def _cmd_sample(cfg: dict, outputs: _Outputs) -> None:
     g = _read_graph(cfg["vdd"])
-    if cfg["count"] < 1:
-        raise ConfigError(f"count must be >= 1, got {cfg['count']}")
     path = outputs.path(cfg["out"])
     if cfg.get("model") is not None:
         spec = _model_spec(cfg, n=g.num_qubits)
@@ -318,10 +308,7 @@ def _load_dataset(path: str) -> LabeledDataset:
         if label is not None and (isinstance(label, bool) or label not in (0, 1)):
             raise ConfigError(f"dataset labels must be 0, 1 or null, got {label!r}")
         items.append((_parse_bit_text(entry["bits"]), label))
-    try:
-        return LabeledDataset(tuple(items))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return LabeledDataset(tuple(items))
 
 
 def _cmd_train(cfg: dict, outputs: _Outputs) -> None:
@@ -333,10 +320,7 @@ def _cmd_train(cfg: dict, outputs: _Outputs) -> None:
     model = None
     if cfg["loss"] in ("energy_gap", "energy"):
         model = _model_spec(cfg)
-    try:
-        init = parse_init_scheme(cfg["init"], seed=cfg["seed"]) if cfg["init"] else None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    init = parse_init_scheme(cfg["init"], seed=cfg["seed"]) if cfg["init"] else None
     config = TrainConfig(
         ansatz=cfg["ansatz"],
         model=model,
@@ -503,36 +487,40 @@ class Command:
     run: Callable[[dict, _Outputs | None], int | None]  # the exit code; None for 0
     options: tuple[Opt, ...]
     seed: str | None = None  # the option a randomized run draws when it is omitted
-    writes: bool = False  # creates output_dir and its resolved_config.json
+    writes: bool = False  # takes --output-dir, creates it and its resolved_config.json
+
+    def __post_init__(self):
+        common = (_CONFIG, _OUTPUT_DIR) if self.writes else (_CONFIG,)
+        object.__setattr__(self, "options", common + self.options)
 
 
 _COMMANDS = {
-    "build": Command(_cmd_build, _COMMON + (
+    "build": Command(_cmd_build, (
         _ANSATZ,
         Opt("n", "int", None, "number of qubits", required=True),
         Opt("init", "str", "balanced", 'parameter init: "uniform", "balanced" or "basis:<bits>"'),
         Opt("seed", "int", None, "seed for uniform init (generated and recorded if omitted)"),
         Opt("out", "str", "vdd.json", "output file name under output-dir"),
     ), seed="seed", writes=True),
-    "validate": Command(_cmd_validate, _COMMON + (
+    "validate": Command(_cmd_validate, (
         Opt("vdd", "str", None, "graph document to check", required=True),
     )),
-    "amplitude": Command(_cmd_amplitude, _COMMON + (
+    "amplitude": Command(_cmd_amplitude, (
         Opt("vdd", "str", None, "graph document", required=True),
         Opt("bits", "str", None, "bit string, qubit 1 first (e.g. 001)", required=True),
     )),
-    "statevector": Command(_cmd_statevector, _COMMON + (
+    "statevector": Command(_cmd_statevector, (
         Opt("vdd", "str", None, "graph document", required=True),
         Opt("out", "str", "statevector.csv", "output file name under output-dir"),
     ), writes=True),
-    "eigen": Command(_cmd_eigen, _COMMON + _MODEL_OPTS),
-    "sample": Command(_cmd_sample, _COMMON + (
+    "eigen": Command(_cmd_eigen, _MODEL_OPTS),
+    "sample": Command(_cmd_sample, (
         Opt("vdd", "str", None, "graph document", required=True),
         Opt("count", "int", 1000, "number of samples"),
         Opt("seed", "int", None, "sampling seed (generated and recorded if omitted)"),
         Opt("out", "str", "samples.csv", "output file name under output-dir"),
     ) + _MODEL_OPTS[:1] + _MODEL_OPTS[2:], seed="seed", writes=True),  # a model adds local values
-    "train": Command(_cmd_train, _COMMON + _MODEL_OPTS + (
+    "train": Command(_cmd_train, _MODEL_OPTS + (
         _ANSATZ,
         Opt("optimizer", "str", "adam", "update rule", choices=("adam", "sgd")),
         Opt("lr", "float", AdamConfig.lr, "learning rate"),
@@ -550,7 +538,7 @@ _COMMANDS = {
         Opt("dataset", "str", None, "JSON dataset file for bce/kl losses"),
         Opt("init", "str", None, 'parameter init override (default "uniform" at --seed)'),
     ), seed="seed", writes=True),
-    "variance-scan": Command(_cmd_variance_scan, _COMMON + (
+    "variance-scan": Command(_cmd_variance_scan, (
         replace(_MODEL_OPTS[0], required=True),
     ) + _MODEL_OPTS[2:] + (
         Opt("n_values", "ints", tuple(range(2, 13)), "comma-separated system sizes"),
@@ -560,7 +548,7 @@ _COMMANDS = {
         _param_mode(VarianceScanConfig.param_mode),
         _ANSATZ,
     ), seed="base_seed", writes=True),
-    "g-sweep": Command(_cmd_g_sweep, _COMMON + (
+    "g-sweep": Command(_cmd_g_sweep, (
         Opt("g_values", "floats", (10.0, 20.0, 40.0), "comma-separated field strengths"),
         Opt("n", "int", 8, "number of qubits"),
         Opt("epochs", "int", TrainConfig.epochs, "gradient steps per field value"),
@@ -569,7 +557,7 @@ _COMMANDS = {
         _ANSATZ,
         _param_mode(TrainConfig.param_mode),
     ), seed="seed", writes=True),
-    "emit-svg": Command(_cmd_emit_svg, _COMMON + (
+    "emit-svg": Command(_cmd_emit_svg, (
         Opt("csv", "str", None, "input table", required=True),
         Opt("x", "str", None, "x column name", required=True),
         Opt("y", "str", None, "y column name", required=True),
@@ -612,7 +600,7 @@ def run(argv=None) -> int:
             outputs = _Outputs(cfg["output_dir"])
             _write_resolved(outputs, args.command, cfg)
         return command.run(cfg, outputs) or 0
-    except (ConfigError, ParseError, CapacityError) as exc:
+    except ConfigError as exc:
         if outputs is not None:
             outputs.discard()
         print(f"config error: {exc}", file=sys.stderr)

@@ -76,7 +76,7 @@ import numpy as np
 
 from .graph import ParamTriple, VddGraph, validate
 from .hamiltonian import _checked_energy
-from .state import CapacityError, StateVector
+from .state import CapacityError, StateVector, _check_choice
 
 __all__ = [
     "PARAM_MODES",
@@ -373,8 +373,7 @@ def _check_graph_and_operator(g: VddGraph, h) -> None:
 
 
 def _check_mode(mode: str) -> None:
-    if mode not in PARAM_MODES:
-        raise ValueError(f"unknown parameter mode {mode!r}, expected one of {PARAM_MODES}")
+    _check_choice("param_mode", mode, PARAM_MODES)
 
 
 def _amplitudes(topo: _LevelTables, theta: np.ndarray, mode: str) -> np.ndarray:

@@ -23,9 +23,9 @@ from .ansatz import _uniform_params, build_ansatz
 from .exact import PARAM_MODES, _label_index, _LevelTables, _materialize, energy_and_grad
 from .exact import exact_energy
 from .graph import VddGraph
-from .hamiltonian import MODELS, ModelSpec, build_model, tfim_ground_energy
-from .optimize import AdamConfig, ConfigError, TrainConfig, TrainTrace, _check_count, train
-from .state import CapacityError
+from .hamiltonian import ModelSpec, build_model, tfim_ground_energy
+from .optimize import AdamConfig, TrainConfig, TrainTrace, train
+from .state import CapacityError, ConfigError, _check_choice, _check_count
 
 __all__ = [
     "VarianceScanConfig",
@@ -68,12 +68,9 @@ class VarianceScanConfig:
     param_mode: str = "raw"
 
     def __post_init__(self):
-        for n in self.n_values:
-            _check_count("n_values", n, 1)
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        n_values = tuple(_check_count("n_values", n, 1) for n in self.n_values)
+        object.__setattr__(self, "n_values", n_values)
         object.__setattr__(self, "tracked_params", tuple(self.tracked_params))
-        if self.model not in MODELS:
-            raise ConfigError(f"unknown model {self.model!r}, expected one of {MODELS}")
         if not self.n_values:
             raise ConfigError("n_values must be nonempty")
         if list(self.n_values) != sorted(set(self.n_values)):
@@ -82,15 +79,9 @@ class VarianceScanConfig:
         _check_count("base_seed", self.base_seed, 0)
         if not self.tracked_params:
             raise ConfigError("tracked_params must be nonempty")
-        if self.param_mode not in PARAM_MODES:
-            raise ConfigError(
-                f"unknown param_mode {self.param_mode!r}, expected one of {PARAM_MODES}"
-            )
+        _check_choice("param_mode", self.param_mode, PARAM_MODES)
         for n in self.n_values:
-            try:
-                self.model_spec(n)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            self.model_spec(n)
 
     def model_spec(self, n: int) -> ModelSpec:
         return ModelSpec(
@@ -359,10 +350,7 @@ def g_sweep(
     relative errors against the free-fermion E0 (`tfim_ground_energy`),
     which, like the exact contraction, holds at any n.  Every model is
     checked before the first training: an invalid one is a ConfigError."""
-    try:
-        specs = [ModelSpec("tfim", n, g=float(g)) for g in g_values]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    specs = [ModelSpec("tfim", n, g=float(g)) for g in g_values]
     if not specs:
         raise ConfigError("g_values must be nonempty")
     rows: list[SweepRow] = []

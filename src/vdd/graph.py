@@ -25,6 +25,8 @@ import json
 import math
 from dataclasses import dataclass
 
+from .state import ConfigError
+
 __all__ = [
     "TERMINAL",
     "ParamTriple",
@@ -39,7 +41,7 @@ __all__ = [
 ]
 
 
-class ParseError(ValueError):
+class ParseError(ConfigError):
     """Raised when a serialized graph document is malformed."""
 
 

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import CapacityError, StateVector, as_amplitudes
+from .state import CapacityError, ConfigError, StateVector, _check_choice, _check_count
+from .state import as_amplitudes
 
 __all__ = [
     "CapacityError",
@@ -124,15 +125,13 @@ class ModelSpec:
     boundary: str = "open"
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}, expected one of {MODELS}")
-        if self.boundary not in BOUNDARIES:
-            raise ValueError(f"unknown boundary {self.boundary!r}, expected one of {BOUNDARIES}")
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
-            raise ValueError(f"coupled models need an integer n >= 2, got {self.n!r}")
+        _check_choice("model", self.model, MODELS)
+        _check_choice("boundary", self.boundary, BOUNDARIES)
+        # every model couples qubits 1 and 2
+        object.__setattr__(self, "n", _check_count("n", self.n, 2))
         for name in ("g", "jx", "jy", "jz"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"coupling {name} must be finite")
+                raise ConfigError(f"coupling {name} must be finite")
 
 
 def _string_on(n: int, placed: dict[int, str]) -> str:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 
@@ -50,7 +49,7 @@ from .hamiltonian import (
     tfim_ground_energy,
     xx_ground_energy,
 )
-from .state import CapacityError
+from .state import CapacityError, ConfigError, _check_choice, _check_count
 
 __all__ = [
     "ConfigError",
@@ -75,23 +74,15 @@ GRADIENT_SOURCES = ("exact", "vmc")
 _EPS_PROB = 1e-12  # probability clamp in the dataset losses
 
 
-class ConfigError(ValueError):
-    """A training / run configuration that cannot be executed as given."""
-
-
 class TrainingError(RuntimeError):
     """A training run hit a non-finite gradient or similar runtime failure."""
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """ConfigError naming the field unless value is an integer >= least;
-    numpy integers pass, bools and floats do not."""
-    try:
-        valid = not isinstance(value, bool) and operator.index(value) >= least
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+def _check_positive(name: str, value) -> None:
+    """ConfigError unless value is positive and finite: an infinite lr turns θ
+    into nan at the first step, and an infinite eps leaves θ where it is."""
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -102,12 +93,10 @@ class AdamConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if not (self.lr > 0):
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        _check_positive("lr", self.lr)
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("betas must lie in [0, 1)")
-        if not (self.eps > 0):
-            raise ConfigError("eps must be positive")
+        _check_positive("eps", self.eps)
 
 
 @dataclass(frozen=True)
@@ -115,8 +104,7 @@ class SgdConfig:
     lr: float = 0.01
 
     def __post_init__(self):
-        if not (self.lr > 0):
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        _check_positive("lr", self.lr)
 
 
 @dataclass
@@ -210,15 +198,15 @@ class LabeledDataset:
             bits, label = entry
             bits = tuple(int(x) for x in bits)
             if any(x not in (0, 1) for x in bits):
-                raise ValueError(f"bits must be 0/1, got {bits}")
+                raise ConfigError(f"bits must be 0/1, got {bits}")
             if label is not None and label not in (0, 1):
-                raise ValueError(f"labels must be 0, 1 or None, got {label!r}")
+                raise ConfigError(f"labels must be 0, 1 or None, got {label!r}")
             norm.append((bits, label))
         if not norm:
-            raise ValueError("dataset must contain at least one item")
+            raise ConfigError("dataset must contain at least one item")
         lengths = {len(bits) for bits, _ in norm}
         if len(lengths) != 1:
-            raise ValueError(f"bit strings must share one length, got lengths {sorted(lengths)}")
+            raise ConfigError(f"bit strings must share one length, got lengths {sorted(lengths)}")
         object.__setattr__(self, "items", tuple(norm))
 
     @property
@@ -232,7 +220,7 @@ def _dataset_arrays(data: LabeledDataset, want_labels: bool):
     labels = [label for _, label in data.items]
     if want_labels and None in labels:
         missing = data.items[labels.index(None)][0]
-        raise ValueError(f"BCE needs a 0/1 label for every item, none on {missing}")
+        raise ConfigError(f"BCE needs a 0/1 label for every item, none on {missing}")
     return bits, np.array(labels, dtype=np.float64) if want_labels else None
 
 
@@ -312,19 +300,10 @@ class TrainConfig:
     init: InitScheme | None = None
 
     def __post_init__(self):
-        if self.ansatz not in ANSATZ_KINDS:
-            raise ConfigError(f"unknown ansatz {self.ansatz!r}, expected one of {ANSATZ_KINDS}")
-        if self.loss not in LOSSES:
-            raise ConfigError(f"unknown loss {self.loss!r}, expected one of {LOSSES}")
-        if self.gradient_source not in GRADIENT_SOURCES:
-            raise ConfigError(
-                f"unknown gradient_source {self.gradient_source!r}, "
-                f"expected one of {GRADIENT_SOURCES}"
-            )
-        if self.param_mode not in PARAM_MODES:
-            raise ConfigError(
-                f"unknown param_mode {self.param_mode!r}, expected one of {PARAM_MODES}"
-            )
+        _check_choice("ansatz", self.ansatz, ANSATZ_KINDS)
+        _check_choice("loss", self.loss, LOSSES)
+        _check_choice("gradient_source", self.gradient_source, GRADIENT_SOURCES)
+        _check_choice("param_mode", self.param_mode, PARAM_MODES)
         _check_count("epochs", self.epochs, 1)
         _check_count("seed", self.seed, 0)
         if not isinstance(self.optimizer, (AdamConfig, SgdConfig)):

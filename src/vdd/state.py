@@ -1,12 +1,16 @@
-"""Dense state-vector container shared by the exact engine and the oracles."""
+"""Dense state-vector container shared by the exact engine and the oracles,
+and ConfigError with the shared checks that raise it where a bad value is
+found."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "CapacityError",
     "StateVector",
     "as_amplitudes",
@@ -15,8 +19,29 @@ __all__ = [
 ]
 
 
-class CapacityError(ValueError):
+class ConfigError(ValueError):
+    """A configuration value that cannot be run as given, raised by the check
+    that finds it; the CLI exits 2 on any of them."""
+
+
+class CapacityError(ConfigError):
     """A dense 2^n computation was requested beyond its size cap."""
+
+
+def _check_count(name: str, value, least: int) -> int:
+    """value as a Python int, or a ConfigError naming the field unless it is
+    an integer >= least; numpy integers pass, bools and floats do not."""
+    try:
+        if not isinstance(value, bool) and operator.index(value) >= least:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_choice(name: str, value, choices: tuple) -> None:
+    if value not in choices:
+        raise ConfigError(f"unknown {name} {value!r}, expected one of {choices}")
 
 
 @dataclass

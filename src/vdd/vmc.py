@@ -76,6 +76,7 @@ from .exact import GradientVector, _chart, _check_graph_and_operator, _check_mod
 from .exact import _LevelTables
 from .graph import VddGraph, amplitude
 from .hamiltonian import PauliHamiltonian, _bit_elements
+from .state import _check_count
 
 __all__ = [
     "VmcBatch",
@@ -123,8 +124,7 @@ class VmcBatch:
     """
 
     def __init__(self, topo: _LevelTables, count: int):
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
+        count = _check_count("count", count, 1)
         n, levels = topo.num_qubits, topo.merge_levels.size
         every_level = levels == n  # merge_edge is then edge itself
         layout = (  # widest items first, so that every view is aligned

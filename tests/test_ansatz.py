@@ -20,7 +20,7 @@ from vdd.ansatz import (
 )
 from vdd.exact import to_state_vector
 from vdd.graph import TERMINAL, amplitude, serialize, validate
-from vdd.state import CapacityError
+from vdd.state import CapacityError, ConfigError
 
 
 def test_product_layout():
@@ -58,12 +58,12 @@ def test_build_ansatz_dispatch():
         build_ansatz("ring", 4)
 
 
-@pytest.mark.parametrize("n", [0, -1, True, 2.5])
+@pytest.mark.parametrize("n", [0, -1, True, 2.5, None, "3"])
 def test_builders_reject_n_that_is_not_a_positive_integer(n):
-    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+    with pytest.raises(ConfigError, match="n must be an integer >= 1"):
         build_automaton(n, lambda level, state, bit: 0)
     for kind in ANSATZ_KINDS:
-        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        with pytest.raises(ConfigError, match="n must be an integer >= 1"):
             build_ansatz(kind, n)
 
 

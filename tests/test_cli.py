@@ -257,10 +257,10 @@ def test_resolved_config_records_the_blas_thread_variables(tmp_path, capsys, mon
 # every settable value of each command, read off the parser
 FLAGS = {
     "build": "config output_dir ansatz n init seed out",
-    "validate": "config output_dir vdd",
-    "amplitude": "config output_dir vdd bits",
+    "validate": "config vdd",
+    "amplitude": "config vdd bits",
     "statevector": "config output_dir vdd out",
-    "eigen": "config output_dir model n g jx jy jz boundary",
+    "eigen": "config model n g jx jy jz boundary",
     "sample": "config output_dir vdd count seed out model g jx jy jz boundary",
     "train": "config output_dir model n g jx jy jz boundary ansatz optimizer lr beta1 "
              "beta2 eps epochs seed param_mode gradient_source batch_size loss e0 dataset init",
@@ -318,6 +318,7 @@ def test_malformed_list_flag_is_named(tmp_path, capsys, argv):
     (("variance-scan", "--model", "tfim", "--num-seeds", "2"), {"n_values": [2.7, 3.2]}),
     (("variance-scan", "--model", "tfim", "--num-seeds", "2"), {"n_values": [True, 3]}),
     (("train", "--model", "tfim", "--n", "3", "--epochs", "2"), {"optimizer": "adamw"}),
+    (("build", "--n", "3", "--init", "uniform", "--seed", "-1"), None),
 ])
 def test_bad_value_is_a_config_error(tmp_path, capsys, argv, doc):
     out_dir = tmp_path / "out"
@@ -328,6 +329,25 @@ def test_bad_value_is_a_config_error(tmp_path, capsys, argv, doc):
     code, _, err = invoke(capsys, *argv, "--output-dir", str(out_dir))
     assert code == 2 and "config error: " in err
     assert doc is None or next(iter(doc)) in err
+    assert not left_behind(out_dir)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("--model", "tfim", "--n", "3", "--init", "basis:01"), "needs 3 bits, got 2"),
+    (("--model", "tfim", "--n", "3", "--lr", "inf"), "lr must be positive and finite"),
+    (("--model", "tfim", "--n", "3", "--eps", "inf"), "eps must be positive and finite"),
+    (("--loss", "bce", "--dataset", "{dataset}"), "BCE needs a 0/1 label"),
+], ids=["basis-length", "lr-inf", "eps-inf", "bce-unlabeled"])
+def test_train_refuses_a_value_its_run_cannot_use(tmp_path, capsys, argv, named):
+    # each once failed inside the run with exit 1, or, an infinite eps, trained
+    # without moving θ
+    dataset = tmp_path / "data.json"
+    dataset.write_text(json.dumps({"items": [{"bits": "01", "label": None}]}))
+    out_dir = tmp_path / "out"
+    argv = [a.format(dataset=dataset) for a in argv]
+    code, _, err = invoke(capsys, "train", *argv, "--epochs", "2", "--seed", "1",
+                          "--output-dir", str(out_dir))
+    assert code == 2 and "config error: " in err and named in err
     assert not left_behind(out_dir)
 
 

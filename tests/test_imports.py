@@ -37,3 +37,26 @@ def test_the_check_sees_an_unused_import():
     source = ("from __future__ import annotations\nimport math, os.path\n"
               "from dataclasses import dataclass, field as f\n__all__ = ['f']\nmath.pi\n")
     assert unused_imports(source) == ["os (line 2)", "dataclass (line 3)"]
+
+
+def rewrapped_errors(source: str) -> list[int]:
+    """Lines where an `except ... as exc` block raises ConfigError(str(exc)):
+    a re-wrap of an error whose own check should have raised ConfigError."""
+    return [node.lineno for handler in ast.walk(ast.parse(source))
+            if isinstance(handler, ast.ExceptHandler) and handler.name
+            for node in ast.walk(handler)
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and ast.unparse(node.exc) == f"ConfigError(str({handler.name}))"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_error_is_rewrapped_as_a_config_error(path):
+    assert rewrapped_errors(path.read_text()) == []
+
+
+def test_the_check_sees_a_rewrapped_error():
+    source = ("try:\n    f()\nexcept ValueError as exc:\n"
+              "    raise ConfigError(str(exc)) from None\n"
+              "try:\n    f()\nexcept OSError as err:\n"
+              "    raise ConfigError(f'cannot read: {err}')\n")
+    assert rewrapped_errors(source) == [4]
