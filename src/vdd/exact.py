@@ -20,27 +20,22 @@ Gradients use d<H>/dθ_j = 2 Re <∂_j ψ|H|ψ>, valid because the diagram is
 normalized for every parameter value.  ∂_j ψ is ψ with node j's edge
 factor on the path replaced by its θ_j-derivative.  `energy_and_grad`
 gets the energy and every parameter's gradient together from one of two
-engines, which agree to rounding:
+engines, which agree to rounding and share one chain rule (`_chain_rule`):
 
 * dense (`_dense`) — one forward pass (prefix amplitudes), one H|ψ> and
   one backward pass (suffix sums against H|ψ>): O(n 2^n), capped at
   n = STATEVECTOR_CAP.  It works on one state vector at a time, so it
   loops over a stack.
-* contraction (`_contracted`) — the diagram is a matrix product state
+* contraction (`_Contraction`) — the diagram is a matrix product state
   whose level tensors hold one edge factor per row, and H a matrix
   product operator of bond dimension D, so <ψ|H|ψ> and its derivatives are
   left and right environment sweeps over the levels (Schollwöck, Ann.
   Phys. 326, 96, 2011): O(n (W^2 D)^2) for a diagram at most W nodes
-  wide, with no 2^n vector, so narrow diagrams have no cap.  One code
-  path serves every S >= 1: each level's transfer matrices, for every θ of
-  the stack, are sums of products of a node pair's conjugated and plain
-  edge factors with the operator's nonzero entries, placed at the pair's
-  children, and the gradient reads the same entries against the
-  environments.  Those entries are compiled once per topology and operator
-  into index tables (`_Basis`), and the buffers of T and of the
-  environments, and their per-level views, once per stack size as well
-  (`_Contraction`), so a call runs only θ-dependent work.  A stack is
-  contracted in chunks of about _TRANSFER_BYTES of transfer matrices.
+  wide, with no 2^n vector, so narrow diagrams have no cap.  It is
+  compiled once per topology, operator and stack size, with a buffer for
+  every stage from the chart to the gradient, so a call on θ allocates
+  nothing.  A stack is contracted in chunks of about _TRANSFER_BYTES of
+  transfer matrices.
 
 The cost rule (`_contracts`) picks contraction when
 (W^2 D)^2 < 2^n + _LEVEL_COST: the accordion (W = 2) and the product
@@ -98,6 +93,8 @@ STATEVECTOR_CAP = 20
 # for d/dr, and `train` projects r into the same range, so that the clamped
 # and the true derivative agree at every r it steps to
 _CLAMP = 1e-9
+
+_FLIP = np.array([-1.0, 1.0])  # (cos u, sin u)[::-1] * _FLIP = (-sin u, cos u), in `_chart`
 
 
 class SingularGradientWarning(UserWarning):
@@ -279,7 +276,7 @@ class _LevelTables:
         return built
 
 
-def _chart(theta: np.ndarray, mode: str) -> np.ndarray:
+def _chart(theta: np.ndarray, mode: str, out=None) -> np.ndarray:
     """(edge, slope): every node's edge factors and their derivatives with
     respect to its magnitude slot θ[..., 0], each of shape (..., N, 2) for θ
     of shape (N, 3) or a stack of them, (S, N, 3), returned as the two
@@ -294,20 +291,32 @@ def _chart(theta: np.ndarray, mode: str) -> np.ndarray:
         edge  = (cos u e^{i omega}, sin u e^{i phi})
         raw:  slope = d/dr = (e^{i omega}, -r / sqrt(1 - r^2) e^{i phi}), r clamped below 1
         trig: slope = d/du = (-sin u e^{i omega}, cos u e^{i phi})
+
+    The table is magnitudes times phase factors e^{i (omega, phi)}; all three
+    go into `out` (`_chart_buffers`) if given, so a caller can reuse them.
     """
+    table, magnitudes, phase, cos, sin, slope = _chart_buffers(theta.shape) if out is None else out
     mag = theta[..., 0]
     u = mag if mode == "trig" else np.arccos(mag)
-    magnitudes = np.empty((2,) + theta.shape[:-1] + (2,))  # of the edge and of the slope
-    np.cos(u, out=magnitudes[0, ..., 0])
-    np.sin(u, out=magnitudes[0, ..., 1])
+    np.cos(u, out=cos)
+    np.sin(u, out=sin)
     if mode == "trig":
-        np.negative(magnitudes[0, ..., 1], out=magnitudes[1, ..., 0])
-        magnitudes[1, ..., 1] = magnitudes[0, ..., 0]
+        np.multiply(magnitudes[0, ..., ::-1], _FLIP, out=slope)  # (-sin u, cos u)
     else:
         rc = np.clip(mag, _CLAMP, 1.0 - _CLAMP)
-        magnitudes[1, ..., 0] = 1.0
-        magnitudes[1, ..., 1] = -rc / np.sqrt(1.0 - rc * rc)
-    return magnitudes * np.exp(1j * theta[..., 1:])
+        slope[..., 0] = 1.0
+        slope[..., 1] = -rc / np.sqrt(1.0 - rc * rc)
+    np.multiply(1j, theta[..., 1:], out=phase)
+    np.exp(phase, out=phase)
+    return np.multiply(magnitudes, phase, out=table)
+
+
+def _chart_buffers(shape: tuple) -> tuple:
+    """`_chart`'s table, magnitudes and phase factors for θ of `shape`, and views."""
+    table = np.empty((2,) + shape[:-1] + (2,), dtype=np.complex128)
+    magnitudes = np.empty(table.shape)
+    return (table, magnitudes, np.empty(table.shape[1:], dtype=np.complex128),
+            magnitudes[0, ..., 0], magnitudes[0, ..., 1], magnitudes[1])
 
 
 def _flatten(g: VddGraph, mode: str) -> np.ndarray:
@@ -388,17 +397,12 @@ def to_state_vector(g: VddGraph) -> StateVector:
 
 
 def exact_energy(g: VddGraph, h) -> float:
-    """<psi|H|psi>, by the engine `energy_and_grad` would use for this graph,
-    without the gradient: past n = 20 for narrow diagrams."""
-    from .hamiltonian import expectation
-
+    """<psi|H|psi>, by the engine `energy_and_grad` would use for this graph:
+    past n = 20 for narrow diagrams."""
     _check_graph_and_operator(g, h)
     topo = _LevelTables(g)
-    edge, _ = _chart(_flatten(g, "raw"), "raw")
-    if _contracts(topo, h):
-        norm2, value, _ = _contracted(topo, h, edge[None], gradient=False)
-        return _checked_energy(norm2[0], value[0])
-    return expectation(h, _forward(topo, edge)[0][-1])
+    norm2, value, _ = _evaluator(topo, h, 1)[0](_flatten(g, "raw")[None], "raw")
+    return _checked_energy(norm2.item(), value.item())
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +421,13 @@ _LEVEL_COST = 1000
 # Transfer-matrix bytes one contraction may hold, n S (W^2 D)^2 16 for S
 # stacked θ.  With k = ceil(S n (W^2 D)^2 16 / _TRANSFER_BYTES),
 # `energy_and_grad` contracts a stack in turn in chunks of ceil(S / k)
-# consecutive θ, the last chunk taking the rest.  So a chunk can exceed the
-# bound by less than one θ's transfer matrices, and the chunks are equal
-# only when their size divides S: 40 θ at n = 8 come as 14, 14 and 12, two
-# stack sizes to compile.  A chunk's fixed cost (the per-level sweeps) is
-# shared by its θ, while its buffers grow with the chunk: 768 KiB gives four
+# consecutive θ, the last chunk taking the rest and padded to the same size,
+# so one stack size is compiled: 40 θ at n = 8 come as 14, 14 and 12 + 2.  A chunk
+# can exceed the bound by less than one θ's transfer matrices.  Its fixed cost (the
+# per-level sweeps) is shared by its θ, while its buffers grow: 768 KiB gives four
 # chunks of 8 θ for a 32-seed variance scan of the accordion on the open
 # Heisenberg chain at n = 13, 14 (88 KiB per θ at n = 14), which peaks at
-# 1.1 MB allocated (tracemalloc).
+# 1.3 MB allocated (tracemalloc).
 _TRANSFER_BYTES = 768 * 1024
 
 
@@ -454,21 +457,61 @@ def _contracts(topo: _LevelTables, h) -> bool:
     return size * size < 2**n + _LEVEL_COST
 
 
-def _dense(topo: _LevelTables, h, edge: np.ndarray):
-    """(<psi|psi>, <psi|H|psi>, g) for each θ of a stack of edge tables
-    (S, N, 2), one state vector at a time: one forward sweep, one H|psi>
-    and one backward sweep per θ.
+def _check_raw(topo: _LevelTables, stack: np.ndarray, stacked: bool, stacklevel: int) -> None:
+    """Raw-mode checks of θ (S, N, 3): a ValueError names the first r outside
+    [0, 1] (NaN too), a SingularGradientWarning (at `stacklevel`) each r on {0, 1}."""
+    r = stack[..., 0]
+    outside = np.argwhere(~((r >= 0.0) & (r <= 1.0)))  # NaN too
+    if outside.size:
+        k, j = outside[0]
+        raise ValueError(("stack entry {}: " if stacked else "").format(k)
+                         + f"r{topo.node_ids[j]} = {float(r[k, j])!r} lies outside [0, 1]")
+    singular = np.argwhere((r == 0.0) | (r == 1.0))
+    if singular.size:
+        names = (f"r{topo.node_ids[j]}" + (f" of stack entry {k}" if stacked else "")
+                 for k, j in singular)
+        warnings.warn("raw-mode magnitude gradient is singular at r in {0, 1} for: "
+                      + ", ".join(names), SingularGradientWarning, stacklevel=stacklevel + 1)
 
-    g[k, j, b] is d<psi|H|psi>/d conj(edge[k, j, b]), the derivative by
-    node j's b-edge for θ k.  Forward gives the prefix amplitude F[p] in
-    front of each node and the edges the prefixes take; backward propagates
-    suffix sums B against H|psi>, so that g[k, j, b] is
+
+def _chain_rule(chart: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:
+    """d<H>/dθ = 2 Re <∂_j psi|H|psi> (..., N, 3) from the chart and
+    g = 2 d<psi|H|psi>/d conj(f) (..., N, 2), the gradient by the real and
+    imaginary parts of the edge factors f: a magnitude entry is Re(conj(slope) g)
+    summed over its node's two edges, the omega and phi entries Im(conj(edge) g)
+    of the 0- and 1-edge.  Written into `out` (`_chain_buffers`) if given."""
+    terms, grad, slope0, slope1, magnitude, edge, phases = out or _chain_buffers(chart.shape)
+    np.conjugate(chart, out=terms)
+    terms *= g
+    np.add(slope0, slope1, out=magnitude)
+    phases[...] = edge  # Re(conj(i edge) g): d edge / d phase = i edge
+    return grad
+
+
+def _chain_buffers(shape: tuple) -> tuple:
+    """`_chain_rule`'s products and gradient for a chart of `shape`, and views."""
+    terms, grad = np.empty(shape, dtype=np.complex128), np.empty(shape[1:-1] + (3,))
+    return (terms, grad, terms[1, ..., 0].real, terms[1, ..., 1].real, grad[..., 0],
+            terms[0].imag, grad[..., 1:])
+
+
+def _dense(topo: _LevelTables, h, theta: np.ndarray, mode: str, chart=None):
+    """(<psi|psi>, <psi|H|psi>, d<H>/dθ) for each θ of a stack (S, N, 3),
+    one state vector at a time: one forward sweep, one H|psi> and one
+    backward sweep per θ, all arrays fresh.  `chart`: as `_Contraction`'s.
+
+    g[k, j, b] is 2 d<psi|H|psi>/d conj(edge[k, j, b]), by node j's b-edge
+    for θ k.  Forward gives the prefix amplitude F[p] in front of each node
+    and the edges the prefixes take; backward propagates suffix sums B
+    against 2 H|psi>, so that g[k, j, b] is
     sum_{p at j} conj(F[p]) * B[2p + b], a scatter onto the taken edges.
+    The gradient is `_chain_rule`'s of g, as for `_Contraction`.
     """
     from .hamiltonian import apply_to_vector
 
-    norm2 = np.empty(edge.shape[0])
-    value = np.empty(edge.shape[0], dtype=np.complex128)
+    chart = _chart(theta, mode) if chart is None else chart
+    edge = chart[0]
+    norm2, value = np.empty(len(edge)), np.empty(len(edge), dtype=np.complex128)
     g = np.zeros(edge.shape, dtype=np.complex128)
     for k in range(edge.shape[0]):
         amps, taken = _forward(topo, edge[k])
@@ -476,19 +519,19 @@ def _dense(topo: _LevelTables, h, edge: np.ndarray):
         norm2[k] = np.vdot(amps[-1], amps[-1]).real
         value[k] = np.vdot(amps[-1], hv)
         factor, gk = edge[k].ravel(), g[k].reshape(-1)
-        back = hv
+        back = 2.0 * hv
         for level in range(topo.num_qubits, 0, -1):
             edges = taken[level - 1]
             np.add.at(gk, edges, np.repeat(np.conj(amps[level - 1]), 2) * back)
             if level > 1:
                 step = np.conj(factor[edges]) * back
                 back = step[0::2] + step[1::2]
-    return norm2, value, g
+    return norm2, value, _chain_rule(chart, g)
 
 
 class _Basis:
     """The entries of one topology and operator that the transfer matrices
-    of `_contracted` are built from.  Each is a nonzero entry
+    of `_Contraction` are built from.  Each is a nonzero entry
     W[l, a, a', s, s'] of the operator chain (`h._mpo`) taken at a pair of
     occupied slots (i, j) of level l: it links the edges (i, s) and (j, s')
     of level l to the entry (row, col) = ((i, j, a), (i', j', a')) of the
@@ -525,52 +568,15 @@ class _Basis:
 
         order = np.argsort(edge_i, kind="stable")
         self.g_starts = np.flatnonzero(np.diff(edge_i[order], prepend=-1))
-        self.g_j, self.g_value = edge_j[order], value[order]
+        self.g_j, self.g_value = edge_j[order], 2.0 * value[order]  # g of `_chain_rule`
         self.g_left = (level * size + row)[order]
         self.g_right = ((level + 1) * size + col)[order]
 
 
 class _Contraction:
-    """Everything of `_contracted` that depends on the topology, the operator
-    and the stack size S alone, compiled once (`_LevelTables.compiled`),
-    so that a call runs only θ-dependent work: the operator's `_Basis`,
-    compiled once for every stack size, the buffers of the stack's transfer
-    matrices (S, n, W^2 D, W^2 D) and environments (S, n + 1, ...), and
-    per-level views of them.  The places of T that no entry reaches stay 0,
-    and L[0] and R[n] keep their boundary vectors (R[0] is never read).  The
-    sweeps are one product per level: the `dot` of 1-D and 2-D views for
-    S = 1, `np.matmul` on the (S, ...) stacks otherwise.
-    """
-
-    def __init__(self, topo: _LevelTables, h, count: int):
-        n, d = topo.num_qubits, h._mpo.shape[1]
-        size = topo.width**2 * d
-        self.basis = topo.compiled(h, _Basis)
-        self.transfer = np.zeros((count, n, size, size), dtype=np.complex128)
-        self.left = np.zeros((count, n + 1, 1, size), dtype=np.complex128)
-        self.left[:, 0, 0, 0] = 1.0
-        self.closed = self.left[:, n, 0, :d]  # (0, 0, a): <psi|psi> at a = 0, <psi|H|psi> at D-1
-        self.right = np.zeros((count, n + 1, size, 1), dtype=np.complex128)
-        self.right[:, n, d - 1, 0] = 1.0
-        # flat views, one row per θ, for the gathers and the scatter
-        self.transfer_rows = self.transfer.reshape(count, -1)
-        self.left_rows = self.left.reshape(count, -1)
-        self.right_rows = self.right.reshape(count, -1)
-        if count == 1:  # vector-matrix products on 1-D and 2-D views
-            self.left_steps = [(self.left[0, l, 0].dot, self.transfer[0, l], self.left[0, l + 1, 0])
-                               for l in range(n)]
-            self.right_steps = [(self.transfer[0, l].dot, self.right[0, l + 1, :, 0],
-                                 self.right[0, l, :, 0]) for l in range(n - 1, 0, -1)]
-        else:
-            self.left_steps = [(partial(np.matmul, self.left[:, l]), self.transfer[:, l],
-                                self.left[:, l + 1]) for l in range(n)]
-            self.right_steps = [(partial(np.matmul, self.transfer[:, l]), self.right[:, l + 1],
-                                 self.right[:, l]) for l in range(n - 1, 0, -1)]
-
-
-def _contracted(topo: _LevelTables, h, edge: np.ndarray, gradient: bool = True):
-    """(<psi|psi>, <psi|H|psi>, g) as _dense, for the whole stack of edge
-    tables (S, N, 2) at once, by contraction over the levels: no 2^n vector.
+    """What `_dense` returns, at a stack of S θ (S, N, 3), by contraction over
+    the levels with no 2^n vector; compiled once per topology, operator and
+    S (`_LevelTables.compiled`).
 
     The diagram is a matrix product state: f[l, k, i, s] is the s-edge factor
     of the level-l node in slot i (see _LevelTables) for θ k, and H is
@@ -588,103 +594,130 @@ def _contracted(topo: _LevelTables, h, edge: np.ndarray, gradient: bool = True):
     D-1; a right sweep R[l] = T[l] R[l+1] from (0, 0, D-1) down to R[1]
     closes the chain, and for every edge at once
 
-        d<H>/d conj(f[l, k, i, s])
-            = sum L[l, k, (i, j, a)] W[l, a, a', s, s'] R[l+1, k, (i', j', a')] f[l, k, j, s'],
+        g[l, k, i, s] = 2 d<H>/d conj(f[l, k, i, s])
+            = sum 2 W[l, a, a', s, s'] L[l, k, (i, j, a)] R[l+1, k, (i', j', a')] f[l, k, j, s'],
 
     summed over j, s', a and a': again one product per entry of `_Basis`,
-    summed per edge.  The entries, buffers and views
-    (`topo.compiled(h, _Contraction, S)`) are compiled once per topology,
-    operator and stack size; the arrays returned are fresh.
+    summed per edge, and `_chain_rule` turns g into d<H>/dθ.  The
+    global phase cancels.  Cost O(n S (W^2 D)^2) for the sweeps, the engine
+    of narrow diagrams (`_contracts`).
 
-    The global phase cancels.  Cost O(n S (W^2 D)^2) for the sweeps, the
-    engine of narrow diagrams (`_contracts`).
+    Compiled with the operator's `_Basis`: a buffer for each stage of a call,
+    from the chart through T (S, n, W^2 D, W^2 D) and the environments
+    (S, n + 1, ...) to d<H>/dθ, with the views the stages use, so a call
+    allocates nothing.  Places of T that no entry reaches stay 0, and L[0] and
+    R[n] keep their boundary vectors.  The sweeps are one product per level:
+    the `dot` of 1-D and 2-D views for S = 1, else `np.matmul` on the stacks.
     """
-    work = topo.compiled(h, _Contraction, edge.shape[0])
-    basis, edges = work.basis, edge.reshape(edge.shape[0], -1)
-    values = edges.take(basis.t_i, axis=1)
-    np.conjugate(values, out=values)
-    values *= edges.take(basis.t_j, axis=1)
-    values *= basis.t_value
-    work.transfer_rows[:, basis.t_place] = np.add.reduceat(values, basis.t_starts, axis=1)
-    for product, operand, out in work.left_steps:  # L[l] T[l] into L[l + 1]
-        product(operand, out=out)
-    closed = work.closed.copy()
-    norm2, value = closed[:, 0].real, closed[:, -1]
-    if not gradient:
-        return norm2, value, None
 
-    for product, operand, out in work.right_steps:  # T[l] R[l + 1] into R[l]
-        product(operand, out=out)
-    values = edges.take(basis.g_j, axis=1)
-    values *= basis.g_value
-    values *= work.left_rows.take(basis.g_left, axis=1)
-    values *= work.right_rows.take(basis.g_right, axis=1)
-    return norm2, value, np.add.reduceat(values, basis.g_starts, axis=1).reshape(edge.shape)
+    def __init__(self, topo: _LevelTables, h, count: int):
+        n, d = topo.num_qubits, h._mpo.shape[1]
+        size = topo.width**2 * d
+        basis = self.basis = topo.compiled(h, _Basis)
+        self.chart = _chart_buffers((count, len(topo.node_ids), 3))
+        self.edges = self.chart[0][0].reshape(count, -1)  # one row of edge factors per θ
+        self.transfer = np.zeros((count, n, size, size), dtype=np.complex128)
+        self.left = np.zeros((count, n + 1, 1, size), dtype=np.complex128)
+        self.right = np.zeros((count, n + 1, size, 1), dtype=np.complex128)
+        self.left[:, 0, 0, 0] = self.right[:, n, d - 1, 0] = 1.0
+        self.norm2, self.value = self.left[:, n, 0, 0].real, self.left[:, n, 0, d - 1]
+        # flat views and indices, one row per θ, for the gathers and the scatter
+        self.transfer_flat = self.transfer.reshape(-1)
+        self.left_rows, self.right_rows = self.left.reshape(count, -1), self.right.reshape(count, -1)
+        self.t_places = basis.t_place + n * size * size * np.arange(count)[:, None]
+        self.t_sums = np.empty((count, basis.t_starts.size), dtype=np.complex128)
+        scratch = np.empty((2, count * max(basis.t_value.size, basis.g_j.size)), dtype=complex)
+        self.t_terms = tuple(scratch[:, :count * basis.t_value.size].reshape(2, count, -1))
+        self.g_terms = tuple(scratch[:, :count * basis.g_j.size].reshape(2, count, -1))
+        self.g = np.empty_like(self.chart[2])
+        self.g_rows, self.chain = self.g.reshape(count, -1), _chain_buffers(self.chart[0].shape)
+        if count == 1:  # vector-matrix products on 1-D and 2-D views
+            self.left_steps = [(self.left[0, l, 0].dot, self.transfer[0, l], self.left[0, l + 1, 0])
+                               for l in range(n)]
+            self.right_steps = [(self.transfer[0, l].dot, self.right[0, l + 1, :, 0],
+                                 self.right[0, l, :, 0]) for l in range(n - 1, 0, -1)]
+        else:
+            self.left_steps = [(partial(np.matmul, self.left[:, l]), self.transfer[:, l],
+                                self.left[:, l + 1]) for l in range(n)]
+            self.right_steps = [(partial(np.matmul, self.transfer[:, l]), self.right[:, l + 1],
+                                 self.right[:, l]) for l in range(n - 1, 0, -1)]
+
+    def __call__(self, theta: np.ndarray, mode: str, chart=None):
+        """(<psi|psi>, <psi|H|psi>, d<H>/dθ), shapes (S,), (S,) and (S, N, 3), at
+        a stack of S θ: views of buffers that the next call overwrites.  The chart
+        is made in place, or copied from `chart` (a caller's table at θ)."""
+        basis, edges = self.basis, self.edges
+        if chart is None:
+            _chart(theta, mode, self.chart)
+        else:
+            self.chart[0][...] = chart
+        terms, other = self.t_terms  # conj(f_i) f_j W, then f_j
+        edges.take(basis.t_i, axis=1, out=terms, mode="clip")  # clip: `out` unbuffered
+        edges.take(basis.t_j, axis=1, out=other, mode="clip")
+        np.conjugate(terms, out=terms)
+        terms *= other
+        terms *= basis.t_value
+        np.add.reduceat(terms, basis.t_starts, axis=1, out=self.t_sums)
+        self.transfer_flat[self.t_places] = self.t_sums
+        for product, operand, out in self.left_steps:  # L[l] T[l] into L[l + 1]
+            product(operand, out=out)
+        for product, operand, out in self.right_steps:  # T[l] R[l + 1] into R[l]
+            product(operand, out=out)
+        terms, other = self.g_terms  # f_j W L R, then L and R
+        edges.take(basis.g_j, axis=1, out=terms, mode="clip")
+        terms *= basis.g_value
+        self.left_rows.take(basis.g_left, axis=1, out=other, mode="clip")
+        terms *= other
+        self.right_rows.take(basis.g_right, axis=1, out=other, mode="clip")
+        terms *= other
+        np.add.reduceat(terms, basis.g_starts, axis=1, out=self.g_rows)
+        return self.norm2, self.value, _chain_rule(self.chart[0], self.g, self.chain)
+
+
+def _evaluator(topo: _LevelTables, h, count: int):
+    """(evaluate, step): the engine `_contracts` picks for `count` θ, called as
+    evaluate(stack of `step` θ, mode) -> (<psi|psi>, <psi|H|psi>, d<H>/dθ): the
+    `_Contraction` of about _TRANSFER_BYTES of T, or `_dense` of all θ."""
+    if not _contracts(topo, h):
+        return partial(_dense, topo, h), count
+    size = topo.width**2 * h._mpo.shape[1]
+    chunks = -(-count * topo.num_qubits * size * size * 16 // _TRANSFER_BYTES)
+    step = -(-count // chunks)
+    return topo.compiled(h, _Contraction, step), step
 
 
 def energy_and_grad(topo: _LevelTables, h, theta: np.ndarray, mode: str):
     """(<H>, d<H>/dθ of shape (N, 3)) at θ of shape (N, 3); at a stack of θ,
-    shape (S, N, 3), the energies (S,) and gradients (S, N, 3) of each.
+    shape (S, N, 3), the energies (S,) and gradients (S, N, 3) of each, in
+    fresh arrays.
 
-    The engine is `_contracted` when the cost estimate `_contracts` favours
-    it and `_dense` otherwise; both give the derivatives g of <psi|H|psi>
-    with respect to the conjugated edge factors, in the (..., N, 2) layout
-    of `_chart`'s tables, and the entries are 2 Re <∂_j psi|H|psi> by the
-    chain rule: the magnitude entry sums 2 Re(conj(slope) g) over a node's
-    two edges, and the omega and phi entries are 2 Im(conj(edge) g) of its
-    0- and 1-edge (d edge / d phase = i edge), both from one product of g
-    with the conjugated chart.  A stack is contracted in consecutive chunks
-    of about _TRANSFER_BYTES of transfer matrices, all of one size but the
-    last, which takes the rest; each chunk size is compiled once
-    (`_LevelTables.compiled`).  The engine choice and the chunk sizes are
-    integer tests, made per call.  Errors and warnings about a θ of a stack
-    name its index.  In raw mode an r outside [0, 1], NaN included, is
-    rejected before the chart runs, naming its node and value.
+    The engine is `_Contraction` when the cost estimate `_contracts` favours
+    it and `_dense` otherwise (`_evaluator`, per call here and once per run in
+    `train`).  A stack is contracted in chunks of one size, compiled once
+    (`_LevelTables.compiled`), the last padded to it with θ of the first.
+    Errors and warnings about a θ of a stack name its index.  In raw mode an
+    r outside [0, 1], NaN included, is rejected before the chart runs,
+    naming its node and value (`_check_raw`).
     """
     stacked = theta.ndim == 3
     stack = theta if stacked else theta[None]
     count = stack.shape[0]
-    where = "stack entry {}: " if stacked else ""
     if mode == "raw":
-        r = stack[..., 0]
-        outside = np.argwhere(~((r >= 0.0) & (r <= 1.0)))  # NaN too
-        if outside.size:
-            k, j = outside[0]
-            raise ValueError(where.format(k)
-                             + f"r{topo.node_ids[j]} = {float(r[k, j])!r} lies outside [0, 1]")
-        singular = np.argwhere((r == 0.0) | (r == 1.0))
-        if singular.size:
-            warnings.warn(
-                "raw-mode magnitude gradient is singular at r in {0, 1} for: "
-                + ", ".join(f"r{topo.node_ids[j]}" + (f" of stack entry {k}" if stacked else "")
-                            for k, j in singular),
-                SingularGradientWarning,
-                stacklevel=3,
-            )
-    chart = _chart(stack, mode)
-    edge = chart[0]
-    if _contracts(topo, h):
-        size = topo.width**2 * h._mpo.shape[1]
-        chunks = -(-count * topo.num_qubits * size * size * 16 // _TRANSFER_BYTES)
-        step = -(-count // chunks)
-        parts = [_contracted(topo, h, edge[k:k + step]) for k in range(0, count, step)]
-        norm2, value, g = parts[0] if chunks == 1 else map(np.concatenate, zip(*parts))
-    else:
-        norm2, value, g = _dense(topo, h, edge)
+        _check_raw(topo, stack, stacked, stacklevel=3)
+    evaluate, step = _evaluator(topo, h, count)
+    stack = np.concatenate((stack, stack[:-count % step]))  # padded to whole chunks
+    chart = _chart(stack, mode)  # at once for every chunk
+    norm2, value, grad = np.empty(len(stack)), np.empty(len(stack), complex), np.empty(stack.shape)
+    for start in range(0, len(stack), step):
+        chunk = slice(start, start + step)
+        norm2[chunk], value[chunk], grad[chunk] = evaluate(stack[chunk], mode, chart[:, chunk])
     energy = np.empty(count)
-    for k, (norm2_k, value_k) in enumerate(zip(norm2.tolist(), value.tolist())):
+    for k, (norm2_k, value_k) in enumerate(zip(norm2[:count].tolist(), value[:count].tolist())):
         try:
             energy[k] = _checked_energy(norm2_k, value_k)
         except ValueError as exc:
-            raise ValueError(where.format(k) + str(exc)) from None
-
-    terms = np.conj(chart)  # conj(edge) g and conj(slope) g, one multiply for both
-    terms *= g
-    grad = np.empty(stack.shape, dtype=np.float64)
-    np.add(terms[1, ..., 0].real, terms[1, ..., 1].real, out=grad[..., 0])
-    grad[..., 1:] = terms[0].imag  # Re(conj(i edge) g)
-    grad *= 2.0
-    return (energy, grad) if stacked else (float(energy[0]), grad[0])
+            raise ValueError(("stack entry {}: " if stacked else "").format(k) + str(exc)) from None
+    return (energy, grad[:count]) if stacked else (float(energy[0]), grad[0])
 
 
 def exact_gradient(g: VddGraph, h, mode: str = "raw") -> GradientVector:

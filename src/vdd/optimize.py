@@ -39,11 +39,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ansatz import ANSATZ_KINDS, InitScheme, build_ansatz, init_params
-from .exact import _CLAMP, PARAM_MODES, GradientVector, _chart, _check_mode, _flatten
-from .exact import _LevelTables, _materialize, energy_and_grad, parameter_labels
+from .exact import _CLAMP, PARAM_MODES, GradientVector, _chart, _check_mode, _check_raw
+from .exact import _evaluator, _flatten, _LevelTables, _materialize, parameter_labels
 from .graph import VddGraph
 from .hamiltonian import (
     ModelSpec,
+    _checked_energy,
     build_model,
     ground_energy,
     tfim_ground_energy,
@@ -399,7 +400,8 @@ def train(config: TrainConfig) -> TrainTrace:
     """Run the configured descent and return the per-epoch trace.
 
     Initializes uniformly at `seed` (unless an explicit init scheme is
-    given) and compiles the diagram once; then per epoch: evaluate loss +
+    given) and compiles the diagram, and the engine of an exact energy
+    gradient (`exact._evaluator`), once; then per epoch: evaluate loss +
     gradient at θ, step θ.  The trained graph is materialized at the end.
     """
     from .vmc import VmcBatch, _batch_gradient, _draw
@@ -411,12 +413,15 @@ def train(config: TrainConfig) -> TrainTrace:
     labels = parameter_labels(g)
     mode = config.param_mode
     theta = _flatten(g, mode).ravel()
+    node_params = theta.reshape(-1, 3)  # a view: one (r | u, omega, phi) row per node
 
     h = e0 = None
     energy_driven = config.loss in ("energy_gap", "energy")
     if energy_driven:
         h = build_model(config.model)
         e0 = _resolve_e0(config, h)
+        if config.gradient_source == "exact":
+            evaluate, _ = _evaluator(topo, h, 1)  # the engine, chosen once per run
     else:
         bits, targets = _dataset_arrays(config.dataset, want_labels=config.loss == "bce")
 
@@ -430,11 +435,13 @@ def train(config: TrainConfig) -> TrainTrace:
     records: list[TraceRecord] = []
     for epoch in range(1, config.epochs + 1):
         start = time.perf_counter()
-        node_params = theta.reshape(-1, 3)  # a view: one (r | u, omega, phi) row per node
         stderr = None
         if energy_driven:
-            if config.gradient_source == "exact":
-                energy, grad = energy_and_grad(topo, h, node_params, mode)
+            if config.gradient_source == "exact":  # energy_and_grad at one θ
+                if mode == "raw":
+                    _check_raw(topo, node_params[None], False, stacklevel=2)
+                norm2, value, grad = evaluate(node_params[None], mode)
+                energy = _checked_energy(norm2.item(), value.item())
             else:
                 _draw(batch, h, node_params, mode, sample_rng)
                 energy, stderr = batch.energy_mean, batch.energy_stderr

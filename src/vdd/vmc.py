@@ -190,7 +190,7 @@ def _sample(batch: VmcBatch, rng) -> None:
     At a level with a lone node (`_LevelTables.lone`, level 1's root among
     them) every sample is on it, so its p_zero is read as one scalar.  Every
     index is in range; the kernels gather with mode="clip" because
-    `np.take` buffers `out` in its default mode.
+    `take` buffers `out` in its default mode.
     """
     topo = batch.topo
     n, lone = topo.num_qubits, topo.lone.tolist()
@@ -200,7 +200,7 @@ def _sample(batch: VmcBatch, rng) -> None:
     for level in range(n):
         row = lone[level]
         if row < 0:
-            np.take(p_zero, node, out=batch.p_zero, mode="clip")
+            p_zero.take(node, out=batch.p_zero, mode="clip")
             np.greater_equal(batch.uniform[level], batch.p_zero, out=bits[level])
             np.multiply(node, 2, out=edge[level])
             edge[level] += bits[level]
@@ -208,7 +208,7 @@ def _sample(batch: VmcBatch, rng) -> None:
             np.greater_equal(batch.uniform[level], p_zero[row], out=bits[level])
             np.add(bits[level], 2 * row, out=edge[level], dtype=np.int64)
         if level + 1 < n and lone[level + 1] < 0:
-            np.take(topo.child, edge[level], out=node, mode="clip")
+            topo.child.take(edge[level], out=node, mode="clip")
 
 
 def sample(g: VddGraph, count: int, seed: int = 0, rng=None) -> np.ndarray:
@@ -219,7 +219,7 @@ def sample(g: VddGraph, count: int, seed: int = 0, rng=None) -> np.ndarray:
     """
     batch = VmcBatch(_LevelTables(g), count)
     batch.edges = _chart(_flatten(g, "raw"), "raw")
-    _sample(batch, np.random.default_rng(seed) if rng is None else rng)
+    _sample(batch, np.random.default_rng(_check_count("seed", seed, 0)) if rng is None else rng)
     return batch.samples.copy()  # a view would keep the whole batch alive
 
 
@@ -426,7 +426,7 @@ def _batch_local_values(batch: VmcBatch, h: PauliHamiltonian) -> np.ndarray:
             first, end, _, _, base, key_terms = segment
             at = key
             if key_terms is None:  # b's slot at level first, then its bits
-                np.take(segments.first_key, edge[first], out=key, mode="clip")
+                segments.first_key.take(edge[first], out=key, mode="clip")
                 for level in range(first + 1, end):
                     np.left_shift(key, 1, out=key)
                     key += bits[level]
@@ -439,7 +439,7 @@ def _batch_local_values(batch: VmcBatch, h: PauliHamiltonian) -> np.ndarray:
                     np.multiply(edge[level], stride, out=flipped_edge)
                     key += flipped_edge
                 key += edge[last]
-            np.take(table[base:], at, out=ratio, mode="clip")
+            table[base:].take(at, out=ratio, mode="clip")
             local += ratio
             continue
         if flip.size == 0:
@@ -453,19 +453,19 @@ def _batch_local_values(batch: VmcBatch, h: PauliHamiltonian) -> np.ndarray:
         first = int(flip[0])
         # b ^ flip's path sits on b's node at the first flipped level
         np.bitwise_xor(edge[first], 1, out=flipped_edge)
-        np.take(factor, flipped_edge, out=ratio, mode="clip")
-        np.take(inverse, edge[first], out=step, mode="clip")
+        factor.take(flipped_edge, out=ratio, mode="clip")
+        inverse.take(edge[first], out=step, mode="clip")
         ratio *= step
         flipped = set(flip.tolist())
         for level in range(first + 1, topo.rejoin[flip[-1] + 1]):
-            np.take(topo.child, flipped_edge, out=node, mode="clip")
+            topo.child.take(flipped_edge, out=node, mode="clip")
             np.multiply(node, 2, out=flipped_edge)
             flipped_edge += bits[level]
             if level in flipped:
                 np.bitwise_xor(flipped_edge, 1, out=flipped_edge)
-            np.take(factor, flipped_edge, out=step, mode="clip")
+            factor.take(flipped_edge, out=step, mode="clip")
             ratio *= step
-            np.take(inverse, edge[level], out=step, mode="clip")
+            inverse.take(edge[level], out=step, mode="clip")
             ratio *= step
         ratio *= elements
         local += ratio
@@ -597,7 +597,7 @@ def sample_batch(
     """Draw a batch and evaluate its local values and energy statistics."""
     _check_mode(mode)
     _check_graph_and_operator(g, h)
-    rng = np.random.default_rng(seed) if rng is None else rng
+    rng = np.random.default_rng(_check_count("seed", seed, 0)) if rng is None else rng
     return _draw(VmcBatch(_LevelTables(g), count), h, _flatten(g, mode), mode, rng)
 
 
@@ -608,7 +608,7 @@ def _draw(batch: VmcBatch, h: PauliHamiltonian, theta: np.ndarray, mode: str,
     batch.mode, batch.edges = mode, _chart(theta, mode)
     _sample(batch, rng)
     if batch.merge_edge is not batch.edge:
-        np.take(batch.edge, batch.topo.merge_levels, axis=0, out=batch.merge_edge, mode="clip")
+        batch.edge.take(batch.topo.merge_levels, axis=0, out=batch.merge_edge, mode="clip")
     batch.energy_mean, batch.energy_stderr = _energy_stats(_batch_local_values(batch, h))
     return batch
 

@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from vdd.ansatz import InitScheme, build_accordion, build_ansatz, init_params

@@ -174,6 +174,19 @@ def test_sample_with_model_fills_local_values(tmp_path, capsys):
         float(cells[2]), float(cells[3])
 
 
+@pytest.mark.parametrize("model", [(), ("--model", "tfim", "--g", "1.0")],
+                         ids=["bits", "local-values"])
+def test_sample_refuses_a_negative_seed(tmp_path, capsys, model):
+    # the seed once reached numpy's default_rng unchecked: exit 1
+    src = tmp_path / "g.json"
+    src.write_text(worked_example_doc())
+    out_dir = tmp_path / "s"
+    code, _, err = invoke(capsys, "sample", "--vdd", str(src), "--count", "4", "--seed", "-1",
+                          *model, "--output-dir", str(out_dir))
+    assert code == 2 and "seed must be an integer >= 0, got -1" in err
+    assert not left_behind(out_dir)
+
+
 def test_train_writes_trace_and_final_graph(tmp_path, capsys):
     out_dir = tmp_path / "t"
     code, out, _ = invoke(

@@ -236,11 +236,11 @@ def test_stack_errors_name_the_failing_entry(contract, monkeypatch):
     chart = exact._chart
 
     def off_norm(eps):
-        def scaled(theta, mode):
-            edge, slope = chart(theta, mode)
+        def scaled(theta, mode, out=None):
+            table = chart(theta, mode, out)
             marked = theta[:, topo.root, 1] == 0.5
-            edge[marked, topo.root] *= 1.0 + eps
-            return edge, slope
+            table[0, marked, topo.root] *= 1.0 + eps
+            return table
         return scaled
 
     monkeypatch.setattr(exact, "_contracts", lambda topo, h: contract)
@@ -259,19 +259,20 @@ def test_stack_residue_errors_name_the_failing_entry(contract, monkeypatch):
     topo = _LevelTables(g)
     h = build_model(ModelSpec("heisenberg", 4))
     stack = np.stack([_flatten(g, "trig")] * 4)
-    engine = exact._contracted if contract else exact._dense
+    owner, name = (exact._Contraction, "__call__") if contract else (exact, "_dense")
+    engine = getattr(owner, name)
 
     def skewed(imag):  # i * imag added to <psi|H|psi> of the third θ of one call
-        def run(topo, h, edge):
-            norm2, value, g = engine(topo, h, edge)
-            return norm2, value + 1j * imag * (np.arange(len(value)) == 2), g
+        def run(*args):
+            norm2, value, grad = engine(*args)
+            return norm2, value + 1j * imag * (np.arange(len(value)) == 2), grad
         return run
 
     monkeypatch.setattr(exact, "_contracts", lambda topo, h: contract)
-    monkeypatch.setattr(exact, "_contracted" if contract else "_dense", skewed(2e-10))
+    monkeypatch.setattr(owner, name, skewed(2e-10))
     with pytest.raises(ValueError, match=r"^stack entry 2: expectation has a non-real residue"):
         energy_and_grad(topo, h, stack, "trig")
-    monkeypatch.setattr(exact, "_contracted" if contract else "_dense", skewed(5e-11))
+    monkeypatch.setattr(owner, name, skewed(5e-11))
     energies, _ = energy_and_grad(topo, h, stack, "trig")
     assert energies.shape == (4,)
 
@@ -353,8 +354,9 @@ def test_contraction_buffers_are_compiled_once_per_operator_and_stack_size(monke
     assert compiled == [(6, 1)] and bases == [6]  # once per run, not per epoch
     variance_scan(VarianceScanConfig(model="heisenberg", n_values=(6, 8), tracked_params=("r1",),
                                      num_seeds=40))
-    scan = compiled[1:]  # per n, each chunk size once (40 θ at n = 8 come in chunks of 14 and 12)
+    scan = compiled[1:]  # per n, one chunk size (40 θ at n = 8 come as 14, 14 and 12 padded to 14)
     assert len(set(scan)) == len(scan) and {n for n, _ in scan} == {6, 8} and bases == [6, 6, 8]
+    assert scan == [(6, 20), (8, 14)]  # one size per n
     g = random_graph("accordion", 6, 4)
     topo = _LevelTables(g)
     theta = _flatten(g, "trig")
@@ -368,21 +370,23 @@ def test_contraction_buffers_are_compiled_once_per_operator_and_stack_size(monke
 
 
 @pytest.mark.parametrize("count", [1, 3])
-def test_results_do_not_alias_the_compiled_buffers(count):
+def test_results_do_not_alias_the_compiled_buffers(count, monkeypatch):
+    # the contraction writes every call into buffers compiled once, and
+    # energy_and_grad copies its results out, so a later call leaves them be
     g = random_graph("accordion", 7, 2)
     topo = _LevelTables(g)
     h = build_model(ModelSpec("heisenberg", 7, boundary="periodic"))
     assert _contracts(topo, h)
     stack = np.stack([_flatten(g, "trig") + 0.1 * k for k in range(count)])
-    first = energy_and_grad(topo, h, stack, "trig")
-    kept = tuple(np.copy(part) for part in first)
-    edge = exact._chart(stack, "trig")[0]
-    parts = exact._contracted(topo, h, edge)
-    kept_parts = tuple(part.copy() for part in parts)
-    energy_and_grad(topo, h, stack + 0.3, "trig")
-    exact._contracted(topo, h, edge + 0.5)
-    for before, after in zip(kept + kept_parts, first + parts):
-        assert np.array_equal(before, after)
+    for chunk_bytes in (exact._TRANSFER_BYTES, 1):  # the whole stack, then one θ per chunk
+        monkeypatch.setattr(exact, "_TRANSFER_BYTES", chunk_bytes)
+        first = (energy_and_grad(topo, h, stack, "trig")
+                 + energy_and_grad(topo, h, stack[-1], "trig"))
+        kept = tuple(np.copy(part) for part in first)
+        energy_and_grad(topo, h, stack + 0.3, "trig")
+        energy_and_grad(topo, h, stack[-1] + 0.5, "trig")
+        for before, after in zip(kept, first):
+            assert np.array_equal(before, after)
 
 
 @pytest.mark.parametrize("kind", ["accordion", "product"])

@@ -1,11 +1,14 @@
-"""Every name a `vdd` module imports is used in it or exported by it."""
+"""Every name a `vdd` module or a test module imports is used in it or
+exported by it."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "vdd").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "vdd").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,7 +31,7 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 

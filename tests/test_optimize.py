@@ -105,17 +105,21 @@ def test_sgd_step_literal_update():
 def test_train_names_a_non_finite_gradient_entry(bad, optimizer, monkeypatch):
     import vdd.optimize as optimize
 
-    exact_energy_and_grad = optimize.energy_and_grad
+    exact_evaluator = optimize._evaluator
     calls = []
 
-    def faulty(topo, h, theta, mode):
-        energy, grad = exact_energy_and_grad(topo, h, theta, mode)
-        calls.append(mode)
-        if len(calls) == 3:
-            grad[1, 1] = bad  # omega of the second node, node 2
-        return energy, grad
+    def faulty_evaluator(topo, h, count):
+        evaluate, step = exact_evaluator(topo, h, count)
 
-    monkeypatch.setattr(optimize, "energy_and_grad", faulty)
+        def faulty(theta, mode):
+            norm2, value, grad = evaluate(theta, mode)
+            calls.append(mode)
+            if len(calls) == 3:
+                grad[0, 1, 1] = bad  # omega of the second node, node 2
+            return norm2, value, grad
+        return faulty, step
+
+    monkeypatch.setattr(optimize, "_evaluator", faulty_evaluator)
     cfg = TrainConfig(model=ModelSpec("tfim", 3, g=1.0), optimizer=optimizer, epochs=5, seed=0)
     with pytest.raises(TrainingError, match=r"at epoch 3 for: \['omega2'\]"):
         train(cfg)
@@ -490,6 +494,63 @@ def test_training_steps_like_an_explicit_adam_step_loop():
         energies.append(energy)
         theta, state = adam_step(theta, grad.ravel(), state, opt.lr, opt.beta1, opt.beta2, opt.eps)
     assert [rec.energy for rec in trace.records] == energies
+
+
+@pytest.mark.parametrize("optimizer", [AdamConfig(lr=0.02), SgdConfig(lr=0.02)], ids=["adam", "sgd"])
+@pytest.mark.parametrize("mode", ["trig", "raw"])
+@pytest.mark.parametrize("kind,n", [("accordion", 6), ("universal", 4)], ids=["contraction", "dense"])
+def test_exact_training_is_a_loop_over_energy_and_grad(kind, n, mode, optimizer):
+    # train evaluates θ with the engine it compiled for the run; its trace and
+    # graph must be bit-identical to a loop over the public energy_and_grad
+    from vdd.exact import _CLAMP, _contracts, _flatten, _LevelTables, _materialize, energy_and_grad
+
+    spec, e0 = ModelSpec("heisenberg", n), -2.0 * n
+    h = build_model(spec)
+    trace = train(TrainConfig(ansatz=kind, model=spec, optimizer=optimizer, epochs=30, seed=4,
+                              param_mode=mode, e0=e0))
+    g = random_graph(kind, n, 4)
+    topo = _LevelTables(g)
+    assert _contracts(topo, h) == (kind == "accordion")
+    theta = _flatten(g, mode).ravel()
+    state = AdamState.zeros(theta.size)
+    for rec in trace.records:
+        energy, grad = energy_and_grad(topo, h, theta.reshape(-1, 3), mode)
+        grad = grad.ravel()
+        assert (rec.energy, rec.loss, rec.grad_norm) == (energy, energy - e0, math.sqrt(grad @ grad))
+        if isinstance(optimizer, AdamConfig):
+            theta, state = adam_step(theta, grad, state, optimizer.lr, optimizer.beta1,
+                                     optimizer.beta2, optimizer.eps)
+        else:
+            theta = sgd_step(theta, grad, optimizer.lr)
+        if mode == "raw":
+            theta[0::3] = np.clip(theta[0::3], _CLAMP, 1.0 - _CLAMP)
+    assert trace.graph == _materialize(g, theta, mode)
+
+
+def test_raw_training_from_a_basis_state_warns_on_its_first_epoch():
+    # a basis init puts every r on {0, 1}, where the raw chart's d/dr is
+    # singular; the first epoch's gradient is taken there
+    from vdd.exact import SingularGradientWarning
+
+    cfg = TrainConfig(model=ModelSpec("tfim", 3, g=1.0), epochs=1, param_mode="raw",
+                      init=InitScheme("basis", bits=(0, 1, 1)))
+    with pytest.warns(SingularGradientWarning, match=r"for: r1, r2, r3"):
+        train(cfg)
+
+
+def test_training_picks_its_exact_engine_once(monkeypatch):
+    import vdd.exact as exact
+
+    picks = []
+    contracts = exact._contracts
+
+    def counted(topo, h):
+        picks.append(topo.num_qubits)
+        return contracts(topo, h)
+
+    monkeypatch.setattr(exact, "_contracts", counted)
+    train(TrainConfig(model=ModelSpec("heisenberg", 6), epochs=20, seed=0))
+    assert picks == [6]
 
 
 def test_trained_graph_carries_the_final_parameters():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import vdd.exact as exact
 import vdd.vmc as vmc
 from vdd.ansatz import ANSATZ_KINDS, InitScheme, build_ansatz, build_automaton, init_params
-from vdd.exact import _LevelTables, _chart, _contracted, _flatten, energy_and_grad
+from vdd.exact import _Contraction, _LevelTables, _chart, _flatten, energy_and_grad
 from vdd.exact import exact_gradient, finite_difference, to_state_vector
 from vdd.graph import TERMINAL, Node, ParamTriple, VddGraph, amplitude, deserialize, serialize
 from vdd.graph import edge_amplitudes, validate
@@ -254,8 +254,8 @@ def test_automaton_layouts_are_valid_and_the_engines_agree_on_them(n, coeffs, wi
 @given(hamiltonians(), st.sampled_from(["product", "accordion"]), st.integers(0, 2**16))
 def test_contracted_energy_matches_the_dense_matrix(h, kind, seed):
     g = init_params(build_ansatz(kind, h.num_qubits), InitScheme("uniform", seed=seed))
-    edge, _ = _chart(_flatten(g, "raw"), "raw")
-    norm2, value, _ = _contracted(_LevelTables(g), h, edge[None], gradient=False)
+    contraction = _LevelTables(g).compiled(h, _Contraction, 1)
+    norm2, value, _ = contraction(_flatten(g, "raw")[None], "raw")
     psi = to_state_vector(g).amps
     assert norm2[0] == pytest.approx(1.0, rel=0, abs=1e-12)
     assert value[0] == pytest.approx(np.vdot(psi, dense_matrix(h) @ psi), rel=0, abs=1e-12)
