@@ -44,10 +44,9 @@ accordion from n = 5 on for the periodic one (D = 8), and the universal
 layout (W = 2^(n-1)) never past n = 2.  Up to n = STATEVECTOR_CAP, where
 the dense engine can run, it also keeps one θ's transfer matrices within
 _CONTRACTION_BYTES, so that a width-14 diagram at n = 20 does not contract
-with 300 MB of them.
-`exact_energy` follows the same rule;
-`to_state_vector` and `finite_difference`, the oracle for both engines,
-stay dense.
+with 300 MB of them.  `exact_energy` follows the same rule, without the
+gradient; `to_state_vector` and `finite_difference`, the oracle for both
+engines, stay dense.
 
 Two parameter modes (charts for θ's magnitude slot, see `_chart`):
 
@@ -70,7 +69,7 @@ from functools import partial
 import numpy as np
 
 from .graph import ParamTriple, VddGraph, validate
-from .hamiltonian import _checked_energy
+from .hamiltonian import _checked_energy, expectation
 from .state import CapacityError, StateVector, _check_choice
 
 __all__ = [
@@ -397,12 +396,14 @@ def to_state_vector(g: VddGraph) -> StateVector:
 
 
 def exact_energy(g: VddGraph, h) -> float:
-    """<psi|H|psi>, by the engine `energy_and_grad` would use for this graph:
-    past n = 20 for narrow diagrams."""
+    """<psi|H|psi>, by the engine `energy_and_grad` would use for this graph,
+    without the gradient: past n = 20 for narrow diagrams."""
     _check_graph_and_operator(g, h)
-    topo = _LevelTables(g)
-    norm2, value, _ = _evaluator(topo, h, 1)[0](_flatten(g, "raw")[None], "raw")
-    return _checked_energy(norm2.item(), value.item())
+    topo, theta = _LevelTables(g), _flatten(g, "raw")
+    if _contracts(topo, h):
+        norm2, value = topo.compiled(h, _Contraction, 1).energy(theta[None], "raw")
+        return _checked_energy(norm2.item(), value.item())
+    return expectation(h, _amplitudes(topo, theta, "raw"))
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +422,13 @@ _LEVEL_COST = 1000
 # Transfer-matrix bytes one contraction may hold, n S (W^2 D)^2 16 for S
 # stacked θ.  With k = ceil(S n (W^2 D)^2 16 / _TRANSFER_BYTES),
 # `energy_and_grad` contracts a stack in turn in chunks of ceil(S / k)
-# consecutive θ, the last chunk taking the rest and padded to the same size,
-# so one stack size is compiled: 40 θ at n = 8 come as 14, 14 and 12 + 2.  A chunk
-# can exceed the bound by less than one θ's transfer matrices.  Its fixed cost (the
-# per-level sweeps) is shared by its θ, while its buffers grow: 768 KiB gives four
-# chunks of 8 θ for a 32-seed variance scan of the accordion on the open
-# Heisenberg chain at n = 13, 14 (88 KiB per θ at n = 14), which peaks at
-# 1.3 MB allocated (tracemalloc).
+# consecutive θ, all of one compiled size: a short last chunk is padded with
+# θ of the first, evaluated and dropped (40 θ at n = 8 come as 14, 14 and
+# 12 + 2).  A chunk can exceed the bound by less than one θ's transfer
+# matrices.  Its fixed cost (the per-level sweeps) is shared by its θ, while
+# its buffers grow: 768 KiB gives four chunks of 8 θ for a 32-seed
+# variance scan of the accordion on the open Heisenberg chain at n = 13, 14
+# (88 KiB per θ at n = 14), which peaks at 1.25 MB allocated (tracemalloc).
 _TRANSFER_BYTES = 768 * 1024
 
 
@@ -495,10 +496,10 @@ def _chain_buffers(shape: tuple) -> tuple:
             terms[0].imag, grad[..., 1:])
 
 
-def _dense(topo: _LevelTables, h, theta: np.ndarray, mode: str, chart=None):
+def _dense(topo: _LevelTables, h, theta: np.ndarray, mode: str):
     """(<psi|psi>, <psi|H|psi>, d<H>/dθ) for each θ of a stack (S, N, 3),
     one state vector at a time: one forward sweep, one H|psi> and one
-    backward sweep per θ, all arrays fresh.  `chart`: as `_Contraction`'s.
+    backward sweep per θ, all arrays fresh.
 
     g[k, j, b] is 2 d<psi|H|psi>/d conj(edge[k, j, b]), by node j's b-edge
     for θ k.  Forward gives the prefix amplitude F[p] in front of each node
@@ -509,9 +510,8 @@ def _dense(topo: _LevelTables, h, theta: np.ndarray, mode: str, chart=None):
     """
     from .hamiltonian import apply_to_vector
 
-    chart = _chart(theta, mode) if chart is None else chart
-    edge = chart[0]
-    norm2, value = np.empty(len(edge)), np.empty(len(edge), dtype=np.complex128)
+    chart = _chart(theta, mode)
+    edge, norm2, value = chart[0], np.empty(len(theta)), np.empty(len(theta), dtype=complex)
     g = np.zeros(edge.shape, dtype=np.complex128)
     for k in range(edge.shape[0]):
         amps, taken = _forward(topo, edge[k])
@@ -642,15 +642,11 @@ class _Contraction:
             self.right_steps = [(partial(np.matmul, self.transfer[:, l]), self.right[:, l + 1],
                                  self.right[:, l]) for l in range(n - 1, 0, -1)]
 
-    def __call__(self, theta: np.ndarray, mode: str, chart=None):
-        """(<psi|psi>, <psi|H|psi>, d<H>/dθ), shapes (S,), (S,) and (S, N, 3), at
-        a stack of S θ: views of buffers that the next call overwrites.  The chart
-        is made in place, or copied from `chart` (a caller's table at θ)."""
+    def energy(self, theta: np.ndarray, mode: str):
+        """(<psi|psi>, <psi|H|psi>), shapes (S,), at a stack of S θ, by the chart,
+        T and the left sweep alone: views of buffers that the next call overwrites."""
         basis, edges = self.basis, self.edges
-        if chart is None:
-            _chart(theta, mode, self.chart)
-        else:
-            self.chart[0][...] = chart
+        _chart(theta, mode, self.chart)
         terms, other = self.t_terms  # conj(f_i) f_j W, then f_j
         edges.take(basis.t_i, axis=1, out=terms, mode="clip")  # clip: `out` unbuffered
         edges.take(basis.t_j, axis=1, out=other, mode="clip")
@@ -661,6 +657,12 @@ class _Contraction:
         self.transfer_flat[self.t_places] = self.t_sums
         for product, operand, out in self.left_steps:  # L[l] T[l] into L[l + 1]
             product(operand, out=out)
+        return self.norm2, self.value
+
+    def __call__(self, theta: np.ndarray, mode: str):
+        """`energy`, then d<H>/dθ (S, N, 3), a view too: right sweep, g, chain rule."""
+        basis, edges = self.basis, self.edges
+        self.energy(theta, mode)
         for product, operand, out in self.right_steps:  # T[l] R[l + 1] into R[l]
             product(operand, out=out)
         terms, other = self.g_terms  # f_j W L R, then L and R
@@ -677,7 +679,8 @@ class _Contraction:
 def _evaluator(topo: _LevelTables, h, count: int):
     """(evaluate, step): the engine `_contracts` picks for `count` θ, called as
     evaluate(stack of `step` θ, mode) -> (<psi|psi>, <psi|H|psi>, d<H>/dθ): the
-    `_Contraction` of about _TRANSFER_BYTES of T, or `_dense` of all θ."""
+    `_Contraction` of about _TRANSFER_BYTES of T, whose results are views that
+    its next call overwrites, or `_dense` of all θ, whose results are fresh."""
     if not _contracts(topo, h):
         return partial(_dense, topo, h), count
     size = topo.width**2 * h._mpo.shape[1]
@@ -705,12 +708,11 @@ def energy_and_grad(topo: _LevelTables, h, theta: np.ndarray, mode: str):
     if mode == "raw":
         _check_raw(topo, stack, stacked, stacklevel=3)
     evaluate, step = _evaluator(topo, h, count)
-    stack = np.concatenate((stack, stack[:-count % step]))  # padded to whole chunks
-    chart = _chart(stack, mode)  # at once for every chunk
+    stack = np.concatenate((stack, stack[:-count % step])) if count % step else stack
     norm2, value, grad = np.empty(len(stack)), np.empty(len(stack), complex), np.empty(stack.shape)
     for start in range(0, len(stack), step):
         chunk = slice(start, start + step)
-        norm2[chunk], value[chunk], grad[chunk] = evaluate(stack[chunk], mode, chart[:, chunk])
+        norm2[chunk], value[chunk], grad[chunk] = evaluate(stack[chunk], mode)
     energy = np.empty(count)
     for k, (norm2_k, value_k) in enumerate(zip(norm2[:count].tolist(), value[:count].tolist())):
         try:
@@ -743,8 +745,6 @@ def finite_difference(g: VddGraph, h, step: float = 1e-6, mode: str = "raw") -> 
     (one-sided at the box edge); trig mode moves the signed u of r = cos u,
     so the difference is central at r in {0, 1} too.
     """
-    from .hamiltonian import expectation
-
     if not (1e-8 <= step <= 1e-3):
         raise ValueError(f"step must lie in [1e-8, 1e-3], got {step!r}")
     _check_mode(mode)

@@ -389,6 +389,39 @@ def test_results_do_not_alias_the_compiled_buffers(count, monkeypatch):
             assert np.array_equal(before, after)
 
 
+@pytest.mark.parametrize("kind,contract", [("accordion", True), ("universal", False)],
+                         ids=["contraction", "dense"])
+def test_the_evaluator_returns_views_only_from_the_contraction(kind, contract):
+    # _evaluator's rule: the contraction's results are views of its buffers,
+    # which its next call overwrites; the dense engine's are fresh arrays
+    g = random_graph(kind, 4, 3)
+    topo = _LevelTables(g)
+    h = build_model(ModelSpec("heisenberg", 4))
+    assert _contracts(topo, h) == contract
+    evaluate, step = exact._evaluator(topo, h, 2)
+    stack = np.stack([_flatten(g, "trig") + 0.1 * k for k in range(step)])
+    first = evaluate(stack, "trig")
+    kept = tuple(np.copy(part) for part in first)
+    second = evaluate(stack + 0.3, "trig")
+    for before, after, later in zip(kept, first, second):
+        assert np.shares_memory(after, later) == contract
+        assert np.array_equal(after, later if contract else before)
+        assert not np.array_equal(before, later)
+
+
+@pytest.mark.parametrize("kind,n", [("accordion", 12), ("universal", 4)])
+def test_exact_energy_takes_no_gradient(kind, n, monkeypatch):
+    def refused(*args):
+        raise AssertionError("a gradient was taken")
+
+    g = random_graph(kind, n, 1)
+    h = build_model(ModelSpec("heisenberg", n))
+    expected = expectation(h, to_state_vector(g).amps)
+    monkeypatch.setattr(exact._Contraction, "__call__", refused)
+    monkeypatch.setattr(exact, "_dense", refused)
+    assert exact_energy(g, h) == pytest.approx(expected, abs=1e-12)
+
+
 @pytest.mark.parametrize("kind", ["accordion", "product"])
 @pytest.mark.parametrize("spec", [ModelSpec("heisenberg", 7), ModelSpec("tfim", 7, g=0.7),
                                   ModelSpec("heisenberg", 7, boundary="periodic")])
