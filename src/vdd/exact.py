@@ -193,6 +193,9 @@ class _LevelTables:
     scalar, and two paths that differ only above it meet there.  So
     rejoin[l] (l = 0..n) is the first level at or below l with a lone node,
     n if there is none, where the VMC local values end a flip group's walk.
+    child_edge[e] (shape (2N,)) is the first edge 2 * child of the edge
+    e = 2 * row + bit, -2 past the last level: the VMC sampler and walks
+    step from an edge to the next level's by adding that level's bit to it.
 
     For the contraction engine, children[l, i, b] (shape (n, width, 2)) is
     the slot of the b-child of the level-l node in slot i, 0 past the last
@@ -223,6 +226,7 @@ class _LevelTables:
             [(row.get(g.nodes[i].child0, -1), row.get(g.nodes[i].child1, -1))
              for i in self.node_ids], dtype=np.int64)
         self.root = row[g.root_child]
+        self.child_edge = 2 * self.child.ravel()
 
         level = np.array([g.nodes[i].level - 1 for i in self.node_ids])
         slot = np.empty(len(level), dtype=np.int64)

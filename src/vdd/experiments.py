@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ansatz import _uniform_params, build_ansatz
-from .exact import PARAM_MODES, _label_index, _LevelTables, _materialize, energy_and_grad
-from .exact import exact_energy
+from .exact import PARAM_MODES, _evaluator, _label_index, _LevelTables, _materialize
+from .exact import energy_and_grad, exact_energy
 from .graph import VddGraph
-from .hamiltonian import ModelSpec, build_model, tfim_ground_energy
+from .hamiltonian import ModelSpec, _checked_energy, build_model, tfim_ground_energy
 from .optimize import AdamConfig, TrainConfig, TrainTrace, train
 from .state import CapacityError, ConfigError, _check_choice, _check_count
 
@@ -312,17 +312,23 @@ def best_dimer(spec: ModelSpec, starts: int = 6, seed: int = 0) -> tuple[float, 
 
     Quasi-Newton refinement (L-BFGS-B in the unconstrained trig
     coordinates, analytic gradient) from several random starts; the best
-    local minimum over starts is returned as the family's benchmark.
+    local minimum over starts is returned as the family's benchmark.  The
+    engine of the exact gradient (`exact._evaluator`) is chosen once per
+    call, as `train` does, and each energy checked as `energy_and_grad`
+    checks it.
     """
     from scipy.optimize import minimize
 
     h = build_model(spec)
     base = build_ansatz("accordion", spec.n)
     topo = _LevelTables(base)
+    evaluate, _ = _evaluator(topo, h, 1)
 
     def objective(x):
-        energy, grad = energy_and_grad(topo, h, x.reshape(-1, 3), "trig")
-        return energy, grad.ravel()
+        norm2, value, grad = evaluate(x.reshape(1, -1, 3), "trig")
+        # the contraction's results are views its next call overwrites,
+        # and L-BFGS-B keeps the gradient between calls
+        return _checked_energy(norm2.item(), value.item()), grad.ravel().copy()
 
     best_energy = math.inf
     best_graph = None

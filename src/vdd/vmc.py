@@ -3,7 +3,10 @@
 Sampling walks the diagram root-to-leaves, emitting bit 0 with probability
 r^2 at each visited node, so draws come from |psi(b)|^2 exactly — i.i.d.,
 no Markov chain, no burn-in.  At a level that holds one node every sample
-compares its uniform against that node's r^2.
+compares its uniform against that node's r^2; elsewhere each sample reads
+its node's r^2 and its next edge through the edge it took one level up,
+from a per-draw table of each edge's child's r^2 and the topology's child
+edges (`_LevelTables.child_edge`), so no node is stored.
 
 Per-sample quantities:
 
@@ -46,12 +49,14 @@ magnitudes (times mag) and Im for the phases, and its leave-one-out
 jackknife (`vmc_gradient_stderr`) a quadratic form in a few more such
 scatters.  Neither forms O: a `VmcBatch` keeps the edges the samples
 took and the chart's edge factors.  Only the levels where paths merge are
-scattered from the samples; an edge whose child no other edge enters sums
-the child's two edges (`_LevelTables.merge_levels` and `fills`).
+scattered from the samples, one complex `np.add.at` per level straight
+from its row of the recorded edges; an edge whose child no other edge
+enters sums the child's two edges (`_LevelTables.merge_levels` and
+`fills`).
 
 A `VmcBatch` is allocated once from the compiled topology and a sample
 count: the batch's level-major arrays and the kernels' scratch, with no
-per-sample node rows (the sampler keeps the current level's nodes only).
+per-sample node rows and no copy of the merge levels' edges.
 One private kernel (`_draw`) draws into it at a parameter array θ (see
 vdd.exact): the chart's edge factors, the Born draws, the local values
 and their energy statistics.  The local-value tables are compiled on the
@@ -95,16 +100,15 @@ class VmcBatch:
     """One batch of `count` Born draws on a compiled topology `topo`, and
     every array it is drawn into (`_draw`).
 
-    Level-major (n, count): the uniforms (rewritten as the gradient's
-    scatter weights once the sampler has read them), the bits; edge, the
-    edges the samples take (2 * node row + bit, which also indexes
-    `_LevelTables.child` read flat); and merge_edge, edge's rows at the
-    levels the gradient scatters (`_LevelTables.merge_levels`; when those
-    are all the levels, as on the product layout, merge_edge is edge
-    itself).  Per sample: local_values and the scratch of the sampler, of
-    the flip-group walks and of the table keys.  A draw also sets edges,
-    the chart's (edge, slope) tables (see vdd.exact) in mode ("raw" or
-    "trig"), and energy_mean and energy_stderr.
+    Level-major (n, count): the uniforms, the bits and edge, the edges the
+    samples take (2 * node row + bit, which also indexes
+    `_LevelTables.child_edge`), which the gradient scatters from at the
+    levels where paths merge (`_LevelTables.merge_levels`) with no copy.
+    Per sample: local_values and the scratch of the sampler (p_zero), of
+    the flip-group walks (ratio, step, flipped_edge) and of the table keys
+    (key).  A draw also sets edges, the chart's (edge, slope) tables (see
+    vdd.exact) in mode ("raw" or "trig"), and energy_mean and
+    energy_stderr.
 
     samples is the (count, n) 0/1 array (row = bit string, qubit 1 first),
     a view of the bits, and rows the (count, n) node rows its paths visit,
@@ -125,17 +129,14 @@ class VmcBatch:
 
     def __init__(self, topo: _LevelTables, count: int):
         count = _check_count("count", count, 1)
-        n, levels = topo.num_qubits, topo.merge_levels.size
-        every_level = levels == n  # merge_edge is then edge itself
+        n = topo.num_qubits
         layout = (  # widest items first, so that every view is aligned
             ("local_values", (count,), np.complex128),
             ("ratio", (count,), np.complex128),
             ("step", (count,), np.complex128),
             ("uniform", (n, count), np.float64),
             ("edge", (n, count), np.int64),
-            ("merge_edge", (0 if every_level else levels, count), np.int64),
             ("p_zero", (count,), np.float64),
-            ("node", (count,), np.int64),
             ("flipped_edge", (count,), np.int64),
             ("key", (count,), np.int64),
             ("bits", (n, count), np.uint8),
@@ -146,8 +147,6 @@ class VmcBatch:
         for (name, shape, dtype), size in zip(layout, sizes):
             setattr(self, name, block[offset:offset + size].view(dtype).reshape(shape))
             offset += size
-        if every_level:
-            self.merge_edge = self.edge
         self.topo = topo
         self.mode = self.edges = None
         self.energy_mean = self.energy_stderr = math.nan
@@ -186,29 +185,32 @@ def _sample(batch: VmcBatch, rng) -> None:
     once in level-major order, consumed level by level.
 
     Fills the bits and the edges they take, from which the batch kernels
-    read the paths; the node each sample is on is kept for one level only.
-    At a level with a lone node (`_LevelTables.lone`, level 1's root among
-    them) every sample is on it, so its p_zero is read as one scalar.  Every
-    index is in range; the kernels gather with mode="clip" because
-    `take` buffers `out` in its default mode.
+    read the paths.  A sample's node is never stored: per draw, each edge
+    gets the p_zero of its child, so at a level with several nodes a sample
+    reads its p_zero through the edge it took one level up, and its edge is
+    that edge's `_LevelTables.child_edge` plus its bit.  At a level with a
+    lone node (`_LevelTables.lone`, level 1's root among them) every sample
+    is on it, so its p_zero is read as one scalar.  The per-edge tables
+    hold placeholders past the last level, which no draw reads; the kernels
+    gather with mode="clip" because `take` buffers `out` in its default
+    mode.
     """
     topo = batch.topo
     n, lone = topo.num_qubits, topo.lone.tolist()
     p_zero = np.abs(batch.edges[0][:, 0]) ** 2
+    child_p_zero = p_zero.take(topo.child, mode="clip").ravel()  # per edge
     rng.random(out=batch.uniform)
-    node, edge, bits = batch.node, batch.edge, batch.bits
+    edge, bits = batch.edge, batch.bits
     for level in range(n):
         row = lone[level]
-        if row < 0:
-            p_zero.take(node, out=batch.p_zero, mode="clip")
+        if row < 0:  # level > 0: the root's level is lone
+            child_p_zero.take(edge[level - 1], out=batch.p_zero, mode="clip")
             np.greater_equal(batch.uniform[level], batch.p_zero, out=bits[level])
-            np.multiply(node, 2, out=edge[level])
+            topo.child_edge.take(edge[level - 1], out=edge[level], mode="clip")
             edge[level] += bits[level]
         else:  # every sample is on one node
             np.greater_equal(batch.uniform[level], p_zero[row], out=bits[level])
             np.add(bits[level], 2 * row, out=edge[level], dtype=np.int64)
-        if level + 1 < n and lone[level + 1] < 0:
-            topo.child.take(edge[level], out=node, mode="clip")
 
 
 def sample(g: VddGraph, count: int, seed: int = 0, rng=None) -> np.ndarray:
@@ -419,7 +421,7 @@ def _batch_local_values(batch: VmcBatch, h: PauliHamiltonian) -> np.ndarray:
     if not np.all(np.isfinite(inverse)) and not np.all(np.isfinite(inverse[edge])):
         raise ValueError("local estimator undefined where psi(b) = 0")
     local, ratio, step = batch.local_values, batch.ratio, batch.step
-    node, flipped_edge, key = batch.node, batch.flipped_edge, batch.key
+    flipped_edge, key = batch.flipped_edge, batch.key
     local.fill(0.0)
     for (flip, terms), segment in zip(h._bit_groups, segments.groups):
         if segment is not None:
@@ -458,9 +460,8 @@ def _batch_local_values(batch: VmcBatch, h: PauliHamiltonian) -> np.ndarray:
         ratio *= step
         flipped = set(flip.tolist())
         for level in range(first + 1, topo.rejoin[flip[-1] + 1]):
-            topo.child.take(flipped_edge, out=node, mode="clip")
-            np.multiply(node, 2, out=flipped_edge)
-            flipped_edge += bits[level]
+            topo.child_edge.take(flipped_edge, out=key, mode="clip")
+            np.add(key, bits[level], out=flipped_edge)
             if level in flipped:
                 np.bitwise_xor(flipped_edge, 1, out=flipped_edge)
             factor.take(flipped_edge, out=step, mode="clip")
@@ -526,30 +527,32 @@ def log_derivatives(g: VddGraph, b, mode: str = "raw") -> np.ndarray:
     return out
 
 
-def _edge_sums(batch: VmcBatch, centered: np.ndarray, counts: bool = False) -> np.ndarray:
-    """Per edge 2 * node row + bit, the sums of Re c and Im c over the
-    samples that take it, c being `centered`, shape (2, 2N), or with
-    `counts` the count of those samples first, shape (3, 2N).
-
-    One bincount per row over the edges at the levels the topology scatters
-    (`_LevelTables.merge_levels`), whose weights are written over the
-    batch's uniforms; the other levels' sums are filled in from the level
-    below (`_LevelTables.fills`).  An edge belongs to one level, so a
-    scatter over the level-major edges adds each edge's samples in sample
-    order, as a sample-major one would.
-    """
-    edge, size = batch.merge_edge.ravel(), batch.edges[0].size
-    weight = batch.uniform[:batch.merge_edge.shape[0]]
-    sums = np.empty((3 if counts else 2, size))
-    if counts:
-        sums[0] = np.bincount(edge, minlength=size)
-    weight[:] = centered.real
-    sums[-2] = np.bincount(edge, weight.ravel(), size)
-    weight[:] = centered.imag
-    sums[-1] = np.bincount(edge, weight.ravel(), size)
-    for dst, left, right in batch.topo.fills:
-        sums[:, dst] = sums[:, left] + sums[:, right]
+def _filled(topo: _LevelTables, sums: np.ndarray) -> np.ndarray:
+    """`sums`, per edge 2 * node row + bit, with the edges of the levels
+    that are not scattered set to the sum of their child's two edges,
+    stage by stage up from a scattered level (`_LevelTables.fills`)."""
+    for dst, left, right in topo.fills:
+        sums[dst] = sums[left] + sums[right]
     return sums
+
+
+def _edge_sums(batch: VmcBatch, centered: np.ndarray) -> np.ndarray:
+    """Per edge 2 * node row + bit, the sum of c = `centered` over the
+    samples that take it: complex, shape (2N,), Re c's sum in the real part
+    and Im c's in the imaginary one.
+
+    One complex `np.add.at` of c per level the topology scatters
+    (`_LevelTables.merge_levels`), indexed by that level's row of edge, so
+    no edge is copied and no weight written; the other levels' sums are
+    filled in from the level below (`_filled`).  An edge belongs to one
+    level, so each edge adds its samples in sample order, as one scatter
+    over all levels would.  Index and values are 1-D of one shape: numpy
+    2.4.6 crashes in `ufunc.at` when it broadcasts them.
+    """
+    sums = np.zeros(batch.edges[0].size, dtype=np.complex128)
+    for level in batch.topo.merge_levels.tolist():
+        np.add.at(sums, batch.edge[level], centered)
+    return _filled(batch.topo, sums)
 
 
 def _magnitudes(batch: VmcBatch) -> np.ndarray:
@@ -565,9 +568,14 @@ def _magnitudes(batch: VmcBatch) -> np.ndarray:
 
 
 def _taken_edges(batch: VmcBatch, centered: np.ndarray):
-    """(sums, mag): `_edge_sums` of `centered` with the per-edge sample
-    counts first, shape (3, 2N), and `_magnitudes`."""
-    return _edge_sums(batch, centered, counts=True), _magnitudes(batch)
+    """(counts, sums, mag): per edge the count of samples that take it
+    (float, one bincount per scattered level, filled as the sums are),
+    `_edge_sums` of `centered` and `_magnitudes`."""
+    size = batch.edges[0].size
+    counts = np.zeros(size)
+    for level in batch.topo.merge_levels.tolist():
+        counts += np.bincount(batch.edge[level], minlength=size)
+    return _filled(batch.topo, counts), _edge_sums(batch, centered), _magnitudes(batch)
 
 
 def _batch_gradient(batch: VmcBatch) -> np.ndarray:
@@ -581,8 +589,8 @@ def _batch_gradient(batch: VmcBatch) -> np.ndarray:
     local = batch.local_values
     sums, mag = _edge_sums(batch, local - np.mean(local)), _magnitudes(batch)
     grad = np.empty((mag.size // 2, 3))
-    grad[:, 0] = (mag * sums[0]).reshape(-1, 2).sum(axis=1)
-    grad[:, 1:] = sums[1].reshape(-1, 2)  # omega on the left edge, phi on the right
+    grad[:, 0] = (mag * sums.real).reshape(-1, 2).sum(axis=1)
+    grad[:, 1:] = sums.imag.reshape(-1, 2)  # omega on the left edge, phi on the right
     return grad.ravel() * (2.0 / batch.batch_size)
 
 
@@ -607,8 +615,6 @@ def _draw(batch: VmcBatch, h: PauliHamiltonian, theta: np.ndarray, mode: str,
     local values and energy statistics; returns `batch`."""
     batch.mode, batch.edges = mode, _chart(theta, mode)
     _sample(batch, rng)
-    if batch.merge_edge is not batch.edge:
-        batch.edge.take(batch.topo.merge_levels, axis=0, out=batch.merge_edge, mode="clip")
     batch.energy_mean, batch.energy_stderr = _energy_stats(_batch_local_values(batch, h))
     return batch
 
@@ -645,11 +651,11 @@ def vmc_gradient_stderr(batch: VmcBatch) -> np.ndarray:
     if count < 2:
         raise ValueError(f"jackknife needs at least 2 samples, got {count}")
     c = batch.local_values - np.mean(batch.local_values)
-    (counts, *sums), mag = _taken_edges(batch, c)
+    counts, sums, mag = _taken_edges(batch, c)
     x, y = c.real, c.imag
     edge = batch.edge.ravel()
     dx, dy = np.tile(x, n), np.tile(y, n)  # level-major, as the edges
-    mean = [s / np.maximum(counts, 1) for s in sums]
+    mean = [s / np.maximum(counts, 1) for s in (sums.real, sums.imag)]
     dx -= mean[0][edge]
     dy -= mean[1][edge]
     moments = [np.bincount(edge, a * b, mag.size) for a, b in ((dx, dx), (dy, dy), (dx, dy))]

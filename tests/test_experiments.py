@@ -165,6 +165,52 @@ def test_best_dimer_matches_frozen_floor():
         assert graph.num_qubits == 8
 
 
+def test_best_dimer_runs_on_one_evaluator_and_matches_energy_and_grad(monkeypatch):
+    # reference: the same L-BFGS-B runs on an energy_and_grad objective
+    from scipy.optimize import minimize
+
+    from vdd import experiments
+    from vdd.ansatz import _uniform_params, build_ansatz
+    from vdd.exact import _LevelTables, _materialize, energy_and_grad
+
+    picked = []
+    evaluator = experiments._evaluator
+    monkeypatch.setattr(experiments, "_evaluator",
+                        lambda *args: picked.append(args) or evaluator(*args))
+
+    def owned_minimize(fun, x0, **options):
+        # L-BFGS-B keeps a gradient between calls: the next call must not
+        # overwrite it, as it would a view of the contraction's buffers
+        _, first = fun(x0)
+        kept = first.copy()
+        fun(x0 + 0.1)
+        assert np.array_equal(first, kept)
+        return minimize(fun, x0, **options)
+
+    monkeypatch.setattr("scipy.optimize.minimize", owned_minimize)
+    for g in DIMER_REL:
+        spec = ModelSpec("tfim", 8, g=g)
+        h = build_model(spec)
+        base = build_ansatz("accordion", spec.n)
+        topo = _LevelTables(base)
+
+        def objective(x):
+            energy, grad = energy_and_grad(topo, h, x.reshape(-1, 3), "trig")
+            return energy, grad.ravel()
+
+        want = []
+        for k in range(2):
+            x0 = _uniform_params(len(topo.node_ids), derive_seed(0, spec.n, k))
+            x0[:, 0] = np.arccos(x0[:, 0])
+            res = minimize(objective, x0.ravel(), jac=True, method="L-BFGS-B",
+                           options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12})
+            want.append((float(res.fun), _materialize(base, res.x, "trig")))
+        calls = len(picked)
+        energy, graph = best_dimer(spec, starts=2, seed=0)
+        assert len(picked) == calls + 1  # the engine is picked once per call
+        assert (energy, graph) == min(want, key=lambda run: run[0])
+
+
 def test_g_sweep_values_and_error_law():
     res = g_sweep((10.0, 20.0, 40.0), n=8, epochs=10000, seed=0)
     rels = {row.g: row.relative_error for row in res.rows}

@@ -491,18 +491,22 @@ def test_merge_level_scatter_matches_a_full_scatter(case, count, seed):
     n = g.num_qubits
     batch = sample_batch(g, h, count, seed=seed)
     c = np.random.default_rng(seed).normal(size=(count, 2)) @ np.array([1.0, 1j])
-    sums, mag = vmc._taken_edges(batch, c)
+    counts, sums, _ = vmc._taken_edges(batch, c)
     edge, size = batch.edge.ravel(), 2 * len(g.nodes)
-    assert np.array_equal(sums[0], np.bincount(edge, minlength=size))
-    for row, part in ((1, c.real), (2, c.imag)):
-        np.testing.assert_allclose(sums[row], np.bincount(edge, np.tile(part, n), size),
-                                   rtol=1e-12, atol=1e-12)
+    full = [np.bincount(edge, minlength=size)] + [
+        np.bincount(edge, np.tile(part, n), size) for part in (c.real, c.imag)]
+    # an edge belongs to one level, so a scattered level's edges add their
+    # samples in sample order, as the full scatter does: equal bit for bit;
+    # a filled edge sums its child's edges, which re-associates the sum
+    scattered_edge = np.repeat(np.isin(batch.topo.level, batch.topo.merge_levels), 2)
+    for got, want in zip((counts, sums.real, sums.imag), full):
+        assert np.array_equal(got[scattered_edge], want[scattered_edge])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     # a level is filled only when every node one level down has in-degree 1
     topo = _LevelTables(g)
     in_degree = np.bincount(topo.child[topo.child >= 0], minlength=len(g.nodes))
     scattered = {n - 1} | {int(level) - 1 for level in topo.level[in_degree > 1]}
     assert batch.topo.merge_levels.tolist() == sorted(scattered)
-    assert np.array_equal(batch.merge_edge, batch.edge[batch.topo.merge_levels])
 
 
 @pytest.mark.parametrize("kind,levels", [("accordion", list(range(1, 16, 2))),

@@ -1,6 +1,5 @@
 """Monte Carlo engine: exact sampling, local estimators, stochastic gradients."""
 
-import copy
 import dataclasses
 import math
 
@@ -380,25 +379,23 @@ def test_draws_into_one_workspace_equal_fresh_draws():
         assert np.array_equal(grad_a, _batch_gradient(b))
 
 
-@pytest.mark.parametrize("kind,n,rows", [("product", 8, 8), ("accordion", 16, 8)])
-def test_merge_edge_is_the_edge_array_when_every_level_is_scattered(kind, n, rows):
-    # on the product layout both edges of a node enter one child, so every
-    # level is scattered and the batch keeps no copy of the edges
+@pytest.mark.parametrize("kind,n", [("product", 8), ("accordion", 16)])
+def test_batch_block_holds_no_per_level_copy(kind, n):
+    # uniform, edge and bits are (n, B); the rest is three complex and three
+    # 8-byte scratch arrays per sample: n B 17 + 72 B bytes, so a per-level
+    # copy of the edges (or of anything else) cannot join the block unnoticed
     from vdd.exact import _LevelTables, _flatten
-    from vdd.vmc import _batch_gradient, _draw
+    from vdd.vmc import _draw
 
+    count = 256
     g = random_graph(kind, n, 3)
     h = build_model(ModelSpec("heisenberg", n))
-    topo = _LevelTables(g)
-    batch = _draw(VmcBatch(topo, 256), h, _flatten(g, "trig"), "trig", np.random.default_rng(0))
-    assert batch.merge_edge.shape == (rows, 256)
-    assert np.shares_memory(batch.merge_edge, batch.edge) == (rows == n)
-    copied = batch.edge[topo.merge_levels]
-    assert np.array_equal(batch.merge_edge, copied)
-    grad = _batch_gradient(batch)
-    replaced = copy.copy(batch)
-    replaced.merge_edge = copied
-    assert np.array_equal(grad, _batch_gradient(replaced))
+    batch = _draw(VmcBatch(_LevelTables(g), count), h, _flatten(g, "trig"), "trig",
+                  np.random.default_rng(0))
+    block = batch.edge.base
+    assert block.nbytes == n * count * 17 + 72 * count
+    arrays = [a for a in vars(batch).values() if isinstance(a, np.ndarray) and a.base is block]
+    assert sum(a.nbytes for a in arrays) == block.nbytes
 
 
 def test_segment_tables_are_built_once_per_run_and_operator(monkeypatch):
