@@ -3,8 +3,9 @@ arbitrary states onto the universal layout.
 
 A layout is a deterministic automaton over the bits: each node is a state,
 and ``step(l, state, bit)`` names the state that the edge taken on ``bit``
-leads to one level down (levels counted from 0).  ``build_automaton`` turns
-a step into a graph; each layout below is one step.
+leads to one level down (levels counted from 0).  ``_automaton`` turns a
+step into the arrays ``exact._LevelTables`` compiles, with no graph, and
+``build_automaton`` those into a graph; each layout below is one step.
 
 * product   — ``step = 0``: one node per level; any state it represents is a
               product of single-qubit states.  3n parameters.
@@ -49,42 +50,59 @@ __all__ = [
 _BALANCED = ParamTriple(r=1.0 / math.sqrt(2.0), omega=0.0, phi=0.0)
 
 
-def build_automaton(n: int, step: Callable[[int, int, int], int]) -> VddGraph:
+def _automaton(n: int, step: Callable[[int, int, int], int]) -> tuple[np.ndarray, np.ndarray]:
     """The n-level diagram of the automaton that starts in state 0 and moves
     on ``bit`` from ``state`` at level l (counted from 0) to
-    ``step(l, state, bit)``.
+    ``step(l, state, bit)``, as arrays: child[row, bit] (shape (N, 2)), the
+    row of the node's bit-child, -1 past the last level, and level[row].
 
-    Level l + 1 holds the sorted set of states that level l's edges reach;
-    ids run level by level in ascending state order from 1, and the last
-    level's edges point to TERMINAL.  ``step`` is called once per edge
-    between levels.
+    Level l + 1 holds the sorted set of states that level l's edges reach,
+    and rows run level by level in ascending state order.  ``step`` is
+    called once per edge between levels.
     """
     n = _check_count("n", n, 1)
-    nodes = {}
-    states, first = [0], 1
-    for level in range(1, n):
-        edges = [(step(level - 1, state, 0), step(level - 1, state, 1)) for state in states]
+    child, counts, states = [], [], [0]
+    for level in range(n - 1):
+        edges = [(step(level, state, 0), step(level, state, 1)) for state in states]
         reached = sorted({target for pair in edges for target in pair})
-        after = first + len(states)
-        ids = dict(zip(reached, range(after, after + len(reached))))
-        for nid, (c0, c1) in enumerate(edges, start=first):
-            nodes[nid] = Node(nid, level, _BALANCED, ids[c0], ids[c1])
-        states, first = reached, after
-    for nid in range(first, first + len(states)):
-        nodes[nid] = Node(nid, n, _BALANCED, TERMINAL, TERMINAL)
-    return VddGraph(num_qubits=n, global_phase=0.0, root_child=1, nodes=nodes)
+        first = len(child) + len(states)  # the row of the next level's first node
+        rows = dict(zip(reached, range(first, first + len(reached))))
+        child += [(rows[c0], rows[c1]) for c0, c1 in edges]
+        counts.append(len(states))
+        states = reached
+    child += [(-1, -1)] * len(states)
+    counts.append(len(states))
+    return np.array(child, dtype=np.int64), np.repeat(np.arange(n), counts)
+
+
+def build_automaton(n: int, step: Callable[[int, int, int], int]) -> VddGraph:
+    """`_automaton`'s diagram as a graph: node id = row + 1, and the last
+    level's edges point to TERMINAL."""
+    child, level = _automaton(n, step)
+    nodes = {nid: Node(nid, l + 1, _BALANCED, c0 or TERMINAL, c1 or TERMINAL)
+             for nid, (l, (c0, c1)) in enumerate(zip(level.tolist(), (child + 1).tolist()), 1)}
+    return VddGraph(num_qubits=int(level[-1]) + 1, global_phase=0.0, root_child=1, nodes=nodes)
+
+
+_STEPS = {
+    "product": lambda level, state, bit: 0,
+    "accordion": lambda level, state, bit: bit if level % 2 == 0 else 0,
+    "universal": lambda level, state, bit: 2 * state + bit,
+}
+
+ANSATZ_KINDS = tuple(_STEPS)
 
 
 def build_product(n: int) -> VddGraph:
     """One node per level; both edges of level l target the level-(l+1) node."""
-    return build_automaton(n, lambda level, state, bit: 0)
+    return build_ansatz("product", n)
 
 
 def build_accordion(n: int) -> VddGraph:
     """Alternating one- and two-node levels: the states it represents are
     dimer products over qubit pairs (1,2), (3,4), ... with a single leftover
     qubit factor when n is odd."""
-    return build_automaton(n, lambda level, state, bit: bit if level % 2 == 0 else 0)
+    return build_ansatz("accordion", n)
 
 
 def build_universal(n: int) -> VddGraph:
@@ -94,20 +112,22 @@ def build_universal(n: int) -> VddGraph:
     length l-1, so any n-qubit state can be represented (see encode_state).
     Capped at n = 20 since the layout has 2^n - 1 nodes.
     """
-    if _check_count("n", n, 1) > 20:
+    return build_ansatz("universal", n)
+
+
+def _layout_step(kind: str, n: int) -> Callable[[int, int, int], int]:
+    """The step of the layout ``kind``, once ``kind`` and n pass `build_ansatz`'s
+    checks: a ConfigError names a bad one, a CapacityError the universal
+    layout past n = 20."""
+    _check_choice("ansatz", kind, ANSATZ_KINDS)
+    if kind == "universal" and _check_count("n", n, 1) > 20:
         raise CapacityError(f"universal layout is capped at n = 20 (2^n - 1 nodes), got n = {n}")
-    return build_automaton(n, lambda level, state, bit: 2 * state + bit)
-
-
-_LAYOUTS = {"product": build_product, "accordion": build_accordion, "universal": build_universal}
-
-ANSATZ_KINDS = tuple(_LAYOUTS)
+    return _STEPS[kind]
 
 
 def build_ansatz(kind: str, n: int) -> VddGraph:
     """Dispatch on the layout name ("product" | "accordion" | "universal")."""
-    _check_choice("ansatz", kind, ANSATZ_KINDS)
-    return _LAYOUTS[kind](n)
+    return build_automaton(n, _layout_step(kind, n))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Exact engine: state vectors, energies, and analytic gradients.
 
-A graph is compiled once into a topology (`_LevelTables`); its parameters
+A graph is compiled once into a topology (`_LevelTables`), as is a layout
+straight from its arrays, with no graph (the variance scan); its parameters
 travel separately as θ of shape (N, 3), one row per node in ascending id
 order, or as a stack of S of them, shape (S, N, 3), evaluated in one
 `energy_and_grad` call.  `VddGraph` is the input/output form; the hot path
@@ -63,8 +64,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from operator import attrgetter
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -175,13 +177,14 @@ def parameter_labels(g: VddGraph) -> tuple[str, ...]:
 
 
 class _LevelTables:
-    """Compiled topology of a validated graph: its structure, not its parameters.
+    """Compiled topology of a validated graph, or of a layout's arrays with
+    no graph (`ansatz._automaton`): its structure, not its parameters.
 
-    Nodes are numbered by row = index in ascending id order, the row order
-    of θ and of GradientVector.  child[row, bit] (shape (N, 2)) is the row
-    of the node's bit-child, -1 past the last level, in the layout of
-    `_chart`'s tables; root is the row of the level-1 node.  Built once per
-    graph shape and reused for every θ.
+    Nodes are numbered by row = index in ascending id order (row + 1 for a
+    layout), the row order of θ and of GradientVector.  child[row, bit]
+    (shape (N, 2)) is the row of the node's bit-child, -1 past the last
+    level, in the layout of `_chart`'s tables; root is the row of the
+    level-1 node.  Built once per graph shape and reused for every θ.
 
     The per-level tables every engine reads, levels counted from 0: level
     and slot give each row's level and its index among the nodes of that
@@ -214,55 +217,67 @@ class _LevelTables:
     operator at a time.
     """
 
-    def __init__(self, g: VddGraph):
-        issues = validate(g)
-        if issues:
-            raise ValueError("invalid graph: " + "; ".join(issues))
-        n = self.num_qubits = g.num_qubits
-        self.global_phase = g.global_phase
-        self.node_ids = tuple(g.sorted_ids())
-        row = {node_id: k for k, node_id in enumerate(self.node_ids)}
-        self.child = np.array(
-            [(row.get(g.nodes[i].child0, -1), row.get(g.nodes[i].child1, -1))
-             for i in self.node_ids], dtype=np.int64)
-        self.root = row[g.root_child]
-        self.child_edge = 2 * self.child.ravel()
-
-        level = np.array([g.nodes[i].level - 1 for i in self.node_ids])
-        slot = np.empty(len(level), dtype=np.int64)
-        counts = np.zeros(n, dtype=np.int64)
-        for k, l in enumerate(level):
-            slot[k] = counts[l]
-            counts[l] += 1
-        self.level, self.slot, self.counts = level, slot, counts
+    def __init__(self, g):  # a VddGraph, or a layout's (child, level) arrays
+        if isinstance(g, VddGraph):
+            issues = validate(g)
+            if issues:
+                raise ValueError("invalid graph: " + "; ".join(issues))
+            self.global_phase, self.node_ids = g.global_phase, tuple(g.sorted_ids())
+            row = {node_id: k for k, node_id in enumerate(self.node_ids)}
+            nodes = [g.nodes[node_id] for node_id in self.node_ids]
+            child = np.array([(row.get(v.child0, -1), row.get(v.child1, -1)) for v in nodes],
+                             dtype=np.int64)
+            level = np.array([v.level - 1 for v in nodes])
+        else:
+            child, level = g
+            _check_layers(child, level)
+            self.global_phase, self.node_ids = 0.0, tuple(range(1, len(level) + 1))
+        n = self.num_qubits = int(level.max()) + 1
+        self.child, self.level, self.root = child, level, int(np.argmin(level))
+        counts = self.counts = np.bincount(level, minlength=n)
+        slot = self.slot = np.empty(len(level), dtype=np.int64)
+        slot[np.argsort(level, kind="stable")] = (np.arange(len(level))
+                                                  - np.repeat(np.cumsum(counts) - counts, counts))
         self.width = int(counts.max())
         self.row_of = np.full((n, self.width), -1, dtype=np.int64)
         self.row_of[level, slot] = np.arange(len(level))
-        self.lone = np.where(counts == 1, self.row_of[:, 0], -1)
         self.children = np.zeros((n, self.width, 2), dtype=np.int64)
-        self.children[level, slot] = np.where(self.child < 0, 0, slot[self.child])
-        rejoin = [n]
-        for l in range(n - 1, -1, -1):
-            rejoin.append(l if self.lone[l] >= 0 else rejoin[-1])
-        self.rejoin = tuple(rejoin[::-1])
+        self.children[level, slot] = np.where(child < 0, 0, slot[child])
+        self._compiled, self._compiled_of = {}, None
 
-        # a level whose edges meet at a node below it is scattered
-        in_degree = np.bincount(self.child[self.child >= 0], minlength=len(level))
-        scattered = np.zeros(n, dtype=bool)
-        scattered[level[in_degree > 1] - 1] = True
-        scattered[n - 1] = True
-        self.merge_levels = np.flatnonzero(scattered)
-        stage = np.zeros(n, dtype=np.int64)  # steps up from the scattered level below
-        for l in range(n - 2, -1, -1):
-            if not scattered[l]:
-                stage[l] = stage[l + 1] + 1
-        edge_stage = np.repeat(stage[level], 2)  # per edge 2 * row + bit
-        self.fills = []
+    # the VMC engine's tables, built on first use
+
+    @cached_property
+    def child_edge(self) -> np.ndarray:
+        return 2 * self.child.ravel()
+
+    @cached_property
+    def lone(self) -> np.ndarray:
+        return np.where(self.counts == 1, self.row_of[:, 0], -1)
+
+    @cached_property
+    def rejoin(self) -> tuple[int, ...]:
+        levels = np.append(np.flatnonzero(self.lone >= 0), self.num_qubits)
+        return tuple(levels[np.searchsorted(levels, np.arange(self.num_qubits + 1))].tolist())
+
+    @cached_property
+    def merge_levels(self) -> np.ndarray:
+        # a level whose edges meet at a node below it is scattered, and the last
+        in_degree = np.bincount(self.child.ravel() + 1, minlength=len(self.level) + 1)[1:]
+        scattered = np.zeros(self.num_qubits, dtype=bool)
+        scattered[self.level[in_degree > 1] - 1] = scattered[-1] = True
+        return np.flatnonzero(scattered)
+
+    @cached_property
+    def fills(self) -> list:
+        merge, levels = self.merge_levels, np.arange(self.num_qubits)
+        stage = merge[np.searchsorted(merge, levels)] - levels  # steps up from a scattered level
+        edge_stage = np.repeat(stage[self.level], 2)  # per edge 2 * row + bit
+        fills = []
         for s in range(1, int(stage.max()) + 1):
             dst = np.flatnonzero(edge_stage == s)
-            left = 2 * self.child.ravel()[dst]
-            self.fills.append((dst, left, left + 1))
-        self._compiled, self._compiled_of = {}, None
+            fills.append((dst, self.child_edge[dst], self.child_edge[dst] + 1))
+        return fills
 
     def compiled(self, h, kind, *size):
         """kind(self, h, *size), compiled on the first call with them and
@@ -277,6 +292,19 @@ class _LevelTables:
         if built is None:
             built = self._compiled[key] = kind(self, h, *size)
         return built
+
+
+def _check_layers(child: np.ndarray, level: np.ndarray) -> None:
+    """`validate`'s rules, vectorized for a layout: a ValueError unless each edge
+    goes one level down (to -1 from the last), and all nodes but one root at
+    level 0 have a parent, so all are reachable from it."""
+    below = np.concatenate((level, [level.max() + 1]))  # [-1]: one level below the last
+    if not (-1 <= child.min() and child.max() < len(level)
+            and (below[child] == level[:, None] + 1).all()):
+        raise ValueError("invalid layout: an edge that does not go one level down")
+    orphans = np.bincount(child.ravel() + 1, minlength=len(level) + 1)[1:] == 0
+    if level.min() != 0 or np.count_nonzero(orphans) != 1:
+        raise ValueError("invalid layout: the nodes without a parent are not one root at level 0")
 
 
 def _chart(theta: np.ndarray, mode: str, out=None) -> np.ndarray:
@@ -466,6 +494,8 @@ def _check_raw(topo: _LevelTables, stack: np.ndarray, stacked: bool, stacklevel:
     """Raw-mode checks of θ (S, N, 3): a ValueError names the first r outside
     [0, 1] (NaN too), a SingularGradientWarning (at `stacklevel`) each r on {0, 1}."""
     r = stack[..., 0]
+    if 0.0 < r.min() and r.max() < 1.0:  # every r inside (0, 1); a NaN fails it too
+        return
     outside = np.argwhere(~((r >= 0.0) & (r <= 1.0)))  # NaN too
     if outside.size:
         k, j = outside[0]
@@ -485,7 +515,8 @@ def _chain_rule(chart: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:
     imaginary parts of the edge factors f: a magnitude entry is Re(conj(slope) g)
     summed over its node's two edges, the omega and phi entries Im(conj(edge) g)
     of the 0- and 1-edge.  Written into `out` (`_chain_buffers`) if given."""
-    terms, grad, slope0, slope1, magnitude, edge, phases = out or _chain_buffers(chart.shape)
+    terms, grad, slope0, slope1, magnitude, edge, phases = (
+        out or _chain_buffers(chart.shape, np.empty(chart.shape, dtype=np.complex128)))
     np.conjugate(chart, out=terms)
     terms *= g
     np.add(slope0, slope1, out=magnitude)
@@ -493,9 +524,11 @@ def _chain_rule(chart: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:
     return grad
 
 
-def _chain_buffers(shape: tuple) -> tuple:
-    """`_chain_rule`'s products and gradient for a chart of `shape`, and views."""
-    terms, grad = np.empty(shape, dtype=np.complex128), np.empty(shape[1:-1] + (3,))
+def _chain_buffers(shape: tuple, scratch: np.ndarray) -> tuple:
+    """`_chain_rule`'s products, in the front of the complex buffer `scratch`,
+    and gradient for a chart of `shape`, and views."""
+    terms = scratch.reshape(-1)[:math.prod(shape)].reshape(shape)
+    grad = np.empty(shape[1:-1] + (3,))
     return (terms, grad, terms[1, ..., 0].real, terms[1, ..., 1].real, grad[..., 0],
             terms[0].imag, grad[..., 1:])
 
@@ -550,31 +583,37 @@ class _Basis:
     """
 
     def __init__(self, topo: _LevelTables, h):
-        w, d = topo.width, h._mpo.shape[1]
+        mpo = h._mpo
+        w, d = topo.width, mpo.shape[1]
         size = w * w * d
-        level, a, a_next, s, t = np.nonzero(h._mpo)
         # each entry once per pair (i, j) of the occupied slots 0 .. counts[l] - 1
-        pairs = topo.counts[level] ** 2
-        entry = np.repeat(np.arange(level.size), pairs)
+        nonzero = np.flatnonzero(mpo)
+        pairs = topo.counts[nonzero // mpo[0].size] ** 2
+        entry = np.repeat(nonzero, pairs)
+        level, a, a_next, s, t = np.unravel_index(entry, mpo.shape)
         i, j = np.divmod(np.arange(entry.size) - np.repeat(np.cumsum(pairs) - pairs, pairs),
-                         topo.counts[level[entry]])
-        level, a, a_next, s, t = level[entry], a[entry], a_next[entry], s[entry], t[entry]
-        value = h._mpo[level, a, a_next, s, t]
+                         topo.counts[level])
+        value = mpo.take(entry)
         row = (i * w + j) * d + a
         col = (topo.children[level, i, s] * w + topo.children[level, j, t]) * d + a_next
         edge_i, edge_j = 2 * topo.row_of[level, i] + s, 2 * topo.row_of[level, j] + t
 
         place = (level * size + row) * size + col
         order = np.argsort(place, kind="stable")
-        self.t_starts = np.flatnonzero(np.diff(place[order], prepend=-1))
-        self.t_place = place[order][self.t_starts]
+        self.t_starts = _run_starts(place[order])
+        self.t_place = place[order[self.t_starts]]
         self.t_i, self.t_j, self.t_value = edge_i[order], edge_j[order], value[order]
 
         order = np.argsort(edge_i, kind="stable")
-        self.g_starts = np.flatnonzero(np.diff(edge_i[order], prepend=-1))
+        self.g_starts = _run_starts(edge_i[order])
         self.g_j, self.g_value = edge_j[order], 2.0 * value[order]  # g of `_chain_rule`
         self.g_left = (level * size + row)[order]
         self.g_right = ((level + 1) * size + col)[order]
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of the sorted ``keys`` starts."""
+    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
 
 
 class _Contraction:
@@ -634,17 +673,19 @@ class _Contraction:
         self.t_terms = tuple(scratch[:, :count * basis.t_value.size].reshape(2, count, -1))
         self.g_terms = tuple(scratch[:, :count * basis.g_j.size].reshape(2, count, -1))
         self.g = np.empty_like(self.chart[2])
-        self.g_rows, self.chain = self.g.reshape(count, -1), _chain_buffers(self.chart[0].shape)
+        self.g_rows = self.g.reshape(count, -1)
+        self.chain = _chain_buffers(self.chart[0].shape, scratch)  # the gathers are done by then
         if count == 1:  # vector-matrix products on 1-D and 2-D views
-            self.left_steps = [(self.left[0, l, 0].dot, self.transfer[0, l], self.left[0, l + 1, 0])
-                               for l in range(n)]
-            self.right_steps = [(self.transfer[0, l].dot, self.right[0, l + 1, :, 0],
-                                 self.right[0, l, :, 0]) for l in range(n - 1, 0, -1)]
+            left, transfer, right = self.left[0, :, 0], self.transfer[0], self.right[0, ..., 0]
+            product = attrgetter("dot")
         else:
-            self.left_steps = [(partial(np.matmul, self.left[:, l]), self.transfer[:, l],
-                                self.left[:, l + 1]) for l in range(n)]
-            self.right_steps = [(partial(np.matmul, self.transfer[:, l]), self.right[:, l + 1],
-                                 self.right[:, l]) for l in range(n - 1, 0, -1)]
+            left, transfer, right = (buffer.swapaxes(0, 1)
+                                     for buffer in (self.left, self.transfer, self.right))
+            product = partial(partial, np.matmul)
+        left, transfer, right = list(left), list(transfer), list(right)  # one view per level
+        self.left_steps = [(product(left[l]), transfer[l], left[l + 1]) for l in range(n)]
+        self.right_steps = [(product(transfer[l]), right[l + 1], right[l])
+                            for l in range(n - 1, 0, -1)]
 
     def energy(self, theta: np.ndarray, mode: str):
         """(<psi|psi>, <psi|H|psi>), shapes (S,), at a stack of S θ, by the chart,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ansatz import _uniform_params, build_ansatz
+from .ansatz import _automaton, _layout_step, _uniform_params, build_ansatz
 from .exact import PARAM_MODES, _evaluator, _label_index, _LevelTables, _materialize
 from .exact import energy_and_grad, exact_energy
 from .graph import VddGraph
@@ -82,6 +82,11 @@ class VarianceScanConfig:
         _check_choice("param_mode", self.param_mode, PARAM_MODES)
         for n in self.n_values:
             self.model_spec(n)
+            try:
+                _layout_step(self.ansatz, n)
+            except CapacityError as exc:
+                raise ConfigError(
+                    f"no scan of the {self.ansatz} layout at n = {n}: {exc}") from None
 
     def model_spec(self, n: int) -> ModelSpec:
         return ModelSpec(
@@ -157,19 +162,19 @@ class VarianceScanResult:
 def variance_scan(cfg: VarianceScanConfig) -> VarianceScanResult:
     """Across-seed population variance of tracked gradient entries per n.
 
-    All seeds of one n are evaluated in one `energy_and_grad` call.  n has
-    no cap of its own: the accordion and product layouts contract at any n,
+    All seeds of one n are evaluated in one `energy_and_grad` call, on a
+    topology compiled from the layout's arrays (`ansatz._automaton`) with
+    no graph, and a θ stack drawn in place, each seed's rows as
+    `init_params(..., InitScheme("uniform", seed))` draws them.  n has no
+    cap of its own: the accordion and product layouts contract at any n,
     and the universal layout, whose builder stops at n = 20 where the dense
-    engine does, is refused past it with a ConfigError.
+    engine does, is refused past it by the config.
     """
     rows: list[ScanRow] = []
     notices: list[str] = []
     per_label: dict[str, list[tuple[int, float]]] = {p: [] for p in cfg.tracked_params}
     for n in cfg.n_values:
-        try:
-            topo = _LevelTables(build_ansatz(cfg.ansatz, n))
-        except CapacityError as exc:
-            raise ConfigError(f"no scan of the {cfg.ansatz} layout at n = {n}: {exc}") from None
+        topo = _LevelTables(_automaton(n, _layout_step(cfg.ansatz, n)))
         h = build_model(cfg.model_spec(n))
         live: dict[str, int] = {}  # tracked label -> flat gradient index
         for label in cfg.tracked_params:
@@ -181,13 +186,13 @@ def variance_scan(cfg: VarianceScanConfig) -> VarianceScanResult:
                 warnings.warn(note, stacklevel=2)
         if not live:
             continue
-        # the draws of init_params(..., InitScheme("uniform", seed)), without the graph
-        theta = np.stack([
-            _uniform_params(len(topo.node_ids), derive_seed(cfg.base_seed, n, idx))
-            for idx in range(cfg.num_seeds)
-        ])
+        # the draws of `_uniform_params` for each seed, without the graph
+        theta = np.empty((cfg.num_seeds, len(topo.node_ids), 3))
+        for idx, draws in enumerate(theta):
+            np.random.default_rng(derive_seed(cfg.base_seed, n, idx)).random(out=draws)
+        theta[..., 1:] *= 2.0 * math.pi
         if cfg.param_mode == "trig":
-            theta[..., 0] = np.arccos(theta[..., 0])
+            np.arccos(theta[..., 0], out=theta[..., 0])
         _, grads = energy_and_grad(topo, h, theta, cfg.param_mode)
         grads = grads.reshape(cfg.num_seeds, -1)
         for label, index in live.items():

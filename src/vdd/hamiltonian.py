@@ -22,7 +22,8 @@ parity kernel.
 
 The third compiled form is a matrix product operator (`_build_mpo`), one
 (D, D, 2, 2) tensor per qubit, for the exact engine's contraction over the
-levels of a diagram; it never forms a 2^n object.
+levels of a diagram, filled for all terms at once from one array of their
+op codes; it never forms a 2^n object.
 
 Qubit 1 is the most significant bit of the state-vector index throughout.
 """
@@ -288,6 +289,9 @@ def _single_site(op: str) -> np.ndarray:
     return m
 
 
+_PAULI = np.stack([_single_site(op) for op in "IXYZ"])  # I, X, Y, Z, as `_build_mpo` codes them
+
+
 def _build_mpo(h: PauliHamiltonian) -> np.ndarray:
     """H as a matrix product operator: W[l, a, a', s, s'] of shape (n, D, D, 2, 2).
 
@@ -300,38 +304,44 @@ def _build_mpo(h: PauliHamiltonian) -> np.ndarray:
     in between and c -> D-1 at the last.  Channels are shared by terms
     whose ranges cross no common bond (greedy interval colouring, lowest
     free channel first), so D = 2 + the most terms crossing one bond: 5 for
-    the open Heisenberg chain, 8 with the periodic wrap bond.
+    the open Heisenberg chain, 8 with the periodic wrap bond.  All but the
+    colouring runs on every term at once, from one array of op codes.
     """
-    n = h.num_qubits
-    pauli = {op: _single_site(op) for op in "IXYZ"}
-    spans = []  # (first qubit, last qubit, term), in order of first qubit
-    for t in h.terms:
-        sites = [q for q, op in enumerate(t.ops) if op != "I"] or [0]
-        spans.append((sites[0], sites[-1], t))
-    spans.sort(key=lambda span: span[0])
+    n, count, pauli = h.num_qubits, len(h.terms), _PAULI
+    codes = np.frombuffer("".join(t.ops for t in h.terms).encode(), dtype=np.uint8)
+    ops = np.searchsorted(np.frombuffer(b"IXYZ", dtype=np.uint8), codes).reshape(count, n)
+    acts = ops > 0
+    acts[:, 0] |= ~acts.any(axis=1)  # an identity-only term sits on qubit 1
+    first, last = acts.argmax(axis=1), n - 1 - acts[:, ::-1].argmax(axis=1)
+    order = np.argsort(first, kind="stable")  # terms in order of first qubit
+    first, last, ops = first[order], last[order], ops[order]
+    coeff = np.array([t.coeff for t in h.terms], dtype=np.float64)[order]
     ends: list[int] = []  # per middle channel, the last qubit of its latest term
-    channels = []  # each term's channel, None for a one-qubit term
-    for first, last, _ in spans:
-        if first == last:
-            channels.append(None)
+    channels = []  # per term, 0 for a one-qubit term
+    for lo, hi in zip(first.tolist(), last.tolist()):
+        if lo == hi:
+            channels.append(0)
             continue
-        free = next((c for c, end in enumerate(ends) if end <= first), len(ends))
-        if free == len(ends):
-            ends.append(last)
+        for c, end in enumerate(ends):  # the lowest free channel
+            if end <= lo:
+                ends[c] = hi
+                break
         else:
-            ends[free] = last
-        channels.append(free + 1)
+            c = len(ends)
+            ends.append(hi)
+        channels.append(c + 1)
+    channel = np.array(channels, dtype=np.intp)
     d = len(ends) + 2
     w = np.zeros((n, d, d, 2, 2), dtype=np.complex128)
-    w[:, 0, 0] = w[:, d - 1, d - 1] = pauli["I"]
-    for (first, last, t), c in zip(spans, channels):
-        if c is None:
-            w[first, 0, d - 1] += t.coeff * pauli[t.ops[first]]
-            continue
-        w[first, 0, c] = t.coeff * pauli[t.ops[first]]
-        for q in range(first + 1, last):
-            w[q, c, c] = pauli[t.ops[q]]
-        w[last, c, d - 1] = pauli[t.ops[last]]
+    w[:, 0, 0] = w[:, d - 1, d - 1] = pauli[0]
+    one = channel == 0  # one-qubit terms on one qubit share its 0 -> D-1 entry
+    np.add.at(w, (first[one], 0, d - 1), coeff[one, None, None] * pauli[ops[one, first[one]]])
+    k = np.flatnonzero(~one)
+    start, stop, c = first[k], last[k], channel[k]
+    w[start, 0, c] = coeff[k, None, None] * pauli[ops[k, start]]
+    inner, q = np.nonzero((start[:, None] < np.arange(n)) & (np.arange(n) < stop[:, None]))
+    w[q, c[inner], c[inner]] = pauli[ops[k[inner], q]]
+    w[stop, c, d - 1] = pauli[ops[k, stop]]
     return w
 
 

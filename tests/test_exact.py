@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import vdd.exact as exact
-from vdd.ansatz import build_accordion, build_ansatz, build_product
+from vdd.ansatz import ANSATZ_KINDS, _automaton, _layout_step, build_accordion, build_ansatz
+from vdd.ansatz import build_product
 from vdd.exact import (
     GradientVector,
     SingularGradientWarning,
@@ -36,6 +37,47 @@ def test_state_vector_matches_amplitude_and_is_normalized():
         for idx in (0, 1, 2**n - 1, 2 ** (n - 1)):
             bits = tuple((idx >> (n - 1 - i)) & 1 for i in range(n))
             assert sv.amps[idx] == pytest.approx(amplitude(g, bits), abs=1e-14)
+
+
+@pytest.mark.parametrize("kind", ANSATZ_KINDS)
+def test_a_layout_compiles_to_the_tables_of_its_graph(kind):
+    # the variance scan compiles a layout's arrays with no graph
+    for n in range(1, 13):
+        layout = _LevelTables(_automaton(n, _layout_step(kind, n)))
+        graph = _LevelTables(build_ansatz(kind, n))
+        names = ("child_edge", "lone", "rejoin", "merge_levels", "fills")  # built on first use
+        for tables in (layout, graph):
+            for name in names:
+                getattr(tables, name)
+        assert vars(layout).keys() == vars(graph).keys()
+        for name, value in vars(graph).items():
+            if name.startswith("_"):
+                continue
+            if name == "fills":
+                assert len(layout.fills) == len(value)
+                for got, want in zip(layout.fills, value):
+                    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            else:
+                assert type(getattr(layout, name)) is type(value), name
+                assert np.array_equal(getattr(layout, name), value), (kind, n, name)
+
+
+def _corrupted(change):
+    child, level = _automaton(6, _layout_step("accordion", 6))  # rows 0 | 1 2 | 3 | 4 5 | 6 | 7 8
+    change(child, level)
+    return child, level
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda child, level: child.__setitem__((0, 0), 3), "one level down"),  # two levels down
+    (lambda child, level: child.__setitem__((3, 1), -1), "one level down"),  # terminal too soon
+    (lambda child, level: child.__setitem__((8, 0), 0), "one level down"),  # out of the last level
+    (lambda child, level: child.__setitem__((0, 1), 1), "not one root"),  # node 2 is orphaned
+    (lambda child, level: level.__setitem__(slice(None), level + 1), "not one root"),  # no level 0
+], ids=["skip", "early-terminal", "late-edge", "orphan", "no-root"])
+def test_corrupted_layout_arrays_fail_the_structural_check(change, message):
+    with pytest.raises(ValueError, match=message):
+        _LevelTables(_corrupted(change))
 
 
 def test_state_vector_capacity_cap():

@@ -1,10 +1,15 @@
 """Reproduction harnesses: variance scan, training panels, field sweep."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+import vdd.exact as exact
+import vdd.experiments as experiments
+from vdd.ansatz import InitScheme, build_ansatz, init_params
+from vdd.exact import _flatten, energy_and_grad
 from vdd.experiments import (
     VarianceScanConfig,
     best_dimer,
@@ -14,6 +19,7 @@ from vdd.experiments import (
     training_curves,
     variance_scan,
 )
+from vdd.graph import VddGraph
 from vdd.hamiltonian import ModelSpec, build_model, ground_energy, tfim_ground_energy
 from vdd.optimize import ConfigError
 from vdd.state import CapacityError
@@ -59,6 +65,19 @@ def test_variance_scan_config_validation():
                        base_seed=np.int64(5))
 
 
+def test_the_config_refuses_a_layout_before_any_n_is_scanned():
+    # a bad layout name, or the universal layout past its cap at the last n,
+    # is refused when the config is made, not after the first n is scanned
+    with pytest.raises(ConfigError, match=re.escape("unknown ansatz 'bogus'")):
+        VarianceScanConfig(model="heisenberg", n_values=(4,), tracked_params=("r1",),
+                           ansatz="bogus")
+    with pytest.raises(ConfigError, match=re.escape(
+            "no scan of the universal layout at n = 30: universal layout is capped at n = 20 "
+            "(2^n - 1 nodes), got n = 30")):
+        VarianceScanConfig(model="heisenberg", n_values=(4, 30), tracked_params=("r1",),
+                           ansatz="universal")
+
+
 def test_variance_scan_rows_and_reproducibility():
     cfg = VarianceScanConfig(
         model="tfim", g=1.0, n_values=(2, 4, 6), tracked_params=("r1", "phi-1"),
@@ -76,6 +95,52 @@ def test_variance_scan_rows_and_reproducibility():
     assert a.variance(4, "r1") > 0
     with pytest.raises(KeyError):
         a.variance(3, "r1")
+
+
+@pytest.mark.parametrize("mode", ["raw", "trig"])
+@pytest.mark.parametrize("kind", ["product", "accordion", "universal"])
+def test_the_scan_evaluates_the_parameters_init_params_draws(kind, mode, monkeypatch):
+    # the θ stack is drawn in place, with no graph, from the seeds' streams
+    stacks = []
+
+    def recorded(topo, h, theta, mode):
+        stacks.append(theta.copy())
+        return energy_and_grad(topo, h, theta, mode)
+
+    monkeypatch.setattr(experiments, "energy_and_grad", recorded)
+    cfg = VarianceScanConfig(model="heisenberg", n_values=(3, 5), tracked_params=("r1",),
+                             num_seeds=3, base_seed=7, ansatz=kind, param_mode=mode)
+    variance_scan(cfg)
+    assert len(stacks) == 2
+    for n, stack in zip(cfg.n_values, stacks):
+        expected = np.stack([
+            _flatten(init_params(build_ansatz(kind, n), InitScheme("uniform", derive_seed(7, n, k))),
+                     mode) for k in range(3)])
+        assert stack.shape == expected.shape and stack.tobytes() == expected.tobytes()
+
+
+def test_the_scan_builds_no_graph(monkeypatch):
+    # each n is compiled from the layout's arrays, so no graph is built or validated
+    calls = []
+    build = VddGraph.__init__
+
+    def counted_build(self, *args, **kwargs):
+        calls.append("graph")
+        build(self, *args, **kwargs)
+
+    def counted_validate(g):
+        calls.append("validate")
+        return []
+
+    monkeypatch.setattr(VddGraph, "__init__", counted_build)
+    for module in ("vdd.graph", "vdd.exact"):
+        monkeypatch.setattr(f"{module}.validate", counted_validate)
+    for kind in ("product", "accordion", "universal"):
+        variance_scan(VarianceScanConfig(model="tfim", g=0.5, n_values=(3, 4), tracked_params=("r1",),
+                                         num_seeds=2, ansatz=kind))
+    assert calls == []
+    exact._LevelTables(build_ansatz("accordion", 3))  # the counters do see the graph path
+    assert calls == ["graph", "validate"]
 
 
 def test_variance_scan_past_the_state_vector_cap():

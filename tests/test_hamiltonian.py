@@ -182,6 +182,62 @@ def test_operator_chain_shares_channels_between_disjoint_terms(spec, bond_dim):
     assert build_model(spec)._mpo.shape == (6, bond_dim, bond_dim, 2, 2)
 
 
+def _loop_mpo(h):
+    """The operator chain built one term at a time: the reference that
+    `_build_mpo`, built over all terms at once, must equal bit for bit."""
+    n = h.num_qubits
+    pauli = {op: hamiltonian._single_site(op) for op in "IXYZ"}
+    spans = []  # (first qubit, last qubit, term), in order of first qubit
+    for t in h.terms:
+        sites = [q for q, op in enumerate(t.ops) if op != "I"] or [0]
+        spans.append((sites[0], sites[-1], t))
+    spans.sort(key=lambda span: span[0])
+    ends, channels = [], []
+    for first, last, _ in spans:
+        if first == last:
+            channels.append(None)
+            continue
+        free = next((c for c, end in enumerate(ends) if end <= first), len(ends))
+        if free == len(ends):
+            ends.append(last)
+        else:
+            ends[free] = last
+        channels.append(free + 1)
+    d = len(ends) + 2
+    w = np.zeros((n, d, d, 2, 2), dtype=np.complex128)
+    w[:, 0, 0] = w[:, d - 1, d - 1] = pauli["I"]
+    for (first, last, t), c in zip(spans, channels):
+        if c is None:
+            w[first, 0, d - 1] += t.coeff * pauli[t.ops[first]]
+            continue
+        w[first, 0, c] = t.coeff * pauli[t.ops[first]]
+        for q in range(first + 1, last):
+            w[q, c, c] = pauli[t.ops[q]]
+        w[last, c, d - 1] = pauli[t.ops[last]]
+    return w
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("model,couplings", [
+    ("z1z2", {}), ("tfim", {"g": 0.0}), ("tfim", {"g": -0.7}), ("heisenberg", {}),
+    ("heisenberg", {"jx": 0.5, "jy": 0.0, "jz": -1.5}),
+])
+def test_operator_chain_equals_the_term_by_term_reference(model, couplings, boundary):
+    for n in range(2, 15):
+        h = build_model(ModelSpec(model, n, boundary=boundary, **couplings))
+        got, want = hamiltonian._build_mpo(h), _loop_mpo(h)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), n
+
+
+def test_operator_chain_adds_one_qubit_terms_that_share_an_entry():
+    h = PauliHamiltonian(3, (PauliString(0.5, "III"), PauliString(-1.0, "IXI"),
+                             PauliString(2.0, "IXI"), PauliString(0.25, "III"),
+                             PauliString(1.5, "ZIY"), PauliString(0.75, "IIZ")))
+    got, want = hamiltonian._build_mpo(h), _loop_mpo(h)
+    assert got.shape == want.shape == (3, 3, 3, 2, 2) and got.tobytes() == want.tobytes()
+    assert hamiltonian._build_mpo(PauliHamiltonian(2, ())).shape == (2, 2, 2, 2, 2)
+
+
 @pytest.mark.parametrize("g", [0.3, 1.0, 2.5])
 @pytest.mark.parametrize("n", range(4, 13))
 def test_free_fermion_energy_matches_the_eigensolver(n, g):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vdd.exact as exact
+import vdd.hamiltonian as hamiltonian
 import vdd.vmc as vmc
 from vdd.ansatz import ANSATZ_KINDS, InitScheme, build_ansatz, build_automaton, init_params
 from vdd.exact import _Contraction, _LevelTables, _chart, _flatten, energy_and_grad
@@ -106,6 +107,23 @@ def hamiltonians(draw, max_qubits=6):
     if n >= 3:
         strings.append("X" + "I" * (n - 2) + "Y")  # support at both ends only
     return PauliHamiltonian(n, tuple(PauliString(draw(COEFF), s) for s in strings))
+
+
+@SETTINGS
+@given(hamiltonians(), st.data())
+def test_operator_chain_multiplies_out_to_the_dense_matrix(h, data):
+    # with a one-qubit term drawn twice and a drawn term repeated
+    n = h.num_qubits
+    q = data.draw(st.integers(0, n - 1))
+    one = "I" * q + data.draw(st.sampled_from("XYZ")) + "I" * (n - 1 - q)
+    h = PauliHamiltonian(n, h.terms + (PauliString(data.draw(COEFF), one),
+                                       PauliString(data.draw(COEFF), one), h.terms[-1]))
+    w = hamiltonian._build_mpo(h)
+    chain = w[0, 0]  # (D, rows, cols) from channel 0, qubit 1 the most significant bit
+    for level in w[1:]:
+        rows, cols = chain.shape[1:]
+        chain = np.einsum("arc,abst->brsct", chain, level).reshape(len(level), 2 * rows, 2 * cols)
+    np.testing.assert_allclose(chain[-1], dense_matrix(h), rtol=0, atol=1e-12)
 
 
 @SETTINGS
