@@ -116,9 +116,8 @@ def build_universal(n: int) -> VddGraph:
 
 
 def _layout_step(kind: str, n: int) -> Callable[[int, int, int], int]:
-    """The step of the layout ``kind``, once ``kind`` and n pass `build_ansatz`'s
-    checks: a ConfigError names a bad one, a CapacityError the universal
-    layout past n = 20."""
+    """The step of the layout ``kind``; a ConfigError names a bad ``kind``, a
+    CapacityError the universal layout past n = 20."""
     _check_choice("ansatz", kind, ANSATZ_KINDS)
     if kind == "universal" and _check_count("n", n, 1) > 20:
         raise CapacityError(f"universal layout is capped at n = 20 (2^n - 1 nodes), got n = {n}")
@@ -174,11 +173,14 @@ def parse_init_scheme(text: str, seed: int = 0) -> InitScheme:
     )
 
 
-def _uniform_params(num_nodes: int, seed: int) -> np.ndarray:
-    """The "uniform" scheme's (r, omega, phi) rows in ascending node id, shape
-    (num_nodes, 3): one PCG64 stream, r ~ U[0,1) then omega, phi ~ U[0, 2*pi)."""
-    draws = np.random.default_rng(seed).random((num_nodes, 3))
-    draws[:, 1:] *= 2.0 * math.pi
+def _uniform_params(num_nodes: int, seeds) -> np.ndarray:
+    """The "uniform" scheme's (r, omega, phi) rows in ascending node id, one
+    block per seed, shape (len(seeds), num_nodes, 3): one PCG64 stream per
+    seed, r ~ U[0,1) then omega, phi ~ U[0, 2*pi), drawn in place."""
+    draws = np.empty((len(seeds), num_nodes, 3))
+    for seed, block in zip(seeds, draws):
+        np.random.default_rng(seed).random(out=block)
+    draws[..., 1:] *= 2.0 * math.pi
     return draws
 
 
@@ -190,7 +192,7 @@ def init_params(g: VddGraph, scheme: InitScheme) -> VddGraph:
     """
     new_nodes: dict[int, Node] = {}
     if scheme.kind == "uniform":
-        draws = _uniform_params(len(g.nodes), scheme.seed)
+        draws = _uniform_params(len(g.nodes), [scheme.seed])[0]
         for nid, (r, omega, phi) in zip(sorted(g.nodes), draws.tolist()):
             new_nodes[nid] = replace(g.nodes[nid], params=ParamTriple(r, omega, phi))
     elif scheme.kind == "balanced":

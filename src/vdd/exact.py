@@ -64,9 +64,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from operator import attrgetter
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -225,8 +224,7 @@ class _LevelTables:
             self.global_phase, self.node_ids = g.global_phase, tuple(g.sorted_ids())
             row = {node_id: k for k, node_id in enumerate(self.node_ids)}
             nodes = [g.nodes[node_id] for node_id in self.node_ids]
-            child = np.array([(row.get(v.child0, -1), row.get(v.child1, -1)) for v in nodes],
-                             dtype=np.int64)
+            child = np.array([(row.get(v.child0, -1), row.get(v.child1, -1)) for v in nodes])
             level = np.array([v.level - 1 for v in nodes])
         else:
             child, level = g
@@ -243,41 +241,23 @@ class _LevelTables:
         self.row_of[level, slot] = np.arange(len(level))
         self.children = np.zeros((n, self.width, 2), dtype=np.int64)
         self.children[level, slot] = np.where(child < 0, 0, slot[child])
-        self._compiled, self._compiled_of = {}, None
+        self.child_edge = 2 * child.ravel()
+        self.lone = np.where(counts == 1, self.row_of[:, 0], -1)
+        joins = np.append(np.flatnonzero(self.lone >= 0), n)
+        self.rejoin = tuple(joins[np.searchsorted(joins, np.arange(n + 1))].tolist())
 
-    # the VMC engine's tables, built on first use
-
-    @cached_property
-    def child_edge(self) -> np.ndarray:
-        return 2 * self.child.ravel()
-
-    @cached_property
-    def lone(self) -> np.ndarray:
-        return np.where(self.counts == 1, self.row_of[:, 0], -1)
-
-    @cached_property
-    def rejoin(self) -> tuple[int, ...]:
-        levels = np.append(np.flatnonzero(self.lone >= 0), self.num_qubits)
-        return tuple(levels[np.searchsorted(levels, np.arange(self.num_qubits + 1))].tolist())
-
-    @cached_property
-    def merge_levels(self) -> np.ndarray:
         # a level whose edges meet at a node below it is scattered, and the last
-        in_degree = np.bincount(self.child.ravel() + 1, minlength=len(self.level) + 1)[1:]
-        scattered = np.zeros(self.num_qubits, dtype=bool)
-        scattered[self.level[in_degree > 1] - 1] = scattered[-1] = True
-        return np.flatnonzero(scattered)
-
-    @cached_property
-    def fills(self) -> list:
-        merge, levels = self.merge_levels, np.arange(self.num_qubits)
-        stage = merge[np.searchsorted(merge, levels)] - levels  # steps up from a scattered level
-        edge_stage = np.repeat(stage[self.level], 2)  # per edge 2 * row + bit
-        fills = []
+        in_degree = np.bincount(child.ravel() + 1, minlength=len(level) + 1)[1:]
+        scattered = np.zeros(n, dtype=bool)
+        scattered[level[in_degree > 1] - 1] = scattered[-1] = True
+        merge = self.merge_levels = np.flatnonzero(scattered)
+        stage = merge[np.searchsorted(merge, np.arange(n))] - np.arange(n)  # steps up from it
+        edge_stage = np.repeat(stage[level], 2)  # per edge 2 * row + bit
+        self.fills = []
         for s in range(1, int(stage.max()) + 1):
             dst = np.flatnonzero(edge_stage == s)
-            fills.append((dst, self.child_edge[dst], self.child_edge[dst] + 1))
-        return fills
+            self.fills.append((dst, self.child_edge[dst], self.child_edge[dst] + 1))
+        self._compiled, self._compiled_of = {}, None
 
     def compiled(self, h, kind, *size):
         """kind(self, h, *size), compiled on the first call with them and
@@ -295,9 +275,8 @@ class _LevelTables:
 
 
 def _check_layers(child: np.ndarray, level: np.ndarray) -> None:
-    """`validate`'s rules, vectorized for a layout: a ValueError unless each edge
-    goes one level down (to -1 from the last), and all nodes but one root at
-    level 0 have a parent, so all are reachable from it."""
+    """`validate`'s rules, vectorized for a layout: a ValueError unless each edge goes one level
+    down (-1 from the last) and all nodes but one root at level 0 have a parent (are reachable)."""
     below = np.concatenate((level, [level.max() + 1]))  # [-1]: one level below the last
     if not (-1 <= child.min() and child.max() < len(level)
             and (below[child] == level[:, None] + 1).all()):
@@ -525,8 +504,8 @@ def _chain_rule(chart: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:
 
 
 def _chain_buffers(shape: tuple, scratch: np.ndarray) -> tuple:
-    """`_chain_rule`'s products, in the front of the complex buffer `scratch`,
-    and gradient for a chart of `shape`, and views."""
+    """`_chain_rule`'s products, in the front of the complex buffer `scratch` (done
+    with by then), and gradient for a chart of `shape`, and views."""
     terms = scratch.reshape(-1)[:math.prod(shape)].reshape(shape)
     grad = np.empty(shape[1:-1] + (3,))
     return (terms, grad, terms[1, ..., 0].real, terms[1, ..., 1].real, grad[..., 0],
@@ -583,8 +562,7 @@ class _Basis:
     """
 
     def __init__(self, topo: _LevelTables, h):
-        mpo = h._mpo
-        w, d = topo.width, mpo.shape[1]
+        w, d, mpo = topo.width, h._mpo.shape[1], h._mpo
         size = w * w * d
         # each entry once per pair (i, j) of the occupied slots 0 .. counts[l] - 1
         nonzero = np.flatnonzero(mpo)
@@ -674,18 +652,20 @@ class _Contraction:
         self.g_terms = tuple(scratch[:, :count * basis.g_j.size].reshape(2, count, -1))
         self.g = np.empty_like(self.chart[2])
         self.g_rows = self.g.reshape(count, -1)
-        self.chain = _chain_buffers(self.chart[0].shape, scratch)  # the gathers are done by then
+        self.chain = _chain_buffers(self.chart[0].shape, scratch)
+        # one view per level: list() of a buffer is faster than slicing it n times
         if count == 1:  # vector-matrix products on 1-D and 2-D views
-            left, transfer, right = self.left[0, :, 0], self.transfer[0], self.right[0, ..., 0]
-            product = attrgetter("dot")
+            left, transfer = list(self.left[0, :, 0]), list(self.transfer[0])
+            right = list(self.right[0, ..., 0])
+            self.left_steps = [(left[l].dot, transfer[l], left[l + 1]) for l in range(n)]
+            self.right_steps = [(transfer[l].dot, right[l + 1], right[l]) for l in range(n - 1, 0, -1)]
         else:
-            left, transfer, right = (buffer.swapaxes(0, 1)
+            left, transfer, right = (list(buffer.swapaxes(0, 1))
                                      for buffer in (self.left, self.transfer, self.right))
-            product = partial(partial, np.matmul)
-        left, transfer, right = list(left), list(transfer), list(right)  # one view per level
-        self.left_steps = [(product(left[l]), transfer[l], left[l + 1]) for l in range(n)]
-        self.right_steps = [(product(transfer[l]), right[l + 1], right[l])
-                            for l in range(n - 1, 0, -1)]
+            self.left_steps = [(partial(np.matmul, left[l]), transfer[l], left[l + 1])
+                               for l in range(n)]
+            self.right_steps = [(partial(np.matmul, transfer[l]), right[l + 1], right[l])
+                                for l in range(n - 1, 0, -1)]
 
     def energy(self, theta: np.ndarray, mode: str):
         """(<psi|psi>, <psi|H|psi>), shapes (S,), at a stack of S θ, by the chart,

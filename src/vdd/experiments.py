@@ -164,8 +164,8 @@ def variance_scan(cfg: VarianceScanConfig) -> VarianceScanResult:
 
     All seeds of one n are evaluated in one `energy_and_grad` call, on a
     topology compiled from the layout's arrays (`ansatz._automaton`) with
-    no graph, and a θ stack drawn in place, each seed's rows as
-    `init_params(..., InitScheme("uniform", seed))` draws them.  n has no
+    no graph, and one θ stack of the seeds' draws (`ansatz._uniform_params`,
+    as `init_params(..., InitScheme("uniform", seed))` draws them).  n has no
     cap of its own: the accordion and product layouts contract at any n,
     and the universal layout, whose builder stops at n = 20 where the dense
     engine does, is refused past it by the config.
@@ -186,11 +186,8 @@ def variance_scan(cfg: VarianceScanConfig) -> VarianceScanResult:
                 warnings.warn(note, stacklevel=2)
         if not live:
             continue
-        # the draws of `_uniform_params` for each seed, without the graph
-        theta = np.empty((cfg.num_seeds, len(topo.node_ids), 3))
-        for idx, draws in enumerate(theta):
-            np.random.default_rng(derive_seed(cfg.base_seed, n, idx)).random(out=draws)
-        theta[..., 1:] *= 2.0 * math.pi
+        seeds = [derive_seed(cfg.base_seed, n, idx) for idx in range(cfg.num_seeds)]
+        theta = _uniform_params(len(topo.node_ids), seeds)
         if cfg.param_mode == "trig":
             np.arccos(theta[..., 0], out=theta[..., 0])
         _, grads = energy_and_grad(topo, h, theta, cfg.param_mode)
@@ -338,7 +335,7 @@ def best_dimer(spec: ModelSpec, starts: int = 6, seed: int = 0) -> tuple[float, 
     best_energy = math.inf
     best_graph = None
     for k in range(starts):
-        x0 = _uniform_params(len(topo.node_ids), derive_seed(seed, spec.n, k))
+        x0 = _uniform_params(len(topo.node_ids), [derive_seed(seed, spec.n, k)])[0]
         x0[:, 0] = np.arccos(x0[:, 0])
         res = minimize(objective, x0.ravel(), jac=True, method="L-BFGS-B",
                        options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12})

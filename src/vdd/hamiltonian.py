@@ -322,13 +322,10 @@ def _build_mpo(h: PauliHamiltonian) -> np.ndarray:
         if lo == hi:
             channels.append(0)
             continue
-        for c, end in enumerate(ends):  # the lowest free channel
-            if end <= lo:
-                ends[c] = hi
-                break
-        else:
-            c = len(ends)
-            ends.append(hi)
+        c = 0  # the lowest free channel: its latest term ends by lo
+        while c < len(ends) and ends[c] > lo:
+            c += 1
+        ends[c:c + 1] = [hi]  # a new channel when none is free
         channels.append(c + 1)
     channel = np.array(channels, dtype=np.intp)
     d = len(ends) + 2

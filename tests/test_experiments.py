@@ -265,7 +265,7 @@ def test_best_dimer_runs_on_one_evaluator_and_matches_energy_and_grad(monkeypatc
 
         want = []
         for k in range(2):
-            x0 = _uniform_params(len(topo.node_ids), derive_seed(0, spec.n, k))
+            x0 = _uniform_params(len(topo.node_ids), [derive_seed(0, spec.n, k)])[0]
             x0[:, 0] = np.arccos(x0[:, 0])
             res = minimize(objective, x0.ravel(), jac=True, method="L-BFGS-B",
                            options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12})
