@@ -45,7 +45,6 @@ from .optimize import (
     GRADIENT_SOURCES,
     LOSSES,
     AdamConfig,
-    LabeledDataset,
     SgdConfig,
     TrainConfig,
     train,
@@ -121,14 +120,14 @@ def _param_mode(default: str) -> Opt:
     return Opt("param_mode", "str", default, "magnitude parameterization", choices=PARAM_MODES)
 
 
-def _read_json(path: str, what: str):
+def _read_config(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read {what} file: {exc}") from None
+        raise ConfigError(f"cannot read config file: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed {what} file: {exc}") from None
+        raise ConfigError(f"malformed config file: {exc}") from None
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -137,7 +136,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     opts = {opt.name: opt for opt in command.options if opt.name != "config"}
     resolved = {name: opt.default for name, opt in opts.items()}
     if args.config is not None:
-        doc = _read_json(args.config, "config")
+        doc = _read_config(args.config)
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, value in doc.items():
@@ -294,36 +293,15 @@ def _cmd_sample(cfg: dict, outputs: _Outputs) -> None:
     print(path)
 
 
-def _load_dataset(path: str) -> LabeledDataset:
-    doc = _read_json(path, "dataset")
-    if not isinstance(doc, dict) or set(doc) != {"items"} or not isinstance(doc["items"], list):
-        raise ConfigError('dataset file must be {"items": [...]}')
-    items = []
-    for entry in doc["items"]:
-        if not isinstance(entry, dict) or not set(entry) <= {"bits", "label"}:
-            raise ConfigError(f"dataset items must have keys bits/label, got {entry!r}")
-        if "bits" not in entry or not isinstance(entry["bits"], str):
-            raise ConfigError(f"dataset item needs a bits string, got {entry!r}")
-        label = entry.get("label")
-        if label is not None and (isinstance(label, bool) or label not in (0, 1)):
-            raise ConfigError(f"dataset labels must be 0, 1 or null, got {label!r}")
-        items.append((_parse_bit_text(entry["bits"]), label))
-    return LabeledDataset(tuple(items))
-
-
 def _cmd_train(cfg: dict, outputs: _Outputs) -> None:
     if cfg["optimizer"] == "adam":
         opt = AdamConfig(lr=cfg["lr"], beta1=cfg["beta1"], beta2=cfg["beta2"], eps=cfg["eps"])
     else:
         opt = SgdConfig(lr=cfg["lr"])
-    dataset = _load_dataset(cfg["dataset"]) if cfg.get("dataset") else None
-    model = None
-    if cfg["loss"] in ("energy_gap", "energy"):
-        model = _model_spec(cfg)
     init = parse_init_scheme(cfg["init"], seed=cfg["seed"]) if cfg["init"] else None
     config = TrainConfig(
         ansatz=cfg["ansatz"],
-        model=model,
+        model=_model_spec(cfg),
         optimizer=opt,
         epochs=cfg["epochs"],
         seed=cfg["seed"],
@@ -332,7 +310,6 @@ def _cmd_train(cfg: dict, outputs: _Outputs) -> None:
         param_mode=cfg["param_mode"],
         loss=cfg["loss"],
         e0=cfg["e0"],
-        dataset=dataset,
         init=init,
     )
     trace = train(config)
@@ -533,9 +510,8 @@ _COMMANDS = {
         Opt("gradient_source", "str", TrainConfig.gradient_source, "gradient engine",
             choices=GRADIENT_SOURCES),
         Opt("batch_size", "int", None, "samples per epoch (vmc)"),
-        Opt("loss", "str", TrainConfig.loss, "objective", choices=LOSSES),
+        Opt("loss", "str", TrainConfig.loss, "objective: <H> - E0 or <H>", choices=LOSSES),
         Opt("e0", "float", None, "reference ground energy (skips the dense eigensolve)"),
-        Opt("dataset", "str", None, "JSON dataset file for bce/kl losses"),
         Opt("init", "str", None, 'parameter init override (default "uniform" at --seed)'),
     ), seed="seed", writes=True),
     "variance-scan": Command(_cmd_variance_scan, (

@@ -7,11 +7,6 @@ Losses:
                  fermions past it);
                  same gradient as "energy", but the trace shows the gap.
 * "energy"     — plain <H>.
-* "bce"        — binary cross-entropy of Born probabilities against 0/1
-                 labels, -(1/N) sum [l log p + (1-l) log(1-p)].
-* "kl"         — cross-entropy against the empirical distribution of the
-                 dataset, -(1/N) sum log p(b_i)  (the KL divergence up to
-                 the dataset's fixed entropy).
 
 Gradients come from the exact engine or from sampled batches ("vmc").
 `train` compiles the diagram once and keeps θ, a flat vector ordered like
@@ -23,10 +18,6 @@ shift on whichever edge's factor is negative.  In "raw" mode r is updated
 directly and projected into [delta, 1-delta] after each step to keep
 later gradients finite, delta being the exact engine's clamp of d/dr, so
 the projected r is where the clamped and the true derivative agree.
-
-Dataset losses depend on parameters only through the path probabilities
-|edge|^2, so their gradients are products of those factors (no divisions)
-and every phase entry is exactly zero.
 """
 
 from __future__ import annotations
@@ -39,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ansatz import ANSATZ_KINDS, InitScheme, build_ansatz, init_params
-from .exact import _CLAMP, PARAM_MODES, GradientVector, _chart, _check_mode, _check_raw
+from .exact import _CLAMP, PARAM_MODES, _check_raw
 from .exact import _evaluator, _flatten, _LevelTables, _materialize, parameter_labels
 from .graph import VddGraph
 from .hamiltonian import (
@@ -61,18 +52,13 @@ __all__ = [
     "TrainConfig",
     "TraceRecord",
     "TrainTrace",
-    "LabeledDataset",
     "adam_step",
     "sgd_step",
-    "bce_loss",
-    "kl_loss",
     "train",
 ]
 
-LOSSES = ("energy_gap", "energy", "bce", "kl")
+LOSSES = ("energy_gap", "energy")
 GRADIENT_SOURCES = ("exact", "vmc")
-
-_EPS_PROB = 1e-12  # probability clamp in the dataset losses
 
 
 class TrainingError(RuntimeError):
@@ -184,104 +170,6 @@ def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# dataset losses
-
-
-@dataclass(frozen=True)
-class LabeledDataset:
-    """Bit strings with optional 0/1 labels (labels required for BCE)."""
-
-    items: tuple
-
-    def __post_init__(self):
-        norm = []
-        for entry in self.items:
-            bits, label = entry
-            bits = tuple(int(x) for x in bits)
-            if any(x not in (0, 1) for x in bits):
-                raise ConfigError(f"bits must be 0/1, got {bits}")
-            if label is not None and label not in (0, 1):
-                raise ConfigError(f"labels must be 0, 1 or None, got {label!r}")
-            norm.append((bits, label))
-        if not norm:
-            raise ConfigError("dataset must contain at least one item")
-        lengths = {len(bits) for bits, _ in norm}
-        if len(lengths) != 1:
-            raise ConfigError(f"bit strings must share one length, got lengths {sorted(lengths)}")
-        object.__setattr__(self, "items", tuple(norm))
-
-    @property
-    def num_qubits(self) -> int:
-        return len(self.items[0][0])
-
-
-def _dataset_arrays(data: LabeledDataset, want_labels: bool):
-    """(bits (M, n) uint8, labels (M,) float or None) of a dataset."""
-    bits = np.array([item for item, _ in data.items], dtype=np.uint8)
-    labels = [label for _, label in data.items]
-    if want_labels and None in labels:
-        missing = data.items[labels.index(None)][0]
-        raise ConfigError(f"BCE needs a 0/1 label for every item, none on {missing}")
-    return bits, np.array(labels, dtype=np.float64) if want_labels else None
-
-
-def _dataset_loss(topo: _LevelTables, theta: np.ndarray, mode: str, bits, labels):
-    """Mean BCE (labels given) or cross-entropy (labels None) and its gradient (N, 3).
-
-    p(b) = prod of q = |edge|^2 along b's path, so each node's magnitude
-    derivative is prefix * dq * suffix with dq = 2 Re(conj(edge) d edge):
-    no division by an edge weight, finite at the box boundary.  Phase
-    entries are exactly zero.
-    """
-    factor, slope = _chart(theta, mode)
-    count, n = bits.shape
-    rows = np.empty((count, n), dtype=np.int64)  # node row at each level of each path
-    rows[:, 0] = topo.root
-    for level in range(1, n):
-        rows[:, level] = topo.child[rows[:, level - 1], bits[:, level - 1]]
-    edge = factor[rows, bits]
-    q = np.abs(edge) ** 2
-    dq = 2.0 * (np.conj(edge) * slope[rows, bits]).real
-    prefix = np.ones((count, n))
-    prefix[:, 1:] = np.cumprod(q[:, :-1], axis=1)
-    suffix = np.ones((count, n))
-    suffix[:, :-1] = np.cumprod(q[:, :0:-1], axis=1)[:, ::-1]
-    ph = np.clip(prefix[:, -1] * q[:, -1], _EPS_PROB, 1.0 - _EPS_PROB)
-    if labels is None:
-        loss = -np.mean(np.log(ph))
-        weight = -1.0 / ph
-    else:
-        loss = -np.mean(labels * np.log(ph) + (1 - labels) * np.log(1.0 - ph))
-        weight = -(labels / ph - (1 - labels) / (1.0 - ph))
-    magnitude = np.zeros(theta.shape[0])
-    np.add.at(magnitude, rows, weight[:, None] * prefix * dq * suffix)
-    grad = np.zeros(theta.shape)
-    grad[:, 0] = magnitude / count
-    return float(loss), grad
-
-
-def _graph_dataset_loss(g: VddGraph, data: LabeledDataset, mode: str, want_labels: bool):
-    _check_mode(mode)
-    if data.num_qubits != g.num_qubits:
-        raise ValueError(
-            f"dataset bit strings have {data.num_qubits} bits but the graph has {g.num_qubits}"
-        )
-    topo = _LevelTables(g)
-    loss, grad = _dataset_loss(topo, _flatten(g, mode), mode, *_dataset_arrays(data, want_labels))
-    return loss, GradientVector(entries=grad.ravel(), node_ids=topo.node_ids)
-
-
-def bce_loss(g: VddGraph, data: LabeledDataset, mode: str = "raw"):
-    """Binary cross-entropy of Born probabilities vs labels, with gradient."""
-    return _graph_dataset_loss(g, data, mode, want_labels=True)
-
-
-def kl_loss(g: VddGraph, data: LabeledDataset, mode: str = "raw"):
-    """Cross-entropy -(1/N) sum log p(b_i), with gradient."""
-    return _graph_dataset_loss(g, data, mode, want_labels=False)
-
-
-# ---------------------------------------------------------------------------
 # the training loop
 
 
@@ -297,7 +185,6 @@ class TrainConfig:
     param_mode: str = "trig"
     loss: str = "energy_gap"
     e0: float | None = None
-    dataset: LabeledDataset | None = None
     init: InitScheme | None = None
 
     def __post_init__(self):
@@ -307,26 +194,20 @@ class TrainConfig:
         _check_choice("param_mode", self.param_mode, PARAM_MODES)
         _check_count("epochs", self.epochs, 1)
         _check_count("seed", self.seed, 0)
+        if not isinstance(self.model, ModelSpec):
+            raise ConfigError(f"model must be a ModelSpec, got {self.model!r}")
         if not isinstance(self.optimizer, (AdamConfig, SgdConfig)):
             raise ConfigError(f"optimizer must be AdamConfig or SgdConfig, got {self.optimizer!r}")
+        if self.init is not None and not isinstance(self.init, InitScheme):
+            raise ConfigError(f"init must be None or an InitScheme, got {self.init!r}")
         if self.e0 is not None and not math.isfinite(self.e0):
             raise ConfigError(f"e0 must be finite, got {self.e0!r}")
         if self.gradient_source == "vmc":
             _check_count("batch_size", self.batch_size, 2)
-        if self.loss in ("bce", "kl"):
-            if self.dataset is None:
-                raise ConfigError(f"loss {self.loss!r} needs a dataset")
-            if self.model is not None:
-                raise ConfigError(f"loss {self.loss!r} takes a dataset, not a model")
-            if self.gradient_source != "exact":
-                raise ConfigError(f"loss {self.loss!r} supports only the exact gradient source")
-        else:
-            if self.model is None:
-                raise ConfigError(f"loss {self.loss!r} needs a model")
 
     @property
     def num_qubits(self) -> int:
-        return self.model.n if self.model is not None else self.dataset.num_qubits
+        return self.model.n
 
 
 @dataclass
@@ -368,7 +249,7 @@ class TrainTrace:
                     [
                         rec.epoch,
                         repr(rec.loss),
-                        "" if math.isnan(rec.energy) else repr(rec.energy),
+                        repr(rec.energy),
                         "" if rec.relative_error is None else repr(rec.relative_error),
                         repr(rec.grad_norm),
                         "" if rec.energy_stderr is None else repr(rec.energy_stderr),
@@ -415,17 +296,11 @@ def train(config: TrainConfig) -> TrainTrace:
     theta = _flatten(g, mode).ravel()
     node_params = theta.reshape(-1, 3)  # a view: one (r | u, omega, phi) row per node
 
-    h = e0 = None
-    energy_driven = config.loss in ("energy_gap", "energy")
-    if energy_driven:
-        h = build_model(config.model)
-        e0 = _resolve_e0(config, h)
-        if config.gradient_source == "exact":
-            evaluate, _ = _evaluator(topo, h, 1)  # the engine, chosen once per run
+    h = build_model(config.model)
+    e0 = _resolve_e0(config, h)
+    if config.gradient_source == "exact":
+        evaluate, _ = _evaluator(topo, h, 1)  # the engine, chosen once per run
     else:
-        bits, targets = _dataset_arrays(config.dataset, want_labels=config.loss == "bce")
-
-    if config.gradient_source == "vmc":
         sample_rng = np.random.default_rng([config.seed, 1])
         batch = VmcBatch(topo, config.batch_size)  # every epoch is drawn into it
 
@@ -436,21 +311,17 @@ def train(config: TrainConfig) -> TrainTrace:
     for epoch in range(1, config.epochs + 1):
         start = time.perf_counter()
         stderr = None
-        if energy_driven:
-            if config.gradient_source == "exact":  # energy_and_grad at one θ
-                if mode == "raw":
-                    _check_raw(topo, node_params[None], False, stacklevel=2)
-                norm2, value, grad = evaluate(node_params[None], mode)
-                energy = _checked_energy(norm2.item(), value.item())
-            else:
-                _draw(batch, h, node_params, mode, sample_rng)
-                energy, stderr = batch.energy_mean, batch.energy_stderr
-                grad = _batch_gradient(batch)
-            loss_val = energy - e0 if config.loss == "energy_gap" else energy
-            rel = abs((energy - e0) / e0) if e0 not in (None, 0.0) else None
+        if config.gradient_source == "exact":  # energy_and_grad at one θ
+            if mode == "raw":
+                _check_raw(topo, node_params[None], False, stacklevel=2)
+            norm2, value, grad = evaluate(node_params[None], mode)
+            energy = _checked_energy(norm2.item(), value.item())
         else:
-            loss_val, grad = _dataset_loss(topo, node_params, mode, bits, targets)
-            energy, rel = math.nan, None
+            _draw(batch, h, node_params, mode, sample_rng)
+            energy, stderr = batch.energy_mean, batch.energy_stderr
+            grad = _batch_gradient(batch)
+        loss_val = energy - e0 if config.loss == "energy_gap" else energy
+        rel = abs((energy - e0) / e0) if e0 not in (None, 0.0) else None
         grad = grad.ravel()
 
         grad_norm = math.sqrt(grad @ grad)

@@ -276,7 +276,7 @@ FLAGS = {
     "eigen": "config model n g jx jy jz boundary",
     "sample": "config output_dir vdd count seed out model g jx jy jz boundary",
     "train": "config output_dir model n g jx jy jz boundary ansatz optimizer lr beta1 "
-             "beta2 eps epochs seed param_mode gradient_source batch_size loss e0 dataset init",
+             "beta2 eps epochs seed param_mode gradient_source batch_size loss e0 init",
     "variance-scan": "config output_dir model g jx jy jz boundary n_values tracked "
                      "num_seeds base_seed param_mode ansatz",
     "g-sweep": "config output_dir g_values n epochs lr seed ansatz param_mode",
@@ -349,15 +349,11 @@ def test_bad_value_is_a_config_error(tmp_path, capsys, argv, doc):
     (("--model", "tfim", "--n", "3", "--init", "basis:01"), "needs 3 bits, got 2"),
     (("--model", "tfim", "--n", "3", "--lr", "inf"), "lr must be positive and finite"),
     (("--model", "tfim", "--n", "3", "--eps", "inf"), "eps must be positive and finite"),
-    (("--loss", "bce", "--dataset", "{dataset}"), "BCE needs a 0/1 label"),
-], ids=["basis-length", "lr-inf", "eps-inf", "bce-unlabeled"])
+], ids=["basis-length", "lr-inf", "eps-inf"])
 def test_train_refuses_a_value_its_run_cannot_use(tmp_path, capsys, argv, named):
     # each once failed inside the run with exit 1, or, an infinite eps, trained
     # without moving θ
-    dataset = tmp_path / "data.json"
-    dataset.write_text(json.dumps({"items": [{"bits": "01", "label": None}]}))
     out_dir = tmp_path / "out"
-    argv = [a.format(dataset=dataset) for a in argv]
     code, _, err = invoke(capsys, "train", *argv, "--epochs", "2", "--seed", "1",
                           "--output-dir", str(out_dir))
     assert code == 2 and "config error: " in err and named in err

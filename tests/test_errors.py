@@ -23,7 +23,7 @@ from vdd.exact import _LevelTables, exact_gradient
 from vdd.experiments import VarianceScanConfig
 from vdd.graph import ParseError, serialize
 from vdd.hamiltonian import ModelSpec, build_model
-from vdd.optimize import AdamConfig, LabeledDataset, SgdConfig, TrainConfig, train
+from vdd.optimize import AdamConfig, SgdConfig, TrainConfig, train
 from vdd.state import CapacityError, ConfigError
 from vdd.vmc import VmcBatch
 
@@ -51,12 +51,14 @@ BAD_VALUES = {
     "build_ansatz.kind": (lambda: build_ansatz("ring", 4), "unknown ansatz 'ring'"),
     "build_automaton.n": (lambda: build_automaton(0, lambda level, state, bit: 0),
                           "n must be an integer >= 1"),
-    "LabeledDataset.labels": (lambda: LabeledDataset((((0, 1), 3),)), "labels must be 0, 1"),
     "VmcBatch.count": (lambda: VmcBatch(_LevelTables(build_accordion(2)), 0),
                        "count must be an integer >= 1"),
     "param_mode": (lambda: exact_gradient(build_accordion(3), build_model(SPEC), mode="polar"),
                    "unknown param_mode 'polar'"),
     "TrainConfig.ansatz": (lambda: TrainConfig(model=SPEC, ansatz="ring"), "unknown ansatz"),
+    "TrainConfig.model": (lambda: TrainConfig(model="heisenberg"), "model must be a ModelSpec"),
+    "TrainConfig.init": (lambda: TrainConfig(model=SPEC, init="uniform"),
+                         "init must be None or an InitScheme"),
     "TrainConfig.loss": (lambda: TrainConfig(model=SPEC, loss="nll"), "unknown loss"),
     "TrainConfig.gradient_source": (lambda: TrainConfig(model=SPEC, gradient_source="mps"),
                                     "unknown gradient_source"),

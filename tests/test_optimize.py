@@ -1,4 +1,4 @@
-"""Optimizer steps, dataset losses, and the training loop."""
+"""Optimizer steps and the training loop."""
 
 import dataclasses
 import math
@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from vdd.ansatz import InitScheme, build_ansatz, build_product, init_params
+from vdd.ansatz import InitScheme
 from vdd.exact import exact_energy, exact_gradient
-from vdd.graph import ParamTriple, amplitude
+from vdd.graph import ParamTriple
 from vdd.hamiltonian import (
     ModelSpec,
     build_model,
@@ -20,20 +20,15 @@ from vdd.optimize import (
     AdamConfig,
     AdamState,
     ConfigError,
-    LabeledDataset,
     SgdConfig,
     TrainConfig,
     TrainingError,
     adam_step,
-    bce_loss,
-    kl_loss,
     sgd_step,
     train,
 )
 from vdd.vmc import sample_batch, vmc_gradient, vmc_gradient_stderr
-from graphs import random_graph, set_node
-
-LOG2 = math.log(2.0)
+from graphs import random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -126,97 +121,6 @@ def test_train_names_a_non_finite_gradient_entry(bad, optimizer, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# dataset losses
-
-
-def bce_probe_graph(r: float):
-    return set_node(build_product(1), 1, r, 0.0, 0.0)
-
-
-def test_bce_on_perfectly_classified_point():
-    g = bce_probe_graph(1.0)  # p(0) = 1
-    data = LabeledDataset((((0,), 1),))
-    loss, _ = bce_loss(g, data)
-    assert loss == pytest.approx(0.0, abs=1e-10)
-
-
-def test_bce_half_probability_is_log_two():
-    g = bce_probe_graph(2**-0.5)  # p(0) = 1/2
-    loss, _ = bce_loss(g, LabeledDataset((((0,), 1),)))
-    assert loss == pytest.approx(LOG2, abs=1e-12)
-
-
-def test_kl_on_basis_state_is_zero():
-    g = init_params(build_product(2), InitScheme("basis", bits=(1, 0)))
-    loss, _ = kl_loss(g, LabeledDataset((((1, 0), None),)))
-    assert loss == pytest.approx(0.0, abs=1e-10)
-
-
-def test_kl_on_balanced_two_qubits():
-    g = build_ansatz("accordion", 2)
-    loss, _ = kl_loss(g, LabeledDataset((((0, 1), None),)))
-    assert loss == pytest.approx(2 * LOG2, abs=1e-12)
-
-
-@pytest.mark.parametrize("mode", ["raw", "trig"])
-@pytest.mark.parametrize("loss_fn,labeled", [(bce_loss, True), (kl_loss, False)])
-def test_dataset_loss_gradients_match_finite_differences(loss_fn, labeled, mode):
-    rng = np.random.default_rng(31)
-    g = random_graph("universal", 3, 17)
-    items = []
-    for _ in range(6):
-        bits = tuple(int(b) for b in rng.integers(0, 2, size=3))
-        items.append((bits, int(rng.integers(0, 2)) if labeled else None))
-    data = LabeledDataset(tuple(items))
-
-    loss0, gv = loss_fn(g, data, mode=mode)
-    step = 1e-6
-    ids = sorted(g.nodes)
-    for slot, nid in enumerate(ids):
-        node = g.nodes[nid]
-        for k, name in enumerate(("r", "omega", "phi")):
-            value = getattr(node.params, name)
-            if name == "r" and mode == "trig":
-                u = math.acos(min(1.0, max(0.0, value)))
-                probes = [math.cos(u + step), math.cos(u - step)]
-                num = None
-                vals = []
-                for pr in probes:
-                    params = ParamTriple(min(1.0, max(0.0, pr)), node.params.omega, node.params.phi)
-                    nodes = dict(g.nodes)
-                    nodes[nid] = dataclasses.replace(node, params=params)
-                    vals.append(loss_fn(dataclasses.replace(g, nodes=nodes), data, mode=mode)[0])
-                num = (vals[0] - vals[1]) / (2 * step)
-            else:
-                vals = []
-                for sgn in (+1, -1):
-                    fields = {"r": node.params.r, "omega": node.params.omega, "phi": node.params.phi}
-                    fields[name] = fields[name] + sgn * step
-                    if name == "r":
-                        fields[name] = min(1.0, max(0.0, fields[name]))
-                    nodes = dict(g.nodes)
-                    nodes[nid] = dataclasses.replace(node, params=ParamTriple(**fields))
-                    vals.append(loss_fn(dataclasses.replace(g, nodes=nodes), data, mode=mode)[0])
-                num = (vals[0] - vals[1]) / (2 * step)
-            got = gv.entries[3 * slot + k]
-            assert got == pytest.approx(num, abs=5e-6), f"{name}{nid} in {mode}"
-    assert math.isfinite(loss0)
-
-
-def test_dataset_validation():
-    with pytest.raises(ValueError):
-        LabeledDataset(())
-    with pytest.raises(ValueError):
-        LabeledDataset((((0, 1), 1), ((0,), 0)))
-    with pytest.raises(ValueError):
-        LabeledDataset((((0, 2), 1),))
-    with pytest.raises(ValueError):
-        LabeledDataset((((0, 1), 3),))
-    with pytest.raises(ValueError):
-        bce_loss(build_product(2), LabeledDataset((((0, 1), None),)))  # BCE needs labels
-
-
-# ---------------------------------------------------------------------------
 # the training loop
 
 
@@ -231,7 +135,7 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(model=None, loss="energy_gap")
     with pytest.raises(ConfigError):
-        TrainConfig(model=spec, loss="bce")  # dataset losses take a dataset, not a model
+        TrainConfig(model=spec, loss="bce")
     with pytest.raises(ConfigError):
         TrainConfig(model=spec, optimizer=AdamConfig(lr=-0.5))
     # counts are integers: a float or a bool is refused by name, a numpy integer is not
@@ -373,18 +277,6 @@ def test_raw_training_projects_r_into_box():
     trace = train(TrainConfig(model=spec, epochs=2000, seed=6, param_mode="raw"))
     for node in trace.graph.nodes.values():
         assert 1e-9 <= node.params.r <= 1 - 1e-9
-
-
-def test_dataset_training_concentrates_probability():
-    items = (((0, 1, 1), None), ((1, 0, 0), None))
-    data = LabeledDataset(items)
-    cfg = TrainConfig(ansatz="universal", model=None, loss="kl", dataset=data,
-                      epochs=5000, seed=9)
-    trace = train(cfg)
-    total = sum(abs(amplitude(trace.graph, b)) ** 2 for b, _ in items)
-    assert total >= 0.99
-    assert math.isnan(trace.final.energy)  # no Hamiltonian in dataset mode
-    assert trace.final.energy_stderr is None
 
 
 def test_trace_csv_round_trip(tmp_path):

@@ -561,6 +561,86 @@ def test_vmc_training_trace_is_pinned_for_a_seed(case):
     np.testing.assert_allclose(got, PINNED_TRACES[case], rtol=1e-12, atol=0.0)
 
 
+# per epoch (loss, energy, relative_error, grad_norm) of 5-epoch exact runs at
+# seed 3; loss "energy" resolves no E0, so its relative_error is None
+PINNED_EXACT_TRACES = {
+    ("accordion", "heisenberg", 6, "raw", "energy"): [
+        (0.09983554904136294, 0.09983554904136294, None, 8.138736230879429),
+        (-0.1297959621037036, -0.1297959621037036, None, 9.461108741624642),
+        (-0.39513689078269676, -0.39513689078269676, None, 13.656924121222167),
+        (-0.7479452715236706, -0.7479452715236706, None, 34572.86112411493),
+        (-0.9377247918132612, -0.9377247918132612, None, 35026.66319577095),
+    ],
+    ("accordion", "heisenberg", 6, "raw", "energy_gap"): [
+        (10.074144084593064, 0.09983554904136294, 1.0100092701850474, 8.138736230879429),
+        (9.844512573447998, -0.1297959621037036, 0.9869869714135002, 9.461108741624642),
+        (9.579171644769005, -0.39513689078269676, 0.9603845329854898, 13.656924121222167),
+        (9.22636326402803, -0.7479452715236706, 0.9250128198002149, 34572.86112411493),
+        (9.03658374373844, -0.9377247918132612, 0.9059859850463916, 35026.66319577095),
+    ],
+    ("accordion", "heisenberg", 6, "trig", "energy"): [
+        (0.09983554904136294, 0.09983554904136294, None, 5.386794861653297),
+        (-0.05702125049355189, -0.05702125049355189, None, 5.486921009527238),
+        (-0.21841785583196982, -0.21841785583196982, None, 5.580971125067557),
+        (-0.38388664818372153, -0.38388664818372153, None, 5.668506438835865),
+        (-0.5529037109064034, -0.5529037109064034, None, 5.749436903601972),
+    ],
+    ("accordion", "heisenberg", 6, "trig", "energy_gap"): [
+        (10.074144084593064, 0.09983554904136294, 1.0100092701850474, 5.386794861653297),
+        (9.91728728505815, -0.05702125049355189, 0.9942831876224493, 5.486921009527238),
+        (9.755890679719732, -0.21841785583196982, 0.9781019551326835, 5.580971125067557),
+        (9.59042188736798, -0.38388664818372153, 0.9615124550423295, 5.668506438835865),
+        (9.421404824645299, -0.5529037109064034, 0.9445672139641889, 5.749436903601972),
+    ],
+    ("accordion", "tfim", 6, "raw", "energy"): [
+        (0.8462753664016203, 0.8462753664016203, None, 7.392654052506414),
+        (0.651873150266624, 0.651873150266624, None, 7.981975821307435),
+        (0.44488003026200973, 0.44488003026200973, None, 10.152788292690838),
+        (0.1780259407611886, 0.1780259407611886, None, 24683.095021610177),
+        (0.020481922927922946, 0.020481922927922946, None, 23516.726609014855),
+    ],
+    ("accordion", "tfim", 6, "raw", "energy_gap"): [
+        (8.142505176960372, 0.8462753664016203, 1.1159880360644523, 7.392654052506414),
+        (7.948102960825375, 0.651873150266624, 1.0893438347190305, 7.981975821307435),
+        (7.74110984082076, 0.44488003026200973, 1.0609739607733024, 10.152788292690838),
+        (7.47425575131994, 0.1780259407611886, 1.0243997167555712, 24683.095021610177),
+        (7.316711733486674, 0.020481922927922946, 1.0028071926816617, 23516.726609014855),
+    ],
+    ("accordion", "tfim", 6, "trig", "energy"): [
+        (0.8462753664016203, 0.8462753664016203, None, 5.588404466469787),
+        (0.708822190846507, 0.708822190846507, None, 5.640678084790639),
+        (0.5728754884097794, 0.5728754884097794, None, 5.6896563950137455),
+        (0.43862700460057913, 0.43862700460057913, None, 5.735346523378034),
+        (0.30617368662548206, 0.30617368662548206, None, 5.777483263350162),
+    ],
+    ("accordion", "tfim", 6, "trig", "energy_gap"): [
+        (8.142505176960372, 0.8462753664016203, 1.1159880360644523, 5.588404466469787),
+        (8.005052001405257, 0.708822190846507, 1.0971491042977748, 5.640678084790639),
+        (7.86910529896853, 0.5728754884097794, 1.0785166453475385, 5.6896563950137455),
+        (7.73485681515933, 0.43862700460057913, 1.0601169392945682, 5.735346523378034),
+        (7.602403497184233, 0.30617368662548206, 1.041963273440538, 5.777483263350162),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_EXACT_TRACES))
+def test_exact_training_trace_is_pinned_for_a_seed(case):
+    # the exact-path tests compare `train` with a hand-written loop, which
+    # moves with a change both share; a change to the engine, the chart or
+    # the update that moves any result moves these
+    from vdd.optimize import TrainConfig, train
+
+    ansatz, model, n, mode, loss = case
+    spec = ModelSpec(model, n, g=1.0 if model == "tfim" else 0.0)
+    trace = train(TrainConfig(ansatz=ansatz, model=spec, epochs=5, seed=3, param_mode=mode,
+                              loss=loss))
+    got = [(r.loss, r.energy, r.relative_error, r.grad_norm) for r in trace.records]
+    # a None is a nan here, and a nan matches only a nan
+    np.testing.assert_allclose(np.array(got, dtype=float),
+                               np.array(PINNED_EXACT_TRACES[case], dtype=float),
+                               rtol=1e-12, atol=0.0)
+
+
 def segment_keys(g, h, count):
     from vdd import vmc
     from vdd.exact import _LevelTables
