@@ -11,11 +11,8 @@ gradient-variance and field-sweep experiments, and a CLI (`vdd`).
 from .ansatz import (
     ANSATZ_KINDS,
     InitScheme,
-    build_accordion,
     build_ansatz,
     build_automaton,
-    build_product,
-    build_universal,
     encode_state,
     init_params,
     parse_init_scheme,
@@ -118,12 +115,9 @@ __all__ = [
     "apply_string",
     "apply_to_vector",
     "best_dimer",
-    "build_accordion",
     "build_ansatz",
     "build_automaton",
     "build_model",
-    "build_product",
-    "build_universal",
     "dense_matrix",
     "deserialize",
     "edge_amplitudes",

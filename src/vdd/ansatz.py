@@ -17,9 +17,13 @@ step into the arrays ``exact._LevelTables`` compiles, with no graph, and
               bit-string prefix; can represent any n-qubit state.  2^n - 1
               nodes.
 
-Builders return graphs with balanced parameters (r = 1/sqrt2, phases 0);
-apply ``init_params`` to overwrite them.  Node ids run level by level, in
-ascending state order, starting at 1.
+``build_ansatz(kind, n)`` builds a layout by name.  Its graphs carry
+balanced parameters (r = 1/sqrt2, phases 0) only because a node needs
+some: ``init_params`` and ``encode_state`` compute θ, one (r, omega, phi)
+row per node in ascending id, and put it on the graph through
+``exact._materialize``, the one writer of parameters outside
+``deserialize``.  Node ids run level by level, in ascending state order,
+starting at 1.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .exact import _materialize
 from .graph import TERMINAL, Node, ParamTriple, VddGraph, validate
 from .state import CapacityError, ConfigError, _check_choice, _check_count, as_amplitudes
 
@@ -38,9 +43,6 @@ __all__ = [
     "ANSATZ_KINDS",
     "InitScheme",
     "build_automaton",
-    "build_product",
-    "build_accordion",
-    "build_universal",
     "build_ansatz",
     "init_params",
     "parse_init_scheme",
@@ -91,28 +93,6 @@ _STEPS = {
 }
 
 ANSATZ_KINDS = tuple(_STEPS)
-
-
-def build_product(n: int) -> VddGraph:
-    """One node per level; both edges of level l target the level-(l+1) node."""
-    return build_ansatz("product", n)
-
-
-def build_accordion(n: int) -> VddGraph:
-    """Alternating one- and two-node levels: the states it represents are
-    dimer products over qubit pairs (1,2), (3,4), ... with a single leftover
-    qubit factor when n is odd."""
-    return build_ansatz("accordion", n)
-
-
-def build_universal(n: int) -> VddGraph:
-    """Complete binary layout: node k at level l has children 2k and 2k+1.
-
-    Level l holds the 2^(l-1) nodes indexed by the bit-string prefixes of
-    length l-1, so any n-qubit state can be represented (see encode_state).
-    Capped at n = 20 since the layout has 2^n - 1 nodes.
-    """
-    return build_ansatz("universal", n)
 
 
 def _layout_step(kind: str, n: int) -> Callable[[int, int, int], int]:
@@ -187,35 +167,30 @@ def _uniform_params(num_nodes: int, seeds) -> np.ndarray:
 def init_params(g: VddGraph, scheme: InitScheme) -> VddGraph:
     """Return a copy of ``g`` with freshly initialized parameters.
 
-    Deterministic given the scheme's seed; the global phase is reset to 0
-    (it is not a trainable parameter).
+    The scheme's θ rows, in ascending node id, go onto the graph through
+    `exact._materialize`.  Deterministic given the scheme's seed; the global
+    phase is reset to 0 (it is not a trainable parameter).
     """
-    new_nodes: dict[int, Node] = {}
+    ids = g.sorted_ids()
     if scheme.kind == "uniform":
-        draws = _uniform_params(len(g.nodes), [scheme.seed])[0]
-        for nid, (r, omega, phi) in zip(sorted(g.nodes), draws.tolist()):
-            new_nodes[nid] = replace(g.nodes[nid], params=ParamTriple(r, omega, phi))
+        theta = _uniform_params(len(ids), [scheme.seed])[0]
     elif scheme.kind == "balanced":
-        for nid, node in g.nodes.items():
-            new_nodes[nid] = replace(node, params=_BALANCED)
+        theta = np.tile([_BALANCED.r, 0.0, 0.0], (len(ids), 1))
     else:
         bits = scheme.bits
         if bits is None or len(bits) != g.num_qubits:
             raise ConfigError(
                 f"basis init needs {g.num_qubits} bits, got {len(bits) if bits else 0}"
             )
-        on_path: dict[int, int] = {}
+        theta = np.tile([1.0, 0.0, 0.0], (len(ids), 1))
+        row = dict(zip(ids, range(len(ids))))
         current = g.root_child
-        for bit in bits:
-            on_path[current] = bit
+        for bit in bits:  # r = 0 where the path of `bits` takes the 1-edge
             node = g.nodes[current]
+            if bit:
+                theta[row[current], 0] = 0.0
             current = node.child1 if bit else node.child0
-        for nid, node in g.nodes.items():
-            r = 0.0 if on_path.get(nid, 0) else 1.0
-            new_nodes[nid] = replace(node, params=ParamTriple(r, 0.0, 0.0))
-    return VddGraph(
-        num_qubits=g.num_qubits, global_phase=0.0, root_child=g.root_child, nodes=new_nodes
-    )
+    return replace(_materialize(g, theta, "raw"), global_phase=0.0)
 
 
 def encode_state(v) -> VddGraph:
@@ -248,24 +223,19 @@ def encode_state(v) -> VddGraph:
     while masses[0].shape[0] > 1:
         masses.insert(0, masses[0].reshape(-1, 2).sum(axis=1))
 
-    g = build_universal(n)
-    new_nodes: dict[int, Node] = {}
-    for nid, node in g.nodes.items():
-        level = node.level
-        p = nid - 2 ** (level - 1)
-        mass = masses[level - 1][p]
-        if mass <= 0.0:
-            params = ParamTriple(1.0, 0.0, 0.0)
-        else:
-            ratio = float(masses[level][2 * p] / mass)
-            r = math.sqrt(min(1.0, max(0.0, ratio)))
-            if level == n:
-                omega = cmath.phase(amps[2 * p])
-                phi = cmath.phase(amps[2 * p + 1])
-            else:
-                omega = phi = 0.0
-            params = ParamTriple(r, omega, phi)
-        new_nodes[nid] = replace(node, params=params)
-    out = VddGraph(num_qubits=n, global_phase=0.0, root_child=1, nodes=new_nodes)
+    # θ's row k is node id k + 1: the k-th prefix p of length < n, level by
+    # level, whose r splits M(p) into M(p0) and M(p1).  The last size / 2
+    # rows are the leaves, one per pair of amplitudes.
+    mass = np.concatenate(masses[:-1])
+    split = np.concatenate([m[0::2] for m in masses[1:]])
+    live = mass > 0.0
+    theta = np.zeros((mass.shape[0], 3))
+    theta[:, 0] = 1.0
+    theta[live, 0] = np.sqrt(np.clip(split[live] / mass[live], 0.0, 1.0))
+    leaves, live = theta[-(size // 2):], live[-(size // 2):]
+    # cmath.phase, not np.angle: the two differ in the last ulp
+    leaves[live, 1:] = [[cmath.phase(a) for a in pair]
+                        for pair in amps.reshape(-1, 2)[live].tolist()]
+    out = _materialize(build_ansatz("universal", n), theta, "raw")
     assert not validate(out)
     return out

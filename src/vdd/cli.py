@@ -49,7 +49,7 @@ from .optimize import (
     TrainConfig,
     train,
 )
-from .state import ConfigError
+from .state import ConfigError, _write_csv
 from .vmc import _write_samples, batch_to_csv, sample, sample_batch
 
 __all__ = ["run", "main", "emit_svg"]
@@ -268,11 +268,9 @@ def _cmd_statevector(cfg: dict, outputs: _Outputs) -> None:
     sv = to_state_vector(g)
     path = outputs.path(cfg["out"])
     n = g.num_qubits
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "bitstring", "amplitude_re", "amplitude_im"])
-        for idx, amp in enumerate(sv.amps):
-            writer.writerow([idx, format(idx, f"0{n}b"), repr(float(amp.real)), repr(float(amp.imag))])
+    _write_csv(path, ["index", "bitstring", "amplitude_re", "amplitude_im"],
+               ((idx, format(idx, f"0{n}b"), re, im)
+                for idx, (re, im) in enumerate(zip(sv.amps.real.tolist(), sv.amps.imag.tolist()))))
     print(path)
 
 

@@ -329,15 +329,21 @@ def _chart_buffers(shape: tuple) -> tuple:
             magnitudes[0, ..., 0], magnitudes[0, ..., 1], magnitudes[1])
 
 
+def _in_chart(theta: np.ndarray, mode: str) -> np.ndarray:
+    """θ of raw rows (r, omega, phi), of shape (..., 3), moved into `mode`'s
+    chart in place and returned: trig's magnitude slot is u = arccos r."""
+    if mode == "trig":
+        np.arccos(theta[..., 0], out=theta[..., 0])
+    return theta
+
+
 def _flatten(g: VddGraph, mode: str) -> np.ndarray:
-    """θ of a graph, shape (N, 3) in ascending node id: (r | arccos r, omega, phi)."""
+    """θ of a graph in `mode`'s chart, shape (N, 3) in ascending node id."""
     theta = np.array(
         [(p.r, p.omega, p.phi) for p in (g.nodes[node_id].params for node_id in g.sorted_ids())],
         dtype=np.float64,
     )
-    if mode == "trig":
-        theta[:, 0] = np.arccos(theta[:, 0])
-    return theta
+    return _in_chart(theta, mode)
 
 
 def _materialize(g: VddGraph, theta: np.ndarray, mode: str) -> VddGraph:
@@ -413,7 +419,7 @@ def exact_energy(g: VddGraph, h) -> float:
     topo, theta = _LevelTables(g), _flatten(g, "raw")
     if _contracts(topo, h):
         norm2, value = topo.compiled(h, _Contraction, 1).energy(theta[None], "raw")
-        return _checked_energy(norm2.item(), value.item())
+        return _checked_energy(norm2.item(), value.item(), h)
     return expectation(h, _amplitudes(topo, theta, "raw"))
 
 
@@ -741,7 +747,7 @@ def energy_and_grad(topo: _LevelTables, h, theta: np.ndarray, mode: str):
     energy = np.empty(count)
     for k, (norm2_k, value_k) in enumerate(zip(norm2[:count].tolist(), value[:count].tolist())):
         try:
-            energy[k] = _checked_energy(norm2_k, value_k)
+            energy[k] = _checked_energy(norm2_k, value_k, h)
         except ValueError as exc:
             raise ValueError(("stack entry {}: " if stacked else "").format(k) + str(exc)) from None
     return (energy, grad[:count]) if stacked else (float(energy[0]), grad[0])

@@ -12,20 +12,19 @@ exponentially.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .ansatz import _automaton, _layout_step, _uniform_params, build_ansatz
-from .exact import PARAM_MODES, _evaluator, _label_index, _LevelTables, _materialize
+from .exact import PARAM_MODES, _evaluator, _in_chart, _label_index, _LevelTables, _materialize
 from .exact import energy_and_grad, exact_energy
 from .graph import VddGraph
 from .hamiltonian import ModelSpec, _checked_energy, build_model, tfim_ground_energy
 from .optimize import AdamConfig, TrainConfig, TrainTrace, train
-from .state import CapacityError, ConfigError, _check_choice, _check_count
+from .state import CapacityError, ConfigError, _check_choice, _check_count, _write_csv
 
 __all__ = [
     "VarianceScanConfig",
@@ -123,13 +122,6 @@ class FitRow:
     r_squared: float
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 @dataclass
 class VarianceScanResult:
     rows: list[ScanRow]
@@ -138,13 +130,11 @@ class VarianceScanResult:
 
     def rows_to_csv(self, path) -> None:
         _write_csv(path, ["model", "g", "n", "param", "variance", "num_seeds"],
-                   ([r.model, repr(r.g), r.n, r.param, repr(r.variance), r.num_seeds]
-                    for r in self.rows))
+                   map(astuple, self.rows))
 
     def fits_to_csv(self, path) -> None:
         _write_csv(path, ["model", "g", "param", "slope", "intercept", "r2"],
-                   ([f.model, repr(f.g), f.param, repr(f.slope), repr(f.intercept),
-                     repr(f.r_squared)] for f in self.fits))
+                   map(astuple, self.fits))
 
     def variance(self, n: int, param: str) -> float:
         for r in self.rows:
@@ -187,9 +177,7 @@ def variance_scan(cfg: VarianceScanConfig) -> VarianceScanResult:
         if not live:
             continue
         seeds = [derive_seed(cfg.base_seed, n, idx) for idx in range(cfg.num_seeds)]
-        theta = _uniform_params(len(topo.node_ids), seeds)
-        if cfg.param_mode == "trig":
-            np.arccos(theta[..., 0], out=theta[..., 0])
+        theta = _in_chart(_uniform_params(len(topo.node_ids), seeds), cfg.param_mode)
         _, grads = energy_and_grad(topo, h, theta, cfg.param_mode)
         grads = grads.reshape(cfg.num_seeds, -1)
         for label, index in live.items():
@@ -286,9 +274,7 @@ class SweepRow:
 
 
 def _write_sweep_rows(path, rows: list[SweepRow]) -> None:
-    _write_csv(path, ["g", "final_energy", "e0", "relative_error"],
-               ([repr(r.g), repr(r.final_energy), repr(r.e0), repr(r.relative_error)]
-                for r in rows))
+    _write_csv(path, ["g", "final_energy", "e0", "relative_error"], map(astuple, rows))
 
 
 @dataclass
@@ -330,13 +316,13 @@ def best_dimer(spec: ModelSpec, starts: int = 6, seed: int = 0) -> tuple[float, 
         norm2, value, grad = evaluate(x.reshape(1, -1, 3), "trig")
         # the contraction's results are views its next call overwrites,
         # and L-BFGS-B keeps the gradient between calls
-        return _checked_energy(norm2.item(), value.item()), grad.ravel().copy()
+        return _checked_energy(norm2.item(), value.item(), h), grad.ravel().copy()
 
     best_energy = math.inf
     best_graph = None
     for k in range(starts):
-        x0 = _uniform_params(len(topo.node_ids), [derive_seed(seed, spec.n, k)])[0]
-        x0[:, 0] = np.arccos(x0[:, 0])
+        x0 = _in_chart(_uniform_params(len(topo.node_ids), [derive_seed(seed, spec.n, k)])[0],
+                       "trig")
         res = minimize(objective, x0.ravel(), jac=True, method="L-BFGS-B",
                        options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12})
         if res.fun < best_energy:

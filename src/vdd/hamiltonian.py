@@ -105,6 +105,12 @@ class PauliHamiltonian:
     def _mpo(self):
         return _build_mpo(self)
 
+    @functools.cached_property
+    def _coeff_scale(self) -> float:
+        """max(1, largest |coefficient|): <v|H|v>'s rounding error grows with
+        it, and `_checked_energy`'s residue tolerance with it."""
+        return max([1.0, *(abs(t.coeff) for t in self.terms)])
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -372,19 +378,20 @@ def apply_to_vector(h: PauliHamiltonian, v) -> np.ndarray:
 def expectation(h: PauliHamiltonian, v) -> float:
     """<v|H|v> for a normalized state; the imaginary residue is checked and dropped."""
     amps = _state_amplitudes(h, v)
-    return _checked_energy(np.vdot(amps, amps), np.vdot(amps, apply_to_vector(h, amps)))
+    return _checked_energy(np.vdot(amps, amps), np.vdot(amps, apply_to_vector(h, amps)), h)
 
 
-def _checked_energy(norm2, value) -> float:
+def _checked_energy(norm2, value, h: PauliHamiltonian) -> float:
     """Re <v|H|v> from <v|v> and <v|H|v>, however they were computed:
-    <v|v> must be 1 and <v|H|v> real, each to 1e-10, and both finite."""
+    <v|v> must be 1 to 1e-10, <v|H|v> real to 1e-10 times h's largest
+    coefficient (if above 1, as its rounding grows with it), and both finite."""
     norm2 = float(norm2.real)
     if not abs(norm2 - 1.0) <= 1e-10:  # NaN fails every comparison
         raise ValueError(f"state not normalized: sum |amp|^2 = {norm2!r}")
     value = complex(value)
     if not cmath.isfinite(value):
         raise ValueError(f"expectation is not finite: {value!r}")
-    if abs(value.imag) > 1e-10:
+    if abs(value.imag) > 1e-10 * h._coeff_scale:
         raise ValueError(f"expectation has a non-real residue: {value!r}")
     return value.real
 

@@ -22,10 +22,9 @@ the projected r is where the clamped and the true derivative agree.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from .hamiltonian import (
     tfim_ground_energy,
     xx_ground_energy,
 )
-from .state import CapacityError, ConfigError, _check_choice, _check_count
+from .state import CapacityError, ConfigError, _check_choice, _check_count, _write_csv
 
 __all__ = [
     "ConfigError",
@@ -238,24 +237,8 @@ class TrainTrace:
         return [getattr(rec, name) for rec in self.records]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["epoch", "loss", "energy", "relative_error", "grad_norm", "energy_stderr",
-                 "wall_ms"]
-            )
-            for rec in self.records:
-                writer.writerow(
-                    [
-                        rec.epoch,
-                        repr(rec.loss),
-                        repr(rec.energy),
-                        "" if rec.relative_error is None else repr(rec.relative_error),
-                        repr(rec.grad_norm),
-                        "" if rec.energy_stderr is None else repr(rec.energy_stderr),
-                        "" if rec.wall_ms is None else repr(rec.wall_ms),
-                    ]
-                )
+        _write_csv(path, ["epoch", "loss", "energy", "relative_error", "grad_norm",
+                          "energy_stderr", "wall_ms"], map(astuple, self.records))
 
 
 def _resolve_e0(config: TrainConfig, h) -> float | None:
@@ -315,7 +298,7 @@ def train(config: TrainConfig) -> TrainTrace:
             if mode == "raw":
                 _check_raw(topo, node_params[None], False, stacklevel=2)
             norm2, value, grad = evaluate(node_params[None], mode)
-            energy = _checked_energy(norm2.item(), value.item())
+            energy = _checked_energy(norm2.item(), value.item(), h)
         else:
             _draw(batch, h, node_params, mode, sample_rng)
             energy, stderr = batch.energy_mean, batch.energy_stderr

@@ -1,9 +1,10 @@
 """Dense state-vector container shared by the exact engine and the oracles,
-and ConfigError with the shared checks that raise it where a bad value is
-found."""
+ConfigError with the shared checks that raise it where a bad value is
+found, and the one CSV writer every output table goes through."""
 
 from __future__ import annotations
 
+import csv
 import operator
 from dataclasses import dataclass
 
@@ -42,6 +43,15 @@ def _check_count(name: str, value, least: int) -> int:
 def _check_choice(name: str, value, choices: tuple) -> None:
     if value not in choices:
         raise ConfigError(f"unknown {name} {value!r}, expected one of {choices}")
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    """A header line, then one line per row: a float is written as its repr
+    and None as an empty cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass

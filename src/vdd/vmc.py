@@ -74,6 +74,7 @@ implementations the kernels are tested against.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -81,7 +82,7 @@ from .exact import GradientVector, _chart, _check_graph_and_operator, _check_mod
 from .exact import _LevelTables
 from .graph import VddGraph, amplitude
 from .hamiltonian import PauliHamiltonian, _bit_elements
-from .state import _check_count
+from .state import _check_count, _write_csv
 
 __all__ = [
     "VmcBatch",
@@ -694,12 +695,8 @@ def batch_to_csv(batch: VmcBatch, path) -> None:
 def _write_samples(path, samples: np.ndarray, local_values: np.ndarray | None = None) -> None:
     """The samples.csv rows of a (count, n) bit array; without local values
     their two cells are left empty."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index", "bitstring", "local_value_re", "local_value_im"])
-        for i, bits in enumerate(samples):
-            cells = ["", ""] if local_values is None else [
-                repr(float(local_values[i].real)), repr(float(local_values[i].imag))]
-            writer.writerow([i, "".join(str(int(x)) for x in bits), *cells])
+    cells = repeat((None, None)) if local_values is None else zip(
+        local_values.real.tolist(), local_values.imag.tolist())
+    _write_csv(path, ["sample_index", "bitstring", "local_value_re", "local_value_im"],
+               ((i, "".join(str(int(x)) for x in bits), *values)
+                for i, (bits, values) in enumerate(zip(samples, cells))))

@@ -12,7 +12,7 @@ import time
 import numpy as np
 from scipy import stats
 
-from vdd.ansatz import InitScheme, build_accordion, build_ansatz, init_params
+from vdd.ansatz import InitScheme, build_ansatz, init_params
 from vdd.exact import exact_energy, exact_gradient, finite_difference, to_state_vector
 from vdd.graph import ParamTriple, amplitude, deserialize, serialize
 from vdd.hamiltonian import ModelSpec, build_model, dense_matrix, ground_energy
@@ -50,7 +50,7 @@ def test_criterion_1_three_qubit_amplitude_formula():
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(10):
-        g = _redraw(build_accordion(3), rng)
+        g = _redraw(build_ansatz("accordion", 3), rng)
         p1, p2, p4 = (g.nodes[i].params for i in (1, 2, 4))
         expected = (
             p1.r * p2.r * math.sqrt(1.0 - p4.r**2)
@@ -160,7 +160,7 @@ def test_criterion_6_training_targets():
     spec = ModelSpec("heisenberg", n)
     h = build_model(spec)
     e0, _ = ground_energy(h)
-    start = init_params(build_accordion(n), InitScheme("uniform", seed=seed))
+    start = init_params(build_ansatz("accordion", n), InitScheme("uniform", seed=seed))
     gap0 = exact_energy(start, h) - e0
     trace = train(TrainConfig(model=spec, optimizer=AdamConfig(lr=0.01),
                               epochs=2000, seed=seed))
@@ -250,14 +250,14 @@ def test_criterion_9_structure_invariants():
     worst_s2 = 0.0
     for _ in range(20):
         n = int(rng.choice((4, 6, 8)))
-        g = _redraw(build_accordion(n), rng)
+        g = _redraw(build_ansatz("accordion", n), rng)
         amps = to_state_vector(g).amps
         for cut in range(2, n, 2):
             s = np.linalg.svd(amps.reshape(2**cut, 2 ** (n - cut)), compute_uv=False)
             worst_s2 = max(worst_s2, float(s[1]))
 
     counts_ok = all(
-        3 * len(build_accordion(n).nodes) == 3 * (3 * n // 2) for n in range(1, 21)
+        3 * len(build_ansatz("accordion", n).nodes) == 3 * (3 * n // 2) for n in range(1, 21)
     )
 
     roundtrip_ok = True

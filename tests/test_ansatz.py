@@ -9,11 +9,8 @@ import pytest
 from vdd.ansatz import (
     ANSATZ_KINDS,
     InitScheme,
-    build_accordion,
     build_ansatz,
     build_automaton,
-    build_product,
-    build_universal,
     encode_state,
     init_params,
     parse_init_scheme,
@@ -24,7 +21,7 @@ from vdd.state import CapacityError, ConfigError
 
 
 def test_product_layout():
-    g = build_product(5)
+    g = build_ansatz("product", 5)
     assert len(g.nodes) == 5
     assert g.num_parameters == 15
     assert validate(g) == []
@@ -33,7 +30,7 @@ def test_product_layout():
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_accordion_parameter_count(n):
-    g = build_accordion(n)
+    g = build_ansatz("accordion", n)
     assert g.num_parameters == 3 * (3 * n // 2)
     levels = [node.level for node in g.nodes.values()]
     widths = [levels.count(level) for level in range(1, n + 1)]
@@ -41,12 +38,12 @@ def test_accordion_parameter_count(n):
 
 
 def test_universal_layout_widths_and_cap():
-    g = build_universal(5)
+    g = build_ansatz("universal", 5)
     assert len(g.nodes) == 2**5 - 1
     for level in range(1, 6):
         assert sum(1 for nd in g.nodes.values() if nd.level == level) == 2 ** (level - 1)
     with pytest.raises(CapacityError):
-        build_universal(21)
+        build_ansatz("universal", 21)
 
 
 def test_build_ansatz_dispatch():
@@ -94,7 +91,7 @@ def test_builders_are_pinned_by_their_serialized_graphs(kind):
 
 
 def test_uniform_init_is_seeded_and_in_range():
-    g = build_accordion(6)
+    g = build_ansatz("accordion", 6)
     a = init_params(g, InitScheme("uniform", seed=9))
     b = init_params(g, InitScheme("uniform", seed=9))
     c = init_params(g, InitScheme("uniform", seed=10))
@@ -111,7 +108,7 @@ def test_uniform_init_is_seeded_and_in_range():
 
 
 def test_balanced_init():
-    g = init_params(build_product(4), InitScheme("balanced"))
+    g = init_params(build_ansatz("product", 4), InitScheme("balanced"))
     for node in g.nodes.values():
         assert node.params.r == pytest.approx(2**-0.5)
         assert node.params.omega == 0.0 and node.params.phi == 0.0
@@ -140,7 +137,7 @@ def test_parse_init_scheme_forms():
 
 def test_basis_init_length_mismatch():
     with pytest.raises(ValueError):
-        init_params(build_product(3), InitScheme("basis", bits=(0, 1)))
+        init_params(build_ansatz("product", 3), InitScheme("basis", bits=(0, 1)))
 
 
 def test_encode_state_roundtrip():
@@ -169,7 +166,7 @@ def test_encode_state_cap_and_shape_checks():
 
 
 def test_accordion_even_cut_schmidt_rank_one():
-    g = init_params(build_accordion(6), InitScheme("uniform", seed=2))
+    g = init_params(build_ansatz("accordion", 6), InitScheme("uniform", seed=2))
     amps = to_state_vector(g).amps
     for cut in (2, 4):
         m = amps.reshape(2**cut, 2 ** (6 - cut))

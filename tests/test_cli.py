@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy
 
-from vdd.ansatz import build_accordion
+from vdd.ansatz import build_ansatz
 from vdd.cli import build_parser, run
 from vdd.graph import ParamTriple, deserialize, serialize
 
@@ -29,7 +29,7 @@ def left_behind(out_dir):
 
 
 def worked_example_doc() -> str:
-    g = build_accordion(3)
+    g = build_ansatz("accordion", 3)
     triples = {1: (0.6, 0.3, 0.5), 2: (0.8, -0.2, 1.1), 3: (0.7, 0.9, 0.0), 4: (0.5, 0.4, 1.3)}
     nodes = {
         nid: dataclasses.replace(node, params=ParamTriple(*triples[nid]))
@@ -116,7 +116,7 @@ def test_amplitude_bad_bits(tmp_path, capsys):
 
 
 def test_validate_reports_diagnostics_with_exit_one(tmp_path, capsys):
-    doc = serialize(build_accordion(3)).replace('"child0": 4', '"child0": 9', 1)
+    doc = serialize(build_ansatz("accordion", 3)).replace('"child0": 4', '"child0": 9', 1)
     bad = tmp_path / "bad.json"
     bad.write_text(doc)
     code, out, _ = invoke(capsys, "validate", "--vdd", str(bad))

@@ -13,7 +13,6 @@ import vdd.optimize
 import vdd.state
 from vdd.ansatz import (
     InitScheme,
-    build_accordion,
     build_ansatz,
     build_automaton,
     init_params,
@@ -46,14 +45,14 @@ BAD_VALUES = {
     "InitScheme.seed": (lambda: InitScheme("uniform", seed=-1), "seed must be an integer >= 0"),
     "InitScheme.bits": (lambda: InitScheme("basis", bits=(0, 2)), "bits must be 0/1"),
     "parse_init_scheme": (lambda: parse_init_scheme("basis:012"), "basis init needs a 0/1"),
-    "init_params.bits": (lambda: init_params(build_accordion(3), InitScheme("basis", bits=(0, 1))),
+    "init_params.bits": (lambda: init_params(build_ansatz("accordion", 3), InitScheme("basis", bits=(0, 1))),
                          "basis init needs 3 bits"),
     "build_ansatz.kind": (lambda: build_ansatz("ring", 4), "unknown ansatz 'ring'"),
     "build_automaton.n": (lambda: build_automaton(0, lambda level, state, bit: 0),
                           "n must be an integer >= 1"),
-    "VmcBatch.count": (lambda: VmcBatch(_LevelTables(build_accordion(2)), 0),
+    "VmcBatch.count": (lambda: VmcBatch(_LevelTables(build_ansatz("accordion", 2)), 0),
                        "count must be an integer >= 1"),
-    "param_mode": (lambda: exact_gradient(build_accordion(3), build_model(SPEC), mode="polar"),
+    "param_mode": (lambda: exact_gradient(build_ansatz("accordion", 3), build_model(SPEC), mode="polar"),
                    "unknown param_mode 'polar'"),
     "TrainConfig.ansatz": (lambda: TrainConfig(model=SPEC, ansatz="ring"), "unknown ansatz"),
     "TrainConfig.model": (lambda: TrainConfig(model="heisenberg"), "model must be a ModelSpec"),

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 import vdd.exact as exact
-from vdd.ansatz import ANSATZ_KINDS, _automaton, _layout_step, build_accordion, build_ansatz
-from vdd.ansatz import build_product
+from vdd.ansatz import ANSATZ_KINDS, _automaton, _layout_step, build_ansatz
 from vdd.exact import (
     GradientVector,
     SingularGradientWarning,
@@ -78,7 +77,7 @@ def test_corrupted_layout_arrays_fail_the_structural_check(change, message):
 
 def test_state_vector_capacity_cap():
     with pytest.raises(CapacityError):
-        to_state_vector(build_product(21))
+        to_state_vector(build_ansatz("product", 21))
 
 
 def test_dense_engine_respects_the_state_vector_cap():
@@ -173,7 +172,7 @@ def test_energy_respects_variational_bound():
 
 
 def test_parameter_labels_order_and_lookup():
-    g = build_accordion(3)  # ids 1..4
+    g = build_ansatz("accordion", 3)  # ids 1..4
     labels = parameter_labels(g)
     assert labels[:3] == ("r1", "omega1", "phi1")
     assert len(labels) == 12
@@ -187,7 +186,7 @@ def test_parameter_labels_order_and_lookup():
 
 
 def test_negative_node_ids_resolve_from_the_end():
-    g = build_accordion(4)  # ids 1..6
+    g = build_ansatz("accordion", 4)  # ids 1..6
     gv = exact_gradient(g, build_model(ModelSpec("tfim", 4, g=0.4)))
     assert gv.index_of("phi-1") == gv.index_of("phi6")
     assert gv.index_of("r-2") == gv.index_of("r5")
@@ -197,7 +196,7 @@ def test_single_qubit_transverse_gradient_by_hand():
     # psi = r|0> + sqrt(1-r^2)|1>, <X> = 2 r sqrt(1-r^2); at r=0.6:
     # raw   d<X>/dr = 2(1-2r^2)/sqrt(1-r^2) = 2*0.28/0.8 = 0.7
     # trig  d<X>/du = -sin(u) * 0.7 = -0.8 * 0.7 = -0.56
-    g = set_node(build_product(1), 1, 0.6, 0.0, 0.0)
+    g = set_node(build_ansatz("product", 1), 1, 0.6, 0.0, 0.0)
     h = build_model(ModelSpec("tfim", 2, g=1.0))  # only need the X part; build X via z1z2? no:
     # single-site field: use the 1-qubit slice of tfim by constructing spec directly
     from vdd.hamiltonian import PauliHamiltonian, PauliString
@@ -241,7 +240,7 @@ def test_diagonal_hamiltonian_has_zero_phase_gradient():
 
 
 def test_raw_gradient_warns_on_boundary_r():
-    g = set_node(build_product(2), 1, 1.0, 0.0, 0.0)
+    g = set_node(build_ansatz("product", 2), 1, 1.0, 0.0, 0.0)
     h = build_model(ModelSpec("tfim", 2, g=1.0))
     with pytest.warns(SingularGradientWarning):
         gv = exact_gradient(g, h, mode="raw")
@@ -494,7 +493,7 @@ def test_trig_gradient_is_chain_rule_of_raw():
 
 
 def test_finite_difference_validates_step_and_mode():
-    g = build_product(2)
+    g = build_ansatz("product", 2)
     h = build_model(ModelSpec("tfim", 2, g=1.0))
     for bad in (1e-9, 1e-2, 0.0):
         with pytest.raises(ValueError):
@@ -505,7 +504,7 @@ def test_finite_difference_validates_step_and_mode():
 
 def test_finite_difference_handles_boundary_r():
     # one-sided probes at the box edge still produce finite numbers
-    g = set_node(build_product(2), 2, 0.0, 0.3, 0.7)
+    g = set_node(build_ansatz("product", 2), 2, 0.0, 0.3, 0.7)
     h = build_model(ModelSpec("tfim", 2, g=0.8))
     gv = finite_difference(g, h, step=1e-5, mode="raw")
     assert np.all(np.isfinite(gv.entries))

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from vdd.ansatz import build_accordion, build_product, build_universal
+from vdd.ansatz import build_ansatz
 from vdd.graph import (
     TERMINAL,
     Node,
@@ -53,7 +53,7 @@ def test_terminal_is_a_singleton():
 def test_worked_three_qubit_amplitude():
     # accordion(3), params set per the hand-computed path product for b=(0,0,1)
     g = with_params(
-        build_accordion(3),
+        build_ansatz("accordion", 3),
         {1: (0.6, 0.3, 0.5), 2: (0.8, -0.2, 1.1), 3: (0.7, 0.9, 0.0), 4: (0.5, 0.4, 1.3)},
     )
     a = amplitude(g, (0, 0, 1))
@@ -65,7 +65,7 @@ def test_worked_three_qubit_amplitude():
 
 def test_worked_amplitude_formula_random_draws():
     rng = np.random.default_rng(11)
-    base = build_accordion(3)
+    base = build_ansatz("accordion", 3)
     worst = 0.0
     for _ in range(10):
         r = rng.uniform(0.05, 0.95, size=4)
@@ -78,15 +78,15 @@ def test_worked_amplitude_formula_random_draws():
 
 
 def test_balanced_graph_is_uniform():
-    for builder, n in ((build_product, 5), (build_accordion, 4), (build_universal, 3)):
-        g = builder(n)
+    for kind, n in (("product", 5), ("accordion", 4), ("universal", 3)):
+        g = build_ansatz(kind, n)
         for idx in range(2**n):
             bits = tuple((idx >> (n - 1 - i)) & 1 for i in range(n))
             assert amplitude(g, bits) == pytest.approx(2 ** (-n / 2), abs=1e-14)
 
 
 def test_global_phase_multiplies_every_amplitude():
-    g = build_product(3)
+    g = build_ansatz("product", 3)
     shifted = dataclasses.replace(g, global_phase=0.9)
     for bits in [(0, 0, 0), (1, 0, 1)]:
         assert shifted.nodes is g.nodes  # same parameters, only the root edge changed
@@ -96,7 +96,7 @@ def test_global_phase_multiplies_every_amplitude():
 
 
 def test_amplitude_checks_bit_string():
-    g = build_product(3)
+    g = build_ansatz("product", 3)
     with pytest.raises(ValueError):
         amplitude(g, (0, 1))
     with pytest.raises(ValueError):
@@ -104,12 +104,12 @@ def test_amplitude_checks_bit_string():
 
 
 def test_validate_accepts_builders():
-    for g in (build_product(6), build_accordion(7), build_universal(4)):
+    for g in (build_ansatz("product", 6), build_ansatz("accordion", 7), build_ansatz("universal", 4)):
         assert validate(g) == []
 
 
 def test_validate_reports_level_and_reference_problems():
-    g = build_product(3)
+    g = build_ansatz("product", 3)
 
     # child skipping a level
     nodes = dict(g.nodes)
@@ -134,14 +134,14 @@ def test_validate_reports_level_and_reference_problems():
 
 
 def test_validate_rejects_missing_root():
-    g = dataclasses.replace(build_product(2), root_child=5)
+    g = dataclasses.replace(build_ansatz("product", 2), root_child=5)
     assert validate(g)
 
 
 def test_serialize_roundtrip_identity():
     rng = np.random.default_rng(3)
-    for builder, n in ((build_product, 6), (build_accordion, 5), (build_universal, 4)):
-        g = builder(n)
+    for kind, n in (("product", 6), ("accordion", 5), ("universal", 4)):
+        g = build_ansatz(kind, n)
         triples = {
             nid: (rng.uniform(0, 1), rng.uniform(-4, 4), rng.uniform(-4, 4))
             for nid in g.nodes
@@ -161,7 +161,7 @@ def test_serialize_roundtrip_identity():
 
 
 def test_deserialize_rejects_malformed_documents():
-    good = serialize(build_product(2))
+    good = serialize(build_ansatz("product", 2))
     for breaker in (
         lambda s: s.replace('"r"', '"rr"', 1),
         lambda s: s[:-5],
@@ -173,7 +173,7 @@ def test_deserialize_rejects_malformed_documents():
 
 
 def test_deserialize_validates_by_default():
-    doc = serialize(build_product(3)).replace('"child0": 3', '"child0": 7', 1)
+    doc = serialize(build_ansatz("product", 3)).replace('"child0": 3', '"child0": 7', 1)
     with pytest.raises(ParseError):
         deserialize(doc)
     g = deserialize(doc, validate_graph=False)  # diagnostics mode still parses

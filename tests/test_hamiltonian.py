@@ -293,6 +293,27 @@ def test_expectation_rejects_a_non_finite_value():
             expectation(h, np.array([1.0, 0.0], dtype=complex))
 
 
+def test_residue_tolerance_scales_with_the_operator():
+    # at g = 1e7 the rounding residue of <psi|H|psi> is 6.4e-10 imaginary,
+    # about 1e-16 of the energy: rounding, not a non-Hermitian operator
+    from graphs import random_graph
+    from vdd.exact import exact_energy
+    from vdd.optimize import TrainConfig, train
+
+    spec = ModelSpec("tfim", 6, g=1e7)
+    energy = exact_energy(random_graph("accordion", 6, 3), build_model(spec))
+    assert math.isfinite(energy)
+    trace = train(TrainConfig(model=spec, epochs=2, seed=3, loss="energy"))
+    assert trace.records[0].energy == energy
+
+
+def test_residue_at_unit_scale_still_raises():
+    h = build_model(ModelSpec("heisenberg", 2))  # every coefficient 1
+    with pytest.raises(ValueError, match="^expectation has a non-real residue"):
+        hamiltonian._checked_energy(1.0, 0.5 + 1e-6j, h)
+    assert hamiltonian._checked_energy(1.0, 0.5 + 5e-11j, h) == 0.5
+
+
 def test_term_counts_open_vs_periodic():
     tfim_open = build_model(ModelSpec("tfim", 6, g=2.0))
     tfim_periodic = build_model(ModelSpec("tfim", 6, g=2.0, boundary="periodic"))

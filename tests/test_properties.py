@@ -135,6 +135,46 @@ def test_state_is_normalized_and_matches_path_walks(g):
         assert amps[idx] == pytest.approx(amplitude(g, bits_of_index(idx, g.num_qubits)), abs=1e-14)
 
 
+def structure(g):
+    """Everything of a graph but its parameters and global phase."""
+    return g.num_qubits, g.root_child, {
+        node_id: (node.id, node.level, node.child0, node.child1) for node_id, node in g.nodes.items()}
+
+
+@SETTINGS
+@given(leveled_dags(), st.integers(0, 2**32 - 1))
+def test_uniform_init_on_user_graphs_draws_rows_in_ascending_id(g, seed):
+    out = init_params(g, InitScheme("uniform", seed=seed))
+    assert structure(out) == structure(g) and out.global_phase == 0.0
+    ids = sorted(g.nodes)  # shuffled ids: not level order
+    want = np.random.default_rng(seed).random((len(ids), 3))
+    want[:, 1:] *= 2.0 * math.pi
+    assert [dataclasses.astuple(out.nodes[i].params) for i in ids] == [tuple(w) for w in want.tolist()]
+
+
+@SETTINGS
+@given(leveled_dags())
+def test_balanced_init_on_user_graphs(g):
+    out = init_params(g, InitScheme("balanced"))
+    assert structure(out) == structure(g) and out.global_phase == 0.0
+    for node in out.nodes.values():
+        assert node.params.r == pytest.approx(2**-0.5)
+        assert node.params.omega == 0.0 and node.params.phi == 0.0
+
+
+@SETTINGS
+@given(leveled_dags(), st.data())
+def test_basis_init_on_user_graphs_concentrates_all_mass(g, data):
+    n = g.num_qubits
+    bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    out = init_params(g, InitScheme("basis", bits=bits))
+    assert structure(out) == structure(g) and out.global_phase == 0.0
+    assert amplitude(out, bits) == 1.0
+    want = np.zeros(2**n, dtype=complex)
+    want[index_of_bits(bits)] = 1.0
+    np.testing.assert_allclose(to_state_vector(out).amps, want, rtol=0, atol=1e-15)  # cos(arccos 0)
+
+
 @SETTINGS
 @given(leveled_dags(), st.sampled_from(["raw", "trig"]))
 def test_edge_tables_are_indexed_by_row_and_bit(g, mode):

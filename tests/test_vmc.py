@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from vdd.ansatz import InitScheme, build_accordion, build_product, encode_state, init_params
+from vdd.ansatz import InitScheme, build_ansatz, encode_state, init_params
 from vdd.exact import exact_energy, exact_gradient, to_state_vector
 from vdd.hamiltonian import ModelSpec, PauliHamiltonian, PauliString, build_model
 from vdd.vmc import (
@@ -34,7 +34,7 @@ def bits_to_index(row) -> int:
 
 
 def test_basis_state_sampling_is_deterministic():
-    g = init_params(build_product(3), InitScheme("basis", bits=(1, 0, 1)))
+    g = init_params(build_ansatz("product", 3), InitScheme("basis", bits=(1, 0, 1)))
     rows = sample(g, 50, seed=0)
     assert rows.shape == (50, 3)
     assert np.all(rows == np.array([1, 0, 1]))
@@ -77,7 +77,7 @@ def test_sample_is_pinned_for_a_seed():
 
 
 def test_balanced_graph_uniform_chi_square():
-    g = build_accordion(4)  # balanced by construction
+    g = build_ansatz("accordion", 4)  # balanced by construction
     rows = sample(g, 10**5, seed=7)
     counts = np.bincount([bits_to_index(r) for r in rows], minlength=16)
     _, p = stats.chisquare(counts)
@@ -99,14 +99,14 @@ def test_sampler_matches_born_distribution():
 
 
 def test_local_estimator_single_qubit_ratio():
-    g = set_node(build_product(1), 1, 0.6, 0.0, 0.0)
+    g = set_node(build_ansatz("product", 1), 1, 0.6, 0.0, 0.0)
     hx = PauliHamiltonian(num_qubits=1, terms=(PauliString(1.0, "X"),))
     assert local_estimator(g, hx, (0,)) == pytest.approx(0.8 / 0.6, abs=1e-14)
     assert local_estimator(g, hx, (1,)) == pytest.approx(0.6 / 0.8, abs=1e-14)
 
 
 def test_local_estimator_diagonal_eigenvalues():
-    g = build_accordion(2)
+    g = build_ansatz("accordion", 2)
     h = build_model(ModelSpec("z1z2", 2))
     assert local_estimator(g, h, (0, 1)) == pytest.approx(-1.0, abs=1e-14)
     assert local_estimator(g, h, (1, 1)) == pytest.approx(1.0, abs=1e-14)
@@ -132,7 +132,7 @@ def test_weighted_local_estimator_recovers_exact_energy():
 
 
 def test_local_estimator_rejects_zero_amplitude():
-    g = init_params(build_product(2), InitScheme("basis", bits=(0, 0)))
+    g = init_params(build_ansatz("product", 2), InitScheme("basis", bits=(0, 0)))
     h = build_model(ModelSpec("tfim", 2, g=1.0))
     with pytest.raises(ValueError):
         local_estimator(g, h, (1, 1))
@@ -142,7 +142,7 @@ def test_batch_local_values_reject_zero_amplitude():
     from vdd.exact import _LevelTables, _chart, _flatten
     from vdd.vmc import _batch_local_values
 
-    g = init_params(build_product(2), InitScheme("basis", bits=(0, 0)))
+    g = init_params(build_ansatz("product", 2), InitScheme("basis", bits=(0, 0)))
     h = build_model(ModelSpec("tfim", 2, g=1.0))
     topo = _LevelTables(g)
     bits = np.array([[0, 0], [1, 1]], dtype=np.uint8)
@@ -167,7 +167,7 @@ def test_batch_local_values_reject_zero_amplitude():
 
 
 def test_log_derivatives_single_qubit():
-    g = set_node(build_product(1), 1, 0.6, 0.0, 0.0)
+    g = set_node(build_ansatz("product", 1), 1, 0.6, 0.0, 0.0)
     left = log_derivatives(g, (0,))
     np.testing.assert_allclose(left, [1 / 0.6, 1j, 0.0], atol=1e-14)
     right = log_derivatives(g, (1,))
@@ -187,7 +187,7 @@ def test_log_derivatives_off_path_zero():
 
 
 def test_log_derivatives_trig_chain_rule():
-    g = set_node(build_product(1), 1, 0.6, 0.0, 0.0)
+    g = set_node(build_ansatz("product", 1), 1, 0.6, 0.0, 0.0)
     raw = log_derivatives(g, (0,))
     trig = log_derivatives(g, (0,), mode="trig")
     # d log / du = d log / dr * dr/du = (1/r) * (-sin u) = -0.8/0.6... signed
@@ -197,10 +197,10 @@ def test_log_derivatives_trig_chain_rule():
 
 
 def test_log_derivatives_singular_edge_raises():
-    g = set_node(build_product(2), 1, 0.0, 0.0, 0.0)
+    g = set_node(build_ansatz("product", 2), 1, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         log_derivatives(g, (0, 0))  # left edge with r = 0 has zero probability
-    g = set_node(build_product(2), 1, 1.0, 0.0, 0.0)
+    g = set_node(build_ansatz("product", 2), 1, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         log_derivatives(g, (1, 0))
 
@@ -210,7 +210,7 @@ def test_log_derivatives_singular_edge_raises():
 
 
 def test_vmc_energy_on_deterministic_state():
-    g = init_params(build_accordion(2), InitScheme("basis", bits=(0, 1)))
+    g = init_params(build_ansatz("accordion", 2), InitScheme("basis", bits=(0, 1)))
     batch = sample_batch(g, build_model(ModelSpec("z1z2", 2)), 128, seed=0)
     mean, stderr = vmc_energy(batch)
     assert mean == -1.0
@@ -218,7 +218,7 @@ def test_vmc_energy_on_deterministic_state():
 
 
 def test_vmc_energy_balanced_tfim():
-    g = build_accordion(2)
+    g = build_ansatz("accordion", 2)
     h = build_model(ModelSpec("tfim", 2, g=1.0))
     batch = sample_batch(g, h, 10**5, seed=1)
     mean, stderr = vmc_energy(batch)
@@ -244,7 +244,7 @@ def test_singlet_encoding_has_zero_variance():
 
 
 def test_diagonal_basis_eigenstate_gradient_is_exact_zero():
-    g = init_params(build_accordion(4), InitScheme("basis", bits=(0, 1, 1, 0)))
+    g = init_params(build_ansatz("accordion", 4), InitScheme("basis", bits=(0, 1, 1, 0)))
     batch = sample_batch(g, build_model(ModelSpec("z1z2", 4)), 500, seed=3)
     assert np.all(vmc_gradient(batch).entries == 0.0)
 
@@ -288,7 +288,7 @@ def test_sampled_energy_past_63_qubits_matches_the_contracted_energy(n):
 def test_full_basis_weighted_gradient_matches_exact():
     # feed the estimator the entire basis with exact Born weights: the
     # weighted stochastic formula must reproduce the analytic gradient
-    g = set_node(build_product(1), 1, 0.6, 0.0, 0.0)
+    g = set_node(build_ansatz("product", 1), 1, 0.6, 0.0, 0.0)
     hx = PauliHamiltonian(num_qubits=1, terms=(PauliString(1.0, "X"),))
     amps = to_state_vector(g).amps
     p = np.abs(amps) ** 2
