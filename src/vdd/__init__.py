@@ -67,8 +67,6 @@ from .optimize import (
     TrainConfig,
     TrainTrace,
     TrainingError,
-    adam_step,
-    sgd_step,
     train,
 )
 from .state import CapacityError, StateVector
@@ -110,7 +108,6 @@ __all__ = [
     "VarianceScanResult",
     "VddGraph",
     "VmcBatch",
-    "adam_step",
     "amplitude",
     "apply_string",
     "apply_to_vector",
@@ -136,7 +133,6 @@ __all__ = [
     "sample",
     "sample_batch",
     "serialize",
-    "sgd_step",
     "tfim_ground_energy",
     "to_state_vector",
     "train",

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exact import _materialize
+from .exact import STATEVECTOR_CAP, _materialize
 from .graph import TERMINAL, Node, ParamTriple, VddGraph, validate
 from .state import CapacityError, ConfigError, _check_choice, _check_count, as_amplitudes
 
@@ -97,10 +97,13 @@ ANSATZ_KINDS = tuple(_STEPS)
 
 def _layout_step(kind: str, n: int) -> Callable[[int, int, int], int]:
     """The step of the layout ``kind``; a ConfigError names a bad ``kind``, a
-    CapacityError the universal layout past n = 20."""
+    CapacityError the universal layout past n = STATEVECTOR_CAP (20), where
+    the dense engine stops."""
     _check_choice("ansatz", kind, ANSATZ_KINDS)
-    if kind == "universal" and _check_count("n", n, 1) > 20:
-        raise CapacityError(f"universal layout is capped at n = 20 (2^n - 1 nodes), got n = {n}")
+    if kind == "universal" and _check_count("n", n, 1) > STATEVECTOR_CAP:
+        raise CapacityError(
+            f"universal layout is capped at n = {STATEVECTOR_CAP} (2^n - 1 nodes), got n = {n}"
+        )
     return _STEPS[kind]
 
 

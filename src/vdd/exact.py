@@ -105,10 +105,10 @@ class SingularGradientWarning(UserWarning):
 class GradientVector:
     """Flat gradient, ordered (r, omega, phi) per node in ascending node id.
 
-    The entries and the node ids they belong to are all it holds; its
-    labels ("r3", "omega3", "phi3") are derived from the ids, and lookups
-    also accept negative ids counting nodes from the end, so "phi-1" is the
-    phi entry of the last node.
+    The entries and the node ids they belong to are all it holds; an entry
+    is looked up by its label ("r3", "omega3", "phi3"), derived from the
+    ids, and lookups also accept negative ids counting nodes from the end,
+    so "phi-1" is the phi entry of the last node.
     """
 
     entries: np.ndarray
@@ -123,10 +123,6 @@ class GradientVector:
         if not np.all(np.isfinite(self.entries)):
             raise ValueError("gradient entries must be finite")
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return _labels(self.node_ids)
-
     def index_of(self, label: str) -> int:
         return _label_index(self.node_ids, label)
 
@@ -136,10 +132,6 @@ class GradientVector:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries))
-
-
-def _labels(node_ids) -> tuple[str, ...]:
-    return tuple(f"{kind}{node_id}" for node_id in node_ids for kind in ("r", "omega", "phi"))
 
 
 def _label_index(node_ids: tuple[int, ...], label: str) -> int:
@@ -168,7 +160,7 @@ def _label_index(node_ids: tuple[int, ...], label: str) -> int:
 
 def parameter_labels(g: VddGraph) -> tuple[str, ...]:
     """Canonical flat parameter names, matching GradientVector ordering."""
-    return _labels(g.sorted_ids())
+    return tuple(f"{kind}{node_id}" for node_id in g.sorted_ids() for kind in ("r", "omega", "phi"))
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,8 @@ class PauliHamiltonian:
     @functools.cached_property
     def _coeff_scale(self) -> float:
         """max(1, largest |coefficient|): <v|H|v>'s rounding error grows with
-        it, and `_checked_energy`'s residue tolerance with it."""
+        it, and `_checked_energy`'s residue tolerance and `ground_energy`'s
+        residual bounds with it."""
         return max([1.0, *(abs(t.coeff) for t in self.terms)])
 
 
@@ -425,9 +426,9 @@ def _lanczos(h: PauliHamiltonian, start: np.ndarray) -> tuple[float, np.ndarray]
     basis vector in turn (full reorthogonalization), repeated once when that
     pass cancels more than 1 - 1/sqrt(2) of the norm.  The iteration stops
     when the Ritz residual |beta_k s_k| (s_k the last entry of the lowest
-    eigenvector of the tridiagonal T_k) is at most 1e-10, which includes a
-    breakdown, beta = 0, where the basis spans an invariant subspace; or
-    else after _KRYLOV_STEPS steps.
+    eigenvector of the tridiagonal T_k) is at most 1e-10 times h's
+    `_coeff_scale`, which includes a breakdown, beta = 0, where the basis
+    spans an invariant subspace; or else after _KRYLOV_STEPS steps.
 
     The basis is a list of 2^n-long vectors rather than one array sized for
     the budget: glibc raises its mmap threshold to the size of a freed
@@ -435,6 +436,7 @@ def _lanczos(h: PauliHamiltonian, start: np.ndarray) -> tuple[float, np.ndarray]
     move every later allocation below that size onto the heap for the rest
     of the process, and with it the cost of the caller's large temporaries.
     """
+    tol = 1e-10 * h._coeff_scale
     basis = [start]
     alpha: list[float] = []
     beta: list[float] = []
@@ -454,7 +456,7 @@ def _lanczos(h: PauliHamiltonian, start: np.ndarray) -> tuple[float, np.ndarray]
                 break
         t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
         vals, vecs = np.linalg.eigh(t)
-        if norm * abs(vecs[-1, 0]) <= 1e-10 or len(alpha) == _KRYLOV_STEPS:
+        if norm * abs(vecs[-1, 0]) <= tol or len(alpha) == _KRYLOV_STEPS:
             ritz = np.zeros(start.size, dtype=np.complex128)
             for s, v in zip(vecs[:, 0], basis):
                 ritz += s * v
@@ -464,17 +466,19 @@ def _lanczos(h: PauliHamiltonian, start: np.ndarray) -> tuple[float, np.ndarray]
 
 
 def ground_energy(h: PauliHamiltonian) -> tuple[float, StateVector]:
-    """Smallest eigenvalue and a unit ground vector, residual <= 1e-8.
+    """Smallest eigenvalue and a unit ground vector, residual <= 1e-8 times
+    h's `_coeff_scale` (rounding grows with the couplings).
 
     Up to n = 9, a dense Hermitian eigensolve.  For n = 10..12, a Lanczos
     iteration with full reorthogonalization over the matrix-free H action
     (`_lanczos`), from the fixed start vector 1 + 0.1 cos(index), so two
     calls give bit-identical results.  It stops once the Ritz residual
-    estimate is at most 1e-10 (or the basis spans an invariant subspace)
-    or after a budget of _KRYLOV_STEPS steps, and returns the Ritz vector.
-    If that vector's residual ||H v - E v|| exceeds 1e-8, the dense
-    eigensolve is used instead.  Beyond n = 12 raises CapacityError: use
-    the sampling (VMC) engine at that scale.
+    estimate is at most 1e-10 times that scale (or the basis spans an
+    invariant subspace) or after a budget of _KRYLOV_STEPS steps, and
+    returns the Ritz vector.  If that vector's residual ||H v - E v||
+    exceeds its bound, the dense eigensolve is used instead.  Beyond
+    n = 12 raises CapacityError: use the sampling (VMC) engine at that
+    scale.
     """
     n = h.num_qubits
     if n > DENSE_CAP:
@@ -487,18 +491,19 @@ def ground_energy(h: PauliHamiltonian) -> tuple[float, StateVector]:
         vals, vecs = np.linalg.eigh(dense_matrix(h))
         return float(vals[0]), vecs[:, 0]
 
+    bound = 1e-8 * h._coeff_scale
     if n <= 9:
         e0, v0 = _dense()
     else:
         start = 1.0 + 0.1 * np.cos(np.arange(2**n))
         e0, v0 = _lanczos(h, start / np.linalg.norm(start))
-        if np.linalg.norm(apply_to_vector(h, v0) - e0 * v0) > 1e-8:
+        if np.linalg.norm(apply_to_vector(h, v0) - e0 * v0) > bound:
             e0, v0 = _dense()
 
     v0 = v0 / np.linalg.norm(v0)
     residual = float(np.linalg.norm(apply_to_vector(h, v0) - e0 * v0))
-    if residual > 1e-8:
-        raise RuntimeError(f"eigensolver residual {residual} exceeds 1e-8")
+    if residual > bound:
+        raise RuntimeError(f"eigensolver residual {residual} exceeds {bound}")
     return e0, StateVector(num_qubits=n, amps=v0)
 
 

@@ -51,8 +51,6 @@ __all__ = [
     "TrainConfig",
     "TraceRecord",
     "TrainTrace",
-    "adam_step",
-    "sgd_step",
     "train",
 ]
 
@@ -108,42 +106,18 @@ class AdamState:
         return cls(step=0, m=np.zeros(size), v=np.zeros(size), v_max=np.zeros(size))
 
 
-def _check_finite(grads: np.ndarray, labels=None, epoch=None) -> None:
-    bad = np.flatnonzero(~np.isfinite(np.asarray(grads)))
+def _check_finite(grads: np.ndarray, labels, epoch: int) -> None:
+    bad = np.flatnonzero(~np.isfinite(grads))
     if bad.size:
-        names = [labels[i] for i in bad] if labels is not None else list(bad)
-        where = f" at epoch {epoch}" if epoch is not None else ""
-        raise TrainingError(f"non-finite gradient{where} for: {names}")
-
-
-def adam_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    lr: float = 0.01,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update in the AMSGrad form (Reddi, Kale & Kumar,
-    ICLR 2018): the step divides by the running maximum of v, so it stays
-    bounded at a minimum, where plain Adam's decaying v lets the iterate burst
-    away.  Pure: inputs are not mutated; the update runs on copies."""
-    params = np.array(params, dtype=np.float64)
-    grads = np.asarray(grads, dtype=np.float64)
-    if params.shape != grads.shape:
-        raise ValueError(f"shape mismatch: params {params.shape} vs grads {grads.shape}")
-    _check_finite(grads)
-    state = AdamState(step=state.step, m=state.m.copy(), v=state.v.copy(),
-                      v_max=state.v_max.copy())
-    _adam(params, grads, state, lr, beta1, beta2, eps)
-    return params, state
+        raise TrainingError(f"non-finite gradient at epoch {epoch} for: {[labels[i] for i in bad]}")
 
 
 def _adam(params, grads, state, lr, beta1, beta2, eps):
-    """adam_step in place on params and on state's moments, without the
-    input checks, for `train`, which checks each epoch's gradient once.
-    Each entry is computed with the same operations, in the same order, as
+    """One bias-corrected Adam update in the AMSGrad form (Reddi, Kale & Kumar,
+    ICLR 2018), in place on params and on state's moments: the step divides
+    by the running maximum of v, so it stays bounded at a minimum, where
+    plain Adam's decaying v lets the iterate burst away.  No input checks:
+    `train` checks each epoch's gradient once.  Per entry,
 
         m = beta1 m + (1 - beta1) g,  v = beta2 v + (1 - beta2) g^2,
         v_max = max(v_max, v),
@@ -156,16 +130,6 @@ def _adam(params, grads, state, lr, beta1, beta2, eps):
     state.v += (1 - beta2) * grads**2
     np.maximum(state.v_max, state.v, out=state.v_max)
     params -= lr * (state.m / (1 - beta1**t)) / (np.sqrt(state.v_max / (1 - beta2**t)) + eps)
-
-
-def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
-    """Plain steepest-descent update theta <- theta - lr * grad."""
-    params = np.asarray(params, dtype=np.float64)
-    grads = np.asarray(grads, dtype=np.float64)
-    if params.shape != grads.shape:
-        raise ValueError(f"shape mismatch: params {params.shape} vs grads {grads.shape}")
-    _check_finite(grads)
-    return params - lr * grads
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +273,7 @@ def train(config: TrainConfig) -> TrainTrace:
 
         grad_norm = math.sqrt(grad @ grad)
         if not math.isfinite(grad_norm):  # finite norm, finite entries: one check an epoch
-            _check_finite(grad, labels=labels, epoch=epoch)
+            _check_finite(grad, labels, epoch)
         record = TraceRecord(
             epoch=epoch,
             loss=float(loss_val),

@@ -214,7 +214,7 @@ def _sample(batch: VmcBatch, rng) -> None:
             np.add(bits[level], 2 * row, out=edge[level], dtype=np.int64)
 
 
-def sample(g: VddGraph, count: int, seed: int = 0, rng=None) -> np.ndarray:
+def sample(g: VddGraph, count: int, seed: int = 0) -> np.ndarray:
     """(count, n) array of i.i.d. Born-distribution bit strings.
 
     Level-major: one uniform draw per (sample, level), consumed level by
@@ -222,7 +222,7 @@ def sample(g: VddGraph, count: int, seed: int = 0, rng=None) -> np.ndarray:
     """
     batch = VmcBatch(_LevelTables(g), count)
     batch.edges = _chart(_flatten(g, "raw"), "raw")
-    _sample(batch, np.random.default_rng(_check_count("seed", seed, 0)) if rng is None else rng)
+    _sample(batch, np.random.default_rng(_check_count("seed", seed, 0)))
     return batch.samples.copy()  # a view would keep the whole batch alive
 
 
@@ -600,13 +600,12 @@ def sample_batch(
     h: PauliHamiltonian,
     count: int,
     seed: int = 0,
-    rng=None,
     mode: str = "raw",
 ) -> VmcBatch:
     """Draw a batch and evaluate its local values and energy statistics."""
     _check_mode(mode)
     _check_graph_and_operator(g, h)
-    rng = np.random.default_rng(_check_count("seed", seed, 0)) if rng is None else rng
+    rng = np.random.default_rng(_check_count("seed", seed, 0))
     return _draw(VmcBatch(_LevelTables(g), count), h, _flatten(g, mode), mode, rng)
 
 

@@ -6,11 +6,14 @@ import json
 import math
 import os
 import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy
 
+import vdd
 from vdd.ansatz import build_ansatz
 from vdd.cli import build_parser, run
 from vdd.graph import ParamTriple, deserialize, serialize
@@ -418,6 +421,19 @@ def test_variance_scan_cli(tmp_path, capsys):
     assert fits[0] == "model,g,param,slope,intercept,r2"
     resolved = json.loads((out_dir / "resolved_config.json").read_text())
     assert resolved["param_mode"] == "raw"
+
+
+def test_variance_scan_reports_a_skipped_label_once(tmp_path):
+    # the accordion layout has no node 5 at n = 2
+    src = os.path.dirname(os.path.dirname(vdd.__file__))  # the vdd under test
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "vdd.cli", "variance-scan", "--model", "tfim", "--g", "1",
+         "--n-values", "2,4", "--tracked", "r1,r5", "--num-seeds", "3", "--base-seed", "1",
+         "--output-dir", str(tmp_path / "vs")],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stderr.count("label 'r5' absent at n=2; row skipped") == 1
 
 
 def test_g_sweep_cli(tmp_path, capsys):

@@ -69,6 +69,7 @@ BAD_VALUES = {
         lambda: VarianceScanConfig("tfim", (2, 3), ("r1",), param_mode="polar"),
         "unknown param_mode"),
     "AdamConfig.lr": (lambda: AdamConfig(lr=math.inf), "lr must be positive and finite"),
+    "AdamConfig.beta1": (lambda: AdamConfig(beta1=1.0), "betas must lie in [0, 1)"),
     "AdamConfig.eps": (lambda: AdamConfig(eps=math.inf), "eps must be positive and finite"),
     "SgdConfig.lr": (lambda: SgdConfig(lr=math.nan), "lr must be positive and finite"),
 }

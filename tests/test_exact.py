@@ -25,6 +25,7 @@ from vdd.exact import (
 from vdd.graph import amplitude
 from vdd.hamiltonian import ModelSpec, build_model, expectation, ground_energy
 from vdd.state import CapacityError
+from vdd.vmc import sample_batch
 from graphs import layered_graph, random_graph, set_node
 
 
@@ -183,6 +184,15 @@ def test_parameter_labels_order_and_lookup():
         gv.index_of("r9")
     with pytest.raises(KeyError):
         gv.index_of("theta1")
+    with pytest.raises(KeyError, match="reaches past the first node"):
+        gv.index_of("r-99")
+
+
+@pytest.mark.parametrize("call", [exact_energy, exact_gradient, lambda g, h: sample_batch(g, h, 8)],
+                         ids=["exact_energy", "exact_gradient", "sample_batch"])
+def test_an_operator_on_other_qubits_is_refused(call):
+    with pytest.raises(ValueError, match="^operator acts on 3 qubits but the graph has 4$"):
+        call(build_ansatz("accordion", 4), build_model(ModelSpec("tfim", 3, g=1.0)))
 
 
 def test_negative_node_ids_resolve_from_the_end():

@@ -246,6 +246,15 @@ def test_free_fermion_energy_matches_the_eigensolver(n, g):
                                                      rel=0, abs=1e-10)
 
 
+@pytest.mark.parametrize("n", [6, 10, 12], ids=["dense", "lanczos-10", "lanczos-12"])
+def test_eigensolver_bounds_scale_with_the_operator(n):
+    # at g = 1e7 the residual of an exact eigenpair is rounding of about
+    # 1e-16 relative to |E0|, yet above an absolute 1e-8
+    spec = ModelSpec("tfim", n, g=1e7)
+    assert ground_energy(build_model(spec))[0] == pytest.approx(tfim_ground_energy(spec),
+                                                                rel=1e-12, abs=0)
+
+
 def test_free_fermion_energy_is_for_the_open_tfim_chain_only():
     for spec in (ModelSpec("tfim", 4, g=1.0, boundary="periodic"), ModelSpec("heisenberg", 4)):
         with pytest.raises(ValueError):

@@ -325,8 +325,9 @@ def test_vmc_gradient_needs_two_samples():
     g = random_graph("accordion", 3, 0)
     h = build_model(ModelSpec("tfim", 3, g=1.0))
     batch = sample_batch(g, h, 1, seed=0)
-    with pytest.raises(ValueError):
-        vmc_gradient(batch)
+    for estimate in (vmc_gradient, vmc_gradient_stderr):
+        with pytest.raises(ValueError, match="needs at least 2 samples, got 1"):
+            estimate(batch)
 
 
 def test_jackknife_stderr_is_calibrated():
