@@ -156,13 +156,17 @@ def parse_init_scheme(text: str, seed: int = 0) -> InitScheme:
     )
 
 
-def _uniform_params(num_nodes: int, seeds) -> np.ndarray:
+def _uniform_params(num_nodes: int, entropies) -> np.ndarray:
     """The "uniform" scheme's (r, omega, phi) rows in ascending node id, one
-    block per seed, shape (len(seeds), num_nodes, 3): one PCG64 stream per
-    seed, r ~ U[0,1) then omega, phi ~ U[0, 2*pi), drawn in place."""
-    draws = np.empty((len(seeds), num_nodes, 3))
-    for seed, block in zip(seeds, draws):
-        np.random.default_rng(seed).random(out=block)
+    block per entropy, shape (len(entropies), num_nodes, 3): one PCG64
+    stream per entropy, r ~ U[0,1) then omega, phi ~ U[0, 2*pi), drawn in
+    place.  An entropy is anything SeedSequence takes, such as an int seed
+    or the uint32 words of one; a seed's stream is ``default_rng(seed)``'s,
+    and words that differ only by trailing zeros, up to four words, seed
+    one stream."""
+    draws = np.empty((len(entropies), num_nodes, 3))
+    for entropy, block in zip(entropies, draws):
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy))).random(out=block)
     draws[..., 1:] *= 2.0 * math.pi
     return draws
 

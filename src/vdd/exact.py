@@ -736,12 +736,18 @@ def energy_and_grad(topo: _LevelTables, h, theta: np.ndarray, mode: str):
     for start in range(0, len(stack), step):
         chunk = slice(start, start + step)
         norm2[chunk], value[chunk], grad[chunk] = evaluate(stack[chunk], mode)
-    energy = np.empty(count)
-    for k, (norm2_k, value_k) in enumerate(zip(norm2[:count].tolist(), value[:count].tolist())):
+    norm2, value = norm2[:count], value[:count]
+    # `_checked_energy`'s test over the whole stack; it runs only on the
+    # first entry that fails, to raise its message
+    passed = ((np.abs(norm2 - 1.0) <= 1e-10) & np.isfinite(value)
+              & (np.abs(value.imag) <= 1e-10 * h._coeff_scale))
+    if not passed.all():
+        k = int(np.argmin(passed))
         try:
-            energy[k] = _checked_energy(norm2_k, value_k, h)
+            _checked_energy(norm2[k], value[k], h)
         except ValueError as exc:
             raise ValueError(("stack entry {}: " if stacked else "").format(k) + str(exc)) from None
+    energy = value.real.copy()
     return (energy, grad[:count]) if stacked else (float(energy[0]), grad[0])
 
 

@@ -44,8 +44,43 @@ VARIANCE_FLOOR = 1e-300  # rows at or below this are left out of the log fit
 
 
 def derive_seed(base_seed: int, n: int, index: int) -> int:
-    """Independent, reproducible seed for grid cell (n, index)."""
+    """Independent, reproducible seed for grid cell (n, index): the uint64
+    that ``SeedSequence([base_seed, n, index])`` generates.  The scan and
+    `best_dimer` draw ``default_rng`` of it from its two uint32 words
+    (`_derived_words`), with no Python int between the two hashes."""
     return int(np.random.SeedSequence([base_seed, n, index]).generate_state(1, np.uint64)[0])
+
+
+def _seed_words(*values: int) -> np.ndarray:
+    """The uint32 words numpy's SeedSequence coerces the entropy
+    ``[*values]`` into: each value's little-endian 32-bit words (one word
+    for 0), value after value."""
+    words = []
+    for value in values:
+        if value < 0:
+            raise ValueError(f"expected non-negative integer, got {value}")
+        words.append(value & 0xFFFFFFFF)
+        while value := value >> 32:
+            words.append(value & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
+def _derived_words(base_seed: int, n: int, count: int) -> np.ndarray:
+    """``derive_seed(base_seed, n, index)`` for index < count as the
+    little-endian uint32 words of each, shape (count, 2).
+
+    The entropy words of ``[base_seed, n, 0]`` are built once and the index
+    word, the last, rewritten in place (an index below 2^32 is one word, as
+    numpy coerces it).  The words seed ``default_rng(derive_seed(...))``'s
+    stream: a seed below 2^32 coerces to its low word alone, and a
+    SeedSequence pads its entropy with zero words.
+    """
+    words = _seed_words(base_seed, n, 0)
+    out = np.empty((count, 2), dtype=np.uint32)
+    for index, row in enumerate(out):
+        words[-1] = index
+        row[:] = np.random.SeedSequence(words).generate_state(2)
+    return out
 
 
 @dataclass(frozen=True)
@@ -153,12 +188,15 @@ def variance_scan(cfg: VarianceScanConfig) -> VarianceScanResult:
 
     All seeds of one n are evaluated in one `energy_and_grad` call, on a
     topology compiled from the layout's arrays (`ansatz._automaton`) with
-    no graph, and one θ stack of the seeds' draws (`ansatz._uniform_params`,
-    as `init_params(..., InitScheme("uniform", seed))` draws them).  n has no
+    no graph, and one θ stack of the seeds' draws (`ansatz._uniform_params`
+    of `_derived_words`: the streams `init_params(..., InitScheme("uniform",
+    derive_seed(base_seed, n, index)))` draws).  n has no
     cap of its own: the accordion and product layouts contract at any n,
     and the universal layout, whose builder stops at n = 20 where the dense
     engine does, is refused past it by the config.  A tracked label with
     no node at some n skips that row, and the result's `notices` records it.
+    The tracked entries' variances are one `np.var` per n, and each label's
+    line is one closed-form least-squares fit (`_fit_line`).
     """
     rows: list[ScanRow] = []
     notices: list[str] = []
@@ -174,12 +212,13 @@ def variance_scan(cfg: VarianceScanConfig) -> VarianceScanResult:
                 notices.append(f"label {label!r} absent at n={n}; row skipped")
         if not live:
             continue
-        seeds = [derive_seed(cfg.base_seed, n, idx) for idx in range(cfg.num_seeds)]
-        theta = _in_chart(_uniform_params(len(topo.node_ids), seeds), cfg.param_mode)
+        entropies = _derived_words(cfg.base_seed, n, cfg.num_seeds)
+        theta = _in_chart(_uniform_params(len(topo.node_ids), entropies), cfg.param_mode)
         _, grads = energy_and_grad(topo, h, theta, cfg.param_mode)
-        grads = grads.reshape(cfg.num_seeds, -1)
-        for label, index in live.items():
-            var = float(np.var(grads[:, index]))  # population variance over the draws
+        # population variance over the draws, one contiguous row per label,
+        # so each is summed as np.var sums a lone column
+        columns = grads.reshape(cfg.num_seeds, -1)[:, list(live.values())].T.copy()
+        for label, var in zip(live, np.var(columns, axis=1).tolist()):
             rows.append(
                 ScanRow(
                     model=cfg.model,
@@ -197,24 +236,33 @@ def variance_scan(cfg: VarianceScanConfig) -> VarianceScanResult:
         usable = [(n, v) for n, v in pairs if v > VARIANCE_FLOOR]
         if len(usable) < 2:
             continue
-        ns = np.array([n for n, _ in usable], dtype=float)
-        logs = np.log2([v for _, v in usable])
-        slope, intercept = np.polyfit(ns, logs, 1)
-        pred = slope * ns + intercept
-        ss_res = float(np.sum((logs - pred) ** 2))
-        ss_tot = float(np.sum((logs - np.mean(logs)) ** 2))
-        r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+        slope, intercept, r2 = _fit_line([float(n) for n, _ in usable],
+                                         [math.log2(v) for _, v in usable])
         fits.append(
             FitRow(
                 model=cfg.model,
                 g=cfg.coupling,
                 param=label,
-                slope=float(slope),
-                intercept=float(intercept),
+                slope=slope,
+                intercept=intercept,
                 r_squared=r2,
             )
         )
     return VarianceScanResult(rows=rows, fits=fits, notices=notices)
+
+
+def _fit_line(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
+    """Least-squares line through (xs, ys), at least two distinct xs, in
+    closed form: (slope, intercept, r^2), r^2 = 1 when the ys' squared
+    deviations from their mean sum to 0."""
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    dx = [x - mx for x in xs]
+    dy = [y - my for y in ys]
+    slope = sum(a * b for a, b in zip(dx, dy)) / sum(a * a for a in dx)
+    intercept = my - slope * mx
+    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = sum(b * b for b in dy)
+    return slope, intercept, 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +360,8 @@ def best_dimer(spec: ModelSpec, starts: int = 6, seed: int = 0) -> tuple[float, 
 
     best_energy = math.inf
     best_graph = None
-    for k in range(starts):
-        x0 = _in_chart(_uniform_params(len(topo.node_ids), [derive_seed(seed, spec.n, k)])[0],
-                       "trig")
+    entropies = _derived_words(seed, spec.n, starts)
+    for x0 in _in_chart(_uniform_params(len(topo.node_ids), entropies), "trig"):
         res = minimize(objective, x0.ravel(), jac=True, method="L-BFGS-B",
                        options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12})
         if res.fun < best_energy:

@@ -324,6 +324,59 @@ def test_stack_residue_errors_name_the_failing_entry(contract, monkeypatch):
     assert energies.shape == (4,)
 
 
+def patched_engine(contract, monkeypatch, change):
+    """Run the stack's engine with ``change(norm2, value)`` applied to what
+    each call returns."""
+    owner, name = (exact._Contraction, "__call__") if contract else (exact, "_dense")
+    engine = getattr(owner, name)
+
+    def run(*args):
+        norm2, value, grad = engine(*args)
+        norm2, value = norm2.copy(), value.copy()
+        change(norm2, value)
+        return norm2, value, grad
+
+    monkeypatch.setattr(exact, "_contracts", lambda topo, h: contract)
+    monkeypatch.setattr(owner, name, run)
+
+
+@pytest.mark.parametrize("first, message", [
+    ("residue", "expectation has a non-real residue"), ("norm", "state not normalized")])
+@pytest.mark.parametrize("contract", [True, False])
+def test_stack_with_two_failing_entries_names_the_first(contract, first, message, monkeypatch):
+    g = random_graph("accordion", 4, 3)
+    h = build_model(ModelSpec("heisenberg", 4))
+    stack = np.stack([_flatten(g, "trig")] * 4)
+
+    def change(norm2, value):  # entries 1 and 3 of the stack's one call
+        assert len(value) == 4
+        residue, norm = (1, 3) if first == "residue" else (3, 1)
+        value[residue] += 2e-10j
+        norm2[norm] += 1e-9
+
+    patched_engine(contract, monkeypatch, change)
+    with pytest.raises(ValueError, match=f"^stack entry 1: {message}"):
+        energy_and_grad(_LevelTables(g), h, stack, "trig")
+
+
+@pytest.mark.parametrize("stacked", [True, False])
+@pytest.mark.parametrize("contract", [True, False])
+def test_infinite_real_expectation_is_refused(contract, stacked, monkeypatch):
+    # inf + 0j passes the norm and residue tests; only finiteness refuses it
+    g = random_graph("accordion", 4, 3)
+    h = build_model(ModelSpec("heisenberg", 4))
+    theta = _flatten(g, "trig")
+
+    def change(norm2, value):  # the last θ of the stack's one call
+        assert len(value) == (3 if stacked else 1)
+        value[-1] = complex(math.inf, 0.0)
+
+    patched_engine(contract, monkeypatch, change)
+    where = "stack entry 2: " if stacked else ""
+    with pytest.raises(ValueError, match=f"^{where}expectation is not finite: \\(inf\\+0j\\)$"):
+        energy_and_grad(_LevelTables(g), h, np.stack([theta] * 3) if stacked else theta, "trig")
+
+
 @pytest.mark.parametrize("contract", [True, False])
 def test_stack_entry_with_r_outside_the_box_is_rejected(contract, monkeypatch):
     # arccos(1.5) is NaN, so every energy and gradient of that θ would be NaN

@@ -36,6 +36,130 @@ def test_derive_seed_is_deterministic_and_spread():
     assert len(seen) == 100
 
 
+# 64-bit and wider bases take more than one entropy word; the stream must
+# match numpy's coercion of [base, n, index] whatever its length
+WIDE_BASES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70 + 5)
+
+
+@pytest.mark.parametrize("n", [1, 13, 14])
+@pytest.mark.parametrize("base", WIDE_BASES)
+def test_derived_words_draw_derive_seeds_streams(base, n):
+    from vdd.ansatz import _uniform_params
+
+    words = experiments._derived_words(base, n, 4)
+    assert words.dtype == np.uint32 and words.shape == (4, 2)
+    assert words.view("<u8").ravel().tolist() == [derive_seed(base, n, i) for i in range(4)]
+    want = np.stack([np.random.default_rng(derive_seed(base, n, i)).random((5, 3))
+                     for i in range(4)])
+    want[..., 1:] *= 2.0 * math.pi
+    got = _uniform_params(5, words)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("values", [(0,), (2**32,), (2**64 - 1, 13, 3), (2**70 + 5, 1, 0),
+                                    (0, 0, 0), (5, 2**40, 2**32 - 1)])
+def test_seed_words_hash_as_numpys_coercion(values):
+    words = experiments._seed_words(*values)
+    assert words.dtype == np.uint32
+    want = np.random.SeedSequence(list(values)).generate_state(8)
+    assert np.array_equal(np.random.SeedSequence(words).generate_state(8), want)
+    with pytest.raises(ValueError, match="non-negative"):
+        experiments._seed_words(*values, -1)
+
+
+@pytest.mark.parametrize("x", [0, 1, 12345, 2**32 - 1])
+def test_one_entropy_word_seeds_the_stream_of_it_and_a_zero(x):
+    # a seed below 2^32 coerces to one word, and `_derived_words` always
+    # passes two: the SeedSequence pool pads its entropy with zero words
+    def stream(entropy):
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy))).random(8)
+
+    one = stream(np.array([x], dtype=np.uint32))
+    assert np.array_equal(one, stream(np.array([x, 0], dtype=np.uint32)))
+    assert np.array_equal(one, np.random.default_rng(x).random(8))
+
+
+def test_scan_rows_at_a_64_bit_base_match_the_reference():
+    base = 17252005582479370994  # above 2^63, as a generated CLI seed can be
+    cfg = VarianceScanConfig(model="heisenberg", n_values=(3, 4), tracked_params=("r1", "phi-1"),
+                             num_seeds=5, base_seed=base)
+    got = [(r.n, r.param, r.variance) for r in variance_scan(cfg).rows]
+    want = []
+    for n in cfg.n_values:
+        stack = np.stack([_flatten(init_params(build_ansatz("accordion", n),
+                                               InitScheme("uniform", derive_seed(base, n, k))),
+                                   "raw") for k in range(5)])
+        topo = exact._LevelTables(build_ansatz("accordion", n))
+        _, grads = energy_and_grad(topo, build_model(cfg.model_spec(n)), stack, "raw")
+        grads = grads.reshape(5, -1)
+        for label in cfg.tracked_params:
+            want.append((n, label,
+                         float(np.var(grads[:, exact._label_index(topo.node_ids, label)]))))
+    assert got == want
+
+
+def polyfit_line(xs, ys):
+    """The scan's fit before it was closed-form: np.polyfit and r^2 from it."""
+    ns, logs = np.array(xs, dtype=float), np.array(ys)
+    slope, intercept = np.polyfit(ns, logs, 1)
+    ss_res = float(np.sum((logs - (slope * ns + intercept)) ** 2))
+    ss_tot = float(np.sum((logs - np.mean(logs)) ** 2))
+    return float(slope), float(intercept), 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+
+
+def exact_line(xs, ys):
+    """The least-squares line in rational arithmetic, rounded once."""
+    from fractions import Fraction
+
+    xs, ys = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+             / sum((x - mx) ** 2 for x in xs))
+    return float(slope), float(my - slope * mx)
+
+
+def fit_cases(seed, top, count):
+    """(xs, ys) with distinct ascending xs in [1, top], ys scattered about
+    a line of log2-variance slope in [-3, 0.5]."""
+    rng = np.random.default_rng(seed)
+    cases = [([2.0, 4.0], [-3.0, -5.5]), ([3.0, 5.0, 9.0], [-7.0, -7.0, -7.0])]
+    for size in (2, 3, 5, 8):
+        for _ in range(count):
+            xs = np.sort(rng.choice(np.arange(1, top + 1), size, replace=False)).astype(float)
+            ys = rng.uniform(-3.0, 0.5) * xs + rng.uniform(-10.0, 10.0)
+            ys += rng.choice([0.1, 1.0, 5.0]) * rng.normal(size=size)
+            cases.append((xs.tolist(), ys.tolist()))
+    return cases
+
+
+def test_line_fit_matches_polyfit():
+    # n <= 20, the universal layout's cap; past it np.polyfit itself strays
+    # from the exact line by up to about 3e-12 (the next test)
+    for xs, ys in fit_cases(30, 20, 100):
+        got, want = experiments._fit_line(xs, ys), polyfit_line(xs, ys)
+        assert all(abs(a - b) <= 1e-12 for a, b in zip(got, want)), (xs, ys, got, want)
+
+
+def test_line_fit_matches_the_exact_line():
+    for xs, ys in fit_cases(31, 64, 60):
+        got, want = experiments._fit_line(xs, ys)[:2], exact_line(xs, ys)
+        assert all(abs(a - b) <= 2e-13 for a, b in zip(got, want)), (xs, ys, got, want)
+
+
+def test_scan_fits_match_polyfit_of_the_rows():
+    for model, kind, ns in (("heisenberg", "accordion", (2, 4, 6, 8)), ("tfim", "product", (2, 3, 5)),
+                            ("tfim", "universal", (2, 3, 4))):
+        cfg = VarianceScanConfig(model=model, g=0.7, n_values=ns, tracked_params=("r1", "omega1"),
+                                 num_seeds=12, base_seed=4, ansatz=kind)
+        res = variance_scan(cfg)
+        assert len(res.fits) == 2
+        for fit in res.fits:
+            rows = [r for r in res.rows if r.param == fit.param]
+            want = polyfit_line([r.n for r in rows], np.log2([r.variance for r in rows]))
+            got = (fit.slope, fit.intercept, fit.r_squared)
+            assert all(abs(a - b) <= 1e-12 for a, b in zip(got, want)), (fit, want)
+
+
 def test_variance_scan_config_validation():
     with pytest.raises(ConfigError):
         VarianceScanConfig(model="tfim", n_values=(), tracked_params=("r1",))
