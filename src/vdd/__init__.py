@@ -72,11 +72,8 @@ from .optimize import (
 from .state import CapacityError, StateVector
 from .vmc import (
     VmcBatch,
-    local_estimator,
-    log_derivatives,
     sample,
     sample_batch,
-    vmc_energy,
     vmc_gradient,
     vmc_gradient_stderr,
 )
@@ -126,8 +123,6 @@ __all__ = [
     "g_sweep",
     "ground_energy",
     "init_params",
-    "local_estimator",
-    "log_derivatives",
     "parameter_labels",
     "parse_init_scheme",
     "sample",
@@ -139,7 +134,6 @@ __all__ = [
     "training_curves",
     "validate",
     "variance_scan",
-    "vmc_energy",
     "vmc_gradient",
     "vmc_gradient_stderr",
     "xx_ground_energy",

@@ -118,10 +118,6 @@ class VddGraph:
     def sorted_ids(self) -> list[int]:
         return sorted(self.nodes)
 
-    @property
-    def num_parameters(self) -> int:
-        return 3 * len(self.nodes)
-
 
 def edge_amplitudes(params: ParamTriple) -> tuple[complex, complex]:
     """Complex amplitudes (left, right) of a node's two edges.
@@ -130,8 +126,6 @@ def edge_amplitudes(params: ParamTriple) -> tuple[complex, complex]:
     |left|^2 + |right|^2 = 1 up to rounding.
     """
     r = params.r
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"r must lie in [0, 1], got {r}")
     left = r * cmath.exp(1j * params.omega)
     right = math.sqrt(max(0.0, 1.0 - r * r)) * cmath.exp(1j * params.phi)
     return left, right
@@ -168,9 +162,11 @@ def validate(g: VddGraph) -> list[str]:
 
     Checks the leveled-multigraph invariants: the root edge targets a
     level-1 node, every edge goes down exactly one level (so all paths
-    reach TERMINAL in n steps and the graph is acyclic), parameters are
-    in range, and every node is reachable from the root.  Each diagnostic
-    names the violated rule and the offending node id.
+    reach TERMINAL in n steps and the graph is acyclic), and every node is
+    reachable from the root.  Each diagnostic names the violated rule and
+    the offending node id.  A node's parameters are not checked here:
+    ParamTriple refuses non-finite values and r outside [0, 1] when it is
+    built.
     """
     problems: list[str] = []
     n = g.num_qubits
@@ -196,11 +192,6 @@ def validate(g: VddGraph) -> list[str]:
         if not 1 <= node.level <= n:
             problems.append(f"level out of range at node {nid}: {node.level}")
             continue
-        p = node.params
-        if not (math.isfinite(p.r) and math.isfinite(p.omega) and math.isfinite(p.phi)):
-            problems.append(f"non-finite parameter at node {nid}")
-        elif not 0.0 <= p.r <= 1.0:
-            problems.append(f"r out of range at node {nid}: {p.r}")
         for side, child in (("child0", node.child0), ("child1", node.child1)):
             if node.level == n:
                 if child is not TERMINAL:
@@ -337,8 +328,6 @@ def deserialize(text: str, validate_graph: bool = True) -> VddGraph:
             raise ParseError(f"duplicate node id {nid}")
         level = _expect_int(entry, "level", where)
         r = _expect_real(entry, "r", where)
-        if not 0.0 <= r <= 1.0:
-            raise ParseError(f"r out of range at node {nid}: {r}")
         omega = _expect_real(entry, "omega", where)
         phi = _expect_real(entry, "phi", where)
         try:

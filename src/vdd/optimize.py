@@ -197,9 +197,6 @@ class TrainTrace:
     def final(self) -> TraceRecord:
         return self.records[-1]
 
-    def column(self, name: str) -> list:
-        return [getattr(rec, name) for rec in self.records]
-
     def to_csv(self, path) -> None:
         _write_csv(path, ["epoch", "loss", "energy", "relative_error", "grad_norm",
                           "energy_stderr", "wall_ms"], map(astuple, self.records))

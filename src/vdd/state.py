@@ -15,8 +15,6 @@ __all__ = [
     "CapacityError",
     "StateVector",
     "as_amplitudes",
-    "index_of_bits",
-    "bits_of_index",
 ]
 
 
@@ -83,13 +81,3 @@ def as_amplitudes(v) -> np.ndarray:
     """Accept a StateVector or a plain array and return the amplitude array."""
     return np.asarray(getattr(v, "amps", v), dtype=np.complex128)
 
-
-def index_of_bits(bits) -> int:
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | int(b)
-    return idx
-
-
-def bits_of_index(index: int, n: int) -> tuple[int, ...]:
-    return tuple((index >> (n - l)) & 1 for l in range(1, n + 1))

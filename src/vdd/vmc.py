@@ -67,8 +67,10 @@ the tables or allocating a batch-sized array; `sample` and `sample_batch`
 take a `VddGraph`, compile it and allocate a batch per call, so their
 results own their arrays.
 
-The per-bit-string operations walk the graph itself and are the reference
-implementations the kernels are tested against.
+The kernels are tested against per-bit-string references that walk the
+graph itself, the local value and the log-derivatives of one string, and
+against the dense gradient statistics stacked from them; those live with
+the tests, in tests/vmc_reference.py.
 """
 
 from __future__ import annotations
@@ -80,17 +82,14 @@ import numpy as np
 
 from .exact import GradientVector, _chart, _check_graph_and_operator, _check_mode, _flatten
 from .exact import _LevelTables
-from .graph import VddGraph, amplitude
+from .graph import VddGraph
 from .hamiltonian import PauliHamiltonian, _bit_elements
 from .state import _check_count, _write_csv
 
 __all__ = [
     "VmcBatch",
     "sample",
-    "local_estimator",
-    "log_derivatives",
     "sample_batch",
-    "vmc_energy",
     "vmc_gradient",
     "vmc_gradient_stderr",
     "batch_to_csv",
@@ -474,60 +473,6 @@ def _batch_local_values(batch: VmcBatch, h: PauliHamiltonian) -> np.ndarray:
     return local
 
 
-def local_estimator(g: VddGraph, h: PauliHamiltonian, b) -> complex:
-    """A~(b) for one bit string; O(#terms * n) via single-path walks."""
-    from .hamiltonian import apply_string
-
-    bits = tuple(int(x) for x in b)
-    psi_b = amplitude(g, bits)
-    if psi_b == 0:
-        raise ValueError(f"local estimator undefined at psi{bits} = 0")
-    total = 0j
-    for term in h.terms:
-        b_prime, phase = apply_string(term, bits)
-        total += term.coeff * np.conj(phase) * amplitude(g, b_prime) / psi_b
-    return complex(total)
-
-
-def _magnitude_log_deriv(r: float, bit: int, mode: str) -> float:
-    """O for the magnitude slot on a taken edge; raises where the edge has
-    zero amplitude (probability-0 under Born sampling).
-
-    raw:  1/r (left) or -r/(1-r^2) (right); trig with r = cos u:
-    -tan u (left) or cot u (right).
-    """
-    if bit == 0:
-        if r == 0.0:
-            raise ValueError("left edge taken with r = 0: log-derivative is singular")
-        return -math.sqrt(1.0 - r * r) / r if mode == "trig" else 1.0 / r
-    if r == 1.0:
-        raise ValueError("right edge taken with r = 1: log-derivative is singular")
-    return r / math.sqrt(1.0 - r * r) if mode == "trig" else -r / (1.0 - r * r)
-
-
-def log_derivatives(g: VddGraph, b, mode: str = "raw") -> np.ndarray:
-    """O_j(b) = d log psi(b)/d theta_j as a flat complex array (3 per node)."""
-    _check_mode(mode)
-    bits = tuple(int(x) for x in b)
-    if len(bits) != g.num_qubits or any(x not in (0, 1) for x in bits):
-        raise ValueError(f"need {g.num_qubits} bits of 0/1, got {b!r}")
-    node_ids = g.sorted_ids()
-    slot = {node_id: k for k, node_id in enumerate(node_ids)}
-    out = np.zeros(3 * len(node_ids), dtype=np.complex128)
-    current = g.root_child
-    for bit in bits:
-        node = g.nodes[current]
-        k = slot[node.id]
-        out[3 * k] = _magnitude_log_deriv(node.params.r, bit, mode)
-        if bit == 0:
-            out[3 * k + 1] = 1j
-            current = node.child0
-        else:
-            out[3 * k + 2] = 1j
-            current = node.child1
-    return out
-
-
 def _filled(topo: _LevelTables, sums: np.ndarray) -> np.ndarray:
     """`sums`, per edge 2 * node row + bit, with the edges of the levels
     that are not scattered set to the sum of their child's two edges,
@@ -617,11 +562,6 @@ def _draw(batch: VmcBatch, h: PauliHamiltonian, theta: np.ndarray, mode: str,
     _sample(batch, rng)
     batch.energy_mean, batch.energy_stderr = _energy_stats(_batch_local_values(batch, h))
     return batch
-
-
-def vmc_energy(batch: VmcBatch) -> tuple[float, float]:
-    """(mean, standard error) of Re A~ over the batch, as its draw computed them."""
-    return batch.energy_mean, batch.energy_stderr
 
 
 def vmc_gradient(batch: VmcBatch) -> GradientVector:

@@ -18,7 +18,7 @@ from vdd.graph import ParamTriple, amplitude, deserialize, serialize
 from vdd.hamiltonian import ModelSpec, build_model, dense_matrix, ground_energy
 from vdd.optimize import AdamConfig, TrainConfig, train
 from vdd.experiments import VarianceScanConfig, g_sweep, variance_scan
-from vdd.vmc import sample, sample_batch, vmc_energy, vmc_gradient, vmc_gradient_stderr
+from vdd.vmc import sample, sample_batch, vmc_gradient, vmc_gradient_stderr
 
 
 def _report(num, budget_s, started, ok, detail):
@@ -219,8 +219,8 @@ def test_criterion_8_vmc_suite():
     # energy estimate within 5 standard errors
     g8 = init_params(build_ansatz("accordion", 8), InitScheme("uniform", seed=21))
     h8 = build_model(ModelSpec("tfim", 8, g=1.0))
-    mean, se = vmc_energy(sample_batch(g8, h8, 10_000, seed=5))
-    z_e = abs(mean - exact_energy(g8, h8)) / se
+    batch = sample_batch(g8, h8, 10_000, seed=5)
+    z_e = abs(batch.energy_mean - exact_energy(g8, h8)) / batch.energy_stderr
     parts.append((f"energy z = {z_e:.2f}", z_e < 5.0))
 
     # every gradient entry within 5 standard errors

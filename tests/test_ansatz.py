@@ -15,7 +15,7 @@ from vdd.ansatz import (
     init_params,
     parse_init_scheme,
 )
-from vdd.exact import to_state_vector
+from vdd.exact import parameter_labels, to_state_vector
 from vdd.graph import TERMINAL, amplitude, serialize, validate
 from vdd.state import CapacityError, ConfigError
 
@@ -23,7 +23,7 @@ from vdd.state import CapacityError, ConfigError
 def test_product_layout():
     g = build_ansatz("product", 5)
     assert len(g.nodes) == 5
-    assert g.num_parameters == 15
+    assert len(parameter_labels(g)) == 15
     assert validate(g) == []
     assert g.nodes[5].child0 is TERMINAL and g.nodes[5].child1 is TERMINAL
 
@@ -31,7 +31,7 @@ def test_product_layout():
 @pytest.mark.parametrize("n", range(1, 21))
 def test_accordion_parameter_count(n):
     g = build_ansatz("accordion", n)
-    assert g.num_parameters == 3 * (3 * n // 2)
+    assert len(parameter_labels(g)) == 3 * (3 * n // 2)
     levels = [node.level for node in g.nodes.values()]
     widths = [levels.count(level) for level in range(1, n + 1)]
     assert widths == [1 if level % 2 else 2 for level in range(1, n + 1)]

@@ -170,6 +170,11 @@ def test_deserialize_rejects_malformed_documents():
     ):
         with pytest.raises(ParseError):
             deserialize(breaker(good))
+    # parameters are checked by ParamTriple; the error still names the node
+    r_line = '"r": 0.7071067811865475'
+    for bad_r in ("1.5", "NaN"):
+        with pytest.raises(ParseError, match="node 1"):
+            deserialize(good.replace(r_line, f'"r": {bad_r}', 1))
 
 
 def test_deserialize_validates_by_default():

@@ -1,5 +1,6 @@
 """Every name a `vdd` module or a test module imports is used in it or
-exported by it."""
+exported by it, every private top-level function or class of `vdd` is
+used somewhere in `vdd`, and no error is re-wrapped as a ConfigError."""
 
 import ast
 from pathlib import Path
@@ -40,6 +41,43 @@ def test_the_check_sees_an_unused_import():
     source = ("from __future__ import annotations\nimport math, os.path\n"
               "from dataclasses import dataclass, field as f\n__all__ = ['f']\nmath.pi\n")
     assert unused_imports(source) == ["os (line 2)", "dataclass (line 3)"]
+
+
+def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    """`module:name` of each top-level function or class whose name starts
+    with one underscore (dunders aside) and that no name or attribute in
+    `sources` reads outside the definition itself."""
+    defined, readers = [], {}
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = (module, top.name)
+                if top.name.startswith("_") and not top.name.startswith("__"):
+                    defined.append(owner)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    readers.setdefault(node.id, set()).add(owner)
+                elif isinstance(node, ast.Attribute):
+                    readers.setdefault(node.attr, set()).add(owner)
+    return [f"{module}:{name}" for module, name in defined
+            if not readers.get(name, set()) - {(module, name)}]
+
+
+def test_every_private_definition_is_used():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert unreferenced_private_definitions(sources) == []
+
+
+def test_the_check_sees_an_unused_private_definition():
+    sources = {
+        "a": ("def _used():\n    return 1\n\n"
+              "def _recursive(k):\n    return _recursive(k - 1)\n\n"
+              "class _Unused:\n    pass\n\n"
+              "def __getattr__(name):\n    raise AttributeError(name)\n"),
+        "b": "from a import _used\n\nx = _used()\n",
+    }
+    assert unreferenced_private_definitions(sources) == ["a:_recursive", "a:_Unused"]
 
 
 def rewrapped_errors(source: str) -> list[int]:

@@ -141,7 +141,7 @@ def test_train_requires_reachable_oracle_or_e0():
 def test_exact_training_runs_past_the_state_vector_cap():
     # the accordion is at most two nodes wide, so n = 64 trains by contraction
     trace = train(TrainConfig(model=ModelSpec("heisenberg", 64), loss="energy", epochs=5, seed=0))
-    energies = trace.column("energy")
+    energies = [rec.energy for rec in trace.records]
     assert min(energies) >= -3 * 32 - 1e-9  # one singlet per dimer is the accordion's best
     assert energies[-1] < energies[0]
 

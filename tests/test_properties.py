@@ -23,10 +23,9 @@ from vdd.graph import TERMINAL, Node, ParamTriple, VddGraph, amplitude, deserial
 from vdd.graph import edge_amplitudes, validate
 from vdd.hamiltonian import ModelSpec, PauliHamiltonian, PauliString, apply_string
 from vdd.hamiltonian import apply_to_vector, build_model, dense_matrix
-from vdd.state import bits_of_index, index_of_bits
-from vdd.vmc import VmcBatch, _draw, _sample, local_estimator, sample_batch, vmc_gradient
+from vdd.vmc import VmcBatch, _draw, _sample, sample_batch, vmc_gradient
 from vdd.vmc import vmc_gradient_stderr
-from vmc_reference import dense_statistics
+from vmc_reference import bits_of_index, dense_statistics, index_of_bits, local_estimator
 
 SETTINGS = settings(derandomize=True, max_examples=25, deadline=None)
 

@@ -13,16 +13,13 @@ from vdd.hamiltonian import ModelSpec, PauliHamiltonian, PauliString, build_mode
 from vdd.vmc import (
     VmcBatch,
     batch_to_csv,
-    local_estimator,
-    log_derivatives,
     sample,
     sample_batch,
-    vmc_energy,
     vmc_gradient,
     vmc_gradient_stderr,
 )
-from graphs import random_graph, set_node
-from vmc_reference import dense_statistics
+from graphs import layered_graph, random_graph, set_node
+from vmc_reference import dense_statistics, local_estimator, log_derivatives
 
 
 def bits_to_index(row) -> int:
@@ -212,7 +209,7 @@ def test_log_derivatives_singular_edge_raises():
 def test_vmc_energy_on_deterministic_state():
     g = init_params(build_ansatz("accordion", 2), InitScheme("basis", bits=(0, 1)))
     batch = sample_batch(g, build_model(ModelSpec("z1z2", 2)), 128, seed=0)
-    mean, stderr = vmc_energy(batch)
+    mean, stderr = batch.energy_mean, batch.energy_stderr
     assert mean == -1.0
     assert stderr == 0.0
 
@@ -221,7 +218,7 @@ def test_vmc_energy_balanced_tfim():
     g = build_ansatz("accordion", 2)
     h = build_model(ModelSpec("tfim", 2, g=1.0))
     batch = sample_batch(g, h, 10**5, seed=1)
-    mean, stderr = vmc_energy(batch)
+    mean, stderr = batch.energy_mean, batch.energy_stderr
     exact = exact_energy(g, h)
     assert exact == pytest.approx(2.0, abs=1e-12)
     assert abs(mean - exact) < 5 * stderr
@@ -235,7 +232,7 @@ def test_singlet_encoding_has_zero_variance():
     g = encode_state(v)
     h = build_model(ModelSpec("heisenberg", 2))
     batch = sample_batch(g, h, 2000, seed=2)
-    mean, stderr = vmc_energy(batch)
+    mean, stderr = batch.energy_mean, batch.energy_stderr
     assert mean == pytest.approx(-3.0, abs=1e-12)
     assert stderr == pytest.approx(0.0, abs=1e-12)
     # and the stochastic gradient of an eigenstate vanishes to roundoff
@@ -280,7 +277,7 @@ def test_sampled_energy_past_63_qubits_matches_the_contracted_energy(n):
     g = random_graph("accordion", n, 3)
     h = build_model(ModelSpec("heisenberg", n, boundary="periodic"))
     batch = sample_batch(g, h, 4000, seed=6)
-    mean, stderr = vmc_energy(batch)
+    mean, stderr = batch.energy_mean, batch.energy_stderr
     assert stderr > 0
     assert abs(mean - exact_energy(g, h)) < 5 * stderr
 
@@ -695,8 +692,19 @@ def test_tables_fall_back_to_slot_and_bits_keys_where_edges_are_not_one_to_one()
     h = build_model(ModelSpec("heisenberg", 6))
     _, groups = segment_keys(g, h, 256)
     assert [terms for *_, terms in groups].count(None) == 2  # the bonds keyed by two levels
-    batch = sample_batch(g, h, 256, seed=4, mode="trig")
-    for k in range(batch.batch_size):
-        bits = tuple(int(b) for b in batch.samples[k])
-        assert batch.local_values[k] == pytest.approx(local_estimator(g, h, bits),
-                                                      rel=1e-12, abs=1e-12)
+    cases = [(g, h)]
+    # window automata (a node's children are 2k and 2k + 1 modulo the width):
+    # their edge spans do not multiply to the key count, so every tabulated
+    # group keys by slot and bits
+    for n, width in ((6, 2), (8, 4)):
+        g = init_params(layered_graph(n, width), InitScheme("uniform", seed=n))
+        h = build_model(ModelSpec("heisenberg", n))
+        _, groups = segment_keys(g, h, 256)
+        assert None in [terms for *_, terms in groups]
+        cases.append((g, h))
+    for g, h in cases:
+        batch = sample_batch(g, h, 256, seed=4, mode="trig")
+        for k in range(batch.batch_size):
+            bits = tuple(int(b) for b in batch.samples[k])
+            assert batch.local_values[k] == pytest.approx(local_estimator(g, h, bits),
+                                                          rel=1e-12, abs=1e-12)
